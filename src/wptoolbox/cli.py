@@ -468,6 +468,8 @@ def _verify_noise() -> float:
 
 
 def cmd_verify(points: int, seed: int) -> int:
+    if points < 1:
+        raise SpecError(f"--points must be >= 1, got {points}")
     checks = [
         ("single-photon closed forms vs propagation", _verify_single_photon, 1e-10),
         ("two-photon closed forms vs propagation", _verify_two_photon, 1e-10),

@@ -13,6 +13,7 @@ compared on every call.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,15 +368,12 @@ def ghz_sector_probabilities(
         raise ValueError(
             "history patterns are only detector-resolvable with mixers off (beta=0)"
         )
-    probs = ghz_output(n, alpha, phases, beta).probabilities().reshape((4,) * n)
-    out: dict[str, float] = {}
-    # paths 1, 3 (indices 0, 2) carry the wave history; 2, 4 the particle one
-    for pattern in range(2**n):
-        letters = [(pattern >> (n - 1 - k)) & 1 for k in range(n)]
-        key = "".join("wp"[bit] for bit in letters)
-        sel = probs
-        for axis, bit in enumerate(letters):
-            idx = (0, 2) if bit == 0 else (1, 3)
-            sel = sel.take(idx, axis=axis)
-        out[key] = float(sel.sum())
-    return out
+    probs = ghz_output(n, alpha, phases, beta).probabilities()
+    # path index = 2 * pair + history: paths 1, 3 (indices 0, 2) carry the
+    # wave history and 2, 4 the particle one.  Move the n history axes in
+    # front of the n pair axes and sum each row over the pairs.
+    split = probs.reshape((2, 2) * n)
+    order = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
+    sectors = split.transpose(order).reshape(2**n, 2**n).sum(axis=1)
+    keys = ("".join(letters) for letters in itertools.product("wp", repeat=n))
+    return {key: float(p) for key, p in zip(keys, sectors)}

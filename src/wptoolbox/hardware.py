@@ -33,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
+from functools import lru_cache
 
 import numpy as np
 
-from .optics import Circuit, ElementUnitary, interferometer_circuit
+from .optics import Circuit, ElementUnitary, interferometer_circuit, mirror_matrix
 from .qcore import ModeBasis, PureState
 from .toolbox import BETA_SPLIT, ToolboxPhases, prepare_input
 
@@ -74,11 +75,7 @@ def hwp_jones(
     ``theta = 0`` is diag(1, -1); 22.5 deg gives the balanced splitter;
     45 deg swaps the polarizations.
     """
-    t = float(theta)
-    m = np.array(
-        [[np.cos(2 * t), np.sin(2 * t)], [np.sin(2 * t), -np.cos(2 * t)]]
-    )
-    return ElementUnitary(name, tuple(modes), tuple(modes), m)
+    return ElementUnitary(name, tuple(modes), tuple(modes), mirror_matrix(float(theta)))
 
 
 def beam_displacer(
@@ -126,6 +123,38 @@ def _lc_phase(pol: str, slot: int, phi: float, name: str) -> ElementUnitary:
     return ElementUnitary(name, (_mode(pol, slot),), (_mode(pol, slot),), m)
 
 
+def _plate(k: int, theta: float, slot: int) -> ElementUnitary:
+    return hwp_jones(theta, (_mode("V", slot), _mode("H", slot)), name=f"HWP{k}@{slot}")
+
+
+@lru_cache(maxsize=8)
+def _fixed_stages(
+    hwp_angles: tuple[float, ...],
+) -> tuple[tuple[ElementUnitary, ...], tuple[ElementUnitary, ...]]:
+    """Displacers and plates HWP1..HWP7, built and validated once per angle set.
+
+    Returns the elements before the phase cells and those between the phase
+    cells and the ``beta`` plates.
+    """
+    a1, a2, a3, a4, a5, a6, a7 = hwp_angles
+    before_phases = (
+        _rail_walk("V", +1, "BD1"),
+        _plate(1, a1, 0),
+        _plate(2, a2, 0),
+        _plate(2, a2, 1),
+    )
+    after_phases = (
+        _plate(3, a3, 1),
+        _rail_walk("H", +2, "BD2"),
+        _plate(4, a4, 0),
+        _plate(5, a5, 1),
+        _plate(6, a6, 2),
+        _plate(7, a7, 3),
+        _rail_walk("H", +1, "BD3"),
+    )
+    return before_phases, after_phases
+
+
 # ---------------------------------------------------------------------------
 # layout
 # ---------------------------------------------------------------------------
@@ -158,36 +187,22 @@ def build_hardware_layout(
     them builds a *different* instrument (useful for sensitivity studies),
     so only the defaults are expected to match the conceptual network.
     """
-    a1, a2, a3, a4, a5, a6, a7 = (float(x) for x in hwp_angles)
+    angles = tuple(float(x) for x in hwp_angles)
     phi1, phi2 = float(phases.phi1), float(phases.phi2)
-
-    def plate(k: int, theta: float, slot: int) -> ElementUnitary:
-        return hwp_jones(
-            theta, (_mode("V", slot), _mode("H", slot)), name=f"HWP{k}@{slot}"
-        )
-
+    before_phases, after_phases = _fixed_stages(angles)
     elements = (
-        _rail_walk("V", +1, "BD1"),
-        plate(1, a1, 0),
-        plate(2, a2, 0),
-        plate(2, a2, 1),
+        *before_phases,
         _lc_phase("V", 1, phi1, "LC1"),
         _lc_phase("H", 0, phi2, "LC2"),
-        plate(3, a3, 1),
-        _rail_walk("H", +2, "BD2"),
-        plate(4, a4, 0),
-        plate(5, a5, 1),
-        plate(6, a6, 2),
-        plate(7, a7, 3),
-        _rail_walk("H", +1, "BD3"),
-        plate(8, float(beta), 1),
-        plate(8, float(beta), 3),
+        *after_phases,
+        _plate(8, float(beta), 1),
+        _plate(8, float(beta), 3),
     )
     circuit = Circuit(RAIL_BASIS, RAIL_BASIS, elements)
     return HardwareLayout(
         circuit=circuit,
         detector_ports=DETECTOR_PORTS,
-        hwp_angles=(a1, a2, a3, a4, a5, a6, a7, float(beta)),
+        hwp_angles=(*angles, float(beta)),
         lc_phases=(phi1, phi2),
     )
 

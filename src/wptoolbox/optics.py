@@ -16,10 +16,11 @@ Mach-Zehnder with a polarization-controlled splitter stage:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .qcore import ATOL, Label, ModeBasis, PureState, apply_unitary
+from .qcore import Label, ModeBasis, PureState, _apply, is_isometry
 
 POLS: tuple[str, str] = ("V", "H")
 PATHS: tuple[str, str, str, str] = ("1", "2", "3", "4")
@@ -29,7 +30,11 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2
 
 @dataclass(frozen=True)
 class ElementUnitary:
-    """A named isometry acting on an explicit subset of modes."""
+    """A named isometry acting on an explicit subset of modes.
+
+    The matrix is checked once, here, and frozen; circuits built from
+    elements apply it without checking it again.
+    """
 
     name: str
     modes_in: tuple[Label, ...]
@@ -42,7 +47,7 @@ class ElementUnitary:
             raise ValueError(
                 f"{self.name}: matrix shape {m.shape} does not match modes"
             )
-        if not np.allclose(m.conj().T @ m, np.eye(len(self.modes_in)), atol=ATOL):
+        if not is_isometry(m):
             raise ValueError(f"{self.name}: matrix is not an isometry")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -78,6 +83,16 @@ def balanced_bs(mode_a: Label, mode_b: Label, name: str = "BS") -> ElementUnitar
     return ElementUnitary(name, (mode_a, mode_b), (mode_a, mode_b), _HADAMARD)
 
 
+def mirror_matrix(theta: float) -> np.ndarray:
+    """Rotated mirror [[cos 2t, sin 2t], [sin 2t, -cos 2t]] at angle ``theta``.
+
+    This is both the detection-stage mixer and the Jones matrix of a
+    half-wave plate.
+    """
+    c, s = np.cos(2 * theta), np.sin(2 * theta)
+    return np.array([[c, s], [s, -c]])
+
+
 def phase_shifter(mode: Label, phi: float, name: str | None = None) -> ElementUnitary:
     """Single-mode phase e^{i phi}."""
     m = np.array([[np.exp(1j * float(phi))]])
@@ -94,12 +109,7 @@ def output_mixer(mode_a: Label, mode_b: Label, beta: float) -> ElementUnitary:
     ``beta = pi/8``.
     """
     b = float(beta)
-    if b == 0.0:
-        m = np.eye(2)
-    else:
-        m = np.array(
-            [[np.cos(2 * b), np.sin(2 * b)], [np.sin(2 * b), -np.cos(2 * b)]]
-        )
+    m = np.eye(2) if b == 0.0 else mirror_matrix(b)
     return ElementUnitary(f"mixer({mode_a},{mode_b})", (mode_a, mode_b), (mode_a, mode_b), m)
 
 
@@ -122,27 +132,45 @@ class Circuit:
         """Run ``state`` through every element in order."""
         if state.basis.labels != self.input_basis.labels:
             raise ValueError("state basis does not match circuit input basis")
-        out = state
-        for el in self.elements:
-            out = apply_unitary(
-                out,
-                el.matrix,
-                el.modes_in,
-                el.modes_out if el.changes_basis else None,
-            )
-        if out.basis.labels != self.output_basis.labels:
-            raise ValueError("circuit did not land in its declared output basis")
-        return out
+        return PureState(self.output_basis, self._run(state.amplitudes.copy()))
 
     def matrix(self) -> np.ndarray:
         """Full transfer matrix (output dim x input dim), columns = basis images."""
-        d_in = self.input_basis.dimension
-        cols = []
-        for k in range(d_in):
-            e = np.zeros(d_in)
-            e[k] = 1.0
-            cols.append(self.propagate(PureState(self.input_basis, e)).amplitudes)
-        return np.stack(cols, axis=1)
+        return self._run(np.eye(self.input_basis.dimension, dtype=np.complex128))
+
+    def _run(self, amps: np.ndarray) -> np.ndarray:
+        """Apply the chain to ``amps``, whose rows follow the input basis.
+
+        ``amps`` is one amplitude vector or a block of column vectors, and is
+        updated in place.  The elements' matrices were checked when the
+        elements were built, so only the routing is checked here.
+        """
+        basis = self.input_basis
+        for el in self.elements:
+            amps, basis = _apply(amps, basis, el.matrix, el.modes_in, el.modes_out)
+        if basis.labels != self.output_basis.labels:
+            raise ValueError("circuit did not land in its declared output basis")
+        return amps
+
+
+@lru_cache(maxsize=8)
+def _fixed_stages(
+    pol_labels: tuple[str, str], path_labels: tuple[str, str, str, str]
+) -> tuple:
+    """Setting-independent parts of the network, built and validated once.
+
+    Returns the two bases, the polarizing splitter and the three balanced
+    splitters BS1, BS2, BS3.
+    """
+    p1, p2, p3, p4 = path_labels
+    return (
+        ModeBasis(pol_labels),
+        ModeBasis(path_labels),
+        polarizing_bs(pol_labels, path_labels),
+        balanced_bs(p1, p3, name="BS1"),
+        balanced_bs(p2, p4, name="BS2"),
+        balanced_bs(p1, p3, name="BS3"),
+    )
 
 
 def interferometer_circuit(
@@ -161,18 +189,21 @@ def interferometer_circuit(
         pol_labels: labels of the two input polarization modes.
         path_labels: labels of the four output paths.
     """
+    pol_basis, path_basis, pbs, bs1, bs2, bs3 = _fixed_stages(
+        tuple(pol_labels), tuple(path_labels)
+    )
     p1, p2, p3, p4 = path_labels
     elements = (
-        polarizing_bs(pol_labels, path_labels),
-        balanced_bs(p1, p3, name="BS1"),
-        balanced_bs(p2, p4, name="BS2"),
+        pbs,
+        bs1,
+        bs2,
         phase_shifter(p3, phi1, name="phase1"),
         phase_shifter(p4, phi2, name="phase2"),
-        balanced_bs(p1, p3, name="BS3"),
+        bs3,
         output_mixer(p1, p2, beta),
         output_mixer(p3, p4, beta),
     )
-    return Circuit(ModeBasis(tuple(pol_labels)), ModeBasis(tuple(path_labels)), elements)
+    return Circuit(pol_basis, path_basis, elements)
 
 
 def network_matrix(phi1: float, phi2: float, beta: float) -> np.ndarray:

@@ -26,6 +26,17 @@ def _as_tuple(label: Label) -> tuple:
     return label if isinstance(label, tuple) else (label,)
 
 
+def is_isometry(matrix: np.ndarray) -> bool:
+    """True when the columns of ``matrix`` are orthonormal to ``ATOL``.
+
+    The test is absolute, ``max|M^H M - I| <= ATOL``; ``np.allclose`` would
+    add a relative slack of 1e-5 on the unit diagonal.
+    """
+    gram = matrix.conj().T @ matrix
+    gram.flat[:: len(gram) + 1] -= 1.0  # subtract the identity in place
+    return float(np.abs(gram).max()) <= ATOL
+
+
 @dataclass(frozen=True)
 class ModeBasis:
     """Ordered set of distinguishable mode labels.
@@ -64,7 +75,8 @@ def product_basis(a: ModeBasis, b: ModeBasis) -> ModeBasis:
     Labels of nested products are flattened, so ``(a*b)*c`` and ``a*(b*c)``
     produce identical label orderings.
     """
-    labels = tuple(_as_tuple(x) + _as_tuple(y) for x in a.labels for y in b.labels)
+    tails = [_as_tuple(y) for y in b.labels]
+    labels = tuple(head + tail for head in map(_as_tuple, a.labels) for tail in tails)
     factors = (a.factors or (a,)) + (b.factors or (b,))
     return ModeBasis(labels, factors)
 
@@ -118,7 +130,8 @@ class DensityMatrix:
         d = self.basis.dimension
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL):
+        # written as "not <=" so that NaN entries fail too
+        if not np.abs(m - m.conj().T).max() <= ATOL:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise ValueError(f"trace must be 1, got {np.trace(m).real}")
@@ -168,20 +181,34 @@ def apply_unitary(
     modes_out = modes_in if modes_out is None else tuple(modes_out)
     if m.shape != (len(modes_out), len(modes_in)):
         raise ValueError(f"matrix shape {m.shape} does not match mode counts")
-    if not np.allclose(m.conj().T @ m, np.eye(len(modes_in)), atol=ATOL):
+    if not is_isometry(m):
         raise ValueError("matrix is not an isometry (columns not orthonormal)")
+    amps, basis = _apply(state.amplitudes.copy(), state.basis, m, modes_in, modes_out)
+    return PureState(basis, amps)
 
+
+def _apply(
+    amps: np.ndarray,
+    basis: ModeBasis,
+    matrix: np.ndarray,
+    modes_in: tuple[Label, ...],
+    modes_out: tuple[Label, ...],
+) -> tuple[np.ndarray, ModeBasis]:
+    """Apply an already checked ``matrix`` to the rows of ``amps`` it names.
+
+    ``amps`` is one amplitude vector or a block of column vectors whose rows
+    follow ``basis``; rows are updated in place unless the element changes
+    the basis.  Only the routing is checked here.  Returns the new
+    amplitudes and their basis.
+    """
     if modes_out == modes_in:
-        idx = [state.basis.index(lab) for lab in modes_in]
-        amps = state.amplitudes.copy()
-        amps[idx] = m @ amps[idx]
-        return PureState(state.basis, amps)
-
-    if set(modes_in) != set(state.basis.labels):
+        idx = [basis.index(lab) for lab in modes_in]
+        amps[idx] = matrix @ amps[idx]
+        return amps, basis
+    if set(modes_in) != set(basis.labels):
         raise ValueError("basis-changing elements must consume the whole basis")
-    order = [state.basis.index(lab) for lab in modes_in]
-    new_basis = ModeBasis(modes_out)
-    return PureState(new_basis, m @ state.amplitudes[order])
+    order = [basis.index(lab) for lab in modes_in]
+    return matrix @ amps[order], ModeBasis(modes_out)
 
 
 def measure_distribution(

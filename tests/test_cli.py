@@ -306,6 +306,13 @@ class TestVerify:
         assert all(l.startswith("PASS") for l in lines)
         assert all("max deviation" in l for l in lines)
 
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_empty_hardware_grid_is_spec_error(self, capsys, points):
+        assert main(["verify", "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert "--points must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "wptoolbox", "verify", "--points", "4"],

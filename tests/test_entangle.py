@@ -1,7 +1,10 @@
 """Tests for two-photon coincidences, concurrence, and the n-photon extension."""
+import itertools
+
 import numpy as np
 import pytest
 
+import wptoolbox.entangle as entangle
 from wptoolbox.entangle import (
     CoincidenceTable,
     TwoPhotonSettings,
@@ -255,3 +258,49 @@ class TestGhzExtension:
         out = ghz_output(8, PI / 4, ToolboxPhases(0.3, 0.8), beta=BETA_SPLIT)
         assert out.basis.dimension == 4**8
         assert out.norm() == pytest.approx(1.0, abs=1e-11)
+
+
+def sector_atol(n):
+    """Round-off allowance for sums of 2^n terms in another order."""
+    return 2**n * np.finfo(float).eps
+
+
+def brute_force_sectors(probs, n):
+    """History-pattern sums by a loop over every n-photon path pattern.
+
+    Path index = 2 * pair + history, so paths 1, 3 carry 'w' and 2, 4 'p'.
+    """
+    out = {}
+    for p, paths in zip(probs, itertools.product(range(4), repeat=n)):
+        key = "".join("wp"[path % 2] for path in paths)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+class TestGhzSectors:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_brute_force_on_random_states(self, monkeypatch, n):
+        # a random state puts weight on every pattern, unlike the GHZ output
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+        state = PureState(ModeBasis(tuple(range(4**n))), amps / np.linalg.norm(amps))
+        monkeypatch.setattr(entangle, "ghz_output", lambda *args: state)
+        got = ghz_sector_probabilities(n, 0.3)
+        expected = brute_force_sectors(state.probabilities(), n)
+        order = ["".join("wp"[(k >> (n - 1 - j)) & 1] for j in range(n))
+                 for k in range(2**n)]
+        assert list(got) == order
+        np.testing.assert_allclose(
+            [got[key] for key in order], [expected[key] for key in order],
+            rtol=0, atol=sector_atol(n),
+        )
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_brute_force_on_ghz_output(self, n):
+        phases = ToolboxPhases(0.8, 2.1)
+        got = ghz_sector_probabilities(n, 0.6, phases)
+        probs = ghz_output(n, 0.6, phases, 0.0).probabilities()
+        expected = brute_force_sectors(probs, n)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, abs=sector_atol(n))

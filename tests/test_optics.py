@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from wptoolbox.optics import (
+    PATHS,
     Circuit,
     ElementUnitary,
     balanced_bs,
@@ -12,7 +13,9 @@ from wptoolbox.optics import (
     phase_shifter,
     polarizing_bs,
 )
+from wptoolbox.hardware import build_hardware_layout
 from wptoolbox.qcore import ModeBasis, PureState
+from wptoolbox.toolbox import ToolboxPhases
 
 RT2 = np.sqrt(2.0)
 BALANCED = np.pi / 8
@@ -26,6 +29,11 @@ class TestElements:
     def test_element_rejects_non_isometry(self):
         with pytest.raises(ValueError, match="isometry"):
             ElementUnitary("bad", ("1", "2"), ("1", "2"), np.ones((2, 2)))
+
+    def test_element_isometry_check_is_absolute(self):
+        # np.allclose's hidden rtol of 1e-5 would accept this gain
+        with pytest.raises(ValueError, match="isometry"):
+            ElementUnitary("gain", ("1",), ("1",), np.array([[1 + 1e-7]]))
 
     def test_element_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -80,6 +88,80 @@ class TestCircuit:
             m = network_matrix(phi1, phi2, beta)
             assert m.shape == (4, 2)
             np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
+
+
+    def test_element_off_the_current_basis_rejected(self):
+        basis = ModeBasis(("V", "H"))
+        circ = Circuit(basis, basis, (balanced_bs("V", "X"),))
+        with pytest.raises(KeyError, match="'X'"):
+            circ.propagate(pol_state(0.3))
+
+    def test_basis_change_must_consume_whole_basis(self):
+        basis = ModeBasis(("V", "H", "D"))
+        circ = Circuit(basis, ModeBasis(PATHS), (polarizing_bs(),))
+        with pytest.raises(ValueError, match="whole basis"):
+            circ.propagate(PureState(basis, np.array([1.0, 0.0, 0.0])))
+
+    def test_fixed_stages_are_shared(self):
+        a = interferometer_circuit(0.1, 0.2, BALANCED)
+        b = interferometer_circuit(1.1, 2.2, 0.0)
+        assert a.input_basis is b.input_basis
+        assert a.output_basis is b.output_basis
+        for k in (0, 1, 2, 5):  # PBS, BS1, BS2, BS3
+            assert a.elements[k] is b.elements[k]
+        np.testing.assert_allclose(b.elements[3].matrix, [[np.exp(1.1j)]])
+
+
+def embedded_product(circuit):
+    """Transfer matrix as a product of the elements embedded in the full basis."""
+    labels = list(circuit.input_basis.labels)
+    total = np.eye(len(labels), dtype=complex)
+    for el in circuit.elements:
+        if el.changes_basis:
+            step = np.zeros((len(el.modes_out), len(labels)), dtype=complex)
+            for j, label in enumerate(el.modes_in):
+                step[:, labels.index(label)] = el.matrix[:, j]
+            labels = list(el.modes_out)
+        else:
+            step = np.eye(len(labels), dtype=complex)
+            rows = [labels.index(label) for label in el.modes_in]
+            step[np.ix_(rows, rows)] = el.matrix
+        total = step @ total
+    assert labels == list(circuit.output_basis.labels)
+    return total
+
+
+def column_by_column(circuit):
+    """Transfer matrix from one propagation per input basis vector."""
+    basis = circuit.input_basis
+    cols = [circuit.propagate(PureState(basis, e)).amplitudes
+            for e in np.eye(basis.dimension)]
+    return np.stack(cols, axis=1)
+
+
+def random_circuits(seed, count=15):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        phi1, phi2 = rng.uniform(0, 2 * np.pi, size=2)
+        beta = rng.choice([0.0, BALANCED, rng.uniform(0, np.pi / 4)])
+        yield interferometer_circuit(phi1, phi2, beta)
+        yield build_hardware_layout(ToolboxPhases(phi1, phi2), beta).circuit
+
+
+class TestCircuitMatrix:
+    """The one-pass transfer matrix against two independent constructions."""
+
+    def test_matches_embedded_product(self):
+        for circuit in random_circuits(5):
+            np.testing.assert_allclose(
+                circuit.matrix(), embedded_product(circuit), rtol=0, atol=1e-14
+            )
+
+    def test_matches_column_by_column_propagation(self):
+        for circuit in random_circuits(6):
+            np.testing.assert_allclose(
+                circuit.matrix(), column_by_column(circuit), rtol=0, atol=1e-14
+            )
 
 
 class TestNetworkStages:

@@ -7,6 +7,7 @@ from wptoolbox.qcore import (
     ModeBasis,
     PureState,
     apply_unitary,
+    is_isometry,
     measure_distribution,
     mix,
     partial_trace,
@@ -81,6 +82,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(basis, np.array([[0.5, 0.5], [0.0, 0.5]]))
 
+    def test_hermitian_check_is_absolute(self):
+        # np.allclose's hidden rtol of 1e-5 would accept this asymmetry
+        basis = ModeBasis(("V", "H"))
+        m = np.array([[0.5, 0.5 + 1e-8], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(basis, m)
+
     def test_rejects_wrong_trace(self):
         basis = ModeBasis(("V", "H"))
         with pytest.raises(ValueError, match="trace"):
@@ -120,6 +128,17 @@ class TestApplyUnitary:
         psi = PureState(basis, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="isometry"):
             apply_unitary(psi, np.array([[1.0, 1.0], [0.0, 1.0]]), ("1", "2"))
+
+    def test_isometry_check_is_absolute(self):
+        psi = PureState(ModeBasis(("1",)), np.array([1.0]))
+        with pytest.raises(ValueError, match="isometry"):
+            apply_unitary(psi, np.array([[1 + 1e-7]]), ("1",))
+
+    def test_is_isometry_tolerance(self):
+        assert is_isometry(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        assert is_isometry(HADAMARD.astype(complex))
+        assert not is_isometry(np.array([[1 + 1e-11]]))
+        assert not is_isometry(np.array([[np.nan]]))
 
     def test_basis_change_isometry(self):
         pol = ModeBasis(("V", "H"))

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+import wptoolbox.toolbox as toolbox
 from wptoolbox.optics import interferometer_circuit
-from wptoolbox.qcore import measure_distribution
+from wptoolbox.qcore import PureState, measure_distribution
 from wptoolbox.toolbox import (
     BETA_DIRECT,
     BETA_SPLIT,
@@ -195,3 +196,27 @@ class TestSingleProbabilitiesContainer:
     def test_as_array_order(self):
         p = SingleProbabilities(0.1, 0.2, 0.3, 0.4, 0.15, 0.35, -0.05, -0.05)
         np.testing.assert_allclose(p.as_array(), [0.1, 0.2, 0.3, 0.4])
+
+
+class TestCrossCheck:
+    """The closed form is still compared with propagation on every call."""
+
+    @pytest.fixture
+    def perturbed_wave(self, monkeypatch):
+        exact = toolbox.wave_state
+
+        def perturbed(phi1, beta=BETA_SPLIT):
+            w = exact(phi1, beta)
+            amps = w.amplitudes.copy()
+            amps[0] += 1e-9
+            return PureState(w.basis, amps)
+
+        monkeypatch.setattr(toolbox, "wave_state", perturbed)
+
+    @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
+    def test_perturbed_closed_form_raises(self, perturbed_wave, beta):
+        phases = ToolboxPhases(0.7, 1.9)
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            output_state(0.4, phases, beta)
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            detection_probabilities(0.4, phases, beta)
