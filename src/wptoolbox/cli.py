@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,6 @@ from .entangle import (
 )
 from .hardware import equivalence_scan
 from .optics import interferometer_circuit
-from .qcore import measure_distribution
 from .shots import (
     NoiseModel,
     estimate_witness,
@@ -42,9 +42,8 @@ from .shots import (
 from .toolbox import (
     BETA_SPLIT,
     ToolboxPhases,
-    detection_probabilities,
-    mixed_output,
     prepare_input,
+    single_photon_batch,
 )
 
 EXIT_OK = 0
@@ -150,9 +149,19 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def _json_value(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value)
 
 
 def _output_path(spec: SweepSpec) -> str:
@@ -163,26 +172,32 @@ def _output_path(spec: SweepSpec) -> str:
 
 
 def _emit(spec: SweepSpec, header: list[str], rows: list[dict]) -> str:
-    """Write rows as CSV or JSON; returns the path written."""
+    """Write rows as CSV or JSON; returns the path written.
+
+    Numbers are formatted by :func:`_fmt` (CSV) or stored as JSON numbers;
+    strings pass through.  The table goes to a temporary file next to the
+    target, which replaces the target only once complete, so a failed write
+    leaves any previous file untouched.
+    """
     path = _output_path(spec)
-    if spec.fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(_fmt(row[col]) for col in header)
-    else:
-        payload = [
-            {
-                col: (int(row[col]) if isinstance(row[col], (int, np.integer))
-                      else float(row[col]))
-                for col in header
-            }
-            for row in rows
-        ]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    base = os.path.join(os.path.dirname(path), "." + os.path.basename(path))
+    tmp = f"{base}.{os.urandom(4).hex()}.tmp"
+    try:
+        # csv writes its own line endings; json relies on text-mode translation
+        with open(tmp, "x", newline="" if spec.fmt == "csv" else None) as fh:
+            if spec.fmt == "csv":
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow(_fmt(row[col]) for col in header)
+            else:
+                payload = [{col: _json_value(row[col]) for col in header} for row in rows]
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the write or the rename failed
+            os.unlink(tmp)
     return path
 
 
@@ -190,16 +205,17 @@ def _noise(values: dict[str, float]) -> NoiseModel:
     return NoiseModel(visibility=values["visibility"], dephase_wp=values["dephase"])
 
 
-def _single_distribution(spec: SweepSpec, v: dict[str, float]):
-    """Detector probabilities for one parameter point, honoring --mixed/noise."""
-    phases = ToolboxPhases(v["phi1"], v["phi2"])
+def _single_distributions(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
+    """Detector probabilities of every row, from one engine call, honoring --mixed/noise."""
     if spec.mixed:
         # the classical mixture carries no fringe, so noise leaves it alone
-        return measure_distribution(mixed_output(v["alpha"], phases, v["beta"]))
-    model = _noise(v)
-    if model.fringe_scale == 1.0:
-        return detection_probabilities(v["alpha"], phases, v["beta"]).as_array()
-    return noisy_single_probabilities(v["alpha"], phases, v["beta"], model).as_array()
+        scale = np.zeros(len(values))
+    else:
+        scale = np.array([_noise(v).fringe_scale for v in values])
+    alpha, phi1, phi2, beta = (
+        np.array([v[key] for v in values]) for key in ("alpha", "phi1", "phi2", "beta")
+    )
+    return single_photon_batch(alpha, phi1, phi2, beta, scale).probabilities
 
 
 def _pair_table(spec: SweepSpec, v: dict[str, float]):
@@ -221,9 +237,9 @@ def cmd_single_sweep(spec: SweepSpec) -> int:
     header = ["alpha", "phi1", "phi2", "beta", "p1", "p2", "p3", "p4"]
     if spec.shots > 0:
         header += [f"c{i}" for i in range(1, 5)] + [f"e{i}" for i in range(1, 5)]
+    values = spec.rows()
     rows = []
-    for k, v in enumerate(spec.rows()):
-        dist = _single_distribution(spec, v)
+    for k, (v, dist) in enumerate(zip(values, _single_distributions(spec, values))):
         row = {
             "alpha": v["alpha"], "phi1": v["phi1"],
             "phi2": v["phi2"], "beta": v["beta"],
@@ -242,9 +258,9 @@ def cmd_witness_coherence(spec: SweepSpec) -> int:
     header = ["alpha", "phi1", "wc"]
     if spec.shots > 0:
         header.append("wc_err")
+    values = spec.rows()
     rows = []
-    for k, v in enumerate(spec.rows()):
-        dist = _single_distribution(spec, v)
+    for k, (v, dist) in enumerate(zip(values, _single_distributions(spec, values))):
         row = {"alpha": v["alpha"], "phi1": v["phi1"]}
         if spec.shots > 0:
             counts = sample_counts(dist, spec.shots, spec.seed + k)
@@ -353,29 +369,10 @@ def cmd_ghz(spec: SweepSpec, photons: int) -> int:
         crossed = int(len(set(pattern)) > 1)
         crossed_mass += prob if crossed else 0.0
         rows.append({"sector": pattern, "probability": prob, "crossed": crossed})
-    header = ["sector", "probability", "crossed"]
-    path = _emit_ghz(spec, header, rows)
+    path = _emit(spec, ["sector", "probability", "crossed"], rows)
     print(f"crossed-sector mass: {_fmt(crossed_mass)}")
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _emit_ghz(spec: SweepSpec, header: list[str], rows: list[dict]) -> str:
-    # sector labels are strings, so bypass the numeric formatter for them
-    path = _output_path(spec)
-    if spec.fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [row["sector"], _fmt(row["probability"]), str(row["crossed"])]
-                )
-    else:
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args.points, args.seed)

@@ -12,6 +12,9 @@ Mach-Zehnder with a polarization-controlled splitter stage:
   detectors; their angle ``beta`` selects between keeping the two
   polarization histories separate (``beta = 0``, mixers absent) and
   erasing them on a balanced footing (``beta = pi/8``).
+
+Phases and mixer angles may be arrays: the setting-dependent elements then
+hold one matrix per setting, and one circuit propagates a whole batch.
 """
 from __future__ import annotations
 
@@ -20,20 +23,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import Label, ModeBasis, PureState, _apply, is_isometry
+from .qcore import Label, ModeBasis, PureState, _apply, as_values, is_isometry, stack_last
 
 POLS: tuple[str, str] = ("V", "H")
 PATHS: tuple[str, str, str, str] = ("1", "2", "3", "4")
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+_IDENTITY2 = np.eye(2)
 
 
 @dataclass(frozen=True)
 class ElementUnitary:
     """A named isometry acting on an explicit subset of modes.
 
-    The matrix is checked once, here, and frozen; circuits built from
-    elements apply it without checking it again.
+    ``matrix`` has shape ``(len(modes_out), len(modes_in))``, or carries
+    leading batch axes with one matrix per setting.  It is checked once,
+    here, and frozen; circuits built from elements apply it without
+    checking it again.
     """
 
     name: str
@@ -42,8 +48,10 @@ class ElementUnitary:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
-        if m.shape != (len(self.modes_out), len(self.modes_in)):
+        # C order keeps a stack on the BLAS kernels of a single matrix, so
+        # a batch row rounds exactly like the same setting on its own
+        m = np.array(self.matrix, dtype=np.complex128, order="C")
+        if m.shape[-2:] != (len(self.modes_out), len(self.modes_in)):
             raise ValueError(
                 f"{self.name}: matrix shape {m.shape} does not match modes"
             )
@@ -57,6 +65,19 @@ class ElementUnitary:
     @property
     def changes_basis(self) -> bool:
         return self.modes_out != self.modes_in
+
+    def relabeled(self, name: str, modes: tuple[Label, ...]) -> "ElementUnitary":
+        """The same, already checked, matrix acting on ``modes`` instead.
+
+        Only the mode count is checked; the matrix is shared, not copied.
+        """
+        if self.changes_basis or len(modes) != len(self.modes_in):
+            raise ValueError(f"{self.name}: cannot move onto {len(modes)} modes")
+        el = object.__new__(ElementUnitary)
+        for attr, value in (("name", name), ("modes_in", tuple(modes)),
+                            ("modes_out", tuple(modes)), ("matrix", self.matrix)):
+            object.__setattr__(el, attr, value)
+        return el
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +104,25 @@ def balanced_bs(mode_a: Label, mode_b: Label, name: str = "BS") -> ElementUnitar
     return ElementUnitary(name, (mode_a, mode_b), (mode_a, mode_b), _HADAMARD)
 
 
-def mirror_matrix(theta: float) -> np.ndarray:
+def mirror_matrix(theta) -> np.ndarray:
     """Rotated mirror [[cos 2t, sin 2t], [sin 2t, -cos 2t]] at angle ``theta``.
 
     This is both the detection-stage mixer and the Jones matrix of a
-    half-wave plate.
+    half-wave plate.  An array of angles gives a stack, shape ``(..., 2, 2)``.
     """
-    c, s = np.cos(2 * theta), np.sin(2 * theta)
-    return np.array([[c, s], [s, -c]])
+    t = 2 * as_values(theta)
+    c, s = np.cos(t), np.sin(t)
+    return stack_last([c, s, s, -c]).reshape(c.shape + (2, 2))
 
 
-def phase_shifter(mode: Label, phi: float, name: str | None = None) -> ElementUnitary:
-    """Single-mode phase e^{i phi}."""
-    m = np.array([[np.exp(1j * float(phi))]])
+def phase_shifter(mode: Label, phi, name: str | None = None) -> ElementUnitary:
+    """Single-mode phase e^{i phi}; an array of phases gives a batched element."""
+    m = np.exp(1j * as_values(phi))[..., None, None]
     return ElementUnitary(name or f"phase({mode})", (mode,), (mode,), m)
 
 
-def output_mixer(mode_a: Label, mode_b: Label, beta: float) -> ElementUnitary:
-    """Detection-stage mixer with coupling angle ``beta``.
+def output_mixer(mode_a: Label, mode_b: Label, beta) -> ElementUnitary:
+    """Detection-stage mixer with coupling angle ``beta`` (a number or an array).
 
     ``beta = 0`` means the element is physically absent, so the identity is
     used (note: *not* the beta -> 0 limit of the coupled form, whose lower
@@ -108,8 +130,8 @@ def output_mixer(mode_a: Label, mode_b: Label, beta: float) -> ElementUnitary:
     mirror form [[cos 2b, sin 2b], [sin 2b, -cos 2b]], which is balanced at
     ``beta = pi/8``.
     """
-    b = float(beta)
-    m = np.eye(2) if b == 0.0 else mirror_matrix(b)
+    m = mirror_matrix(beta)
+    m[as_values(beta) == 0.0] = _IDENTITY2  # a 0-d mask selects the one matrix
     return ElementUnitary(f"mixer({mode_a},{mode_b})", (mode_a, mode_b), (mode_a, mode_b), m)
 
 
@@ -129,21 +151,29 @@ class Circuit:
         object.__setattr__(self, "elements", tuple(self.elements))
 
     def propagate(self, state: PureState) -> PureState:
-        """Run ``state`` through every element in order."""
+        """Run ``state`` through every element in order.
+
+        A batched state runs through batched elements setting by setting; the
+        batch shapes must agree.
+        """
         if state.basis.labels != self.input_basis.labels:
             raise ValueError("state basis does not match circuit input basis")
         return PureState(self.output_basis, self._run(state.amplitudes.copy()))
 
     def matrix(self) -> np.ndarray:
-        """Full transfer matrix (output dim x input dim), columns = basis images."""
-        return self._run(np.eye(self.input_basis.dimension, dtype=np.complex128))
+        """Full transfer matrix (output dim x input dim), columns = basis images.
+
+        Defined for a circuit of unbatched elements only.
+        """
+        if any(el.matrix.ndim > 2 for el in self.elements):
+            raise ValueError("matrix() needs a circuit of unbatched elements")
+        return self._run(np.eye(self.input_basis.dimension, dtype=np.complex128)).T
 
     def _run(self, amps: np.ndarray) -> np.ndarray:
-        """Apply the chain to ``amps``, whose rows follow the input basis.
+        """Apply the chain to ``amps``, whose last axis follows the input basis.
 
-        ``amps`` is one amplitude vector or a block of column vectors, and is
-        updated in place.  The elements' matrices were checked when the
-        elements were built, so only the routing is checked here.
+        ``amps`` is updated in place.  The elements' matrices were checked
+        when the elements were built, so only the routing is checked here.
         """
         basis = self.input_basis
         for el in self.elements:
@@ -188,11 +218,16 @@ def interferometer_circuit(
         beta: detection-stage mixer angle; 0 disables the mixers.
         pol_labels: labels of the two input polarization modes.
         path_labels: labels of the four output paths.
+
+    ``phi1``, ``phi2`` and ``beta`` may be arrays of one shape, which gives a
+    batched circuit with one setting per entry.  Both mixers share one
+    checked matrix.
     """
     pol_basis, path_basis, pbs, bs1, bs2, bs3 = _fixed_stages(
         tuple(pol_labels), tuple(path_labels)
     )
     p1, p2, p3, p4 = path_labels
+    mixer = output_mixer(p1, p2, beta)
     elements = (
         pbs,
         bs1,
@@ -200,8 +235,8 @@ def interferometer_circuit(
         phase_shifter(p3, phi1, name="phase1"),
         phase_shifter(p4, phi2, name="phase2"),
         bs3,
-        output_mixer(p1, p2, beta),
-        output_mixer(p3, p4, beta),
+        mixer,
+        mixer.relabeled(f"mixer({p3},{p4})", (p3, p4)),
     )
     return Circuit(pol_basis, path_basis, elements)
 

@@ -5,11 +5,17 @@ States are complex amplitude vectors over an explicitly labeled mode basis
 Keeping the labels on the objects makes it impossible to silently apply an
 element to the wrong rails, which is the main failure mode when composing
 interferometer networks by hand.
+
+States, density matrices and element matrices may carry leading batch axes:
+amplitudes of shape ``(..., dim)`` hold one state per setting of a sweep,
+and every check runs on the whole batch at once.  Methods that return one
+number (``norm``, ``amplitude``, ``purity``, ...) need a single state.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -30,11 +36,34 @@ def is_isometry(matrix: np.ndarray) -> bool:
     """True when the columns of ``matrix`` are orthonormal to ``ATOL``.
 
     The test is absolute, ``max|M^H M - I| <= ATOL``; ``np.allclose`` would
-    add a relative slack of 1e-5 on the unit diagonal.
+    add a relative slack of 1e-5 on the unit diagonal.  A stack of matrices,
+    shape ``(..., rows, cols)``, passes only when every one of them does.
     """
-    gram = matrix.conj().T @ matrix
-    gram.flat[:: len(gram) + 1] -= 1.0  # subtract the identity in place
+    gram = matrix.conj().swapaxes(-1, -2) @ matrix
+    n = gram.shape[-1]
+    # subtract the identity in place, through a flat view of each matrix
+    gram.reshape(gram.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
     return float(np.abs(gram).max()) <= ATOL
+
+
+def as_values(x):
+    """``x`` as float64: an array, or a numpy scalar when ``x`` is one number.
+
+    Numpy scalars keep the array interface (``shape``, ``[..., None]``,
+    ``any()``) but do arithmetic several times faster than 0-d arrays,
+    which is most of the cost of a single-setting call.
+    """
+    return np.asarray(x, dtype=float)[()]
+
+
+def stack_last(parts) -> np.ndarray:
+    """Equally shaped arrays stacked along a new last axis (a view).
+
+    Same result as ``np.stack(parts, axis=-1)``, at a fraction of its call
+    overhead on the small arrays of a single setting.
+    """
+    m = np.array(parts)
+    return m.transpose(*range(1, m.ndim), 0)
 
 
 @dataclass(frozen=True)
@@ -83,24 +112,24 @@ def product_basis(a: ModeBasis, b: ModeBasis) -> ModeBasis:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized (or explicitly checked) amplitude vector over a ModeBasis."""
+    """Amplitude vector over a ModeBasis, or a batch of them, shape ``(..., dim)``."""
 
     basis: ModeBasis
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if amps.shape != (self.basis.dimension,):
+        amps = np.array(self.amplitudes, dtype=np.complex128, order="C")
+        if amps.shape[-1:] != (self.basis.dimension,):
             raise ValueError(
                 f"expected {self.basis.dimension} amplitudes, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.amplitudes, axis=-1))  # raises for a batch
 
     def normalized(self) -> "PureState":
         n = self.norm()
@@ -120,28 +149,34 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator over a ModeBasis."""
+    """Hermitian, unit-trace, positive-semidefinite operator over a ModeBasis.
+
+    ``matrix`` is one ``(dim, dim)`` operator or a batch, ``(..., dim, dim)``;
+    every check must hold for every member of the batch.
+    """
 
     basis: ModeBasis
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
+        m = np.array(self.matrix, dtype=np.complex128, order="C")
         d = self.basis.dimension
-        if m.shape != (d, d):
+        if m.shape[-2:] != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {m.shape}")
         # written as "not <=" so that NaN entries fail too
-        if not np.abs(m - m.conj().T).max() <= ATOL:
+        if not np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() <= ATOL:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-9:
-            raise ValueError(f"trace must be 1, got {np.trace(m).real}")
-        if np.min(np.linalg.eigvalsh(m)) < -EIGEN_ATOL:
+        trace = m.trace(axis1=-2, axis2=-1).real
+        bad = np.abs(trace - 1.0) > 1e-9
+        if bad.any():
+            raise ValueError(f"trace must be 1, got {trace[bad][0]}")
+        if np.linalg.eigvalsh(m).min() < -EIGEN_ATOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def probabilities(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
+        return np.real(np.diagonal(self.matrix, axis1=-2, axis2=-1)).copy()
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -194,21 +229,30 @@ def _apply(
     modes_in: tuple[Label, ...],
     modes_out: tuple[Label, ...],
 ) -> tuple[np.ndarray, ModeBasis]:
-    """Apply an already checked ``matrix`` to the rows of ``amps`` it names.
+    """Apply an already checked ``matrix`` to the modes of ``amps`` it names.
 
-    ``amps`` is one amplitude vector or a block of column vectors whose rows
-    follow ``basis``; rows are updated in place unless the element changes
+    ``amps`` has shape ``(..., dim)``, its last axis following ``basis``;
+    ``matrix`` is one matrix or a stack matching the leading axes of
+    ``amps``.  Amplitudes are updated in place unless the element changes
     the basis.  Only the routing is checked here.  Returns the new
     amplitudes and their basis.
     """
+    idx = _indices(basis, modes_in)
+    rows = amps.T  # modes first, a view that fancy-indexes fast at any batch shape
     if modes_out == modes_in:
-        idx = [basis.index(lab) for lab in modes_in]
-        amps[idx] = matrix @ amps[idx]
+        rows[idx] = np.matvec(matrix, rows[idx].T).T
         return amps, basis
     if set(modes_in) != set(basis.labels):
         raise ValueError("basis-changing elements must consume the whole basis")
-    order = [basis.index(lab) for lab in modes_in]
-    return matrix @ amps[order], ModeBasis(modes_out)
+    return np.matvec(matrix, rows[idx].T), ModeBasis(modes_out)
+
+
+@lru_cache(maxsize=64)
+def _indices(basis: ModeBasis, modes: tuple[Label, ...]) -> np.ndarray:
+    """Positions of ``modes`` in ``basis``, for :func:`_apply`'s fancy indexing."""
+    idx = np.array([basis.index(lab) for lab in modes])
+    idx.flags.writeable = False
+    return idx
 
 
 def measure_distribution(
@@ -224,48 +268,52 @@ def measure_distribution(
     Returns:
         One probability per group (sums to 1 when the groups cover the basis).
     """
-    per_label = (
-        state.probabilities()
-        if isinstance(state, PureState)
-        else np.real(np.diag(state.matrix))
-    )
+    per_label = state.probabilities()
     if groups is None:
-        return per_label.copy()
+        return per_label
     seen: set[Label] = set()
-    out = np.empty(len(groups))
+    out = np.empty(per_label.shape[:-1] + (len(groups),))
     for k, group in enumerate(groups):
         idx = [state.basis.index(lab) for lab in group]
         if seen.intersection(group):
             raise ValueError("measurement groups must be disjoint")
         seen.update(group)
-        out[k] = per_label[idx].sum()
+        out[..., k] = per_label[..., idx].sum(axis=-1)
     return out
 
 
+def _projector(amps: np.ndarray) -> np.ndarray:
+    """``|psi><psi|`` for each amplitude vector along the last axis."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
+
+
 def pure_density(state: PureState) -> DensityMatrix:
-    return DensityMatrix(state.basis, np.outer(state.amplitudes, state.amplitudes.conj()))
+    return DensityMatrix(state.basis, _projector(state.amplitudes))
 
 
 def mix(pairs: Iterable[tuple[PureState, float]]) -> DensityMatrix:
     """Classical mixture of pure states with the given weights.
 
     Weights must be non-negative and sum to 1 within tolerance; all states
-    must share one basis.
+    must share one basis.  For batched states the weights are arrays of one
+    shape over the batch.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("mixture needs at least one component")
     basis = pairs[0][0].basis
     weights = np.array([w for _, w in pairs], dtype=float)
-    if np.any(weights < -ATOL):
+    if (weights < -ATOL).any():
         raise ValueError("mixture weights must be non-negative")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"mixture weights must sum to 1, got {weights.sum()}")
+    total = weights.sum(axis=0)
+    bad = np.abs(total - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"mixture weights must sum to 1, got {total[bad][0]}")
     rho = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
-    for state, w in pairs:
+    for (state, _), w in zip(pairs, weights[..., None, None]):
         if state.basis.labels != basis.labels:
             raise ValueError("all mixture components must share one basis")
-        rho += w * np.outer(state.amplitudes, state.amplitudes.conj())
+        rho = rho + w * _projector(state.amplitudes)
     return DensityMatrix(basis, rho)
 
 

@@ -28,13 +28,11 @@ from .entangle import (
     coincidence_probabilities,
     mixture_coincidence_probabilities,
 )
-from .qcore import measure_distribution
 from .toolbox import (
     BETA_SPLIT,
     SingleProbabilities,
     ToolboxPhases,
-    detection_probabilities,
-    mixed_output,
+    single_photon_batch,
 )
 
 Distribution = Union[SingleProbabilities, CoincidenceTable, np.ndarray]
@@ -157,15 +155,14 @@ def noisy_single_probabilities(
     beta: float = BETA_SPLIT,
     model: NoiseModel = NoiseModel(),
 ) -> SingleProbabilities:
-    """Noisy detector signal via explicit interpolation to the mixture."""
-    ideal = detection_probabilities(alpha, phases, beta).as_array()
-    baseline = measure_distribution(mixed_output(alpha, phases, beta))
-    p = baseline + model.fringe_scale * (ideal - baseline)
-    return SingleProbabilities(
-        *(float(x) for x in p),
-        float((p[0] + p[1]) / 2), float((p[2] + p[3]) / 2),
-        float((p[0] - p[1]) / 2), float((p[2] - p[3]) / 2),
-    )
+    """Noisy detector signal via explicit interpolation to the mixture.
+
+    One setting of :func:`~wptoolbox.toolbox.single_photon_batch` at the
+    model's fringe scale.
+    """
+    return single_photon_batch(
+        alpha, phases.phi1, phases.phi2, beta, model.fringe_scale
+    ).single()
 
 
 def apply_noise_table(

@@ -10,17 +10,20 @@ component took the open arm and carries no ``phi1`` dependence on its own.
 Every probability in this module is computed twice: from closed-form
 expressions and by propagating the state through the element-by-element
 circuit.  A disagreement beyond ``CROSSCHECK_ATOL`` raises, so a regression
-in either route cannot go unnoticed.
+in either route cannot go unnoticed.  :func:`single_photon_batch` does both
+for a whole sweep of settings in one call; the single-setting functions are
+its N=1 case.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .optics import PATHS, POLS, interferometer_circuit
-from .qcore import DensityMatrix, ModeBasis, PureState, mix
+from .qcore import DensityMatrix, ModeBasis, PureState, as_values, mix, stack_last
 
 #: mixer angle that erases which-polarization information on a balanced footing
 BETA_SPLIT = np.pi / 8
@@ -30,6 +33,7 @@ BETA_DIRECT = 0.0
 #: closed form and propagation must agree to this absolute tolerance
 CROSSCHECK_ATOL = 1e-12
 
+_RT2 = np.sqrt(2.0)
 _POL_BASIS = ModeBasis(POLS)
 _PATH_BASIS = ModeBasis(PATHS)
 
@@ -68,103 +72,205 @@ class SingleProbabilities:
 # state preparation
 # ---------------------------------------------------------------------------
 
-def prepare_input(alpha: float) -> PureState:
+def prepare_input(alpha) -> PureState:
     """Polarization qubit ``cos(alpha)|V> + sin(alpha)|H>``.
 
     Any finite ``alpha`` is accepted.  Outside ``[0, pi/2]`` one of the
     amplitudes is negative, which flips the sign of the interference terms;
     that is physically meaningful but usually not what a scan intends, so a
-    warning is emitted rather than silently folding the angle.
+    warning is emitted rather than silently folding the angle.  An array of
+    angles gives a batched state.
     """
-    a = float(alpha)
-    if not np.isfinite(a):
-        raise ValueError("alpha must be finite")
-    if not 0.0 <= a <= np.pi / 2:
+    a = as_values(alpha)
+    inside = (0.0 <= a) & (a <= np.pi / 2)
+    if not inside.all():
+        if not np.isfinite(a).all():
+            raise ValueError("alpha must be finite")
         warnings.warn(
-            f"alpha={a:.6g} lies outside [0, pi/2]; amplitude signs will flip"
-            " the interference terms",
+            f"alpha={a[~inside][0]:.6g} lies outside [0, pi/2]; amplitude signs"
+            " will flip the interference terms",
             stacklevel=2,
         )
-    return PureState(_POL_BASIS, np.array([np.cos(a), np.sin(a)]))
+    return PureState(_POL_BASIS, stack_last([np.cos(a), np.sin(a)]))
 
 
-def wave_state(phi1: float, beta: float = BETA_SPLIT) -> PureState:
-    """Network output for a pure-V input (the closed-interferometer history)."""
-    g = np.exp(0.5j * phi1)
+def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
+    """Network output for a pure-V input (the closed-interferometer history).
+
+    Absent mixers (``beta = 0``) and the ``beta -> 0`` limit of the coupled
+    form agree on this state: both pass the recombined pair (1, 3) through.
+    Arrays of settings give a batched state.
+    """
+    phi1, beta = as_values(phi1), as_values(beta)
+    g = np.exp(0.5j * phi1)[..., None]
     cos_h, sin_h = np.cos(phi1 / 2), np.sin(phi1 / 2)
-    if float(beta) == 0.0:
-        # absent mixers leave the recombined pair (1, 3) untouched
-        amps = g * np.array([cos_h, 0.0, -1j * sin_h, 0.0])
-    else:
-        c, s = np.cos(2 * beta), np.sin(2 * beta)
-        amps = g * np.array([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
+    t = 2 * beta
+    c, s = np.cos(t), np.sin(t)
+    amps = g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
     return PureState(_PATH_BASIS, amps)
 
 
-def particle_state(phi2: float, beta: float = BETA_SPLIT) -> PureState:
-    """Network output for a pure-H input (the open-arm history)."""
+def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
+    """Network output for a pure-H input (the open-arm history).
+
+    Arrays of settings give a batched state.
+    """
+    phi2, beta = as_values(phi2), as_values(beta)
     e2 = np.exp(1j * phi2)
-    if float(beta) == 0.0:
-        # absent mixers pass the open-arm pair (2, 4) straight through
-        amps = np.array([0.0, 1.0, 0.0, e2]) / np.sqrt(2.0)
-    else:
-        c, s = np.cos(2 * beta), np.sin(2 * beta)
-        amps = np.array([s, -c, s * e2, -c * e2]) / np.sqrt(2.0)
+    t = 2 * beta
+    s = np.sin(t)
+    # absent mixers pass the open-arm pair (2, 4) straight through; the
+    # beta -> 0 limit of the coupled form would flip its sign
+    lower = np.where(beta == 0.0, 1.0, -np.cos(t))[()]
+    amps = stack_last([s, lower, s * e2, lower * e2]) / _RT2
     return PureState(_PATH_BASIS, amps)
 
+
+def mixed_output(
+    alpha, phases: ToolboxPhases = ToolboxPhases(), beta=BETA_SPLIT
+) -> DensityMatrix:
+    """Classical wave/particle mixture with the same weights as the pure output.
+
+    This is the state obtained by deleting the coherence between the two
+    histories: ``cos^2(alpha) |w><w| + sin^2(alpha) |p><p|``.  Array
+    settings give a batch of density matrices.
+    """
+    a = as_values(alpha)
+    return mix(
+        [
+            (wave_state(phases.phi1, beta), np.float_power(np.cos(a), 2)),
+            (particle_state(phases.phi2, beta), np.float_power(np.sin(a), 2)),
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# the batched engine
+# ---------------------------------------------------------------------------
+
+def _balanced_terms(alpha, phi1, phi2) -> tuple:
+    """Closed forms ``pc, ps, ic, is_`` of the balanced-mixer (pi/8) signals.
+
+    Squares use ``float_power``, which rounds like the scalar ``x ** 2`` these
+    forms were first written with; an array ``** 2`` can differ in the last
+    bit.
+    """
+    ca2, sa2 = np.float_power(np.cos(alpha), 2), np.float_power(np.sin(alpha), 2)
+    ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
+    ch2 = np.float_power(ch, 2)
+    pc = 0.5 * ca2 * ch2 + 0.25 * sa2
+    ps = 0.5 * ca2 * np.float_power(sh, 2) + 0.25 * sa2
+    pref = np.sin(2 * alpha) / (2 * _RT2)
+    return pc, ps, pref * ch2, pref * sh * np.sin(phi1 / 2 - phi2)
+
+
+class SingleBatch(NamedTuple):
+    """Cross-checked single-photon statistics, one row per setting.
+
+    ``amplitudes`` are the closed-form output states and ``probabilities``
+    the detector probabilities P1..P4, both of shape ``(..., 4)``.
+    """
+
+    amplitudes: np.ndarray
+    probabilities: np.ndarray
+
+    def single(self) -> SingleProbabilities:
+        """The statistics of an unbatched result, with the pair split."""
+        p1, p2, p3, p4 = map(float, self.probabilities)
+        return SingleProbabilities(
+            p1, p2, p3, p4, (p1 + p2) / 2, (p3 + p4) / 2, (p1 - p2) / 2, (p3 - p4) / 2
+        )
+
+
+def single_photon_batch(
+    alpha, phi1, phi2, beta=BETA_SPLIT, fringe_scale=1.0
+) -> SingleBatch:
+    """Evaluate and cross-check a batch of single-photon settings in one call.
+
+    The arguments are numbers or arrays that broadcast to one batch shape.
+    Every row is computed two ways, as a closed form and by propagating the
+    input through a batched :func:`interferometer_circuit`, and the two are
+    compared at ``CROSSCHECK_ATOL``: the amplitudes on every row, and the
+    probabilities on rows at ``beta = pi/8``, where the closed forms of
+    :func:`detection_probabilities` apply and give the result.  Other rows
+    take the Born probabilities of the checked output.  A mismatch raises
+    ``RuntimeError`` naming the first failing row and its settings.
+
+    ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
+    the classical mixture) moves every row whose scale is not 1 toward the
+    mixture baseline: ``baseline + scale * (ideal - baseline)``.
+    """
+    args = [as_values(x) for x in (alpha, phi1, phi2, beta, fringe_scale)]
+    shape = np.broadcast(*args).shape
+    if shape:
+        args = [x if x.shape == shape else np.broadcast_to(x, shape) for x in args]
+    alpha, phi1, phi2, beta, scale = args
+    settings = (alpha, phi1, phi2, beta)
+
+    amps = (
+        np.cos(alpha)[..., None] * wave_state(phi1, beta).amplitudes
+        + np.sin(alpha)[..., None] * particle_state(phi2, beta).amplitudes
+    )
+    propagated = interferometer_circuit(phi1, phi2, beta).propagate(prepare_input(alpha))
+    _check("output", np.abs(amps - propagated.amplitudes), settings)
+
+    probs = np.abs(amps) ** 2
+    balanced = beta == BETA_SPLIT
+    if balanced.any():
+        pc, ps, ic, is_ = _balanced_terms(alpha, phi1, phi2)
+        forms = stack_last([pc + ic, pc - ic, ps + is_, ps - is_])
+        born, probs = probs, np.where(balanced[..., None], forms, probs)
+        _check("probabilities", np.abs(probs - born), settings)
+
+    noisy = scale != 1.0
+    if noisy.any():
+        baseline = mixed_output(alpha, ToolboxPhases(phi1, phi2), beta).probabilities()
+        noisy_probs = baseline + scale[..., None] * (probs - baseline)
+        probs = np.where(noisy[..., None], noisy_probs, probs)
+    return SingleBatch(amps, probs)
+
+
+def _check(what: str, dev: np.ndarray, settings: tuple) -> None:
+    """Raise when a row of ``dev`` (its last axis) exceeds the tolerance.
+
+    Rows are counted in flat order over the batch axes.
+    """
+    if dev.max() <= CROSSCHECK_ATOL:
+        return
+    worst = dev.max(axis=-1).reshape(-1)
+    bad = np.flatnonzero(worst > CROSSCHECK_ATOL)
+    if bad.size:
+        i = int(bad[0])
+        alpha, phi1, phi2, beta = (float(x.reshape(-1)[i]) for x in settings)
+        raise RuntimeError(
+            f"closed-form {what} disagrees with propagation by {worst[i]:.3e} at"
+            f" row {i} (alpha={alpha!r}, phi1={phi1!r}, phi2={phi2!r}, beta={beta!r})"
+        )
+
+
+# ---------------------------------------------------------------------------
+# single settings
+# ---------------------------------------------------------------------------
 
 def output_state(
     alpha: float, phases: ToolboxPhases = ToolboxPhases(), beta: float = BETA_SPLIT
 ) -> PureState:
     """Full network output ``cos(alpha)|wave> + sin(alpha)|particle>``.
 
-    The closed form is cross-checked against element-by-element propagation
-    on every call; a mismatch raises ``RuntimeError``.
+    One setting of :func:`single_photon_batch`: the closed form is
+    cross-checked against element-by-element propagation on every call; a
+    mismatch raises ``RuntimeError``.
     """
-    w = wave_state(phases.phi1, beta)
-    p = particle_state(phases.phi2, beta)
-    amps = np.cos(alpha) * w.amplitudes + np.sin(alpha) * p.amplitudes
-    closed = PureState(_PATH_BASIS, amps)
-
-    circuit = interferometer_circuit(phases.phi1, phases.phi2, beta)
-    propagated = circuit.propagate(prepare_input(alpha))
-    dev = np.max(np.abs(closed.amplitudes - propagated.amplitudes))
-    if dev > CROSSCHECK_ATOL:
-        raise RuntimeError(
-            f"closed-form output disagrees with propagation by {dev:.3e}"
-        )
-    return closed
-
-
-def mixed_output(
-    alpha: float, phases: ToolboxPhases = ToolboxPhases(), beta: float = BETA_SPLIT
-) -> DensityMatrix:
-    """Classical wave/particle mixture with the same weights as the pure output.
-
-    This is the state obtained by deleting the coherence between the two
-    histories: ``cos^2(alpha) |w><w| + sin^2(alpha) |p><p|``.
-    """
-    a = float(alpha)
-    return mix(
-        [
-            (wave_state(phases.phi1, beta), float(np.cos(a) ** 2)),
-            (particle_state(phases.phi2, beta), float(np.sin(a) ** 2)),
-        ]
+    return PureState(
+        _PATH_BASIS, single_photon_batch(alpha, phases.phi1, phases.phi2, beta).amplitudes
     )
 
-
-# ---------------------------------------------------------------------------
-# detection statistics
-# ---------------------------------------------------------------------------
 
 def interference_terms(
     alpha: float, phases: ToolboxPhases = ToolboxPhases()
 ) -> tuple[float, float]:
     """Oscillating parts (ic, is_) of the balanced-mixer detector signals."""
-    a, phi1, phi2 = float(alpha), phases.phi1, phases.phi2
-    pref = np.sin(2 * a) / (2 * np.sqrt(2.0))
-    ic = pref * np.cos(phi1 / 2) ** 2
-    is_ = pref * np.sin(phi1 / 2) * np.sin(phi1 / 2 - phi2)
+    _, _, ic, is_ = _balanced_terms(float(alpha), phases.phi1, phases.phi2)
     return float(ic), float(is_)
 
 
@@ -178,32 +284,13 @@ def detection_probabilities(
         pc = cos^2(a) cos^2(phi1/2) / 2 + sin^2(a) / 4
         ps = cos^2(a) sin^2(phi1/2) / 2 + sin^2(a) / 4
 
-    plus :func:`interference_terms` are evaluated and verified against the
-    propagated state.  For other mixer angles the probabilities come from
-    the propagated state and ``pc, ic`` are defined as the half-sum and
-    half-difference of the corresponding detector pair.
+    plus :func:`interference_terms` give the probabilities, verified against
+    the propagated state.  For other mixer angles the probabilities come
+    from the cross-checked output state.  ``pc, ps`` and ``ic, is_`` are the
+    half-sums and half-differences of the detector pairs.  This is one
+    setting of :func:`single_photon_batch`.
     """
-    born = output_state(alpha, phases, beta).probabilities()
-    if float(beta) == BETA_SPLIT:
-        a = float(alpha)
-        pc = 0.5 * np.cos(a) ** 2 * np.cos(phases.phi1 / 2) ** 2 + 0.25 * np.sin(a) ** 2
-        ps = 0.5 * np.cos(a) ** 2 * np.sin(phases.phi1 / 2) ** 2 + 0.25 * np.sin(a) ** 2
-        ic, is_ = interference_terms(alpha, phases)
-        closed = np.array([pc + ic, pc - ic, ps + is_, ps - is_])
-        dev = np.max(np.abs(closed - born))
-        if dev > CROSSCHECK_ATOL:
-            raise RuntimeError(
-                f"closed-form probabilities disagree with propagation by {dev:.3e}"
-            )
-        p1, p2, p3, p4 = closed
-    else:
-        p1, p2, p3, p4 = born
-        pc, ps = (p1 + p2) / 2, (p3 + p4) / 2
-        ic, is_ = (p1 - p2) / 2, (p3 - p4) / 2
-    return SingleProbabilities(
-        float(p1), float(p2), float(p3), float(p4),
-        float(pc), float(ps), float(ic), float(is_),
-    )
+    return single_photon_batch(alpha, phases.phi1, phases.phi2, beta).single()
 
 
 def coherence_witness(probs: SingleProbabilities) -> float:

@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from wptoolbox.cli import main
+import wptoolbox.cli as cli
+from wptoolbox.cli import build_parser, main
+from wptoolbox.entangle import ghz_sector_probabilities
+from wptoolbox.toolbox import ToolboxPhases
 
 # frozen closed-form values at alpha = 45 deg, phi1 = phi2 = 0, beta = 22.5 deg:
 # p1 = (3 + 2*sqrt(2)) / 8, p2 = (3 - 2*sqrt(2)) / 8
@@ -360,7 +363,64 @@ class TestArgumentErrors:
             main(["no-such-command"])
         assert info.value.code == 2
 
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
     def test_outdir_env_used_for_default_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WPTOOLBOX_OUTDIR", str(tmp_path))
         assert main(["witness-coherence"]) == 0
         assert (tmp_path / "witness_coherence.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch, capsys, fmt):
+        out = tmp_path / f"s.{fmt}"
+        out.write_text("previous contents\n")
+        if fmt == "csv":
+            real_fmt, calls = cli._fmt, []
+
+            def failing_fmt(value):
+                calls.append(value)
+                if len(calls) > 20:  # a few rows in
+                    raise OSError(28, "No space left on device")
+                return real_fmt(value)
+
+            monkeypatch.setattr(cli, "_fmt", failing_fmt)
+        else:
+            def failing_dump(obj, fh, **kwargs):
+                fh.write('[\n  {"alpha": ')
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(cli.json, "dump", failing_dump)
+        assert main(["single-sweep", "--format", fmt, "--out", str(out)]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert out.read_text() == "previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == [f"s.{fmt}"]
+
+    def test_directory_as_output_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "dir.csv"
+        target.mkdir()
+        assert main(["single-sweep", "--out", str(target)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["dir.csv"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ghz_table_layout(self, tmp_path, fmt):
+        out = tmp_path / f"g.{fmt}"
+        assert main(["ghz", "--photons", "2", "--format", fmt, "--out", str(out)]) == 0
+        sectors = ghz_sector_probabilities(2, np.radians(45.0), ToolboxPhases(0.0, 0.0), beta=0.0)
+        rows = [{"sector": key, "probability": p, "crossed": int(len(set(key)) > 1)}
+                for key, p in sectors.items()]
+        if fmt == "json":
+            expected = json.dumps(rows, indent=2) + "\n"
+        else:
+            expected = "sector,probability,crossed\r\n" + "".join(
+                f"{r['sector']},{r['probability']:.17g},{r['crossed']}\r\n" for r in rows
+            )
+        with open(out, newline="") as fh:
+            assert fh.read() == expected

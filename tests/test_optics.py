@@ -111,6 +111,53 @@ class TestCircuit:
             assert a.elements[k] is b.elements[k]
         np.testing.assert_allclose(b.elements[3].matrix, [[np.exp(1.1j)]])
 
+    def test_relabeled_shares_the_checked_matrix(self):
+        mixer = output_mixer("1", "2", 0.3)
+        moved = mixer.relabeled("mixer(3,4)", ("3", "4"))
+        assert moved.matrix is mixer.matrix
+        assert moved.modes_in == moved.modes_out == ("3", "4")
+        assert moved.name == "mixer(3,4)"
+        with pytest.raises(ValueError, match="cannot move"):
+            mixer.relabeled("x", ("3",))
+        with pytest.raises(ValueError, match="cannot move"):
+            polarizing_bs().relabeled("x", ("a", "b"))
+
+
+class TestBatchedCircuits:
+    """Array settings give one circuit that propagates every setting."""
+
+    def test_batched_elements_stack_one_matrix_per_setting(self):
+        betas = np.array([0.0, BALANCED, 0.3])
+        mixer = output_mixer("1", "2", betas)
+        assert mixer.matrix.shape == (3, 2, 2)
+        np.testing.assert_array_equal(mixer.matrix[0], np.eye(2))  # absent, not the limit
+        for k in (1, 2):
+            np.testing.assert_array_equal(mixer.matrix[k], output_mixer("1", "2", betas[k]).matrix)
+        phase = phase_shifter("3", np.array([0.5, 2.0]))
+        np.testing.assert_array_equal(phase.matrix[:, 0, 0], np.exp(1j * np.array([0.5, 2.0])))
+
+    def test_one_bad_matrix_fails_the_whole_stack(self):
+        stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, 1.0 + 1e-9]]])
+        with pytest.raises(ValueError, match="isometry"):
+            ElementUnitary("m", ("1", "2"), ("1", "2"), stack)
+
+    def test_batched_propagation_equals_each_setting(self):
+        rng = np.random.default_rng(21)
+        alpha = rng.uniform(0, np.pi / 2, 7)
+        phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 7))
+        beta = np.array([0.0, BALANCED, 0.3, 0.0, 0.61, BALANCED, 0.1])
+        states = PureState(ModeBasis(("V", "H")), np.stack([np.cos(alpha), np.sin(alpha)], -1))
+        out = interferometer_circuit(phi1, phi2, beta).propagate(states)
+        assert out.amplitudes.shape == (7, 4)
+        for k in range(7):
+            one = interferometer_circuit(phi1[k], phi2[k], beta[k]).propagate(pol_state(alpha[k]))
+            np.testing.assert_array_equal(out.amplitudes[k], one.amplitudes)
+
+    def test_matrix_needs_an_unbatched_circuit(self):
+        circ = interferometer_circuit(np.array([0.1, 0.2]), np.array([0.3, 0.4]), BALANCED)
+        with pytest.raises(ValueError, match="unbatched"):
+            circ.matrix()
+
 
 def embedded_product(circuit):
     """Transfer matrix as a product of the elements embedded in the full basis."""

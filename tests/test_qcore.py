@@ -140,6 +140,13 @@ class TestApplyUnitary:
         assert not is_isometry(np.array([[1 + 1e-11]]))
         assert not is_isometry(np.array([[np.nan]]))
 
+    def test_is_isometry_on_a_stack(self):
+        good = np.stack([HADAMARD, np.eye(2)]).astype(complex)
+        assert is_isometry(good)
+        bad = good.copy()
+        bad[1, 1, 1] += 1e-11
+        assert not is_isometry(bad)
+
     def test_basis_change_isometry(self):
         pol = ModeBasis(("V", "H"))
         psi = PureState(pol, np.array([0.6, 0.8]))
@@ -246,3 +253,49 @@ class TestMixAndTrace:
         rho = DensityMatrix(basis, np.eye(2) / 2)
         with pytest.raises(ValueError, match="factorization"):
             partial_trace(rho, keep=0)
+
+
+class TestBatches:
+    """States and density matrices with leading batch axes."""
+
+    def test_pure_state_batch_shape(self):
+        basis = ModeBasis(("V", "H"))
+        psi = PureState(basis, np.array([[1.0, 0.0], [0.6, 0.8j]]))
+        np.testing.assert_allclose(psi.probabilities(), [[1.0, 0.0], [0.36, 0.64]])
+        with pytest.raises(TypeError):
+            psi.norm()  # one number per state: a batch has no single norm
+        with pytest.raises(ValueError, match="expected 2 amplitudes"):
+            PureState(basis, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            PureState(basis, np.array([[1.0, 0.0], [np.inf, 0.0]]))
+
+    def test_density_matrix_checks_every_member(self):
+        basis = ModeBasis(("V", "H"))
+        good = np.eye(2) / 2
+        with pytest.raises(ValueError, match="trace must be 1, got 0.8"):
+            DensityMatrix(basis, np.stack([good, np.diag([0.4, 0.4])]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(basis, np.stack([good, np.diag([1.5, -0.5])]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(basis, np.stack([good, [[0.5, 0.1], [0.0, 0.5]]]))
+
+    def test_mix_with_weight_arrays_equals_each_row(self):
+        basis = ModeBasis(("V", "H"))
+        a = PureState(basis, np.array([[1.0, 0.0], [0.6, 0.8]]))
+        b = PureState(basis, np.array([[0.0, 1.0], [0.8, -0.6]]))
+        w = np.array([0.25, 0.7])
+        rho = mix([(a, w), (b, 1 - w)])
+        assert rho.matrix.shape == (2, 2, 2)
+        for k in range(2):
+            one = mix([(PureState(basis, a.amplitudes[k]), w[k]),
+                       (PureState(basis, b.amplitudes[k]), 1 - w[k])])
+            np.testing.assert_array_equal(rho.matrix[k], one.matrix)
+        with pytest.raises(ValueError, match="sum to 1"):
+            mix([(a, w), (b, w)])
+
+    def test_measure_distribution_groups_per_row(self):
+        basis = ModeBasis(("1", "2", "3"))
+        psi = PureState(basis, np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]]))
+        np.testing.assert_allclose(
+            measure_distribution(psi, [("1", "2"), ("3",)]), [[1.0, 0.0], [0.36, 0.64]]
+        )

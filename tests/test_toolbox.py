@@ -1,10 +1,15 @@
 """Tests for single-photon statistics and coherence measures."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wptoolbox.toolbox as toolbox
 from wptoolbox.optics import interferometer_circuit
 from wptoolbox.qcore import PureState, measure_distribution
+from wptoolbox.shots import NoiseModel, noisy_single_probabilities
 from wptoolbox.toolbox import (
     BETA_DIRECT,
     BETA_SPLIT,
@@ -18,6 +23,7 @@ from wptoolbox.toolbox import (
     output_state,
     particle_state,
     prepare_input,
+    single_photon_batch,
     wave_state,
 )
 
@@ -220,3 +226,85 @@ class TestCrossCheck:
             output_state(0.4, phases, beta)
         with pytest.raises(RuntimeError, match="disagrees with propagation"):
             detection_probabilities(0.4, phases, beta)
+
+
+class TestBatchEngine:
+    """One engine call over N settings equals N single-setting calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_equal_single_setting_calls_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+
+        def column(strategy):
+            return data.draw(st.lists(strategy, min_size=n, max_size=n))
+        alpha = column(st.floats(-0.6, 2.2))  # reaches outside [0, pi/2]
+        phi1 = column(st.floats(0.0, 2 * np.pi))
+        phi2 = column(st.floats(0.0, 2 * np.pi))
+        beta = column(st.sampled_from([BETA_DIRECT, BETA_SPLIT]) | st.floats(0.0, np.pi / 4))
+        visibility = column(st.just(1.0) | st.floats(0.0, 1.0))
+        dephase = column(st.just(0.0) | st.floats(0.0, 1.0))
+        models = [NoiseModel(v, d) for v, d in zip(visibility, dephase)]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = single_photon_batch(
+                np.array(alpha), np.array(phi1), np.array(phi2), np.array(beta),
+                np.array([m.fringe_scale for m in models]),
+            )
+        outside = any(not 0.0 <= a <= np.pi / 2 for a in alpha)
+        assert any("outside" in str(w.message) for w in caught) == outside
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k in range(n):
+                phases = ToolboxPhases(phi1[k], phi2[k])
+                one = noisy_single_probabilities(alpha[k], phases, beta[k], models[k])
+                assert batch.probabilities[k].tobytes() == one.as_array().tobytes()
+                out = output_state(alpha[k], phases, beta[k])
+                assert batch.amplitudes[k].tobytes() == out.amplitudes.tobytes()
+                if models[k].fringe_scale == 1.0:
+                    ideal = detection_probabilities(alpha[k], phases, beta[k])
+                    assert ideal.as_array().tobytes() == one.as_array().tobytes()
+
+    def test_scalar_settings_give_unbatched_rows(self):
+        batch = single_photon_batch(0.4, 0.7, 1.9)
+        assert batch.amplitudes.shape == (4,)
+        assert batch.probabilities.shape == (4,)
+        np.testing.assert_array_equal(
+            batch.probabilities,
+            detection_probabilities(0.4, ToolboxPhases(0.7, 1.9)).as_array(),
+        )
+
+    def test_settings_broadcast(self):
+        phi1 = np.linspace(0.0, np.pi, 5)
+        batch = single_photon_batch(0.4, phi1, 1.9, BETA_SPLIT)
+        assert batch.probabilities.shape == (5, 4)
+        for k, p in enumerate(phi1):
+            np.testing.assert_array_equal(
+                batch.probabilities[k],
+                detection_probabilities(0.4, ToolboxPhases(p, 1.9)).as_array(),
+            )
+
+    def test_zero_fringe_scale_is_the_mixture(self):
+        alpha, phi1, phi2 = np.array([0.2, 0.9]), np.array([0.4, 2.5]), np.array([1.0, 0.1])
+        batch = single_photon_batch(alpha, phi1, phi2, BETA_SPLIT, 0.0)
+        for k in range(2):
+            rho = mixed_output(alpha[k], ToolboxPhases(phi1[k], phi2[k]))
+            np.testing.assert_array_equal(batch.probabilities[k], measure_distribution(rho))
+
+    @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
+    def test_cross_check_names_the_failing_row(self, monkeypatch, beta):
+        exact = toolbox.wave_state
+
+        def perturbed(phi1, beta=BETA_SPLIT):
+            w = exact(phi1, beta)
+            amps = w.amplitudes.copy()
+            amps[2] += 1e-9  # one row of the batch
+            return PureState(w.basis, amps)
+
+        monkeypatch.setattr(toolbox, "wave_state", perturbed)
+        alpha = np.linspace(0.1, 1.4, 5)
+        phi1 = np.linspace(0.3, 5.0, 5)
+        with pytest.raises(RuntimeError, match=r"disagrees with propagation .* at row 2 \(alpha="):
+            single_photon_batch(alpha, phi1, 1.9, beta)

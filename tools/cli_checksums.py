@@ -1,0 +1,117 @@
+"""sha256 manifest of the fixed-seed CLI outputs, to show a change keeps every byte.
+
+Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise, a
+``beta`` sweep, ``--mixed``, both witnesses, ``two-photon``, ``ghz`` at 1, 6
+and 8 photons) plus ``verify``, and hashes every output file and every
+command's stdout.  Usage::
+
+    python3 tools/cli_checksums.py --src OLD/src --write old.sha256
+    python3 tools/cli_checksums.py --check old.sha256
+
+``--src`` picks the checkout whose ``wptoolbox`` is imported (default: the
+``src`` next to this script).  ``--check`` exits 1 when any hash differs.
+Hashes depend on the platform's libm and BLAS, so compare manifests made
+on one machine only.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+#: (output file name, argv); every file is written by exactly one command
+COMMANDS = [
+    ("single_noise.csv", ["single-sweep", "--alpha-deg", "33", "--phi2-deg", "71",
+                          "--visibility", "0.8", "--dephase", "0.3",
+                          "--shots", "5000", "--seed", "7"]),
+    ("single_off.json", ["single-sweep", "--alpha-deg", "60", "--phi2-deg", "15",
+                         "--beta-deg", "0", "--format", "json"]),
+    ("single_beta.csv", ["single-sweep", "--alpha-deg", "40", "--phi1-deg", "100",
+                         "--phi2-deg", "50", "--sweep", "beta", "--start", "0",
+                         "--stop", "45", "--steps", "31"]),
+    ("single_beta_shots.csv", ["single-sweep", "--alpha-deg", "40", "--phi1-deg", "100",
+                               "--phi2-deg", "50", "--sweep", "beta", "--start", "0",
+                               "--stop", "45", "--steps", "31",
+                               "--shots", "2000", "--seed", "11"]),
+    ("single_mixed.csv", ["single-sweep", "--mixed", "--alpha-deg", "35",
+                          "--phi2-deg", "20", "--shots", "3000"]),
+    ("coherence.csv", ["witness-coherence"]),
+    ("coherence_shots.csv", ["witness-coherence", "--shots", "4000", "--seed", "3"]),
+    ("pair.json", ["two-photon", "--format", "json"]),
+    ("pair_noise.csv", ["two-photon", "--shots", "3000", "--dephase", "0.4",
+                        "--seed", "5"]),
+    ("pair_sweep.csv", ["two-photon", "--sweep", "phi1", "--start", "0",
+                        "--stop", "360", "--steps", "9"]),
+    ("entanglement.csv", ["witness-entanglement"]),
+    ("entanglement_shots.csv", ["witness-entanglement", "--shots", "5000",
+                                "--seed", "9"]),
+    ("ghz1.csv", ["ghz", "--photons", "1"]),
+    ("ghz6.json", ["ghz", "--photons", "6", "--alpha-deg", "30",
+                   "--phi1-deg", "70", "--format", "json"]),
+    ("ghz8.csv", ["ghz", "--photons", "8"]),
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def checksums(main) -> dict[str, str]:
+    """Name -> sha256 of every output file and stdout, ``main`` being ``cli.main``."""
+    sums = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative --out paths keep "wrote <path>" stable
+        try:
+            for name, argv in COMMANDS + [("verify", ["verify"])]:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main(argv if name == "verify" else argv + ["--out", name])
+                if code != 0:
+                    raise SystemExit(f"{name}: exit code {code}")
+                sums[f"{name}.stdout"] = _digest(buf.getvalue().encode())
+                if name != "verify":
+                    sums[name] = _digest(Path(name).read_bytes())
+        finally:
+            os.chdir(cwd)
+    return sums
+
+
+def _read_manifest(path: str) -> dict[str, str]:
+    entries = (line.split() for line in Path(path).read_text().splitlines() if line)
+    return {name: digest for digest, name in entries}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the wptoolbox package to run")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="MANIFEST", help="write the manifest here")
+    mode.add_argument("--check", metavar="MANIFEST", help="compare against this manifest")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from wptoolbox.cli import main as cli_main
+
+    sums = checksums(cli_main)
+    if args.write:
+        Path(args.write).write_text("".join(f"{d}  {n}\n" for n, d in sums.items()))
+        print(f"wrote {len(sums)} checksums to {args.write}")
+        return 0
+    expected = _read_manifest(args.check)
+    differing = sorted(n for n in expected.keys() | sums.keys()
+                       if expected.get(n) != sums.get(n))
+    for name in differing:
+        print(f"DIFFERS  {name}")
+    print(f"{len(sums) - len(differing)} of {len(sums)} checksums identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
