@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entangle import (
+    CoincidenceTable,
     TwoPhotonSettings,
     coincidence_closed_forms,
-    coincidence_probabilities,
     entanglement_witness,
     ghz_sector_probabilities,
-    mixture_coincidence_probabilities,
+    two_photon_batch,
 )
 from .hardware import equivalence_scan
 from .optics import interferometer_circuit
@@ -205,28 +206,33 @@ def _noise(values: dict[str, float]) -> NoiseModel:
     return NoiseModel(visibility=values["visibility"], dephase_wp=values["dephase"])
 
 
-def _single_distributions(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
-    """Detector probabilities of every row, from one engine call, honoring --mixed/noise."""
+def _columns(values: list[dict[str, float]], *keys: str) -> list[np.ndarray]:
+    """One array per key, across the rows."""
+    return [np.array([v[key] for v in values]) for key in keys]
+
+
+def _fringe_scales(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
+    """Each row's fringe scale: the noise model's, or 0 for --mixed."""
     if spec.mixed:
         # the classical mixture carries no fringe, so noise leaves it alone
-        scale = np.zeros(len(values))
-    else:
-        scale = np.array([_noise(v).fringe_scale for v in values])
-    alpha, phi1, phi2, beta = (
-        np.array([v[key] for v in values]) for key in ("alpha", "phi1", "phi2", "beta")
+        return np.zeros(len(values))
+    return np.array([_noise(v).fringe_scale for v in values])
+
+
+def _single_distributions(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
+    """Detector probabilities of every row, from one engine call, honoring --mixed/noise."""
+    alpha, phi1, phi2, beta = _columns(values, "alpha", "phi1", "phi2", "beta")
+    return single_photon_batch(
+        alpha, phi1, phi2, beta, _fringe_scales(spec, values)
+    ).probabilities
+
+
+def _pair_distributions(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
+    """Coincidence tables of every row, from one engine call, honoring --mixed/noise."""
+    settings = _columns(
+        values, "alpha", "phi1", "phi2", "phi1_prime", "phi2_prime", "beta", "beta_prime"
     )
-    return single_photon_batch(alpha, phi1, phi2, beta, scale).probabilities
-
-
-def _pair_table(spec: SweepSpec, v: dict[str, float]):
-    """Coincidence table for one parameter point, honoring --mixed/noise."""
-    settings = _pair_settings(v)
-    if spec.mixed:
-        return mixture_coincidence_probabilities(settings)
-    model = _noise(v)
-    if model.fringe_scale == 1.0:
-        return coincidence_probabilities(settings)
-    return noisy_coincidence_probabilities(settings, model)
+    return two_photon_batch(*settings, _fringe_scales(spec, values)).probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +283,6 @@ def cmd_witness_coherence(spec: SweepSpec) -> int:
 _PAIR_COLUMNS = [f"p_{a}{b}p" for a in range(1, 5) for b in range(1, 5)]
 
 
-def _pair_settings(v: dict[str, float]) -> TwoPhotonSettings:
-    return TwoPhotonSettings(
-        alpha=v["alpha"],
-        phases_a=ToolboxPhases(v["phi1"], v["phi2"]),
-        phases_b=ToolboxPhases(v["phi1_prime"], v["phi2_prime"]),
-        beta_a=v["beta"],
-        beta_b=v["beta_prime"],
-    )
-
-
 def cmd_two_photon(spec: SweepSpec) -> int:
     header = ["phi1", "phi1p", "beta", "betap"] + list(_PAIR_COLUMNS)
     if spec.shots > 0:
@@ -306,13 +302,12 @@ def cmd_two_photon(spec: SweepSpec) -> int:
     else:
         value_sets = spec.rows()
     rows = []
-    for k, v in enumerate(value_sets):
-        table = _pair_table(spec, v)
+    for k, (v, table) in enumerate(zip(value_sets, _pair_distributions(spec, value_sets))):
         row = {
             "phi1": v["phi1"], "phi1p": v["phi1_prime"],
             "beta": v["beta"], "betap": v["beta_prime"],
         }
-        row.update(zip(_PAIR_COLUMNS, table.matrix.reshape(-1)))
+        row.update(zip(_PAIR_COLUMNS, table.reshape(-1)))
         if spec.shots > 0:
             counts = sample_counts(table, spec.shots, spec.seed + k)
             row.update(
@@ -332,9 +327,10 @@ def cmd_witness_entanglement(spec: SweepSpec) -> int:
     header = ["phi1", "p_22p", "p_21p", "we"]
     if spec.shots > 0:
         header.append("we_err")
+    values = spec.rows()
     rows = []
-    for k, v in enumerate(spec.rows()):
-        table = _pair_table(spec, v)
+    for k, (v, dist) in enumerate(zip(values, _pair_distributions(spec, values))):
+        table = CoincidenceTable(dist)
         row = {"phi1": v["phi1"]}
         if spec.shots > 0:
             counts = sample_counts(table, spec.shots, spec.seed + k)
@@ -411,22 +407,14 @@ def _verify_single_photon() -> float:
 
 def _verify_two_photon() -> float:
     phis = np.linspace(0.0, 2 * np.pi, 5)
-    worst = 0.0
-    for alpha in (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2):
-        for phi1 in phis:
-            for phi1p in phis:
-                for phi2 in (0.0, 1.1):
-                    for phi2p in (0.0, 2.3):
-                        pa = ToolboxPhases(phi1, phi2)
-                        pb = ToolboxPhases(phi1p, phi2p)
-                        closed = coincidence_closed_forms(alpha, pa, pb)
-                        table = coincidence_probabilities(
-                            TwoPhotonSettings(alpha=alpha, phases_a=pa, phases_b=pb)
-                        )
-                        worst = max(
-                            worst, float(np.max(np.abs(closed - table.matrix)))
-                        )
-    return worst
+    grid = itertools.product((0.0, 0.3, np.pi / 4, 1.2, np.pi / 2), phis, phis,
+                             (0.0, 1.1), (0.0, 2.3))
+    alpha, phi1, phi1p, phi2, phi2p = np.array(list(grid)).T
+    table = two_photon_batch(alpha, phi1, phi2, phi1p, phi2p).probabilities
+    closed = coincidence_closed_forms(
+        alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p)
+    )
+    return float(np.max(np.abs(closed - table)))
 
 
 def _verify_hardware(points: int, seed: int) -> float:

@@ -15,15 +15,27 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .optics import PATHS, network_matrix
-from .qcore import DensityMatrix, ModeBasis, PureState, mix, product_basis
+from .qcore import (
+    DensityMatrix,
+    ModeBasis,
+    PureState,
+    as_values,
+    broadcast_values,
+    mix,
+    product_basis,
+    stack_last,
+)
 from .toolbox import (
     BETA_SPLIT,
     CROSSCHECK_ATOL,
     ToolboxPhases,
+    _check,
+    _check_alpha,
     particle_state,
     wave_state,
 )
@@ -33,6 +45,7 @@ PRIMED_PATHS: tuple[str, str, str, str] = ("1'", "2'", "3'", "4'")
 MAX_PHOTONS = 8
 
 _PAIR_BASIS = product_basis(ModeBasis(PATHS), ModeBasis(PRIMED_PATHS))
+_POL_PAIR_BASIS = product_basis(ModeBasis(("V", "H")), ModeBasis(("V'", "H'")))
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y)
 
@@ -58,10 +71,7 @@ class CoincidenceTable:
         m = np.asarray(self.matrix, dtype=float).copy()
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 table, got {m.shape}")
-        if np.min(m) < -1e-12 or np.max(m) > 1 + 1e-12:
-            raise ValueError("coincidence probabilities outside [0, 1]")
-        if abs(m.sum() - 1.0) > 1e-9:
-            raise ValueError(f"coincidence table sums to {m.sum()}, not 1")
+        _check_tables(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -78,15 +88,30 @@ class CoincidenceTable:
         return self.matrix.sum(axis=0)
 
 
+def _check_tables(m: np.ndarray) -> None:
+    """Raise unless every 4x4 table in ``m`` is a probability distribution."""
+    if np.min(m) < -1e-12 or np.max(m) > 1 + 1e-12:
+        raise ValueError("coincidence probabilities outside [0, 1]")
+    total = m.sum(axis=(-2, -1))
+    bad = np.abs(total - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"coincidence table sums to {total[bad][0]}, not 1")
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
 
-def prepare_entangled_input(alpha: float) -> PureState:
-    """Polarization pair ``cos(alpha)|VV'> + sin(alpha)|HH'>``."""
-    basis = product_basis(ModeBasis(("V", "H")), ModeBasis(("V'", "H'")))
-    a = float(alpha)
-    return PureState(basis, np.array([np.cos(a), 0.0, 0.0, np.sin(a)]))
+def prepare_entangled_input(alpha) -> PureState:
+    """Polarization pair ``cos(alpha)|VV'> + sin(alpha)|HH'>``.
+
+    Like :func:`~wptoolbox.toolbox.prepare_input`, an ``alpha`` outside
+    ``[0, pi/2]`` warns.  An array of angles gives a batched state.
+    """
+    a = _check_alpha(alpha)
+    c, s = np.cos(a), np.sin(a)
+    zero = np.zeros_like(c)
+    return PureState(_POL_PAIR_BASIS, stack_last([c, zero, zero, s]))
 
 
 def _component_states(s: TwoPhotonSettings):
@@ -97,34 +122,127 @@ def _component_states(s: TwoPhotonSettings):
     return wa, pa, wb, pb
 
 
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product amplitudes ``a (x) b`` of each row, shape ``(..., 16)``."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (16,))
+
+
+def _mixture(alpha, ww: np.ndarray, pp: np.ndarray) -> DensityMatrix:
+    """``cos^2(alpha) |ww'><ww'| + sin^2(alpha) |pp'><pp'|``, batched like ``alpha``.
+
+    ``float_power`` squares round like the scalar ``x ** 2``.
+    """
+    return mix(
+        [
+            (PureState(_PAIR_BASIS, ww), np.float_power(np.cos(alpha), 2)),
+            (PureState(_PAIR_BASIS, pp), np.float_power(np.sin(alpha), 2)),
+        ]
+    )
+
+
+class PairBatch(NamedTuple):
+    """Cross-checked two-photon statistics, one row per setting.
+
+    ``amplitudes`` are the closed-form pair states over (path of A, path of
+    B), shape ``(..., 16)``; ``probabilities`` the coincidence tables, shape
+    ``(..., 4, 4)``, with photon A's detectors along the rows.
+    """
+
+    amplitudes: np.ndarray
+    probabilities: np.ndarray
+
+
+def two_photon_batch(
+    alpha,
+    phi1,
+    phi2,
+    phi1_prime,
+    phi2_prime,
+    beta=BETA_SPLIT,
+    beta_prime=BETA_SPLIT,
+    fringe_scale=1.0,
+) -> PairBatch:
+    """Evaluate and cross-check a batch of two-photon settings in one call.
+
+    The arguments are numbers or arrays that broadcast to one batch shape;
+    unprimed settings belong to photon A, primed ones to photon B.  Every
+    row is computed two ways: the closed form ``cos(alpha)|w w'> +
+    sin(alpha)|p p'>`` from both photons' wave and particle states, and the
+    polarization pair propagated through each photon's batched
+    :func:`~wptoolbox.optics.interferometer_circuit`.  The two are compared
+    at ``CROSSCHECK_ATOL``: the amplitudes on every row, and on rows where
+    both mixers are at ``pi/8`` the Born table also against
+    :func:`coincidence_closed_forms`.  A mismatch raises ``RuntimeError``
+    naming the first failing row and its settings; every table must then be
+    a probability distribution.
+
+    ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
+    the classical mixture) moves every row whose scale is not 1 toward the
+    mixture baseline: ``baseline + scale * (ideal - baseline)``.
+    """
+    alpha, phi1, phi2, phi1p, phi2p, beta, betap, scale = broadcast_values(
+        alpha, phi1, phi2, phi1_prime, phi2_prime, beta, beta_prime, fringe_scale
+    )
+    shape = np.shape(alpha)
+    settings = {
+        "alpha": alpha, "phi1": phi1, "phi2": phi2, "phi1_prime": phi1p,
+        "phi2_prime": phi2p, "beta": beta, "beta_prime": betap,
+    }
+
+    ww = _pair(wave_state(phi1, beta).amplitudes, wave_state(phi1p, betap).amplitudes)
+    pp = _pair(
+        particle_state(phi2, beta).amplitudes, particle_state(phi2p, betap).amplitudes
+    )
+    amps = np.cos(alpha)[..., None] * ww + np.sin(alpha)[..., None] * pp
+    # propagation route: transfer_a @ (2x2 polarization amplitudes) @ transfer_b^T
+    pol = prepare_entangled_input(alpha).amplitudes.reshape(shape + (2, 2))
+    propagated = (
+        network_matrix(phi1, phi2, beta)
+        @ pol
+        @ np.swapaxes(network_matrix(phi1p, phi2p, betap), -1, -2)
+    )
+    _check("pair state", np.abs(amps - propagated.reshape(amps.shape)), settings)
+
+    probs = (np.abs(amps) ** 2).reshape(shape + (4, 4))
+    balanced = (beta == BETA_SPLIT) & (betap == BETA_SPLIT)
+    if balanced.any():
+        closed = coincidence_closed_forms(
+            alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p)
+        )
+        dev = np.where(balanced[..., None, None], np.abs(closed - probs), 0.0)
+        _check("coincidence table", dev, settings)
+
+    noisy = scale != 1.0
+    if noisy.any():
+        baseline = _mixture(alpha, ww, pp).probabilities().reshape(probs.shape)
+        noisy_probs = baseline + scale[..., None, None] * (probs - baseline)
+        probs = np.where(noisy[..., None, None], noisy_probs, probs)
+    _check_tables(probs)
+    return PairBatch(amps, probs)
+
+
+def _pair_batch(s: TwoPhotonSettings, fringe_scale=1.0) -> PairBatch:
+    """:func:`two_photon_batch` at the settings ``s``."""
+    return two_photon_batch(
+        s.alpha, s.phases_a.phi1, s.phases_a.phi2, s.phases_b.phi1, s.phases_b.phi2,
+        s.beta_a, s.beta_b, fringe_scale,
+    )
+
+
 def two_photon_output(s: TwoPhotonSettings) -> PureState:
     """Joint path state ``cos(alpha)|w w'> + sin(alpha)|p p'>``.
 
-    Cross-checked against propagating the polarization pair through the
-    tensor product of the two network transfer matrices.
+    One setting of :func:`two_photon_batch`: cross-checked against
+    propagating the polarization pair through both network transfer
+    matrices.
     """
-    wa, pa, wb, pb = _component_states(s)
-    amps = np.cos(s.alpha) * np.kron(wa, wb) + np.sin(s.alpha) * np.kron(pa, pb)
-    closed = PureState(_PAIR_BASIS, amps)
-
-    ma = network_matrix(s.phases_a.phi1, s.phases_a.phi2, s.beta_a)
-    mb = network_matrix(s.phases_b.phi1, s.phases_b.phi2, s.beta_b)
-    propagated = np.kron(ma, mb) @ prepare_entangled_input(s.alpha).amplitudes
-    dev = np.max(np.abs(closed.amplitudes - propagated))
-    if dev > CROSSCHECK_ATOL:
-        raise RuntimeError(
-            f"closed-form pair state disagrees with propagation by {dev:.3e}"
-        )
-    return closed
+    return PureState(_PAIR_BASIS, _pair_batch(s).amplitudes)
 
 
 def mixture_two_photon_output(s: TwoPhotonSettings) -> DensityMatrix:
     """Classical mixture ``cos^2 |ww'><ww'| + sin^2 |pp'><pp'|``."""
     wa, pa, wb, pb = _component_states(s)
-    ww = PureState(_PAIR_BASIS, np.kron(wa, wb))
-    pp = PureState(_PAIR_BASIS, np.kron(pa, pb))
-    a = float(s.alpha)
-    return mix([(ww, float(np.cos(a) ** 2)), (pp, float(np.sin(a) ** 2))])
+    return _mixture(as_values(s.alpha), _pair(wa, wb), _pair(pa, pb))
 
 
 # ---------------------------------------------------------------------------
@@ -132,64 +250,66 @@ def mixture_two_photon_output(s: TwoPhotonSettings) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def coincidence_closed_forms(
-    alpha: float, phases_a: ToolboxPhases, phases_b: ToolboxPhases
+    alpha, phases_a: ToolboxPhases, phases_b: ToolboxPhases
 ) -> np.ndarray:
     """The sixteen balanced-mixer coincidence expressions as a 4x4 array.
 
     Valid only when both networks run balanced mixers (beta = pi/8).  Every
     entry is ``<mean> + <fringe>`` where the mean part factorizes over the
     photons and the fringe carries the nonlocal phase ``(phi1 + phi1')/2``.
+    Settings may be arrays of one broadcast shape ``S``; the result then has
+    shape ``S + (4, 4)``.  Squares use ``float_power``, which rounds like the
+    scalar ``x ** 2``.
     """
-    a = float(alpha)
-    q = np.cos(a) ** 2 / 4
-    r = np.sin(a) ** 2 / 16
+    a = as_values(alpha)
+    phi1, phi1p = as_values(phases_a.phi1), as_values(phases_b.phi1)
+    phi2, phi2p = as_values(phases_a.phi2), as_values(phases_b.phi2)
+    q = np.float_power(np.cos(a), 2) / 4
+    r = np.float_power(np.sin(a), 2) / 16
     g = np.sin(2 * a) / 8
-    sigma = (phases_a.phi1 + phases_b.phi1) / 2
-    c1, s1 = np.cos(phases_a.phi1 / 2), np.sin(phases_a.phi1 / 2)
-    c1p, s1p = np.cos(phases_b.phi1 / 2), np.sin(phases_b.phi1 / 2)
-    phi2, phi2p = phases_a.phi2, phases_b.phi2
+    sigma = (phi1 + phi1p) / 2
+    c1, s1 = np.cos(phi1 / 2), np.sin(phi1 / 2)
+    c1p, s1p = np.cos(phi1p / 2), np.sin(phi1p / 2)
+    c1_2, s1_2 = np.float_power(c1, 2), np.float_power(s1, 2)
+    c1p_2, s1p_2 = np.float_power(c1p, 2), np.float_power(s1p, 2)
 
-    cc = q * c1**2 * c1p**2 + r
-    cs = q * c1**2 * s1p**2 + r
-    sc = q * s1**2 * c1p**2 + r
-    ss = q * s1**2 * s1p**2 + r
+    cc = q * c1_2 * c1p_2 + r
+    cs = q * c1_2 * s1p_2 + r
+    sc = q * s1_2 * c1p_2 + r
+    ss = q * s1_2 * s1p_2 + r
     f_cc = g * c1 * c1p * np.cos(sigma)
     f_cs = g * c1 * s1p * np.sin(phi2p - sigma)
     f_sc = g * s1 * c1p * np.sin(phi2 - sigma)
     f_ss = g * s1 * s1p * np.cos(phi2 + phi2p - sigma)
 
-    return np.array(
-        [
-            [cc + f_cc, cc - f_cc, cs - f_cs, cs + f_cs],
-            [cc - f_cc, cc + f_cc, cs + f_cs, cs - f_cs],
-            [sc - f_sc, sc + f_sc, ss - f_ss, ss + f_ss],
-            [sc + f_sc, sc - f_sc, ss + f_ss, ss - f_ss],
-        ]
-    )
+    if np.shape(cc) != np.shape(f_ss):
+        # the means lack phi2 and phi2'; give every entry the full batch shape
+        cc, cs, sc, ss = np.broadcast_arrays(cc, cs, sc, ss, f_ss)[:4]
+    table = stack_last([
+        cc + f_cc, cc - f_cc, cs - f_cs, cs + f_cs,
+        cc - f_cc, cc + f_cc, cs + f_cs, cs - f_cs,
+        sc - f_sc, sc + f_sc, ss - f_ss, ss + f_ss,
+        sc + f_sc, sc - f_sc, ss + f_ss, ss - f_ss,
+    ])
+    return table.reshape(table.shape[:-1] + (4, 4))
 
 
 def coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
     """Joint detector table from the propagated pair state.
 
-    When both mixers are balanced the table is additionally verified
-    against :func:`coincidence_closed_forms`.
+    One setting of :func:`two_photon_batch`: when both mixers are balanced
+    the table is additionally verified against
+    :func:`coincidence_closed_forms`.
     """
-    amps = two_photon_output(s).amplitudes
-    table = (np.abs(amps) ** 2).reshape(4, 4)
-    if float(s.beta_a) == BETA_SPLIT and float(s.beta_b) == BETA_SPLIT:
-        closed = coincidence_closed_forms(s.alpha, s.phases_a, s.phases_b)
-        dev = np.max(np.abs(closed - table))
-        if dev > CROSSCHECK_ATOL:
-            raise RuntimeError(
-                f"coincidence closed forms disagree with propagation by {dev:.3e}"
-            )
-    return CoincidenceTable(table)
+    return CoincidenceTable(_pair_batch(s).probabilities)
 
 
 def mixture_coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
-    """Joint table for the classical wave/particle mixture."""
-    rho = mixture_two_photon_output(s)
-    return CoincidenceTable(rho.probabilities().reshape(4, 4))
+    """Joint table for the classical wave/particle mixture.
+
+    One setting of :func:`two_photon_batch` at fringe scale 0.
+    """
+    return CoincidenceTable(_pair_batch(s, 0.0).probabilities)
 
 
 def entanglement_witness(table: CoincidenceTable) -> float:
@@ -309,6 +429,18 @@ def _photon_basis(k: int) -> ModeBasis:
     return ModeBasis(tuple(path + "'" * k for path in PATHS))
 
 
+def _n_photon_basis(n: int) -> ModeBasis:
+    """Path basis of n photons, photon k's labels primed k times.
+
+    The same labels, order and factors as nested :func:`product_basis`
+    calls, built in one pass; one photon keeps its plain basis.
+    """
+    if n == 1:
+        return _photon_basis(0)
+    factors = tuple(_photon_basis(k) for k in range(n))
+    return ModeBasis(tuple(itertools.product(*(f.labels for f in factors))), factors)
+
+
 def ghz_output(
     n: int,
     alpha: float,
@@ -326,13 +458,11 @@ def ghz_output(
     w = wave_state(phases.phi1, beta).amplitudes
     p = particle_state(phases.phi2, beta).amplitudes
     w_all, p_all = w, p
-    basis = _photon_basis(0)
-    for k in range(1, n):
+    for _ in range(1, n):
         w_all = np.kron(w_all, w)
         p_all = np.kron(p_all, p)
-        basis = product_basis(basis, _photon_basis(k))
     amps = np.cos(alpha) * w_all + np.sin(alpha) * p_all
-    closed = PureState(basis, amps)
+    closed = PureState(_n_photon_basis(n), amps)
 
     # propagation route: network matrix applied to each axis of the
     # polarization tensor cos|V..V> + sin|H..H>

@@ -241,6 +241,15 @@ def interferometer_circuit(
     return Circuit(pol_basis, path_basis, elements)
 
 
-def network_matrix(phi1: float, phi2: float, beta: float) -> np.ndarray:
-    """4x2 transfer matrix of :func:`interferometer_circuit` (paths x polarizations)."""
-    return interferometer_circuit(phi1, phi2, beta).matrix()
+def network_matrix(phi1, phi2, beta) -> np.ndarray:
+    """Transfer matrix of :func:`interferometer_circuit` (paths x polarizations).
+
+    Settings of broadcast shape ``S`` give a stack of shape ``S + (4, 2)``:
+    both polarization basis vectors run through one batched circuit as a
+    ``(2,) + S + (2,)`` block.
+    """
+    shape = np.broadcast(phi1, phi2, beta).shape
+    block = np.empty((2,) + shape + (2,), dtype=np.complex128)
+    block[...] = np.eye(2).reshape((2,) + (1,) * len(shape) + (2,))
+    images = interferometer_circuit(phi1, phi2, beta)._run(block)
+    return images.transpose(*range(1, images.ndim), 0)  # basis vectors last

@@ -56,6 +56,18 @@ def as_values(x):
     return np.asarray(x, dtype=float)[()]
 
 
+def broadcast_values(*values) -> list:
+    """:func:`as_values` of every argument, broadcast to one shape.
+
+    When every argument is one number, they stay numpy scalars.
+    """
+    xs = [as_values(x) for x in values]
+    shape = np.broadcast(*xs).shape
+    if shape:
+        xs = [x if x.shape == shape else np.broadcast_to(x, shape) for x in xs]
+    return xs
+
+
 def stack_last(parts) -> np.ndarray:
     """Equally shaped arrays stacked along a new last axis (a view).
 

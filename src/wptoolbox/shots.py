@@ -22,12 +22,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .entangle import (
-    CoincidenceTable,
-    TwoPhotonSettings,
-    coincidence_probabilities,
-    mixture_coincidence_probabilities,
-)
+from .entangle import CoincidenceTable, TwoPhotonSettings, _pair_batch
 from .toolbox import (
     BETA_SPLIT,
     SingleProbabilities,
@@ -165,23 +160,15 @@ def noisy_single_probabilities(
     ).single()
 
 
-def apply_noise_table(
-    ideal: CoincidenceTable, baseline: CoincidenceTable, model: NoiseModel
-) -> CoincidenceTable:
-    """Interpolate a coincidence table toward its mixture baseline."""
-    m = baseline.matrix + model.fringe_scale * (ideal.matrix - baseline.matrix)
-    return CoincidenceTable(m)
-
-
 def noisy_coincidence_probabilities(
     settings: TwoPhotonSettings, model: NoiseModel
 ) -> CoincidenceTable:
-    """Coincidence table with fringe terms reduced by the noise model."""
-    return apply_noise_table(
-        coincidence_probabilities(settings),
-        mixture_coincidence_probabilities(settings),
-        model,
-    )
+    """Coincidence table with fringe terms reduced by the noise model.
+
+    One setting of :func:`~wptoolbox.entangle.two_photon_batch` at the
+    model's fringe scale.
+    """
+    return CoincidenceTable(_pair_batch(settings, model.fringe_scale).probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +183,11 @@ def estimate_witness(table: CountTable, witness: str) -> WitnessEstimate:
     counts.  The error is sqrt(n_a + n_b) / N: the two entering counts are
     treated as independent Poisson variables (zero counts contribute their
     unit-error convention).
+
+    The coherence estimate is biased upward near zero: ``|n1 - n2|`` folds
+    the counting noise of ``n1 - n2`` onto one side, so where ``P1 = P2``
+    (the classical mixture) it reads about ``sqrt(2/pi) * sqrt(n1 + n2) / N``
+    instead of 0, which is ``sqrt(2/pi)`` times the reported error.
     """
     if table.total_shots < 1:
         raise ValueError("witness estimation needs at least one shot")

@@ -23,7 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .optics import PATHS, POLS, interferometer_circuit
-from .qcore import DensityMatrix, ModeBasis, PureState, as_values, mix, stack_last
+from .qcore import (
+    DensityMatrix,
+    ModeBasis,
+    PureState,
+    as_values,
+    broadcast_values,
+    mix,
+    stack_last,
+)
 
 #: mixer angle that erases which-polarization information on a balanced footing
 BETA_SPLIT = np.pi / 8
@@ -81,6 +89,16 @@ def prepare_input(alpha) -> PureState:
     warning is emitted rather than silently folding the angle.  An array of
     angles gives a batched state.
     """
+    a = _check_alpha(alpha)
+    return PureState(_POL_BASIS, stack_last([np.cos(a), np.sin(a)]))
+
+
+def _check_alpha(alpha):
+    """``alpha`` as values; raises unless finite, warns outside ``[0, pi/2]``.
+
+    The warning points at the caller of the state preparation that called
+    this.
+    """
     a = as_values(alpha)
     inside = (0.0 <= a) & (a <= np.pi / 2)
     if not inside.all():
@@ -89,9 +107,9 @@ def prepare_input(alpha) -> PureState:
         warnings.warn(
             f"alpha={a[~inside][0]:.6g} lies outside [0, pi/2]; amplitude signs"
             " will flip the interference terms",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return PureState(_POL_BASIS, stack_last([np.cos(a), np.sin(a)]))
+    return a
 
 
 def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
@@ -200,12 +218,8 @@ def single_photon_batch(
     the classical mixture) moves every row whose scale is not 1 toward the
     mixture baseline: ``baseline + scale * (ideal - baseline)``.
     """
-    args = [as_values(x) for x in (alpha, phi1, phi2, beta, fringe_scale)]
-    shape = np.broadcast(*args).shape
-    if shape:
-        args = [x if x.shape == shape else np.broadcast_to(x, shape) for x in args]
-    alpha, phi1, phi2, beta, scale = args
-    settings = (alpha, phi1, phi2, beta)
+    alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
+    settings = {"alpha": alpha, "phi1": phi1, "phi2": phi2, "beta": beta}
 
     amps = (
         np.cos(alpha)[..., None] * wave_state(phi1, beta).amplitudes
@@ -230,21 +244,27 @@ def single_photon_batch(
     return SingleBatch(amps, probs)
 
 
-def _check(what: str, dev: np.ndarray, settings: tuple) -> None:
-    """Raise when a row of ``dev`` (its last axis) exceeds the tolerance.
+def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
+    """Raise when a row of ``dev`` exceeds the tolerance.
 
-    Rows are counted in flat order over the batch axes.
+    ``settings`` maps each setting's name to its values, all of the batch
+    shape; ``dev`` has that shape plus any trailing axes, over which a row's
+    worst deviation is taken.  Rows are counted in flat order over the batch
+    axes, and the error names the first failing row and its settings.
     """
     if dev.max() <= CROSSCHECK_ATOL:
         return
-    worst = dev.max(axis=-1).reshape(-1)
+    rows = next(iter(settings.values())).size
+    worst = dev.reshape(rows, -1).max(axis=-1)
     bad = np.flatnonzero(worst > CROSSCHECK_ATOL)
     if bad.size:
         i = int(bad[0])
-        alpha, phi1, phi2, beta = (float(x.reshape(-1)[i]) for x in settings)
+        values = ", ".join(
+            f"{name}={float(x.reshape(-1)[i])!r}" for name, x in settings.items()
+        )
         raise RuntimeError(
             f"closed-form {what} disagrees with propagation by {worst[i]:.3e} at"
-            f" row {i} (alpha={alpha!r}, phi1={phi1!r}, phi2={phi2!r}, beta={beta!r})"
+            f" row {i} ({values})"
         )
 
 

@@ -1,8 +1,11 @@
 """Tests for two-photon coincidences, concurrence, and the n-photon extension."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 import wptoolbox.entangle as entangle
 from wptoolbox.entangle import (
@@ -17,12 +20,20 @@ from wptoolbox.entangle import (
     mixture_coincidence_probabilities,
     prepare_entangled_input,
     sector_projection,
+    two_photon_batch,
     two_photon_output,
     vh_variant_output,
     wootters_concurrence,
 )
 from wptoolbox.qcore import ModeBasis, PureState, measure_distribution, product_basis
-from wptoolbox.toolbox import BETA_SPLIT, ToolboxPhases, mixed_output, output_state
+from wptoolbox.shots import NoiseModel, noisy_coincidence_probabilities
+from wptoolbox.toolbox import (
+    BETA_DIRECT,
+    BETA_SPLIT,
+    ToolboxPhases,
+    mixed_output,
+    output_state,
+)
 
 PI = np.pi
 
@@ -36,6 +47,15 @@ def settings(alpha=PI / 4, phi1=0.0, phi2=0.0, phi1p=0.0, phi2p=0.0,
         beta_a=beta_a,
         beta_b=beta_b,
     )
+
+
+#: the eight pairwise degeneracies of the balanced-mixer table (1-based)
+SYMMETRIC_PAIRS = [
+    ((1, 1), (2, 2)), ((1, 2), (2, 1)),
+    ((1, 3), (2, 4)), ((1, 4), (2, 3)),
+    ((3, 1), (4, 2)), ((3, 2), (4, 1)),
+    ((3, 3), (4, 4)), ((3, 4), (4, 3)),
+]
 
 
 class TestCoincidenceTable:
@@ -53,6 +73,16 @@ class TestCoincidenceTable:
         m[0, 1] = -0.5
         with pytest.raises(ValueError, match="outside"):
             CoincidenceTable(m)
+
+    def test_engine_checks_every_table_of_a_stack(self):
+        stack = np.full((3, 4, 4), 1 / 16)
+        entangle._check_tables(stack)
+        stack[2, 0, 0] += 0.01
+        with pytest.raises(ValueError, match="sums to 1.01"):
+            entangle._check_tables(stack)
+        stack[2, 0, 0] = -0.5
+        with pytest.raises(ValueError, match="outside"):
+            entangle._check_tables(stack)
 
     def test_prob_is_one_based(self):
         m = np.zeros((4, 4))
@@ -97,13 +127,6 @@ class TestCoincidences:
 
     def test_sum_and_symmetries_random(self):
         rng = np.random.default_rng(22)
-        # the eight pairwise degeneracies of the balanced-mixer table
-        pairs = [
-            ((1, 1), (2, 2)), ((1, 2), (2, 1)),
-            ((1, 3), (2, 4)), ((1, 4), (2, 3)),
-            ((3, 1), (4, 2)), ((3, 2), (4, 1)),
-            ((3, 3), (4, 4)), ((3, 4), (4, 3)),
-        ]
         for _ in range(25):
             s = settings(
                 alpha=rng.uniform(0, PI / 2),
@@ -112,7 +135,7 @@ class TestCoincidences:
             )
             t = coincidence_probabilities(s)
             assert t.matrix.sum() == pytest.approx(1.0, abs=1e-12)
-            for (a, b), (c, d) in pairs:
+            for (a, b), (c, d) in SYMMETRIC_PAIRS:
                 assert t.prob(a, b) == pytest.approx(t.prob(c, d), abs=1e-12)
 
     def test_closed_forms_match_propagation(self):
@@ -155,6 +178,135 @@ class TestCoincidences:
             # crossed blocks stay empty
             assert t.matrix[np.ix_((0, 2), (1, 3))].max() < 1e-14
             assert t.matrix[np.ix_((1, 3), (0, 2))].max() < 1e-14
+
+
+class TestPairEngine:
+    """One engine call over N settings equals N single-setting calls."""
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_equal_single_setting_calls_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+
+        def column(strategy):
+            return data.draw(st.lists(strategy, min_size=n, max_size=n))
+        beta_choice = st.sampled_from([BETA_DIRECT, BETA_SPLIT]) | st.floats(0.0, PI / 4)
+        alpha = column(st.floats(-0.6, 2.2))  # reaches outside [0, pi/2]
+        phi1, phi2, phi1p, phi2p = (column(st.floats(0.0, 2 * PI)) for _ in range(4))
+        beta, betap = column(beta_choice), column(beta_choice)
+        visibility = column(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        dephase = column(st.just(0.0) | st.floats(0.0, 1.0))
+        models = [NoiseModel(v, d) for v, d in zip(visibility, dephase)]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = two_photon_batch(
+                *map(np.array, (alpha, phi1, phi2, phi1p, phi2p, beta, betap)),
+                np.array([m.fringe_scale for m in models]),
+            )
+        outside = any(not 0.0 <= a <= PI / 2 for a in alpha)
+        assert any("outside" in str(w.message) for w in caught) == outside
+        assert batch.amplitudes.shape == (n, 16)
+        assert batch.probabilities.shape == (n, 4, 4)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k in range(n):
+                s = settings(alpha[k], phi1[k], phi2[k], phi1p[k], phi2p[k],
+                             beta[k], betap[k])
+                row = batch.probabilities[k].tobytes()
+                assert row == noisy_coincidence_probabilities(s, models[k]).matrix.tobytes()
+                out = two_photon_output(s)
+                assert batch.amplitudes[k].tobytes() == out.amplitudes.tobytes()
+                if models[k].fringe_scale == 1.0:
+                    assert row == coincidence_probabilities(s).matrix.tobytes()
+                if models[k].fringe_scale == 0.0:
+                    assert row == mixture_coincidence_probabilities(s).matrix.tobytes()
+
+    def test_scalar_settings_give_unbatched_rows(self):
+        batch = two_photon_batch(0.4, 0.7, 1.9, 2.2, 0.3)
+        assert batch.amplitudes.shape == (16,)
+        assert batch.probabilities.shape == (4, 4)
+        s = settings(0.4, 0.7, 1.9, 2.2, 0.3)
+        np.testing.assert_array_equal(
+            batch.probabilities, coincidence_probabilities(s).matrix
+        )
+
+    def test_settings_broadcast(self):
+        phi1 = np.linspace(0.0, PI, 5)
+        batch = two_photon_batch(0.4, phi1, 1.9, 2.2, 0.3, BETA_SPLIT, 0.0)
+        assert batch.probabilities.shape == (5, 4, 4)
+        for k, p in enumerate(phi1):
+            s = settings(0.4, p, 1.9, 2.2, 0.3, BETA_SPLIT, 0.0)
+            np.testing.assert_array_equal(
+                batch.probabilities[k], coincidence_probabilities(s).matrix
+            )
+
+    def test_closed_forms_broadcast_row_by_row(self):
+        rng = np.random.default_rng(31)
+        alpha = rng.uniform(0, PI / 2, size=(3, 1))
+        pa = ToolboxPhases(rng.uniform(0, 2 * PI, size=4), 0.8)
+        pb = ToolboxPhases(1.3, rng.uniform(0, 2 * PI, size=(3, 4)))
+        forms = coincidence_closed_forms(alpha, pa, pb)
+        assert forms.shape == (3, 4, 4, 4)
+        for i, j in itertools.product(range(3), range(4)):
+            one = coincidence_closed_forms(
+                alpha[i, 0], ToolboxPhases(pa.phi1[j], 0.8), ToolboxPhases(1.3, pb.phi2[i, j])
+            )
+            assert forms[i, j].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
+    def test_cross_check_names_the_failing_row(self, monkeypatch, beta):
+        exact = entangle.wave_state
+
+        def perturbed(phi1, beta=BETA_SPLIT):
+            w = exact(phi1, beta)
+            amps = w.amplitudes.copy()
+            amps[2] += 1e-9  # one row of the batch
+            return PureState(w.basis, amps)
+
+        monkeypatch.setattr(entangle, "wave_state", perturbed)
+        alpha = np.linspace(0.1, 1.4, 5)
+        phi1 = np.linspace(0.3, 5.0, 5)
+        with pytest.raises(
+            RuntimeError, match=r"pair state disagrees with propagation .* at row 2 \(alpha="
+        ):
+            two_photon_batch(alpha, phi1, 1.9, 0.6, 2.4, beta, beta)
+
+    def test_closed_form_table_check_names_the_failing_row(self, monkeypatch):
+        exact = entangle.coincidence_closed_forms
+
+        def perturbed(alpha, phases_a, phases_b):
+            forms = exact(alpha, phases_a, phases_b).copy()
+            forms[3, 1, 2] += 1e-9
+            return forms
+
+        monkeypatch.setattr(entangle, "coincidence_closed_forms", perturbed)
+        phi1 = np.linspace(0.3, 5.0, 5)
+        with pytest.raises(
+            RuntimeError, match=r"coincidence table disagrees with propagation .* at row 3 \("
+        ):
+            two_photon_batch(0.7, phi1, 1.9, 0.6, 2.4)
+        # the closed forms only hold, and are only compared, at pi/8
+        two_photon_batch(0.7, phi1, 1.9, 0.6, 2.4, BETA_SPLIT, 0.3)
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_balanced_rows_keep_symmetries_and_normalization(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+
+        def column(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
+        phases = [column(st.floats(0.0, 2 * PI)) for _ in range(4)]
+        scale = column(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        tables = two_photon_batch(
+            column(st.floats(0.0, PI / 2)), *phases, fringe_scale=scale
+        ).probabilities
+        np.testing.assert_allclose(tables.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+        for (a, b), (c, d) in SYMMETRIC_PAIRS:
+            np.testing.assert_allclose(
+                tables[:, a - 1, b - 1], tables[:, c - 1, d - 1], rtol=0, atol=1e-12
+            )
 
 
 class TestWitness:
@@ -222,6 +374,17 @@ class TestConcurrence:
 
 
 class TestGhzExtension:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_basis_matches_nested_products(self, n):
+        nested = entangle._photon_basis(0)
+        for k in range(1, n):
+            nested = product_basis(nested, entangle._photon_basis(k))
+        basis = ghz_output(n, 0.4).basis
+        assert basis.labels == nested.labels
+        assert basis.factors == nested.factors
+        if n == 1:
+            assert basis.factors is None and basis.labels == ("1", "2", "3", "4")
+
     def test_photon_number_bounds(self):
         with pytest.raises(ValueError, match="photon number"):
             ghz_output(0, PI / 4)

@@ -153,6 +153,19 @@ class TestBatchedCircuits:
             one = interferometer_circuit(phi1[k], phi2[k], beta[k]).propagate(pol_state(alpha[k]))
             np.testing.assert_array_equal(out.amplitudes[k], one.amplitudes)
 
+    def test_network_matrix_stacks_each_setting(self):
+        rng = np.random.default_rng(22)
+        phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 2, 3))
+        beta = np.array([0.0, BALANCED, 0.3])
+        stack = network_matrix(phi1, phi2, beta)
+        assert stack.shape == (2, 3, 4, 2)
+        for i in range(2):
+            for k in range(3):
+                np.testing.assert_allclose(
+                    stack[i, k], network_matrix(phi1[i, k], phi2[i, k], beta[k]),
+                    rtol=0, atol=1e-15,
+                )
+
     def test_matrix_needs_an_unbatched_circuit(self):
         circ = interferometer_circuit(np.array([0.1, 0.2]), np.array([0.3, 0.4]), BALANCED)
         with pytest.raises(ValueError, match="unbatched"):

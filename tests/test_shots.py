@@ -2,13 +2,17 @@
 import numpy as np
 import pytest
 
-from wptoolbox.entangle import TwoPhotonSettings, coincidence_probabilities, entanglement_witness
+from wptoolbox.entangle import (
+    TwoPhotonSettings,
+    coincidence_probabilities,
+    entanglement_witness,
+    mixture_coincidence_probabilities,
+)
 from wptoolbox.shots import (
     CountTable,
     NoiseModel,
     WitnessEstimate,
     apply_noise,
-    apply_noise_table,
     estimate_probabilities,
     estimate_witness,
     noisy_coincidence_probabilities,
@@ -172,12 +176,16 @@ class TestNoise:
 
     def test_noisy_table_still_normalized(self):
         s = TwoPhotonSettings(phases_a=ToolboxPhases(1.2, 0.1))
-        ideal = coincidence_probabilities(s)
-        noisy = apply_noise_table(
-            ideal, noisy_coincidence_probabilities(s, NoiseModel(dephase_wp=1.0)),
-            NoiseModel(visibility=0.3),
-        )
+        noisy = noisy_coincidence_probabilities(s, NoiseModel(visibility=0.3))
         assert noisy.matrix.sum() == pytest.approx(1.0, abs=1e-12)
+        # interpolated toward the mixture table by the fringe scale
+        ideal = coincidence_probabilities(s).matrix
+        baseline = mixture_coincidence_probabilities(s).matrix
+        np.testing.assert_allclose(
+            noisy.matrix, baseline + 0.3 * (ideal - baseline), rtol=0, atol=1e-15
+        )
+        dephased = noisy_coincidence_probabilities(s, NoiseModel(dephase_wp=1.0))
+        np.testing.assert_array_equal(dephased.matrix, baseline)
 
 
 class TestWitnessEstimation:
@@ -211,6 +219,18 @@ class TestWitnessEstimation:
         mean = np.mean(estimates)
         stderr = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
         assert abs(mean - 0.25) < 3 * stderr
+
+    def test_coherence_reads_high_near_zero(self):
+        # the documented bias: a flat P1 = P2 reads sqrt(2/pi) sqrt(n1 + n2) / N
+        n, seeds = 10_000, 400
+        estimates = [
+            estimate_witness(sample_counts(FLAT4, n, seed=s), "coherence").value
+            for s in range(seeds)
+        ]
+        expected = np.sqrt(2 / PI) * np.sqrt(n / 2) / n
+        stderr = np.std(estimates, ddof=1) / np.sqrt(seeds)
+        assert abs(np.mean(estimates) - expected) < 4 * stderr
+        assert np.mean(estimates) > 10 * stderr  # far from the true value 0
 
     def test_shape_mismatches_rejected(self):
         four = CountTable(np.array([5, 5, 5, 5]), 20, seed=0)

@@ -1,9 +1,10 @@
 """sha256 manifest of the fixed-seed CLI outputs, to show a change keeps every byte.
 
-Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise, a
-``beta`` sweep, ``--mixed``, both witnesses, ``two-photon``, ``ghz`` at 1, 6
-and 8 photons) plus ``verify``, and hashes every output file and every
-command's stdout.  Usage::
+Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
+``beta`` sweeps, ``--mixed``, both witnesses, ``two-photon`` tables and
+sweeps with and without noise, ``ghz`` at 1, 6 and 8 photons) plus
+``verify``, and hashes every output file and every command's stdout.
+Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
     python3 tools/cli_checksums.py --check old.sha256
@@ -47,9 +48,22 @@ COMMANDS = [
                         "--seed", "5"]),
     ("pair_sweep.csv", ["two-photon", "--sweep", "phi1", "--start", "0",
                         "--stop", "360", "--steps", "9"]),
+    ("pair_mixed.csv", ["two-photon", "--mixed", "--shots", "2000"]),
+    # half-degree steps: a mixture weight squared as an array rather than
+    # like the scalar x ** 2 changes the last digit of some of these rows
+    ("pair_alpha_noise.csv", ["two-photon", "--phi1-deg", "290", "--phi2-deg", "42",
+                              "--phi1p-deg", "180", "--phi2p-deg", "95",
+                              "--sweep", "alpha", "--start", "0", "--stop", "90",
+                              "--steps", "181", "--beta-deg", "22.5", "--betap-deg", "0",
+                              "--visibility", "0.6", "--dephase", "0.2"]),
+    ("pair_beta.csv", ["two-photon", "--alpha-deg", "30", "--phi1-deg", "80",
+                       "--phi2-deg", "40", "--sweep", "beta", "--start", "0",
+                       "--stop", "45", "--steps", "17"]),
     ("entanglement.csv", ["witness-entanglement"]),
     ("entanglement_shots.csv", ["witness-entanglement", "--shots", "5000",
                                 "--seed", "9"]),
+    ("entanglement_noise.csv", ["witness-entanglement", "--visibility", "0.7",
+                                "--shots", "4000"]),
     ("ghz1.csv", ["ghz", "--photons", "1"]),
     ("ghz6.json", ["ghz", "--photons", "6", "--alpha-deg", "30",
                    "--phi1-deg", "70", "--format", "json"]),
