@@ -7,37 +7,36 @@ four-path network.  Feeding the polarization-entangled pair
 the two photons is perfectly correlated, and the degree of entanglement is
 steered by the same angle ``alpha`` that steers single-photon coherence.
 
-As in :mod:`wptoolbox.toolbox`, every table is computed by two independent
+As in :mod:`wptoolbox.toolbox`, every state is computed by two independent
 routes (closed-form expressions and tensor propagation) and the routes are
-compared on every call.
+compared on every call, by the engine :func:`wptoolbox.toolbox._history_batch`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .optics import PATHS, network_matrix
+from .optics import PATHS
 from .qcore import (
     DensityMatrix,
     ModeBasis,
     PureState,
     as_values,
     broadcast_values,
-    mix,
     product_basis,
     stack_last,
 )
 from .toolbox import (
     BETA_SPLIT,
-    CROSSCHECK_ATOL,
     ToolboxPhases,
     _check,
     _check_alpha,
-    particle_state,
-    wave_state,
+    _Histories,
+    _history_batch,
 )
 
 PRIMED_PATHS: tuple[str, str, str, str] = ("1'", "2'", "3'", "4'")
@@ -48,6 +47,9 @@ _PAIR_BASIS = product_basis(ModeBasis(PATHS), ModeBasis(PRIMED_PATHS))
 _POL_PAIR_BASIS = product_basis(ModeBasis(("V", "H")), ModeBasis(("V'", "H'")))
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y)
+
+#: the settings of a pair, in the argument order of :func:`two_photon_batch`
+_PAIR_NAMES = ("alpha", "phi1", "phi2", "phi1_prime", "phi2_prime", "beta", "beta_prime")
 
 
 @dataclass(frozen=True)
@@ -114,30 +116,26 @@ def prepare_entangled_input(alpha) -> PureState:
     return PureState(_POL_PAIR_BASIS, stack_last([c, zero, zero, s]))
 
 
-def _component_states(s: TwoPhotonSettings):
-    wa = wave_state(s.phases_a.phi1, s.beta_a).amplitudes
-    pa = particle_state(s.phases_a.phi2, s.beta_a).amplitudes
-    wb = wave_state(s.phases_b.phi1, s.beta_b).amplitudes
-    pb = particle_state(s.phases_b.phi2, s.beta_b).amplitudes
-    return wa, pa, wb, pb
+def _pair_settings(s: TwoPhotonSettings) -> dict:
+    """The settings ``s`` by name, as broadcast values."""
+    values = (s.alpha, s.phases_a.phi1, s.phases_a.phi2, s.phases_b.phi1, s.phases_b.phi2,
+              s.beta_a, s.beta_b)
+    return dict(zip(_PAIR_NAMES, broadcast_values(*values)))
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product amplitudes ``a (x) b`` of each row, shape ``(..., 16)``."""
-    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (16,))
-
-
-def _mixture(alpha, ww: np.ndarray, pp: np.ndarray) -> DensityMatrix:
-    """``cos^2(alpha) |ww'><ww'| + sin^2(alpha) |pp'><pp'|``, batched like ``alpha``.
-
-    ``float_power`` squares round like the scalar ``x ** 2``.
-    """
-    return mix(
-        [
-            (PureState(_PAIR_BASIS, ww), np.float_power(np.cos(alpha), 2)),
-            (PureState(_PAIR_BASIS, pp), np.float_power(np.sin(alpha), 2)),
-        ]
+def _pair_histories(settings: dict, coeffs, terms, what: str) -> _Histories:
+    """The engine's case of a pair source at broadcast ``settings``."""
+    per_photon = (
+        stack_last([settings[name], settings[name + "_prime"]])
+        for name in ("phi1", "phi2", "beta")
     )
+    return _history_batch(coeffs, terms, *per_photon, what, settings)
+
+
+def _entangled(settings: dict) -> _Histories:
+    """The pair ``cos(alpha)|VV'> + sin(alpha)|HH'>`` through the engine."""
+    a = _check_alpha(settings["alpha"])
+    return _pair_histories(settings, (np.cos(a), np.sin(a)), ((0, 0), (1, 1)), "pair state")
 
 
 class PairBatch(NamedTuple):
@@ -166,10 +164,10 @@ def two_photon_batch(
 
     The arguments are numbers or arrays that broadcast to one batch shape;
     unprimed settings belong to photon A, primed ones to photon B.  Every
-    row is computed two ways: the closed form ``cos(alpha)|w w'> +
-    sin(alpha)|p p'>`` from both photons' wave and particle states, and the
-    polarization pair propagated through each photon's batched
-    :func:`~wptoolbox.optics.interferometer_circuit`.  The two are compared
+    row is computed two ways by :func:`~wptoolbox.toolbox._history_batch`:
+    the closed form ``cos(alpha)|w w'> + sin(alpha)|p p'>`` from both
+    photons' wave and particle states, and the polarization pair propagated
+    through each photon's batched network matrix.  The two are compared
     at ``CROSSCHECK_ATOL``: the amplitudes on every row, and on rows where
     both mixers are at ``pi/8`` the Born table also against
     :func:`coincidence_closed_forms`.  A mismatch raises ``RuntimeError``
@@ -183,27 +181,11 @@ def two_photon_batch(
     alpha, phi1, phi2, phi1p, phi2p, beta, betap, scale = broadcast_values(
         alpha, phi1, phi2, phi1_prime, phi2_prime, beta, beta_prime, fringe_scale
     )
-    shape = np.shape(alpha)
-    settings = {
-        "alpha": alpha, "phi1": phi1, "phi2": phi2, "phi1_prime": phi1p,
-        "phi2_prime": phi2p, "beta": beta, "beta_prime": betap,
-    }
+    settings = dict(zip(_PAIR_NAMES, (alpha, phi1, phi2, phi1p, phi2p, beta, betap)))
+    histories = _entangled(settings)
 
-    ww = _pair(wave_state(phi1, beta).amplitudes, wave_state(phi1p, betap).amplitudes)
-    pp = _pair(
-        particle_state(phi2, beta).amplitudes, particle_state(phi2p, betap).amplitudes
-    )
-    amps = np.cos(alpha)[..., None] * ww + np.sin(alpha)[..., None] * pp
-    # propagation route: transfer_a @ (2x2 polarization amplitudes) @ transfer_b^T
-    pol = prepare_entangled_input(alpha).amplitudes.reshape(shape + (2, 2))
-    propagated = (
-        network_matrix(phi1, phi2, beta)
-        @ pol
-        @ np.swapaxes(network_matrix(phi1p, phi2p, betap), -1, -2)
-    )
-    _check("pair state", np.abs(amps - propagated.reshape(amps.shape)), settings)
-
-    probs = (np.abs(amps) ** 2).reshape(shape + (4, 4))
+    amps = histories.amplitudes
+    probs = (np.abs(amps) ** 2).reshape(np.shape(alpha) + (4, 4))
     balanced = (beta == BETA_SPLIT) & (betap == BETA_SPLIT)
     if balanced.any():
         closed = coincidence_closed_forms(
@@ -212,21 +194,14 @@ def two_photon_batch(
         dev = np.where(balanced[..., None, None], np.abs(closed - probs), 0.0)
         _check("coincidence table", dev, settings)
 
-    noisy = scale != 1.0
-    if noisy.any():
-        baseline = _mixture(alpha, ww, pp).probabilities().reshape(probs.shape)
-        noisy_probs = baseline + scale[..., None, None] * (probs - baseline)
-        probs = np.where(noisy[..., None, None], noisy_probs, probs)
+    probs = histories.fringe_scaled(probs, scale, _PAIR_BASIS)
     _check_tables(probs)
     return PairBatch(amps, probs)
 
 
 def _pair_batch(s: TwoPhotonSettings, fringe_scale=1.0) -> PairBatch:
     """:func:`two_photon_batch` at the settings ``s``."""
-    return two_photon_batch(
-        s.alpha, s.phases_a.phi1, s.phases_a.phi2, s.phases_b.phi1, s.phases_b.phi2,
-        s.beta_a, s.beta_b, fringe_scale,
-    )
+    return two_photon_batch(*_pair_settings(s).values(), fringe_scale)
 
 
 def two_photon_output(s: TwoPhotonSettings) -> PureState:
@@ -241,8 +216,7 @@ def two_photon_output(s: TwoPhotonSettings) -> PureState:
 
 def mixture_two_photon_output(s: TwoPhotonSettings) -> DensityMatrix:
     """Classical mixture ``cos^2 |ww'><ww'| + sin^2 |pp'><pp'|``."""
-    wa, pa, wb, pb = _component_states(s)
-    return _mixture(as_values(s.alpha), _pair(wa, wb), _pair(pa, pb))
+    return _entangled(_pair_settings(s)).mixture(_PAIR_BASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +301,23 @@ def entanglement_witness(table: CoincidenceTable) -> float:
 # concurrence
 # ---------------------------------------------------------------------------
 
-def _sector_isometry(s: TwoPhotonSettings) -> np.ndarray:
-    """16x4 isometry onto span{|ww'>, |wp'>, |pw'>, |pp'>}."""
-    wa, pa, wb, pb = _component_states(s)
+def _sector_isometry(histories: _Histories) -> np.ndarray:
+    """16x4 isometry onto span{|ww'>, |wp'>, |pw'>, |pp'>} of one pair setting."""
+    (wa, wb), (pa, pb) = histories.waves, histories.particles
     cols = [np.kron(wa, wb), np.kron(wa, pb), np.kron(pa, wb), np.kron(pa, pb)]
     return np.stack(cols, axis=1)
+
+
+def _in_sector(state: PureState | DensityMatrix, basis: np.ndarray) -> np.ndarray:
+    """``state`` in the sector ``basis``; raises if weight lies outside it."""
+    if isinstance(state, PureState):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
+    sector = basis.conj().T @ rho @ basis
+    if abs(np.trace(sector).real - 1.0) > 1e-10:
+        raise ValueError("state is not expressible in the wave/particle sector")
+    return sector
 
 
 def sector_projection(
@@ -343,15 +329,7 @@ def sector_projection(
     settings.  Raises if the state has weight outside this sector, since a
     two-qubit description would then be lossy.
     """
-    basis = _sector_isometry(s)
-    if isinstance(state, PureState):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.matrix
-    sector = basis.conj().T @ rho @ basis
-    if abs(np.trace(sector).real - 1.0) > 1e-10:
-        raise ValueError("state is not expressible in the wave/particle sector")
-    return sector
+    return _in_sector(state, _sector_isometry(_entangled(_pair_settings(s))))
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -381,14 +359,13 @@ def concurrence(s: TwoPhotonSettings, mixed: bool = False) -> float:
     For the pure output the spin-flip value is verified against the direct
     pure-state formula ``2 |c_ww c_pp - c_wp c_pw|``.
     """
+    histories = _entangled(_pair_settings(s))
+    basis = _sector_isometry(histories)
     if mixed:
-        return wootters_concurrence(
-            sector_projection(mixture_two_photon_output(s), s)
-        )
-    state = two_photon_output(s)
-    rho = sector_projection(state, s)
-    value = wootters_concurrence(rho)
-    coeffs = _sector_isometry(s).conj().T @ state.amplitudes
+        return wootters_concurrence(_in_sector(histories.mixture(_PAIR_BASIS), basis))
+    state = PureState(_PAIR_BASIS, histories.amplitudes)
+    value = wootters_concurrence(_in_sector(state, basis))
+    coeffs = basis.conj().T @ state.amplitudes
     direct = 2 * abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2])
     if abs(value - direct) > 1e-10:
         raise RuntimeError(
@@ -409,31 +386,24 @@ def vh_variant_output(s: TwoPhotonSettings) -> PureState:
     a maximally entangled sector state regardless of the phases.  ``alpha``
     in ``s`` is ignored.
     """
-    wa, pa, wb, pb = _component_states(s)
-    amps = (np.kron(wa, pb) + np.kron(pa, wb)) / np.sqrt(2.0)
-    closed = PureState(_PAIR_BASIS, amps)
-
-    ma = network_matrix(s.phases_a.phi1, s.phases_a.phi2, s.beta_a)
-    mb = network_matrix(s.phases_b.phi1, s.phases_b.phi2, s.beta_b)
-    pol_in = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    propagated = np.kron(ma, mb) @ pol_in
-    dev = np.max(np.abs(closed.amplitudes - propagated))
-    if dev > CROSSCHECK_ATOL:
-        raise RuntimeError(
-            f"variant pair state disagrees with propagation by {dev:.3e}"
-        )
-    return closed
+    settings = _pair_settings(s)
+    del settings["alpha"]
+    c = np.sqrt(0.5)
+    histories = _pair_histories(settings, (c, c), ((0, 1), (1, 0)), "variant pair state")
+    return PureState(_PAIR_BASIS, histories.amplitudes)
 
 
 def _photon_basis(k: int) -> ModeBasis:
     return ModeBasis(tuple(path + "'" * k for path in PATHS))
 
 
+@lru_cache(maxsize=MAX_PHOTONS)
 def _n_photon_basis(n: int) -> ModeBasis:
     """Path basis of n photons, photon k's labels primed k times.
 
     The same labels, order and factors as nested :func:`product_basis`
-    calls, built in one pass; one photon keeps its plain basis.
+    calls, built in one pass and once per n; one photon keeps its plain
+    basis.
     """
     if n == 1:
         return _photon_basis(0)
@@ -455,30 +425,13 @@ def ghz_output(
     """
     if not isinstance(n, int) or not 1 <= n <= MAX_PHOTONS:
         raise ValueError(f"photon number must be an integer in [1, {MAX_PHOTONS}]")
-    w = wave_state(phases.phi1, beta).amplitudes
-    p = particle_state(phases.phi2, beta).amplitudes
-    w_all, p_all = w, p
-    for _ in range(1, n):
-        w_all = np.kron(w_all, w)
-        p_all = np.kron(p_all, p)
-    amps = np.cos(alpha) * w_all + np.sin(alpha) * p_all
-    closed = PureState(_n_photon_basis(n), amps)
-
-    # propagation route: network matrix applied to each axis of the
-    # polarization tensor cos|V..V> + sin|H..H>
-    pol = np.zeros((2,) * n)
-    pol[(0,) * n] = np.cos(alpha)
-    pol[(1,) * n] = np.sin(alpha)
-    m = network_matrix(phases.phi1, phases.phi2, beta)
-    t = pol.astype(np.complex128)
-    for k in range(n):
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
-    dev = np.max(np.abs(closed.amplitudes - t.reshape(-1)))
-    if dev > CROSSCHECK_ATOL:
-        raise RuntimeError(
-            f"closed-form n-photon state disagrees with propagation by {dev:.3e}"
-        )
-    return closed
+    alpha, phi1, phi2, beta = map(as_values, (alpha, phases.phi1, phases.phi2, beta))
+    settings = {"alpha": alpha, "phi1": phi1, "phi2": phi2, "beta": beta}
+    histories = _history_batch(
+        (np.cos(alpha), np.sin(alpha)), ((0,) * n, (1,) * n),
+        np.full(n, phi1), np.full(n, phi2), np.full(n, beta), "n-photon state", settings,
+    )
+    return PureState(_n_photon_basis(n), histories.amplitudes)
 
 
 def ghz_sector_probabilities(

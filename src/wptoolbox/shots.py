@@ -129,21 +129,6 @@ def estimate_probabilities(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
 # noise
 # ---------------------------------------------------------------------------
 
-def apply_noise(probs: SingleProbabilities, model: NoiseModel) -> SingleProbabilities:
-    """Scale the interference terms of a balanced-mixer detector signal.
-
-    Only valid when ``ic``/``is_`` are genuine fringe amplitudes (mixers at
-    pi/8); with mixers off use :func:`noisy_single_probabilities`, which
-    interpolates toward the correct baseline for any setting.
-    """
-    k = model.fringe_scale
-    ic, is_ = k * probs.ic, k * probs.is_
-    return SingleProbabilities(
-        probs.pc + ic, probs.pc - ic, probs.ps + is_, probs.ps - is_,
-        probs.pc, probs.ps, ic, is_,
-    )
-
-
 def noisy_single_probabilities(
     alpha: float,
     phases: ToolboxPhases = ToolboxPhases(),

@@ -12,7 +12,8 @@ expressions and by propagating the state through the element-by-element
 circuit.  A disagreement beyond ``CROSSCHECK_ATOL`` raises, so a regression
 in either route cannot go unnoticed.  :func:`single_photon_batch` does both
 for a whole sweep of settings in one call; the single-setting functions are
-its N=1 case.
+its N=1 case.  It is the one-photon case of :func:`_history_batch`, the
+engine behind the pair and n-photon sources of :mod:`wptoolbox.entangle`.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import PATHS, POLS, interferometer_circuit
+from .optics import PATHS, POLS, network_matrix
 from .qcore import (
     DensityMatrix,
     ModeBasis,
@@ -96,8 +97,7 @@ def prepare_input(alpha) -> PureState:
 def _check_alpha(alpha):
     """``alpha`` as values; raises unless finite, warns outside ``[0, pi/2]``.
 
-    The warning points at the caller of the state preparation that called
-    this.
+    The warning points at the caller of the function that called this.
     """
     a = as_values(alpha)
     inside = (0.0 <= a) & (a <= np.pi / 2)
@@ -150,21 +150,93 @@ def mixed_output(
     """Classical wave/particle mixture with the same weights as the pure output.
 
     This is the state obtained by deleting the coherence between the two
-    histories: ``cos^2(alpha) |w><w| + sin^2(alpha) |p><p|``.  Array
-    settings give a batch of density matrices.
+    histories: ``cos^2(alpha) |w><w| + sin^2(alpha) |p><p|``, from the
+    cross-checked engine.  Array settings give a batch of density matrices.
     """
-    a = as_values(alpha)
-    return mix(
-        [
-            (wave_state(phases.phi1, beta), np.float_power(np.cos(a), 2)),
-            (particle_state(phases.phi2, beta), np.float_power(np.sin(a), 2)),
-        ]
-    )
+    return _single_photon(_single_settings(alpha, phases, beta)).mixture(_PATH_BASIS)
 
 
 # ---------------------------------------------------------------------------
-# the batched engine
+# the source-term engine
 # ---------------------------------------------------------------------------
+
+class _Histories(NamedTuple):
+    """The checked output ``S + (4**n,)`` of :func:`_history_batch`, each
+    term's product state, and each photon's histories ``S + (n, 4)``."""
+
+    amplitudes: np.ndarray
+    coeffs: tuple
+    terms: list
+    waves: np.ndarray
+    particles: np.ndarray
+
+    def mixture(self, basis: ModeBasis) -> DensityMatrix:
+        """``sum_t c_t^2 |term_t><term_t|``; ``float_power`` rounds like ``x ** 2``."""
+        pairs = zip(self.coeffs, self.terms)
+        return mix((PureState(basis, t), np.float_power(c, 2)) for c, t in pairs)
+
+    def fringe_scaled(self, probs: np.ndarray, scale, basis: ModeBasis) -> np.ndarray:
+        """Rows whose scale is not 1 become ``baseline + scale * (probs -
+        baseline)``, the baseline being the statistics of :meth:`mixture`."""
+        noisy = scale != 1.0
+        if not noisy.any():
+            return probs
+        baseline = self.mixture(basis).probabilities().reshape(probs.shape)
+        rows = (...,) + (None,) * (probs.ndim - np.ndim(scale))
+        return np.where(noisy[rows], baseline + scale[rows] * (probs - baseline), probs)
+
+
+def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histories:
+    """Output of the source ``sum_t coeffs[t] |patterns[t]>``, checked both ways.
+
+    The distinct patterns hold 0 (V) or 1 (H) per photon; V leaves as the
+    photon's wave history and H as its particle history, so the closed form
+    is ``sum_t c_t (x)_k history_{t,k}``.  Row by row (:func:`_check`,
+    naming ``what``) it must match photon k's transfer matrix applied to
+    axis k of the polarization source.  Coefficients broadcast to the batch
+    shape ``S`` of ``settings``; ``phi1``, ``phi2`` and ``beta`` are per
+    photon, ``S + (n,)``, or ``S`` for one photon, which keeps one setting
+    unbatched.
+    """
+    shape, n = np.shape(next(iter(settings.values()))), len(patterns[0])
+    waves = wave_state(phi1, beta).amplitudes.reshape(shape + (n, 4))
+    particles = particle_state(phi2, beta).amplitudes.reshape(shape + (n, 4))
+    histories = (waves, particles)
+    terms = []
+    for pattern in patterns:
+        state = histories[pattern[0]][..., 0, :]
+        for k, h in enumerate(pattern[1:], 1):
+            b = histories[h][..., k, :]
+            state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
+        terms.append(state)
+    amps = coeffs[0][..., None] * terms[0]
+    for c, term in zip(coeffs[1:], terms[1:]):
+        amps = amps + c[..., None] * term
+
+    source = np.zeros(shape + (2**n,), dtype=np.complex128)
+    for c, pattern in zip(coeffs, patterns):
+        source[..., int("".join(map(str, pattern)), 2)] = c
+    mats = network_matrix(phi1, phi2, beta).reshape(shape + (n, 4, 2))
+    for k in range(n):
+        # photon k's polarization axis leads; its four paths move to the back,
+        # so after n steps the photons are back in order
+        source = np.swapaxes(mats[..., k, :, :] @ source.reshape(shape + (2, -1)), -1, -2)
+    _check(what, np.abs(amps - source.reshape(amps.shape)), settings)
+    return _Histories(amps, tuple(coeffs), terms, waves, particles)
+
+
+def _single_photon(settings: dict) -> _Histories:
+    """``cos(alpha)|V> + sin(alpha)|H>`` through the engine at broadcast ``settings``."""
+    a = _check_alpha(settings["alpha"])
+    return _history_batch((np.cos(a), np.sin(a)), ((0,), (1,)), settings["phi1"],
+                          settings["phi2"], settings["beta"], "output", settings)
+
+
+def _single_settings(alpha, phases: ToolboxPhases, beta) -> dict:
+    """One photon's settings by name, as broadcast values."""
+    values = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
+    return dict(zip(("alpha", "phi1", "phi2", "beta"), values))
+
 
 def _balanced_terms(alpha, phi1, phi2) -> tuple:
     """Closed forms ``pc, ps, ic, is_`` of the balanced-mixer (pi/8) signals.
@@ -206,13 +278,14 @@ def single_photon_batch(
     """Evaluate and cross-check a batch of single-photon settings in one call.
 
     The arguments are numbers or arrays that broadcast to one batch shape.
-    Every row is computed two ways, as a closed form and by propagating the
-    input through a batched :func:`interferometer_circuit`, and the two are
-    compared at ``CROSSCHECK_ATOL``: the amplitudes on every row, and the
-    probabilities on rows at ``beta = pi/8``, where the closed forms of
-    :func:`detection_probabilities` apply and give the result.  Other rows
-    take the Born probabilities of the checked output.  A mismatch raises
-    ``RuntimeError`` naming the first failing row and its settings.
+    Every row is computed two ways by :func:`_history_batch`, as a closed
+    form and by propagating the input through the batched network matrix,
+    and the two are compared at ``CROSSCHECK_ATOL``: the amplitudes on every
+    row, and the probabilities on rows at ``beta = pi/8``, where the closed
+    forms of :func:`detection_probabilities` apply and give the result.
+    Other rows take the Born probabilities of the checked output.  A
+    mismatch raises ``RuntimeError`` naming the first failing row and its
+    settings.
 
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
@@ -220,14 +293,9 @@ def single_photon_batch(
     """
     alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
     settings = {"alpha": alpha, "phi1": phi1, "phi2": phi2, "beta": beta}
+    histories = _single_photon(settings)
 
-    amps = (
-        np.cos(alpha)[..., None] * wave_state(phi1, beta).amplitudes
-        + np.sin(alpha)[..., None] * particle_state(phi2, beta).amplitudes
-    )
-    propagated = interferometer_circuit(phi1, phi2, beta).propagate(prepare_input(alpha))
-    _check("output", np.abs(amps - propagated.amplitudes), settings)
-
+    amps = histories.amplitudes
     probs = np.abs(amps) ** 2
     balanced = beta == BETA_SPLIT
     if balanced.any():
@@ -235,13 +303,7 @@ def single_photon_batch(
         forms = stack_last([pc + ic, pc - ic, ps + is_, ps - is_])
         born, probs = probs, np.where(balanced[..., None], forms, probs)
         _check("probabilities", np.abs(probs - born), settings)
-
-    noisy = scale != 1.0
-    if noisy.any():
-        baseline = mixed_output(alpha, ToolboxPhases(phi1, phi2), beta).probabilities()
-        noisy_probs = baseline + scale[..., None] * (probs - baseline)
-        probs = np.where(noisy[..., None], noisy_probs, probs)
-    return SingleBatch(amps, probs)
+    return SingleBatch(amps, histories.fringe_scaled(probs, scale, _PATH_BASIS))
 
 
 def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
@@ -332,15 +394,15 @@ def coherence(
     2x2 matrix are summed.  For the pure output this equals ``|sin(2 alpha)|``;
     for the mixture it is zero.
     """
-    w = wave_state(phases.phi1, beta).amplitudes
-    p = particle_state(phases.phi2, beta).amplitudes
+    histories = _single_photon(_single_settings(alpha, phases, beta))
+    w, p = histories.waves[0], histories.particles[0]
     overlap = np.vdot(w, p)
     if abs(overlap) > 1e-12:
         raise RuntimeError(f"wave/particle basis not orthogonal: {abs(overlap):.3e}")
     if mixed:
-        rho = mixed_output(alpha, phases, beta).matrix
+        rho = histories.mixture(_PATH_BASIS).matrix
     else:
-        amps = output_state(alpha, phases, beta).amplitudes
+        amps = histories.amplitudes
         rho = np.outer(amps, amps.conj())
     basis = np.stack([w, p], axis=1)  # 4x2, columns are the sector states
     sector = basis.conj().T @ rho @ basis

@@ -8,6 +8,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import wptoolbox.entangle as entangle
+import wptoolbox.toolbox as toolbox
 from wptoolbox.entangle import (
     CoincidenceTable,
     TwoPhotonSettings,
@@ -257,7 +258,7 @@ class TestPairEngine:
 
     @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
     def test_cross_check_names_the_failing_row(self, monkeypatch, beta):
-        exact = entangle.wave_state
+        exact = toolbox.wave_state
 
         def perturbed(phi1, beta=BETA_SPLIT):
             w = exact(phi1, beta)
@@ -265,7 +266,7 @@ class TestPairEngine:
             amps[2] += 1e-9  # one row of the batch
             return PureState(w.basis, amps)
 
-        monkeypatch.setattr(entangle, "wave_state", perturbed)
+        monkeypatch.setattr(toolbox, "wave_state", perturbed)
         alpha = np.linspace(0.1, 1.4, 5)
         phi1 = np.linspace(0.3, 5.0, 5)
         with pytest.raises(
@@ -421,6 +422,57 @@ class TestGhzExtension:
         out = ghz_output(8, PI / 4, ToolboxPhases(0.3, 0.8), beta=BETA_SPLIT)
         assert out.basis.dimension == 4**8
         assert out.norm() == pytest.approx(1.0, abs=1e-11)
+
+
+class TestSourceTermEngine:
+    """Single, pair, variant and n-photon outputs share one checked engine."""
+
+    @pytest.fixture
+    def perturbed_wave(self, monkeypatch):
+        exact = toolbox.wave_state
+
+        def perturbed(phi1, beta=BETA_SPLIT):
+            w = exact(phi1, beta)
+            return PureState(w.basis, w.amplitudes + 1e-9)
+
+        monkeypatch.setattr(toolbox, "wave_state", perturbed)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_perturbed_closed_form_raises_for_ghz(self, perturbed_wave, n):
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
+
+    def test_perturbed_closed_form_raises_for_variant_and_concurrence(self, perturbed_wave):
+        s = settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2, phi2p=0.1)
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            vh_variant_output(s)
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            concurrence(s)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_concurrence_evaluates_the_histories_once(self, monkeypatch, mixed):
+        calls = {"wave_state": 0, "particle_state": 0}
+
+        def counted(name):
+            exact = getattr(toolbox, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return exact(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(toolbox, name, counted(name))
+        concurrence(settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2), mixed=mixed)
+        assert calls == {"wave_state": 1, "particle_state": 1}
+
+    @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
+    def test_two_photon_ghz_is_the_pair_bit_for_bit(self, beta):
+        phi1, phi2 = 1.3, 0.4
+        ghz = ghz_output(2, 0.7, ToolboxPhases(phi1, phi2), beta)
+        pair = two_photon_output(settings(0.7, phi1, phi2, phi1, phi2, beta, beta))
+        assert ghz.basis == pair.basis
+        assert ghz.amplitudes.tobytes() == pair.amplitudes.tobytes()
 
 
 def sector_atol(n):

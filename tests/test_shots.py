@@ -12,7 +12,6 @@ from wptoolbox.shots import (
     CountTable,
     NoiseModel,
     WitnessEstimate,
-    apply_noise,
     estimate_probabilities,
     estimate_witness,
     noisy_coincidence_probabilities,
@@ -124,21 +123,40 @@ class TestPoissonError:
         assert hits / trials >= 0.99
 
 
+def fringe_scaled(probs, k):
+    """The balanced-mixer signal with its interference terms scaled by ``k``.
+
+    ``pc ± k ic`` and ``ps ± k is_``: the noise model written out on the
+    mean/oscillating split, independent of the mixture interpolation.
+    """
+    return np.array([probs.pc + k * probs.ic, probs.pc - k * probs.ic,
+                     probs.ps + k * probs.is_, probs.ps - k * probs.is_])
+
+
 class TestNoise:
     def test_identity_model_is_noop(self):
-        probs = detection_probabilities(0.5, ToolboxPhases(1.0, 0.3))
-        noisy = apply_noise(probs, NoiseModel())
+        alpha, phases = 0.5, ToolboxPhases(1.0, 0.3)
+        probs = detection_probabilities(alpha, phases)
+        noisy = noisy_single_probabilities(alpha, phases, BETA_SPLIT, NoiseModel())
         np.testing.assert_allclose(noisy.as_array(), probs.as_array(), atol=1e-15)
+        np.testing.assert_allclose(noisy.as_array(), fringe_scaled(probs, 1.0), atol=1e-15)
 
     def test_full_dephasing_kills_coherence_witness(self):
-        probs = detection_probabilities(PI / 4, ToolboxPhases(0.0, 0.0))
-        noisy = apply_noise(probs, NoiseModel(dephase_wp=1.0))
+        alpha, phases = PI / 4, ToolboxPhases(0.0, 0.0)
+        noisy = noisy_single_probabilities(
+            alpha, phases, BETA_SPLIT, NoiseModel(dephase_wp=1.0)
+        )
         assert coherence_witness(noisy) == pytest.approx(0.0, abs=1e-15)
         assert sum(noisy.as_array()) == pytest.approx(1.0, abs=1e-14)
+        probs = detection_probabilities(alpha, phases)
+        np.testing.assert_allclose(noisy.as_array(), fringe_scaled(probs, 0.0), atol=1e-15)
 
     def test_visibility_scales_fringes(self):
-        probs = detection_probabilities(0.7, ToolboxPhases(1.1, 2.0))
-        noisy = apply_noise(probs, NoiseModel(visibility=0.9))
+        alpha, phases = 0.7, ToolboxPhases(1.1, 2.0)
+        probs = detection_probabilities(alpha, phases)
+        noisy = noisy_single_probabilities(
+            alpha, phases, BETA_SPLIT, NoiseModel(visibility=0.9)
+        )
         assert noisy.ic == pytest.approx(0.9 * probs.ic, abs=1e-15)
         assert noisy.is_ == pytest.approx(0.9 * probs.is_, abs=1e-15)
         assert noisy.pc == pytest.approx(probs.pc, abs=1e-15)
@@ -149,11 +167,9 @@ class TestNoise:
             alpha = rng.uniform(0, PI / 2)
             phases = ToolboxPhases(*rng.uniform(0, 2 * PI, size=2))
             model = NoiseModel(visibility=rng.uniform(), dephase_wp=rng.uniform())
-            direct = apply_noise(detection_probabilities(alpha, phases), model)
+            direct = fringe_scaled(detection_probabilities(alpha, phases), model.fringe_scale)
             interp = noisy_single_probabilities(alpha, phases, BETA_SPLIT, model)
-            np.testing.assert_allclose(
-                interp.as_array(), direct.as_array(), atol=1e-13
-            )
+            np.testing.assert_allclose(interp.as_array(), direct, atol=1e-13)
 
     def test_mixers_off_statistics_are_noise_immune(self):
         alpha, phases = 0.8, ToolboxPhases(1.4, 0.5)

@@ -1,8 +1,8 @@
 """sha256 manifest of the fixed-seed CLI outputs, to show a change keeps every byte.
 
 Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
-``beta`` sweeps, ``--mixed``, both witnesses, ``two-photon`` tables and
-sweeps with and without noise, ``ghz`` at 1, 6 and 8 photons) plus
+``beta`` sweeps with and without ``--mixed``, both witnesses, ``two-photon``
+tables and sweeps with and without noise, ``ghz`` at 1 to 8 photons) plus
 ``verify``, and hashes every output file and every command's stdout.
 Usage::
 
@@ -68,6 +68,11 @@ COMMANDS = [
     ("ghz6.json", ["ghz", "--photons", "6", "--alpha-deg", "30",
                    "--phi1-deg", "70", "--format", "json"]),
     ("ghz8.csv", ["ghz", "--photons", "8"]),
+    *((f"ghz{n}_tilted.csv", ["ghz", "--photons", str(n), "--alpha-deg", "20",
+                              "--phi1-deg", "130", "--phi2-deg", "250"])
+      for n in (2, 3, 4, 5, 7)),
+    ("single_mixed_beta.csv", ["single-sweep", "--mixed", "--sweep", "beta", "--start", "0",
+                               "--stop", "45", "--steps", "31"]),
 ]
 
 
