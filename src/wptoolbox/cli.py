@@ -43,6 +43,7 @@ from .shots import (
 from .toolbox import (
     BETA_SPLIT,
     ToolboxPhases,
+    detection_closed_forms,
     prepare_input,
     single_photon_batch,
 )
@@ -375,34 +376,13 @@ def cmd_ghz(spec: SweepSpec, photons: int) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_single_photon() -> float:
-    alphas = np.linspace(0.0, np.pi / 2, 7)
+def _verify_detection() -> float:
     phis = np.linspace(0.0, 2 * np.pi, 9)
-    worst = 0.0
-    for beta in (0.0, BETA_SPLIT):
-        for alpha in alphas:
-            ca, sa = np.cos(alpha) ** 2, np.sin(alpha) ** 2
-            for phi1 in phis:
-                ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
-                for phi2 in phis:
-                    if beta == 0.0:
-                        closed = np.array(
-                            [ca * ch**2, sa / 2, ca * sh**2, sa / 2]
-                        )
-                    else:
-                        pc = ca * ch**2 / 2 + sa / 4
-                        ps = ca * sh**2 / 2 + sa / 4
-                        pref = np.sin(2 * alpha) / (2 * np.sqrt(2))
-                        ic = pref * ch**2
-                        is_ = pref * sh * np.sin(phi1 / 2 - phi2)
-                        closed = np.array([pc + ic, pc - ic, ps + is_, ps - is_])
-                    born = (
-                        interferometer_circuit(phi1, phi2, beta)
-                        .propagate(prepare_input(alpha))
-                        .probabilities()
-                    )
-                    worst = max(worst, float(np.max(np.abs(closed - born))))
-    return worst
+    grid = itertools.product((0.0, BETA_SPLIT), np.linspace(0.0, np.pi / 2, 7), phis, phis)
+    beta, alpha, phi1, phi2 = np.array(list(grid)).T
+    born = interferometer_circuit(phi1, phi2, beta).propagate(prepare_input(alpha))
+    closed = detection_closed_forms(alpha, ToolboxPhases(phi1, phi2), beta)
+    return float(np.max(np.abs(closed - born.probabilities())))
 
 
 def _verify_two_photon() -> float:
@@ -456,7 +436,7 @@ def cmd_verify(points: int, seed: int) -> int:
     if points < 1:
         raise SpecError(f"--points must be >= 1, got {points}")
     checks = [
-        ("single-photon closed forms vs propagation", _verify_single_photon, 1e-10),
+        ("single-photon closed forms vs propagation", _verify_detection, 1e-10),
         ("two-photon closed forms vs propagation", _verify_two_photon, 1e-10),
         ("hardware equivalence", lambda: _verify_hardware(points, seed), 1e-10),
         ("n-photon history sectors", _verify_ghz, 1e-10),

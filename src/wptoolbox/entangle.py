@@ -37,6 +37,7 @@ from .toolbox import (
     _check_alpha,
     _Histories,
     _history_batch,
+    _history_weights,
 )
 
 PRIMED_PATHS: tuple[str, str, str, str] = ("1'", "2'", "3'", "4'")
@@ -44,7 +45,8 @@ PRIMED_PATHS: tuple[str, str, str, str] = ("1'", "2'", "3'", "4'")
 MAX_PHOTONS = 8
 
 _PAIR_BASIS = product_basis(ModeBasis(PATHS), ModeBasis(PRIMED_PATHS))
-_POL_PAIR_BASIS = product_basis(ModeBasis(("V", "H")), ModeBasis(("V'", "H'")))
+#: detectors (1, 2) and (3, 4) of each photon share one block of a 2x2 array
+_DETECTOR_BLOCKS = np.ix_((0, 0, 1, 1), (0, 0, 1, 1))
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y)
 
@@ -92,10 +94,10 @@ class CoincidenceTable:
 
 def _check_tables(m: np.ndarray) -> None:
     """Raise unless every 4x4 table in ``m`` is a probability distribution."""
-    if np.min(m) < -1e-12 or np.max(m) > 1 + 1e-12:
+    if not (np.min(m) >= -1e-12 and np.max(m) <= 1 + 1e-12):  # NaN fails too
         raise ValueError("coincidence probabilities outside [0, 1]")
     total = m.sum(axis=(-2, -1))
-    bad = np.abs(total - 1.0) > 1e-9
+    bad = ~(np.abs(total - 1.0) <= 1e-9)
     if bad.any():
         raise ValueError(f"coincidence table sums to {total[bad][0]}, not 1")
 
@@ -103,18 +105,6 @@ def _check_tables(m: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
-
-def prepare_entangled_input(alpha) -> PureState:
-    """Polarization pair ``cos(alpha)|VV'> + sin(alpha)|HH'>``.
-
-    Like :func:`~wptoolbox.toolbox.prepare_input`, an ``alpha`` outside
-    ``[0, pi/2]`` warns.  An array of angles gives a batched state.
-    """
-    a = _check_alpha(alpha)
-    c, s = np.cos(a), np.sin(a)
-    zero = np.zeros_like(c)
-    return PureState(_POL_PAIR_BASIS, stack_last([c, zero, zero, s]))
-
 
 def _pair_settings(s: TwoPhotonSettings) -> dict:
     """The settings ``s`` by name, as broadcast values."""
@@ -168,11 +158,11 @@ def two_photon_batch(
     the closed form ``cos(alpha)|w w'> + sin(alpha)|p p'>`` from both
     photons' wave and particle states, and the polarization pair propagated
     through each photon's batched network matrix.  The two are compared
-    at ``CROSSCHECK_ATOL``: the amplitudes on every row, and on rows where
-    both mixers are at ``pi/8`` the Born table also against
+    at ``CROSSCHECK_ATOL`` on every row at any mixer angles: the amplitudes,
+    and the Born table, which is the result, against
     :func:`coincidence_closed_forms`.  A mismatch raises ``RuntimeError``
     naming the first failing row and its settings; every table must then be
-    a probability distribution.
+    a probability distribution.  An empty batch raises ``ValueError``.
 
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
@@ -186,13 +176,10 @@ def two_photon_batch(
 
     amps = histories.amplitudes
     probs = (np.abs(amps) ** 2).reshape(np.shape(alpha) + (4, 4))
-    balanced = (beta == BETA_SPLIT) & (betap == BETA_SPLIT)
-    if balanced.any():
-        closed = coincidence_closed_forms(
-            alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p)
-        )
-        dev = np.where(balanced[..., None, None], np.abs(closed - probs), 0.0)
-        _check("coincidence table", dev, settings)
+    closed = coincidence_closed_forms(
+        alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p), beta, betap
+    )
+    _check("coincidence table", np.abs(closed - probs), settings)
 
     probs = histories.fringe_scaled(probs, scale, _PAIR_BASIS)
     _check_tables(probs)
@@ -224,56 +211,56 @@ def mixture_two_photon_output(s: TwoPhotonSettings) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 def coincidence_closed_forms(
-    alpha, phases_a: ToolboxPhases, phases_b: ToolboxPhases
+    alpha,
+    phases_a: ToolboxPhases,
+    phases_b: ToolboxPhases,
+    beta_a=BETA_SPLIT,
+    beta_b=BETA_SPLIT,
 ) -> np.ndarray:
-    """The sixteen balanced-mixer coincidence expressions as a 4x4 array.
+    """The sixteen coincidence expressions as a 4x4 array, at any mixer angles.
 
-    Valid only when both networks run balanced mixers (beta = pi/8).  Every
-    entry is ``<mean> + <fringe>`` where the mean part factorizes over the
-    photons and the fringe carries the nonlocal phase ``(phi1 + phi1')/2``.
+    With each photon's detector weights ``|w|^2, |p|^2`` (primed for photon
+    B), the table is
+
+        cos^2(a) |w|^2 (x) |w'|^2 + sin^2(a) |p|^2 (x) |p'|^2 + g (m (x) m') trig
+
+    where ``g = sin(2a) sin(4 beta_a) sin(4 beta_b) / 8``, ``m = (ch, -ch, sh,
+    -sh)`` holds ``cos, sin`` of ``phi1/2``, and ``trig`` has the 2x2 blocks
+    ``[[cos s, -sin(phi2' - s)], [-sin(phi2 - s), -cos(phi2 + phi2' - s)]]``
+    in the nonlocal phase ``s = (phi1 + phi1')/2``.  The mean part factorizes
+    over the photons; the fringe survives in neither photon's own counts.
     Settings may be arrays of one broadcast shape ``S``; the result then has
-    shape ``S + (4, 4)``.  Squares use ``float_power``, which rounds like the
-    scalar ``x ** 2``.
+    shape ``S + (4, 4)``.
     """
-    a = as_values(alpha)
-    phi1, phi1p = as_values(phases_a.phi1), as_values(phases_b.phi1)
-    phi2, phi2p = as_values(phases_a.phi2), as_values(phases_b.phi2)
-    q = np.float_power(np.cos(a), 2) / 4
-    r = np.float_power(np.sin(a), 2) / 16
-    g = np.sin(2 * a) / 8
+    a, phi1, phi2, phi1p, phi2p, beta, betap = broadcast_values(
+        alpha, phases_a.phi1, phases_a.phi2, phases_b.phi1, phases_b.phi2, beta_a, beta_b
+    )
+    waves, particles, ch, sh = _history_weights(phi1, beta)
+    waves_p, particles_p, chp, shp = _history_weights(phi1p, betap)
+    ca2, sa2 = np.float_power(np.cos(a), 2), np.float_power(np.sin(a), 2)
+    g = np.sin(2 * a) * np.sin(4 * beta) * np.sin(4 * betap) / 8
     sigma = (phi1 + phi1p) / 2
-    c1, s1 = np.cos(phi1 / 2), np.sin(phi1 / 2)
-    c1p, s1p = np.cos(phi1p / 2), np.sin(phi1p / 2)
-    c1_2, s1_2 = np.float_power(c1, 2), np.float_power(s1, 2)
-    c1p_2, s1p_2 = np.float_power(c1p, 2), np.float_power(s1p, 2)
-
-    cc = q * c1_2 * c1p_2 + r
-    cs = q * c1_2 * s1p_2 + r
-    sc = q * s1_2 * c1p_2 + r
-    ss = q * s1_2 * s1p_2 + r
-    f_cc = g * c1 * c1p * np.cos(sigma)
-    f_cs = g * c1 * s1p * np.sin(phi2p - sigma)
-    f_sc = g * s1 * c1p * np.sin(phi2 - sigma)
-    f_ss = g * s1 * s1p * np.cos(phi2 + phi2p - sigma)
-
-    if np.shape(cc) != np.shape(f_ss):
-        # the means lack phi2 and phi2'; give every entry the full batch shape
-        cc, cs, sc, ss = np.broadcast_arrays(cc, cs, sc, ss, f_ss)[:4]
-    table = stack_last([
-        cc + f_cc, cc - f_cc, cs - f_cs, cs + f_cs,
-        cc - f_cc, cc + f_cc, cs + f_cs, cs - f_cs,
-        sc - f_sc, sc + f_sc, ss - f_ss, ss + f_ss,
-        sc + f_sc, sc - f_sc, ss + f_ss, ss - f_ss,
+    blocks = np.array([
+        [np.cos(sigma), -np.sin(phi2p - sigma)],
+        [-np.sin(phi2 - sigma), -np.cos(phi2 + phi2p - sigma)],
     ])
-    return table.reshape(table.shape[:-1] + (4, 4))
+    trig = blocks[_DETECTOR_BLOCKS]
+    m = g * np.array([ch, -ch, sh, -sh])
+    mp = np.array([chp, -chp, shp, -shp])
+    # detector axes lead until the end: every product runs on whole rows
+    table = (
+        (ca2 * waves)[:, None] * waves_p
+        + (sa2 * particles)[:, None] * particles_p
+        + m[:, None] * mp * trig
+    )
+    return table.transpose(*range(2, table.ndim), 0, 1)
 
 
 def coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
     """Joint detector table from the propagated pair state.
 
-    One setting of :func:`two_photon_batch`: when both mixers are balanced
-    the table is additionally verified against
-    :func:`coincidence_closed_forms`.
+    One setting of :func:`two_photon_batch`: the table is verified against
+    :func:`coincidence_closed_forms` at any mixer angles.
     """
     return CoincidenceTable(_pair_batch(s).probabilities)
 

@@ -89,9 +89,9 @@ def _as_probability_array(dist: Distribution) -> np.ndarray:
         p = dist.matrix
     else:
         p = np.asarray(dist, dtype=float)
-    if np.min(p) < -1e-12:
-        raise ValueError("distribution has a negative probability")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if not np.min(p) >= -1e-12:  # NaN fails too
+        raise ValueError("distribution has a negative or NaN probability")
+    if not abs(p.sum() - 1.0) <= 1e-9:
         raise ValueError(f"distribution sums to {p.sum()}, not 1")
     return p
 

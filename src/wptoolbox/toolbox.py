@@ -199,6 +199,8 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
     unbatched.
     """
     shape, n = np.shape(next(iter(settings.values()))), len(patterns[0])
+    if 0 in shape:
+        raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
     waves = wave_state(phi1, beta).amplitudes.reshape(shape + (n, 4))
     particles = particle_state(phi2, beta).amplitudes.reshape(shape + (n, 4))
     histories = (waves, particles)
@@ -238,20 +240,50 @@ def _single_settings(alpha, phases: ToolboxPhases, beta) -> dict:
     return dict(zip(("alpha", "phi1", "phi2", "beta"), values))
 
 
-def _balanced_terms(alpha, phi1, phi2) -> tuple:
-    """Closed forms ``pc, ps, ic, is_`` of the balanced-mixer (pi/8) signals.
+def _history_weights(phi1, beta) -> tuple:
+    """One photon's detector weights ``|w|^2, |p|^2``, detector axis first
+    (``(4,) + S``), and ``cos, sin`` of ``phi1/2``, for settings of one
+    shape ``S``.
 
-    Squares use ``float_power``, which rounds like the scalar ``x ** 2`` these
-    forms were first written with; an array ``** 2`` can differ in the last
-    bit.
+    With ``c^2 = cos^2(2 beta)`` and ``s^2 = 1 - c^2`` they are
+    ``(c^2 ch^2, s^2 ch^2, c^2 sh^2, s^2 sh^2)`` and ``(s^2, c^2, s^2, c^2)/2``;
+    at ``pi/8`` both squares are exactly 0.5.  The sign flip of
+    :func:`particle_state` at ``beta = 0`` drops out of every probability.
+    Squares use ``float_power``, which rounds like the scalar ``x ** 2``
+    these forms were first written with; an array ``** 2`` can differ in
+    the last bit.
     """
-    ca2, sa2 = np.float_power(np.cos(alpha), 2), np.float_power(np.sin(alpha), 2)
+    c2 = (1 + np.cos(4 * beta)) / 2
+    s2 = 1 - c2
     ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
-    ch2 = np.float_power(ch, 2)
-    pc = 0.5 * ca2 * ch2 + 0.25 * sa2
-    ps = 0.5 * ca2 * np.float_power(sh, 2) + 0.25 * sa2
-    pref = np.sin(2 * alpha) / (2 * _RT2)
-    return pc, ps, pref * ch2, pref * sh * np.sin(phi1 / 2 - phi2)
+    ch2, sh2 = np.float_power(ch, 2), np.float_power(sh, 2)
+    waves = np.array([c2 * ch2, s2 * ch2, c2 * sh2, s2 * sh2])
+    particles = np.array([s2, c2, s2, c2]) / 2
+    return waves, particles, ch, sh
+
+
+def detection_closed_forms(
+    alpha, phases: ToolboxPhases = ToolboxPhases(), beta=BETA_SPLIT
+) -> np.ndarray:
+    """Closed-form detector probabilities P1..P4 at any mixer angle.
+
+    With ``x = sin(2 alpha) sin(4 beta) / (2 sqrt 2)``:
+
+        P1,2 = cos^2(a) |w|^2 + sin^2(a) |p|^2 +- x cos^2(phi1/2)
+        P3,4 = cos^2(a) |w|^2 + sin^2(a) |p|^2 +- x sin(phi1/2) sin(phi1/2 - phi2)
+
+    where ``|w|^2`` and ``|p|^2`` are the detector weights of the wave and
+    particle histories.  Settings may be arrays of one broadcast shape
+    ``S``; the result has shape ``S + (4,)``.
+    """
+    a, phi1, phi2, beta = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
+    waves, particles, ch, sh = _history_weights(phi1, beta)
+    ca2, sa2 = np.float_power(np.cos(a), 2), np.float_power(np.sin(a), 2)
+    x = np.sin(2 * a) * np.sin(4 * beta) / (2 * _RT2)
+    ic = x * np.float_power(ch, 2)
+    is_ = x * sh * np.sin(phi1 / 2 - phi2)
+    forms = ca2 * waves + sa2 * particles + np.array([ic, -ic, is_, -is_])
+    return forms.transpose(*range(1, forms.ndim), 0)
 
 
 class SingleBatch(NamedTuple):
@@ -280,12 +312,12 @@ def single_photon_batch(
     The arguments are numbers or arrays that broadcast to one batch shape.
     Every row is computed two ways by :func:`_history_batch`, as a closed
     form and by propagating the input through the batched network matrix,
-    and the two are compared at ``CROSSCHECK_ATOL``: the amplitudes on every
-    row, and the probabilities on rows at ``beta = pi/8``, where the closed
-    forms of :func:`detection_probabilities` apply and give the result.
-    Other rows take the Born probabilities of the checked output.  A
-    mismatch raises ``RuntimeError`` naming the first failing row and its
-    settings.
+    and the two are compared at ``CROSSCHECK_ATOL``: the amplitudes, and the
+    Born probabilities against :func:`detection_closed_forms`, on every row
+    at any ``beta``.  Rows at ``beta = pi/8`` return the closed forms, other
+    rows the Born probabilities.  A mismatch raises ``RuntimeError`` naming
+    the first failing row and its settings; an empty batch raises
+    ``ValueError``.
 
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
@@ -296,18 +328,17 @@ def single_photon_batch(
     histories = _single_photon(settings)
 
     amps = histories.amplitudes
-    probs = np.abs(amps) ** 2
-    balanced = beta == BETA_SPLIT
-    if balanced.any():
-        pc, ps, ic, is_ = _balanced_terms(alpha, phi1, phi2)
-        forms = stack_last([pc + ic, pc - ic, ps + is_, ps - is_])
-        born, probs = probs, np.where(balanced[..., None], forms, probs)
-        _check("probabilities", np.abs(probs - born), settings)
+    born = np.abs(amps) ** 2
+    forms = detection_closed_forms(alpha, ToolboxPhases(phi1, phi2), beta)
+    _check("probabilities", np.abs(forms - born), settings)
+    # pi/8 rows give the closed form, other rows the Born probabilities: the
+    # two differ in the last bits, and the fixed-seed CLI files hold these
+    probs = np.where((beta == BETA_SPLIT)[..., None], forms, born)
     return SingleBatch(amps, histories.fringe_scaled(probs, scale, _PATH_BASIS))
 
 
 def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
-    """Raise when a row of ``dev`` exceeds the tolerance.
+    """Raise when a row of ``dev`` exceeds the tolerance or is NaN.
 
     ``settings`` maps each setting's name to its values, all of the batch
     shape; ``dev`` has that shape plus any trailing axes, over which a row's
@@ -318,16 +349,12 @@ def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
         return
     rows = next(iter(settings.values())).size
     worst = dev.reshape(rows, -1).max(axis=-1)
-    bad = np.flatnonzero(worst > CROSSCHECK_ATOL)
-    if bad.size:
-        i = int(bad[0])
-        values = ", ".join(
-            f"{name}={float(x.reshape(-1)[i])!r}" for name, x in settings.items()
-        )
-        raise RuntimeError(
-            f"closed-form {what} disagrees with propagation by {worst[i]:.3e} at"
-            f" row {i} ({values})"
-        )
+    i = int(np.flatnonzero(~(worst <= CROSSCHECK_ATOL))[0])
+    values = ", ".join(f"{name}={float(x.reshape(-1)[i])!r}" for name, x in settings.items())
+    raise RuntimeError(
+        f"closed-form {what} disagrees with propagation by {worst[i]:.3e} at"
+        f" row {i} ({values})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +375,17 @@ def output_state(
     )
 
 
-def interference_terms(
-    alpha: float, phases: ToolboxPhases = ToolboxPhases()
-) -> tuple[float, float]:
-    """Oscillating parts (ic, is_) of the balanced-mixer detector signals."""
-    _, _, ic, is_ = _balanced_terms(float(alpha), phases.phi1, phases.phi2)
-    return float(ic), float(is_)
-
-
 def detection_probabilities(
     alpha: float, phases: ToolboxPhases = ToolboxPhases(), beta: float = BETA_SPLIT
 ) -> SingleProbabilities:
     """Detector probabilities P1..P4 with their mean/oscillating split.
 
-    At ``beta = pi/8`` the closed-form expressions
-
-        pc = cos^2(a) cos^2(phi1/2) / 2 + sin^2(a) / 4
-        ps = cos^2(a) sin^2(phi1/2) / 2 + sin^2(a) / 4
-
-    plus :func:`interference_terms` give the probabilities, verified against
-    the propagated state.  For other mixer angles the probabilities come
-    from the cross-checked output state.  ``pc, ps`` and ``ic, is_`` are the
-    half-sums and half-differences of the detector pairs.  This is one
-    setting of :func:`single_photon_batch`.
+    The closed forms of :func:`detection_closed_forms` are verified against
+    the propagated state at every mixer angle; at ``beta = pi/8`` they give
+    the result, elsewhere the Born probabilities of the cross-checked output
+    state do.  ``pc, ps`` and ``ic, is_`` are the half-sums and
+    half-differences of the detector pairs.  This is one setting of
+    :func:`single_photon_batch`.
     """
     return single_photon_batch(alpha, phases.phi1, phases.phi2, beta).single()
 

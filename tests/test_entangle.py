@@ -19,7 +19,7 @@ from wptoolbox.entangle import (
     ghz_output,
     ghz_sector_probabilities,
     mixture_coincidence_probabilities,
-    prepare_entangled_input,
+    mixture_two_photon_output,
     sector_projection,
     two_photon_batch,
     two_photon_output,
@@ -34,6 +34,8 @@ from wptoolbox.toolbox import (
     ToolboxPhases,
     mixed_output,
     output_state,
+    particle_state,
+    wave_state,
 )
 
 PI = np.pi
@@ -75,6 +77,14 @@ class TestCoincidenceTable:
         with pytest.raises(ValueError, match="outside"):
             CoincidenceTable(m)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            CoincidenceTable(np.full((4, 4), np.nan))
+        stack = np.full((3, 4, 4), 1 / 16)
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            entangle._check_tables(stack)
+
     def test_engine_checks_every_table_of_a_stack(self):
         stack = np.full((3, 4, 4), 1 / 16)
         entangle._check_tables(stack)
@@ -96,10 +106,27 @@ class TestCoincidenceTable:
 
 class TestPairState:
     def test_entangled_input_amplitudes(self):
-        psi = prepare_entangled_input(0.3)
-        assert psi.amplitude(("V", "V'")) == pytest.approx(np.cos(0.3))
-        assert psi.amplitude(("H", "H'")) == pytest.approx(np.sin(0.3))
-        assert psi.amplitude(("V", "H'")) == 0.0
+        # in the {ww', wp', pw', pp'} sector the output is the input's
+        # cos(a)|VV'> + sin(a)|HH'> with V -> w and H -> p
+        s = settings(alpha=0.3, phi1=0.8, phi2=1.9, phi1p=2.2, phi2p=0.1, beta_b=0.0)
+        sector = sector_projection(two_photon_output(s), s)
+        amps = np.array([np.cos(0.3), 0.0, 0.0, np.sin(0.3)])
+        np.testing.assert_allclose(sector, np.outer(amps, amps), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("beta_a, beta_b", [(BETA_SPLIT, BETA_SPLIT), (0.0, 0.3)])
+    def test_mixture_is_the_two_histories_weighted(self, beta_a, beta_b):
+        alpha = 0.4
+        s = settings(alpha, 0.8, 1.9, 2.2, 0.1, beta_a, beta_b)
+        w = wave_state(0.8, beta_a).amplitudes
+        p = particle_state(1.9, beta_a).amplitudes
+        wp = wave_state(2.2, beta_b).amplitudes
+        pp = particle_state(0.1, beta_b).amplitudes
+        ww, both_p = np.kron(w, wp), np.kron(p, pp)
+        expected = (np.cos(alpha) ** 2 * np.outer(ww, ww.conj())
+                    + np.sin(alpha) ** 2 * np.outer(both_p, both_p.conj()))
+        rho = mixture_two_photon_output(s)
+        np.testing.assert_allclose(rho.matrix, expected, rtol=0, atol=1e-15)
+        assert rho.basis == two_photon_output(s).basis
 
     def test_output_normalized_everywhere(self):
         rng = np.random.default_rng(21)
@@ -141,13 +168,16 @@ class TestCoincidences:
 
     def test_closed_forms_match_propagation(self):
         rng = np.random.default_rng(23)
-        for _ in range(25):
+        for k in range(60):
             alpha = rng.uniform(0, PI / 2)
             pa = ToolboxPhases(*rng.uniform(0, 2 * PI, size=2))
             pb = ToolboxPhases(*rng.uniform(0, 2 * PI, size=2))
-            s = TwoPhotonSettings(alpha=alpha, phases_a=pa, phases_b=pb)
+            # every pair of mixers from pi/8, off and anywhere in [-1, 1]
+            choices = (BETA_SPLIT, BETA_DIRECT, rng.uniform(-1, 1))
+            beta_a, beta_b = choices[k % 3], choices[k // 3 % 3]
+            s = TwoPhotonSettings(alpha, pa, pb, beta_a, beta_b)
             np.testing.assert_allclose(
-                coincidence_closed_forms(alpha, pa, pb),
+                coincidence_closed_forms(alpha, pa, pb, beta_a, beta_b),
                 coincidence_probabilities(s).matrix,
                 atol=1e-13,
             )
@@ -277,8 +307,8 @@ class TestPairEngine:
     def test_closed_form_table_check_names_the_failing_row(self, monkeypatch):
         exact = entangle.coincidence_closed_forms
 
-        def perturbed(alpha, phases_a, phases_b):
-            forms = exact(alpha, phases_a, phases_b).copy()
+        def perturbed(*args):
+            forms = exact(*args).copy()
             forms[3, 1, 2] += 1e-9
             return forms
 
@@ -288,8 +318,29 @@ class TestPairEngine:
             RuntimeError, match=r"coincidence table disagrees with propagation .* at row 3 \("
         ):
             two_photon_batch(0.7, phi1, 1.9, 0.6, 2.4)
-        # the closed forms only hold, and are only compared, at pi/8
-        two_photon_batch(0.7, phi1, 1.9, 0.6, 2.4, BETA_SPLIT, 0.3)
+        # the closed forms hold, and are compared, at any mixer angles
+        with pytest.raises(RuntimeError, match=r"at row 3 \("):
+            two_photon_batch(0.7, phi1, 1.9, 0.6, 2.4, BETA_SPLIT, 0.3)
+
+    @pytest.mark.parametrize("beta, beta_prime", [(0.3, 0.3), (0.3, BETA_DIRECT), (-0.4, 0.3)])
+    def test_tables_are_checked_off_pi_8(self, monkeypatch, beta, beta_prime):
+        exact = entangle.coincidence_closed_forms
+
+        def perturbed(*args):
+            forms = exact(*args).copy()
+            forms[2, 0, 3] += 1e-9  # one row of the batch
+            return forms
+
+        monkeypatch.setattr(entangle, "coincidence_closed_forms", perturbed)
+        phi1 = np.linspace(0.3, 5.0, 5)
+        with pytest.raises(
+            RuntimeError, match=r"coincidence table disagrees with propagation .* at row 2 \("
+        ):
+            two_photon_batch(0.7, phi1, 1.9, 0.6, 2.4, beta, beta_prime)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="needs at least one setting"):
+            two_photon_batch(np.array([]), 0.0, 0.0, 0.0, 0.0)
 
     @hyp_settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -1,6 +1,8 @@
 """Tests for optical elements and the interferometer network."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptoolbox.optics import (
     PATHS,
@@ -80,14 +82,21 @@ class TestCircuit:
         with pytest.raises(ValueError, match="output basis"):
             circ.propagate(pol_state(0.3))
 
-    def test_matrix_is_isometry_everywhere(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            phi1, phi2 = rng.uniform(0, 2 * np.pi, size=2)
-            beta = rng.choice([0.0, BALANCED, 0.3])
-            m = network_matrix(phi1, phi2, beta)
-            assert m.shape == (4, 2)
-            np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matrix_is_isometry_everywhere(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+
+        def column(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
+        phi1, phi2 = column(st.floats(-7.0, 7.0)), column(st.floats(-7.0, 7.0))
+        beta = column(st.sampled_from([0.0, BALANCED]) | st.floats(-1.0, 1.0))
+        m = network_matrix(phi1, phi2, beta)
+        assert m.shape == (n, 4, 2)
+        gram = np.swapaxes(m.conj(), -1, -2) @ m
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), (n, 2, 2)), atol=1e-12)
+        k = data.draw(st.integers(0, n - 1), label="k")
+        assert m[k].tobytes() == network_matrix(phi1[k], phi2[k], beta[k]).tobytes()
 
 
     def test_element_off_the_current_basis_rejected(self):

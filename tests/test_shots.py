@@ -70,6 +70,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="sums to"):
             sample_counts(np.array([0.3, 0.3, 0.3, 0.3]), 10, seed=0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="negative or NaN probability"):
+            sample_counts(np.full(4, np.nan), 10, seed=0)
+        with pytest.raises(ValueError, match="negative or NaN probability"):
+            sample_counts(np.array([0.5, np.nan, 0.25, 0.25]), 10, seed=0)
+
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError, match="at least one"):
             sample_counts(FLAT4, 0, seed=0)

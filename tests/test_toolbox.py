@@ -17,8 +17,8 @@ from wptoolbox.toolbox import (
     ToolboxPhases,
     coherence,
     coherence_witness,
+    detection_closed_forms,
     detection_probabilities,
-    interference_terms,
     mixed_output,
     output_state,
     particle_state,
@@ -148,12 +148,34 @@ class TestDetectionProbabilities:
         assert p.p4 == pytest.approx(p.ps - p.is_, abs=1e-15)
 
     def test_interference_terms_signs(self):
-        ic, is_ = interference_terms(np.pi / 4, ToolboxPhases(np.pi / 2, 0.0))
+        def terms(alpha, phases):
+            p1, p2, p3, p4 = detection_closed_forms(alpha, phases)
+            return (p1 - p2) / 2, (p3 - p4) / 2
+
+        ic, is_ = terms(np.pi / 4, ToolboxPhases(np.pi / 2, 0.0))
         assert ic == pytest.approx(1 / (4 * np.sqrt(2)), abs=1e-15)
         assert is_ == pytest.approx(1 / (4 * np.sqrt(2)), abs=1e-15)
         # open-arm fringe vanishes when phi2 = phi1/2
-        _, is0 = interference_terms(np.pi / 4, ToolboxPhases(1.4, 0.7))
+        _, is0 = terms(np.pi / 4, ToolboxPhases(1.4, 0.7))
         assert is0 == pytest.approx(0.0, abs=1e-15)
+
+    def test_closed_forms_match_propagation_at_any_beta(self):
+        rng = np.random.default_rng(10)
+        n = 400
+        alpha = rng.uniform(0, np.pi / 2, n)
+        phi1, phi2 = rng.uniform(-2 * np.pi, 2 * np.pi, (2, n))
+        beta = rng.uniform(-1.0, 1.0, n)
+        beta[::5] = 0.0
+        forms = detection_closed_forms(alpha, ToolboxPhases(phi1, phi2), beta)
+        born = interferometer_circuit(phi1, phi2, beta).propagate(prepare_input(alpha))
+        np.testing.assert_allclose(forms, born.probabilities(), rtol=0, atol=1e-14)
+
+    def test_closed_forms_broadcast(self):
+        forms = detection_closed_forms(0.3, ToolboxPhases(np.linspace(0, 3, 4), 0.5),
+                                       np.array([[0.0], [0.2], [BETA_SPLIT]]))
+        assert forms.shape == (3, 4, 4)
+        one = detection_closed_forms(0.3, ToolboxPhases(2.0, 0.5), 0.2)
+        assert forms[1, 2].tobytes() == one.tobytes()
 
 
 class TestCoherence:
@@ -308,3 +330,25 @@ class TestBatchEngine:
         phi1 = np.linspace(0.3, 5.0, 5)
         with pytest.raises(RuntimeError, match=r"disagrees with propagation .* at row 2 \(alpha="):
             single_photon_batch(alpha, phi1, 1.9, beta)
+
+    @pytest.mark.parametrize("beta, error", [(BETA_DIRECT, 1e-9), (-0.4, 1e-9), (0.3, 1e-9),
+                                             (0.3, np.nan)])
+    def test_probabilities_are_checked_off_pi_8(self, monkeypatch, beta, error):
+        exact = toolbox.detection_closed_forms
+
+        def perturbed(*args):
+            forms = exact(*args).copy()
+            forms[2, 1] += error  # one row of the batch
+            return forms
+
+        monkeypatch.setattr(toolbox, "detection_closed_forms", perturbed)
+        alpha = np.linspace(0.1, 1.4, 5)
+        phi1 = np.linspace(0.3, 5.0, 5)
+        with pytest.raises(
+            RuntimeError, match=r"probabilities disagrees with propagation .* at row 2 \("
+        ):
+            single_photon_batch(alpha, phi1, 1.9, beta)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="needs at least one setting"):
+            single_photon_batch(np.array([]), 0.0, 0.0)

@@ -2,7 +2,8 @@
 
 Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
 ``beta`` sweeps with and without ``--mixed``, both witnesses, ``two-photon``
-tables and sweeps with and without noise, ``ghz`` at 1 to 8 photons) plus
+tables and sweeps with and without noise, sweeps with the mixers off
+``pi/8``, ``ghz`` at 1 to 8 photons) plus
 ``verify``, and hashes every output file and every command's stdout.
 Usage::
 
@@ -73,6 +74,12 @@ COMMANDS = [
       for n in (2, 3, 4, 5, 7)),
     ("single_mixed_beta.csv", ["single-sweep", "--mixed", "--sweep", "beta", "--start", "0",
                                "--stop", "45", "--steps", "31"]),
+    # both mixers off pi/8: rows whose probabilities only the beta-general
+    # closed forms check
+    ("pair_offsplit_sweep.csv", ["two-photon", "--beta-deg", "10", "--betap-deg", "35",
+                                 "--sweep", "phi1", "--start", "0", "--stop", "360",
+                                 "--steps", "25"]),
+    ("coherence_offsplit.csv", ["witness-coherence", "--beta-deg", "10"]),
 ]
 
 
