@@ -387,22 +387,23 @@ def _verify_detection() -> float:
 
 def _verify_two_photon() -> float:
     phis = np.linspace(0.0, 2 * np.pi, 5)
-    grid = itertools.product((0.0, 0.3, np.pi / 4, 1.2, np.pi / 2), phis, phis,
+    mixers = ((BETA_SPLIT, BETA_SPLIT), (0.0, 0.0), (0.0, BETA_SPLIT), (BETA_SPLIT, 0.0))
+    grid = itertools.product(mixers, (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2), phis, phis,
                              (0.0, 1.1), (0.0, 2.3))
-    alpha, phi1, phi1p, phi2, phi2p = np.array(list(grid)).T
-    table = two_photon_batch(alpha, phi1, phi2, phi1p, phi2p).probabilities
+    beta, betap, alpha, phi1, phi1p, phi2, phi2p = np.array(
+        [(*mixer, *rest) for mixer, *rest in grid]
+    ).T
+    table = two_photon_batch(alpha, phi1, phi2, phi1p, phi2p, beta, betap).probabilities
     closed = coincidence_closed_forms(
-        alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p)
+        alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p), beta, betap
     )
     return float(np.max(np.abs(closed - table)))
 
 
 def _verify_hardware(points: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    grid = [
-        (rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
-        for _ in range(points)
-    ]
+    # drawn row by row, so a seed gives the points of one draw per (alpha, phi1, phi2)
+    grid = rng.uniform(0.0, (np.pi / 2, 2 * np.pi, 2 * np.pi), size=(points, 3))
     return equivalence_scan(grid)
 
 

@@ -38,6 +38,7 @@ from .toolbox import (
     _Histories,
     _history_batch,
     _history_weights,
+    _in_sector,
 )
 
 PRIMED_PATHS: tuple[str, str, str, str] = ("1'", "2'", "3'", "4'")
@@ -293,18 +294,6 @@ def _sector_isometry(histories: _Histories) -> np.ndarray:
     (wa, wb), (pa, pb) = histories.waves, histories.particles
     cols = [np.kron(wa, wb), np.kron(wa, pb), np.kron(pa, wb), np.kron(pa, pb)]
     return np.stack(cols, axis=1)
-
-
-def _in_sector(state: PureState | DensityMatrix, basis: np.ndarray) -> np.ndarray:
-    """``state`` in the sector ``basis``; raises if weight lies outside it."""
-    if isinstance(state, PureState):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.matrix
-    sector = basis.conj().T @ rho @ basis
-    if abs(np.trace(sector).real - 1.0) > 1e-10:
-        raise ValueError("state is not expressible in the wave/particle sector")
-    return sector
 
 
 def sector_projection(

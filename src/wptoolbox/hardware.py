@@ -28,6 +28,11 @@ slots 1 and 3: detector 1 = (V, 1), 2 = (H, 1), 3 = (V, 3), 4 = (H, 3).
 Output amplitudes may differ from the conceptual network by mode-local
 signs (e.g. the 0-deg plates flip their H rail), so equivalence is asserted
 on detection distributions, which is all the counting hardware can see.
+
+As in :mod:`wptoolbox.optics`, the arm phases and ``beta`` may be arrays of
+one shape: the LC cells and ``beta`` plates then hold one checked matrix per
+setting and one layout propagates the whole batch.  :func:`describe` and
+:meth:`HardwareLayout.matrix` need a layout of one setting.
 """
 from __future__ import annotations
 
@@ -37,8 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .optics import Circuit, ElementUnitary, interferometer_circuit, mirror_matrix
-from .qcore import ModeBasis, PureState
+from .optics import Circuit, ElementUnitary, interferometer_circuit, mirror_matrix, phase_shifter
+from .qcore import ModeBasis, PureState, as_values, broadcast_values
 from .toolbox import BETA_SPLIT, ToolboxPhases, prepare_input
 
 N_SLOTS = 4
@@ -61,21 +66,20 @@ RAIL_BASIS = ModeBasis(
 )
 
 DETECTOR_PORTS = (_mode("V", 1), _mode("H", 1), _mode("V", 3), _mode("H", 3))
+_INPUT_INDEX = np.array([RAIL_BASIS.index(_mode(pol, 0)) for pol in ("V", "H")])
 
 
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
 
-def hwp_jones(
-    theta: float, modes: tuple[str, str] = ("V", "H"), name: str = "HWP"
-) -> ElementUnitary:
+def hwp_jones(theta, modes: tuple[str, str] = ("V", "H"), name: str = "HWP") -> ElementUnitary:
     """Half-wave plate at angle ``theta``: [[cos 2t, sin 2t], [sin 2t, -cos 2t]].
 
     ``theta = 0`` is diag(1, -1); 22.5 deg gives the balanced splitter;
-    45 deg swaps the polarizations.
+    45 deg swaps the polarizations.  An array of angles gives a batched plate.
     """
-    return ElementUnitary(name, tuple(modes), tuple(modes), mirror_matrix(float(theta)))
+    return ElementUnitary(name, tuple(modes), tuple(modes), mirror_matrix(theta))
 
 
 def beam_displacer(
@@ -118,12 +122,7 @@ def _rail_walk(pol: str, distance: int, name: str) -> ElementUnitary:
     return beam_displacer(mapping, name=name)
 
 
-def _lc_phase(pol: str, slot: int, phi: float, name: str) -> ElementUnitary:
-    m = np.array([[np.exp(1j * float(phi))]])
-    return ElementUnitary(name, (_mode(pol, slot),), (_mode(pol, slot),), m)
-
-
-def _plate(k: int, theta: float, slot: int) -> ElementUnitary:
+def _plate(k: int, theta, slot: int) -> ElementUnitary:
     return hwp_jones(theta, (_mode("V", slot), _mode("H", slot)), name=f"HWP{k}@{slot}")
 
 
@@ -165,11 +164,11 @@ class HardwareLayout:
 
     circuit: Circuit
     detector_ports: tuple[str, str, str, str]
-    hwp_angles: tuple[float, ...]  # HWP1..HWP7 plus beta, radians
-    lc_phases: tuple[float, float]
+    hwp_angles: tuple  # HWP1..HWP7 plus beta (a number or the batch's array), radians
+    lc_phases: tuple  # (phi1, phi2), numbers or the batch's arrays
 
     @property
-    def beta(self) -> float:
+    def beta(self):
         return self.hwp_angles[-1]
 
     def matrix(self) -> np.ndarray:
@@ -178,56 +177,53 @@ class HardwareLayout:
 
 def build_hardware_layout(
     phases: ToolboxPhases,
-    beta: float,
+    beta,
     hwp_angles: Sequence[float] = DEFAULT_HWP_ANGLES,
 ) -> HardwareLayout:
     """Assemble the displacer/wave-plate chain for the given settings.
 
-    ``hwp_angles`` are the seven fixed plate angles in radians; overriding
-    them builds a *different* instrument (useful for sensitivity studies),
-    so only the defaults are expected to match the conceptual network.
+    ``phases.phi1``, ``phases.phi2`` and ``beta`` may be arrays of one
+    broadcast shape, one setting per entry.  ``hwp_angles`` are the seven
+    fixed plate angles in radians; overriding them builds a *different*
+    instrument (useful for sensitivity studies), so only the defaults are
+    expected to match the conceptual network.
     """
     angles = tuple(float(x) for x in hwp_angles)
-    phi1, phi2 = float(phases.phi1), float(phases.phi2)
+    phi1, phi2, beta = broadcast_values(phases.phi1, phases.phi2, beta)
     before_phases, after_phases = _fixed_stages(angles)
+    mixer = _plate(8, beta, 1)
     elements = (
         *before_phases,
-        _lc_phase("V", 1, phi1, "LC1"),
-        _lc_phase("H", 0, phi2, "LC2"),
+        phase_shifter(_mode("V", 1), phi1, name="LC1"),
+        phase_shifter(_mode("H", 0), phi2, name="LC2"),
         *after_phases,
-        _plate(8, float(beta), 1),
-        _plate(8, float(beta), 3),
+        mixer,
+        mixer.relabeled("HWP8@3", (_mode("V", 3), _mode("H", 3))),
     )
     circuit = Circuit(RAIL_BASIS, RAIL_BASIS, elements)
-    return HardwareLayout(
-        circuit=circuit,
-        detector_ports=DETECTOR_PORTS,
-        hwp_angles=(*angles, float(beta)),
-        lc_phases=(phi1, phi2),
-    )
+    return HardwareLayout(circuit, DETECTOR_PORTS, (*angles, beta), (phi1, phi2))
 
 
-def hardware_output(layout: HardwareLayout, alpha: float) -> np.ndarray:
+def hardware_output(layout: HardwareLayout, alpha) -> np.ndarray:
     """Four detector probabilities for the input qubit at angle ``alpha``.
 
-    Raises if any probability ends up outside the four detector ports,
-    which would mean the chain misroutes light.
+    ``alpha`` broadcasts against the layout's batch shape ``S``, giving
+    ``S + (4,)``.  Raises if, on any row, light ends up outside the four
+    detector ports, which would mean the chain misroutes it.
     """
-    amps = np.zeros(RAIL_BASIS.dimension, dtype=np.complex128)
-    pol_in = prepare_input(alpha)
-    amps[RAIL_BASIS.index(_mode("V", 0))] = pol_in.amplitude("V")
-    amps[RAIL_BASIS.index(_mode("H", 0))] = pol_in.amplitude("H")
-    out = layout.circuit.propagate(PureState(RAIL_BASIS, amps))
-    port_idx = [RAIL_BASIS.index(m) for m in layout.detector_ports]
-    probs = out.probabilities()
-    leak = probs.sum() - probs[port_idx].sum()
-    if leak > 1e-12:
+    pol_in = prepare_input(alpha).amplitudes
+    amps = np.zeros(pol_in.shape[:-1] + (RAIL_BASIS.dimension,), dtype=np.complex128)
+    amps[..., _INPUT_INDEX] = pol_in
+    probs = layout.circuit.propagate(PureState(RAIL_BASIS, amps)).probabilities()
+    ports = probs[..., [RAIL_BASIS.index(m) for m in layout.detector_ports]]
+    leak = np.max(probs.sum(axis=-1) - ports.sum(axis=-1))
+    if not leak <= 1e-12:  # written so that NaN fails too
         raise RuntimeError(f"{leak:.3e} of the light missed the detector ports")
-    return probs[port_idx]
+    return ports
 
 
 def describe(layout: HardwareLayout) -> str:
-    """Human-readable listing: element order, plate angles (deg), phases (rad)."""
+    """Listing of a one-setting layout: element order, plate angles (deg), phases (rad)."""
     lines = ["element chain:"]
     for el in layout.circuit.elements:
         lines.append(f"  {el.name}  on {', '.join(map(str, el.modes_in))}")
@@ -257,22 +253,24 @@ def equivalence_check(
     """Max distribution deviation between the two representations.
 
     Both circuits must be built for the same phases and ``beta``; the input
-    qubit angle runs over ``alphas``.  With ``strict`` the layout's beta
-    must be one of the validated settings (0 or pi/8).
+    qubit angles ``alphas`` broadcast against their batch shape and run
+    through both in one batch.  With ``strict`` every beta of the layout
+    must be one of the validated settings (0 or pi/8, to 1e-15).
     """
-    if strict and not any(
-        np.isclose(layout.beta, b, atol=1e-15) for b in VALIDATED_BETAS
-    ):
+    alphas = as_values(list(alphas))
+    if alphas.size == 0:
+        raise ValueError("equivalence_check needs at least one alpha, got none")
+    beta = np.ravel(layout.beta)
+    # an absolute tolerance only; NaN is not <= it, so it fails too
+    bad = ~(np.abs(beta[:, None] - VALIDATED_BETAS) <= 1e-15).any(axis=-1)
+    if strict and bad.any():
         raise ValueError(
-            f"beta={layout.beta:.6g} is not a validated setting; "
+            f"beta={beta[bad][0]:.6g} is not a validated setting; "
             "pass strict=False to compare anyway"
         )
-    worst = 0.0
-    for alpha in alphas:
-        conceptual_dist = conceptual.propagate(prepare_input(alpha)).probabilities()
-        hw_dist = hardware_output(layout, alpha)
-        worst = max(worst, float(np.max(np.abs(conceptual_dist - hw_dist))))
-    return worst
+    conceptual_dist = conceptual.propagate(prepare_input(alphas)).probabilities()
+    hw_dist = hardware_output(layout, alphas)
+    return float(np.max(np.abs(conceptual_dist - hw_dist)))
 
 
 def equivalence_scan(
@@ -282,17 +280,18 @@ def equivalence_scan(
 ) -> float:
     """Max deviation over (alpha, phi1, phi2) points at each ``beta``.
 
-    Builds the conceptual circuit and the hardware layout afresh for every
-    phase setting, so the comparison covers construction as well as
-    propagation.
+    The points x betas grid is one batch of one conceptual circuit and one
+    hardware layout, whose elements are built and checked per setting, so
+    the comparison covers construction as well as propagation.  No points
+    or no betas raise ``ValueError``.
     """
-    betas = tuple(betas)
-    worst = 0.0
-    for alpha, phi1, phi2 in points:
-        for beta in betas:
-            conceptual = interferometer_circuit(phi1, phi2, beta)
-            layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta)
-            worst = max(
-                worst, equivalence_check(conceptual, layout, (alpha,), strict=strict)
-            )
-    return worst
+    grid, betas = as_values(list(points)), as_values(list(betas))
+    if grid.size == 0 or betas.size == 0:
+        raise ValueError(f"equivalence_scan needs at least one point and one beta,"
+                         f" got {len(grid)} points and {betas.size} betas")
+    # row p * len(betas) + b holds point p at betas[b]
+    alpha, phi1, phi2 = np.repeat(grid.T, betas.size, axis=-1)
+    beta = np.tile(betas, len(grid))
+    conceptual = interferometer_circuit(phi1, phi2, beta)
+    layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta)
+    return equivalence_check(conceptual, layout, alpha, strict=strict)

@@ -395,6 +395,18 @@ def coherence_witness(probs: SingleProbabilities) -> float:
     return abs(probs.p1 - probs.p2)
 
 
+def _in_sector(state: PureState | DensityMatrix, basis: np.ndarray) -> np.ndarray:
+    """``state`` in the sector ``basis``; raises if weight lies outside it."""
+    if isinstance(state, PureState):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
+    sector = basis.conj().T @ rho @ basis
+    if abs(np.trace(sector).real - 1.0) > 1e-10:
+        raise ValueError("state is not expressible in the wave/particle sector")
+    return sector
+
+
 def coherence(
     alpha: float,
     phases: ToolboxPhases = ToolboxPhases(),
@@ -414,13 +426,7 @@ def coherence(
     overlap = np.vdot(w, p)
     if abs(overlap) > 1e-12:
         raise RuntimeError(f"wave/particle basis not orthogonal: {abs(overlap):.3e}")
-    if mixed:
-        rho = histories.mixture(_PATH_BASIS).matrix
-    else:
-        amps = histories.amplitudes
-        rho = np.outer(amps, amps.conj())
-    basis = np.stack([w, p], axis=1)  # 4x2, columns are the sector states
-    sector = basis.conj().T @ rho @ basis
-    if abs(np.trace(sector).real - 1.0) > 1e-10:
-        raise RuntimeError("output state leaks outside the wave/particle sector")
+    amps = histories.amplitudes
+    state = histories.mixture(_PATH_BASIS) if mixed else PureState(_PATH_BASIS, amps)
+    sector = _in_sector(state, np.stack([w, p], axis=1))  # columns: the sector states
     return float(abs(sector[0, 1]) + abs(sector[1, 0]))

@@ -1,6 +1,8 @@
 """Tests for the displacer/wave-plate realization and its equivalence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wptoolbox.hardware import (
     DEFAULT_HWP_ANGLES,
@@ -158,3 +160,95 @@ class TestHardwareLayoutType:
         with pytest.raises(AttributeError):
             layout.lc_phases = (1.0, 1.0)
         assert isinstance(layout, HardwareLayout)
+
+
+def random_batch(seed, n=20):
+    """``n`` random settings, mixers alternating between pi/8 and 0."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(0, np.pi / 2, n)
+    phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, n))
+    beta = np.where(np.arange(n) % 2, 0.0, BETA_SPLIT)
+    return alpha, phi1, phi2, beta
+
+
+class TestBatchedRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_row_equals_single_setting(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+
+        def column(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
+        alpha = column(st.floats(0.0, np.pi / 2))
+        phi1, phi2 = column(st.floats(-7.0, 7.0)), column(st.floats(-7.0, 7.0))
+        beta = column(st.sampled_from([0.0, BETA_SPLIT]) | st.floats(-1.0, 1.0))
+        probs = hardware_output(build_hardware_layout(ToolboxPhases(phi1, phi2), beta), alpha)
+        assert probs.shape == (n, 4)
+        k = data.draw(st.integers(0, n - 1), label="k")
+        layout = build_hardware_layout(ToolboxPhases(phi1[k], phi2[k]), beta[k])
+        assert probs[k].tobytes() == hardware_output(layout, alpha[k]).tobytes()
+
+    def test_scan_is_max_of_one_point_scans(self):
+        alpha, phi1, phi2, _ = random_batch(41)
+        points = list(zip(alpha, phi1, phi2))
+        betas = (0.0, BETA_SPLIT, 0.3)
+        one_by_one = max(equivalence_scan([pt], betas, strict=False) for pt in points)
+        assert equivalence_scan(points, betas, strict=False) == one_by_one
+
+    @pytest.mark.parametrize("plate", [1, 2, 3])
+    def test_perturbed_plate_is_caught(self, plate):
+        alpha, phi1, phi2, beta = random_batch(42)
+        conceptual = interferometer_circuit(phi1, phi2, beta)
+        angles = list(DEFAULT_HWP_ANGLES)
+        angles[plate - 1] += 1e-3
+        layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta, angles)
+        assert equivalence_check(conceptual, layout, alpha, strict=False) > 1e-6
+
+    @pytest.mark.parametrize("plate", [4, 5, 6, 7])
+    def test_perturbed_routing_plate_leaks(self, plate):
+        alpha, phi1, phi2, beta = random_batch(43)
+        angles = list(DEFAULT_HWP_ANGLES)
+        angles[plate - 1] += 1e-3
+        layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta, angles)
+        with pytest.raises(RuntimeError, match="missed the detector ports"):
+            hardware_output(layout, alpha)
+
+    def test_batched_misrouting_is_caught(self):
+        alpha, phi1, phi2, beta = random_batch(44)
+        angles = list(DEFAULT_HWP_ANGLES)
+        angles[6] = 0.0  # HWP7
+        layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta, angles)
+        with pytest.raises(RuntimeError, match="missed the detector ports"):
+            hardware_output(layout, alpha)
+
+
+class TestScanInputs:
+    POINTS = [(0.4, 1.0, 2.0), (1.1, 0.3, 5.0)]
+
+    def test_empty_points_raise(self):
+        with pytest.raises(ValueError, match="at least one point .* got 0 points"):
+            equivalence_scan([])
+
+    def test_empty_betas_raise(self):
+        with pytest.raises(ValueError, match="and one beta, got 2 points and 0 betas"):
+            equivalence_scan(self.POINTS, betas=())
+
+    def test_empty_alphas_raise(self):
+        layout = build_hardware_layout(ToolboxPhases(0.2, 0.9), BETA_SPLIT)
+        conceptual = interferometer_circuit(0.2, 0.9, BETA_SPLIT)
+        with pytest.raises(ValueError, match="at least one alpha"):
+            equivalence_check(conceptual, layout, [])
+
+    @pytest.mark.parametrize("beta", [BETA_SPLIT - 1e-9, BETA_SPLIT + 1e-9,
+                                      BETA_SPLIT + 3e-6, 1e-9])
+    def test_strict_tolerance_is_absolute(self, beta):
+        with pytest.raises(ValueError, match="not a validated setting"):
+            equivalence_scan(self.POINTS, betas=(beta,))
+
+    def test_strict_guard_checks_every_beta(self):
+        with pytest.raises(ValueError, match="beta=0.3 is not a validated setting"):
+            equivalence_scan(self.POINTS, betas=(0.0, BETA_SPLIT, 0.3))
+
+    @pytest.mark.parametrize("beta", [0.0, BETA_SPLIT, np.radians(22.5)])
+    def test_validated_betas_pass(self, beta):
+        assert equivalence_scan(self.POINTS, betas=(beta,)) < 1e-12

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import wptoolbox.toolbox as toolbox
 from wptoolbox.optics import interferometer_circuit
-from wptoolbox.qcore import PureState, measure_distribution
+from wptoolbox.qcore import ModeBasis, PureState, measure_distribution
 from wptoolbox.shots import NoiseModel, noisy_single_probabilities
 from wptoolbox.toolbox import (
     BETA_DIRECT,
@@ -188,6 +188,13 @@ class TestCoherence:
         for alpha in (0.2, np.pi / 4, 1.3):
             c = coherence(alpha, ToolboxPhases(0.7, 1.9), mixed=True)
             assert c == pytest.approx(0.0, abs=1e-13)
+
+    def test_weight_outside_the_sector_raises(self):
+        w, p = wave_state(0.7).amplitudes, particle_state(1.9).amplitudes
+        outside = np.eye(4)[0] - np.vdot(w, np.eye(4)[0]) * w - np.vdot(p, np.eye(4)[0]) * p
+        state = PureState(ModeBasis(toolbox.PATHS), outside / np.linalg.norm(outside))
+        with pytest.raises(ValueError, match="not expressible in the wave/particle sector"):
+            toolbox._in_sector(state, np.stack([w, p], axis=1))
 
     def test_witness_equals_twice_ic(self):
         rng = np.random.default_rng(12)

@@ -3,8 +3,8 @@
 Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
 ``beta`` sweeps with and without ``--mixed``, both witnesses, ``two-photon``
 tables and sweeps with and without noise, sweeps with the mixers off
-``pi/8``, ``ghz`` at 1 to 8 photons) plus
-``verify``, and hashes every output file and every command's stdout.
+``pi/8``, ``ghz`` at 1 to 8 photons) plus ``verify`` at three grid sizes,
+and hashes every output file and every command's stdout.
 Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
@@ -82,6 +82,13 @@ COMMANDS = [
     ("coherence_offsplit.csv", ["witness-coherence", "--beta-deg", "10"]),
 ]
 
+#: ``verify`` runs, stdout only: the default hardware grid, one point and 250
+VERIFY = [
+    ("verify", ["verify"]),
+    ("verify_points1", ["verify", "--points", "1", "--seed", "1"]),
+    ("verify_points250", ["verify", "--points", "250", "--seed", "7"]),
+]
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -94,14 +101,15 @@ def checksums(main) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative --out paths keep "wrote <path>" stable
         try:
-            for name, argv in COMMANDS + [("verify", ["verify"])]:
+            for name, argv in COMMANDS + VERIFY:
+                writes = argv[0] != "verify"
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
-                    code = main(argv if name == "verify" else argv + ["--out", name])
+                    code = main(argv + ["--out", name] if writes else argv)
                 if code != 0:
                     raise SystemExit(f"{name}: exit code {code}")
                 sums[f"{name}.stdout"] = _digest(buf.getvalue().encode())
-                if name != "verify":
+                if writes:
                     sums[name] = _digest(Path(name).read_bytes())
         finally:
             os.chdir(cwd)
