@@ -291,9 +291,10 @@ def entanglement_witness(table: CoincidenceTable) -> float:
 
 def _sector_isometry(histories: _Histories) -> np.ndarray:
     """16x4 isometry onto span{|ww'>, |wp'>, |pw'>, |pp'>} of one pair setting."""
-    (wa, wb), (pa, pb) = histories.waves, histories.particles
-    cols = [np.kron(wa, wb), np.kron(wa, pb), np.kron(pa, wb), np.kron(pa, pb)]
-    return np.stack(cols, axis=1)
+    # each photon's (wave, particle) pair as columns, shape (paths, 2)
+    a, b = np.stack([histories.waves, histories.particles], axis=-1)
+    # entry (path of A, path of B, history of A, history of B)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 4)
 
 
 def sector_projection(

@@ -42,7 +42,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .optics import Circuit, ElementUnitary, interferometer_circuit, mirror_matrix, phase_shifter
+from .optics import (
+    Chain,
+    Circuit,
+    ElementUnitary,
+    compile_chain,
+    interferometer_circuit,
+    mirror_matrix,
+    phase_shifter,
+)
 from .qcore import ModeBasis, PureState, as_values, broadcast_values
 from .toolbox import BETA_SPLIT, ToolboxPhases, prepare_input
 
@@ -127,22 +135,21 @@ def _plate(k: int, theta, slot: int) -> ElementUnitary:
 
 
 @lru_cache(maxsize=8)
-def _fixed_stages(
-    hwp_angles: tuple[float, ...],
-) -> tuple[tuple[ElementUnitary, ...], tuple[ElementUnitary, ...]]:
-    """Displacers and plates HWP1..HWP7, built and validated once per angle set.
+def _fixed_stages(hwp_angles: tuple[float, ...]) -> Chain:
+    """The layout's chain, built, fused and validated once per angle set.
 
-    Returns the elements before the phase cells and those between the phase
-    cells and the ``beta`` plates.
+    The displacers and plates HWP1..HWP7 run before and after the phase
+    cells; each run is fused into one 8x8 block.  The slots are LC1, LC2
+    and the two ``beta`` plates.
     """
     a1, a2, a3, a4, a5, a6, a7 = hwp_angles
-    before_phases = (
+    items = (
         _rail_walk("V", +1, "BD1"),
         _plate(1, a1, 0),
         _plate(2, a2, 0),
         _plate(2, a2, 1),
-    )
-    after_phases = (
+        (_mode("V", 1),),
+        (_mode("H", 0),),
         _plate(3, a3, 1),
         _rail_walk("H", +2, "BD2"),
         _plate(4, a4, 0),
@@ -150,8 +157,10 @@ def _fixed_stages(
         _plate(6, a6, 2),
         _plate(7, a7, 3),
         _rail_walk("H", +1, "BD3"),
+        (_mode("V", 1), _mode("H", 1)),
+        (_mode("V", 3), _mode("H", 3)),
     )
-    return before_phases, after_phases
+    return compile_chain(RAIL_BASIS, items)
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +199,13 @@ def build_hardware_layout(
     """
     angles = tuple(float(x) for x in hwp_angles)
     phi1, phi2, beta = broadcast_values(phases.phi1, phases.phi2, beta)
-    before_phases, after_phases = _fixed_stages(angles)
     mixer = _plate(8, beta, 1)
-    elements = (
-        *before_phases,
+    circuit = _fixed_stages(angles).circuit(
         phase_shifter(_mode("V", 1), phi1, name="LC1"),
         phase_shifter(_mode("H", 0), phi2, name="LC2"),
-        *after_phases,
         mixer,
         mixer.relabeled("HWP8@3", (_mode("V", 3), _mode("H", 3))),
     )
-    circuit = Circuit(RAIL_BASIS, RAIL_BASIS, elements)
     return HardwareLayout(circuit, DETECTOR_PORTS, (*angles, beta), (phi1, phi2))
 
 
@@ -211,7 +216,12 @@ def hardware_output(layout: HardwareLayout, alpha) -> np.ndarray:
     ``S + (4,)``.  Raises if, on any row, light ends up outside the four
     detector ports, which would mean the chain misroutes it.
     """
-    pol_in = prepare_input(alpha).amplitudes
+    return _detector_probabilities(layout, prepare_input(alpha))
+
+
+def _detector_probabilities(layout: HardwareLayout, qubit: PureState) -> np.ndarray:
+    """:func:`hardware_output` for an already prepared input ``qubit``."""
+    pol_in = qubit.amplitudes
     amps = np.zeros(pol_in.shape[:-1] + (RAIL_BASIS.dimension,), dtype=np.complex128)
     amps[..., _INPUT_INDEX] = pol_in
     probs = layout.circuit.propagate(PureState(RAIL_BASIS, amps)).probabilities()
@@ -223,7 +233,14 @@ def hardware_output(layout: HardwareLayout, alpha) -> np.ndarray:
 
 
 def describe(layout: HardwareLayout) -> str:
-    """Listing of a one-setting layout: element order, plate angles (deg), phases (rad)."""
+    """Listing of a one-setting layout: element order, plate angles (deg), phases (rad).
+
+    A batched layout raises ``ValueError``.
+    """
+    if np.ndim(layout.beta):  # the phases share its shape
+        raise ValueError(
+            f"describe needs a layout of one setting, got a batch of shape {np.shape(layout.beta)}"
+        )
     lines = ["element chain:"]
     for el in layout.circuit.elements:
         lines.append(f"  {el.name}  on {', '.join(map(str, el.modes_in))}")
@@ -268,8 +285,9 @@ def equivalence_check(
             f"beta={beta[bad][0]:.6g} is not a validated setting; "
             "pass strict=False to compare anyway"
         )
-    conceptual_dist = conceptual.propagate(prepare_input(alphas)).probabilities()
-    hw_dist = hardware_output(layout, alphas)
+    qubit = prepare_input(alphas)
+    conceptual_dist = conceptual.propagate(qubit).probabilities()
+    hw_dist = _detector_probabilities(layout, qubit)
     return float(np.max(np.abs(conceptual_dist - hw_dist)))
 
 

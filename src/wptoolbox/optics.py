@@ -15,15 +15,31 @@ Mach-Zehnder with a polarization-controlled splitter stage:
 
 Phases and mixer angles may be arrays: the setting-dependent elements then
 hold one matrix per setting, and one circuit propagates a whole batch.
+
+Every circuit runs through the one step runner
+:func:`wptoolbox.qcore.run_steps`.  The network is compiled once per label
+set by :func:`compile_chain`: each element's mode positions are resolved in
+advance and the fixed run PBS, BS1, BS2 is fused into one checked 4x2
+block.  Only the phases and mixers are built, and checked, per call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .qcore import Label, ModeBasis, PureState, _apply, as_values, is_isometry, stack_last
+from .qcore import (
+    Label,
+    ModeBasis,
+    PureState,
+    Step,
+    as_values,
+    is_isometry,
+    route,
+    run_steps,
+    stack_last,
+)
 
 POLS: tuple[str, str] = ("V", "H")
 PATHS: tuple[str, str, str, str] = ("1", "2", "3", "4")
@@ -55,9 +71,7 @@ class ElementUnitary:
             raise ValueError(
                 f"{self.name}: matrix shape {m.shape} does not match modes"
             )
-        if not is_isometry(m):
-            raise ValueError(f"{self.name}: matrix is not an isometry")
-        m.flags.writeable = False
+        _checked(self.name, m)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "modes_in", tuple(self.modes_in))
         object.__setattr__(self, "modes_out", tuple(self.modes_out))
@@ -78,6 +92,14 @@ class ElementUnitary:
                             ("modes_out", tuple(modes)), ("matrix", self.matrix)):
             object.__setattr__(el, attr, value)
         return el
+
+
+def _checked(name: str, matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, frozen, after :func:`~wptoolbox.qcore.is_isometry` passed on it."""
+    if not is_isometry(matrix):
+        raise ValueError(f"{name}: matrix is not an isometry")
+    matrix.flags.writeable = False
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +137,21 @@ def mirror_matrix(theta) -> np.ndarray:
     return stack_last([c, s, s, -c]).reshape(c.shape + (2, 2))
 
 
+def _phase_matrix(phi) -> np.ndarray:
+    """e^{i phi} as a 1x1 matrix, or a stack of them for an array of phases."""
+    return np.exp(1j * as_values(phi))[..., None, None]
+
+
+def _mixer_matrix(beta) -> np.ndarray:
+    """The mixer of :func:`output_mixer`, or a stack of them for an array of angles."""
+    m = mirror_matrix(beta)
+    m[as_values(beta) == 0.0] = _IDENTITY2  # a 0-d mask selects the one matrix
+    return m
+
+
 def phase_shifter(mode: Label, phi, name: str | None = None) -> ElementUnitary:
     """Single-mode phase e^{i phi}; an array of phases gives a batched element."""
-    m = np.exp(1j * as_values(phi))[..., None, None]
-    return ElementUnitary(name or f"phase({mode})", (mode,), (mode,), m)
+    return ElementUnitary(name or f"phase({mode})", (mode,), (mode,), _phase_matrix(phi))
 
 
 def output_mixer(mode_a: Label, mode_b: Label, beta) -> ElementUnitary:
@@ -130,9 +163,8 @@ def output_mixer(mode_a: Label, mode_b: Label, beta) -> ElementUnitary:
     mirror form [[cos 2b, sin 2b], [sin 2b, -cos 2b]], which is balanced at
     ``beta = pi/8``.
     """
-    m = mirror_matrix(beta)
-    m[as_values(beta) == 0.0] = _IDENTITY2  # a 0-d mask selects the one matrix
-    return ElementUnitary(f"mixer({mode_a},{mode_b})", (mode_a, mode_b), (mode_a, mode_b), m)
+    modes = (mode_a, mode_b)
+    return ElementUnitary(f"mixer({mode_a},{mode_b})", modes, modes, _mixer_matrix(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +173,12 @@ def output_mixer(mode_a: Label, mode_b: Label, beta) -> ElementUnitary:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered sequence of elements between two labeled bases."""
+    """Ordered sequence of elements between two labeled bases.
+
+    Every run goes through :func:`~wptoolbox.qcore.run_steps` on steps
+    routed once per circuit, one per element; a circuit made by
+    :meth:`Chain.circuit` runs its chain's fused steps instead.
+    """
 
     input_basis: ModeBasis
     output_basis: ModeBasis
@@ -158,7 +195,7 @@ class Circuit:
         """
         if state.basis.labels != self.input_basis.labels:
             raise ValueError("state basis does not match circuit input basis")
-        return PureState(self.output_basis, self._run(state.amplitudes.copy()))
+        return PureState(self.output_basis, run_steps(state.amplitudes.copy(), self._steps))
 
     def matrix(self) -> np.ndarray:
         """Full transfer matrix (output dim x input dim), columns = basis images.
@@ -167,40 +204,115 @@ class Circuit:
         """
         if any(el.matrix.ndim > 2 for el in self.elements):
             raise ValueError("matrix() needs a circuit of unbatched elements")
-        return self._run(np.eye(self.input_basis.dimension, dtype=np.complex128)).T
+        identity = np.eye(self.input_basis.dimension, dtype=np.complex128)
+        return run_steps(identity, self._steps).T
 
-    def _run(self, amps: np.ndarray) -> np.ndarray:
-        """Apply the chain to ``amps``, whose last axis follows the input basis.
+    @cached_property
+    def _steps(self) -> tuple[Step, ...]:
+        """The elements' checked matrices, routed once.
 
-        ``amps`` is updated in place.  The elements' matrices were checked
-        when the elements were built, so only the routing is checked here.
+        Only the routing is checked here: every element finds its modes in
+        the current basis, and the chain ends in the declared output basis.
         """
-        basis = self.input_basis
-        for el in self.elements:
-            amps, basis = _apply(amps, basis, el.matrix, el.modes_in, el.modes_out)
+        steps, basis = _routed_steps(self.input_basis, self.elements)
         if basis.labels != self.output_basis.labels:
             raise ValueError("circuit did not land in its declared output basis")
-        return amps
+        return tuple(steps)
+
+
+def _routed_steps(basis: ModeBasis, elements) -> tuple[list[Step], ModeBasis]:
+    """One step per element from ``basis`` on, and the basis they end in."""
+    steps = []
+    for el in elements:
+        at, replaces, basis = route(basis, el.modes_in, el.modes_out)
+        steps.append(Step(el.matrix, at, replaces))
+    return steps, basis
+
+
+@dataclass(frozen=True)
+class Chain:
+    """An element chain compiled once: routed, with its fixed runs fused.
+
+    ``items`` are the fixed elements and, as mode tuples, the slots of the
+    per-setting elements, which act in place on those modes.  ``steps``
+    follow the items, with every run of two or more fixed elements fused
+    into one dense block over the whole basis; ``slots`` are the positions
+    of the steps whose matrix is set per call.
+    """
+
+    input_basis: ModeBasis
+    output_basis: ModeBasis
+    items: tuple
+    steps: tuple[Step, ...]
+    slots: tuple[int, ...]
+
+    def steps_with(self, *matrices: np.ndarray) -> tuple[Step, ...]:
+        """The steps with one checked matrix, or stack, per slot, in order."""
+        steps = list(self.steps)
+        for k, m in zip(self.slots, matrices, strict=True):
+            steps[k] = Step(m, steps[k].at, False)
+        return tuple(steps)
+
+    def circuit(self, *elements: ElementUnitary) -> Circuit:
+        """The chain as a circuit with ``elements`` in its slots, in order.
+
+        The circuit lists every element and runs on the chain's fused steps.
+        """
+        steps = self.steps_with(*[el.matrix for el in elements])
+        fill = iter(elements)
+        listed = [item if isinstance(item, ElementUnitary) else next(fill) for item in self.items]
+        circuit = Circuit(self.input_basis, self.output_basis, tuple(listed))
+        object.__setattr__(circuit, "_steps", steps)  # preset the cached property
+        return circuit
+
+
+def compile_chain(input_basis: ModeBasis, items) -> Chain:
+    """Route ``items`` once and fuse each run of fixed elements (see :class:`Chain`).
+
+    A fused block is the product of its members' checked matrices, and is
+    itself checked by ``is_isometry`` once, here.
+    """
+    basis, steps, slots, run = input_basis, [], [], []
+    for item in (*items, None):  # None closes the last run
+        if isinstance(item, ElementUnitary):
+            run.append(item)
+            continue
+        if run:
+            members, after = _routed_steps(basis, run)
+            if len(members) > 1:
+                block = run_steps(np.eye(basis.dimension, dtype=np.complex128), members)
+                name = "*".join(el.name for el in run)
+                block = _checked(name, np.ascontiguousarray(block.T))
+                members = [Step(block, slice(0, basis.dimension), True)]
+            steps += members
+            basis, run = after, []
+        if item is not None:
+            at, _, basis = route(basis, item, item)
+            slots.append(len(steps))
+            steps.append(Step(None, at, False))
+    return Chain(input_basis, basis, tuple(items), tuple(steps), tuple(slots))
 
 
 @lru_cache(maxsize=8)
-def _fixed_stages(
-    pol_labels: tuple[str, str], path_labels: tuple[str, str, str, str]
-) -> tuple:
-    """Setting-independent parts of the network, built and validated once.
+def _fixed_stages(pol_labels: tuple[str, str], path_labels: tuple[str, str, str, str]) -> Chain:
+    """The network's chain, built, fused and validated once per label set.
 
-    Returns the two bases, the polarizing splitter and the three balanced
-    splitters BS1, BS2, BS3.
+    Its fixed elements are the polarizing splitter and the balanced
+    splitters BS1, BS2 (fused into one 4x2 block) and BS3; its slots are
+    the two arm phases and the two mixers.
     """
     p1, p2, p3, p4 = path_labels
-    return (
-        ModeBasis(pol_labels),
-        ModeBasis(path_labels),
+    items = (
         polarizing_bs(pol_labels, path_labels),
         balanced_bs(p1, p3, name="BS1"),
         balanced_bs(p2, p4, name="BS2"),
+        (p3,),
+        (p4,),
         balanced_bs(p1, p3, name="BS3"),
+        (p1, p2),
+        (p3, p4),
     )
+    return compile_chain(ModeBasis(pol_labels), items)
 
 
 def interferometer_circuit(
@@ -223,33 +335,35 @@ def interferometer_circuit(
     batched circuit with one setting per entry.  Both mixers share one
     checked matrix.
     """
-    pol_basis, path_basis, pbs, bs1, bs2, bs3 = _fixed_stages(
-        tuple(pol_labels), tuple(path_labels)
-    )
     p1, p2, p3, p4 = path_labels
     mixer = output_mixer(p1, p2, beta)
-    elements = (
-        pbs,
-        bs1,
-        bs2,
+    return _fixed_stages(tuple(pol_labels), tuple(path_labels)).circuit(
         phase_shifter(p3, phi1, name="phase1"),
         phase_shifter(p4, phi2, name="phase2"),
-        bs3,
         mixer,
         mixer.relabeled(f"mixer({p3},{p4})", (p3, p4)),
     )
-    return Circuit(pol_basis, path_basis, elements)
 
 
 def network_matrix(phi1, phi2, beta) -> np.ndarray:
     """Transfer matrix of :func:`interferometer_circuit` (paths x polarizations).
 
     Settings of broadcast shape ``S`` give a stack of shape ``S + (4, 2)``:
-    both polarization basis vectors run through one batched circuit as a
-    ``(2,) + S + (2,)`` block.
+    both polarization basis vectors run through the compiled chain as a
+    ``(2,) + S + (2,)`` block.  The arm phases and the mixer are checked on
+    every call, as the circuit's elements are, in one stack: ``diag(e^{i
+    phi1}, e^{i phi2})`` is an isometry exactly when both phases are.
     """
     shape = np.broadcast(phi1, phi2, beta).shape
+    setting = np.zeros(shape + (2, 2, 2), dtype=np.complex128)
+    setting[..., 0, :1, :1], setting[..., 0, 1:, 1:] = _phase_matrix(phi1), _phase_matrix(phi2)
+    setting[..., 1, :, :] = _mixer_matrix(beta)
+    _checked("arm phases and mixer", setting)
+    arms, mixer = setting[..., 0, :, :], setting[..., 1, :, :]
+    steps = _fixed_stages(POLS, PATHS).steps_with(
+        arms[..., :1, :1], arms[..., 1:, 1:], mixer, mixer
+    )
     block = np.empty((2,) + shape + (2,), dtype=np.complex128)
-    block[...] = np.eye(2).reshape((2,) + (1,) * len(shape) + (2,))
-    images = interferometer_circuit(phi1, phi2, beta)._run(block)
+    block[...] = _IDENTITY2.reshape((2,) + (1,) * len(shape) + (2,))
+    images = run_steps(block, steps)
     return images.transpose(*range(1, images.ndim), 0)  # basis vectors last

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -215,7 +214,8 @@ def apply_unitary(
 
     When ``modes_out`` differs from ``modes_in`` the element changes the
     basis (e.g. injecting a polarization state into a path basis); that is
-    only supported when ``modes_in`` spans the whole current basis.
+    only supported when ``modes_in`` spans the whole current basis.  This is
+    a one-step :func:`run_steps` plan.
 
     Args:
         state: input state.
@@ -230,41 +230,61 @@ def apply_unitary(
         raise ValueError(f"matrix shape {m.shape} does not match mode counts")
     if not is_isometry(m):
         raise ValueError("matrix is not an isometry (columns not orthonormal)")
-    amps, basis = _apply(state.amplitudes.copy(), state.basis, m, modes_in, modes_out)
-    return PureState(basis, amps)
+    at, replaces, basis = route(state.basis, modes_in, modes_out)
+    return PureState(basis, run_steps(state.amplitudes.copy(), (Step(m, at, replaces),)))
 
 
-def _apply(
-    amps: np.ndarray,
-    basis: ModeBasis,
-    matrix: np.ndarray,
-    modes_in: tuple[Label, ...],
-    modes_out: tuple[Label, ...],
-) -> tuple[np.ndarray, ModeBasis]:
-    """Apply an already checked ``matrix`` to the modes of ``amps`` it names.
+class Step(NamedTuple):
+    """One already checked matrix, or stack, at fixed positions of the current basis.
 
-    ``amps`` has shape ``(..., dim)``, its last axis following ``basis``;
-    ``matrix`` is one matrix or a stack matching the leading axes of
-    ``amps``.  Amplitudes are updated in place unless the element changes
-    the basis.  Only the routing is checked here.  Returns the new
-    amplitudes and their basis.
+    ``at`` selects the positions the matrix reads: a slice when they are
+    evenly spaced, else an index array.  A step that ``replaces`` the basis
+    maps them onto the next basis; any other step writes back in place.
     """
-    idx = _indices(basis, modes_in)
-    rows = amps.T  # modes first, a view that fancy-indexes fast at any batch shape
+
+    matrix: np.ndarray
+    at: slice | np.ndarray
+    replaces: bool
+
+
+def route(
+    basis: ModeBasis, modes_in: tuple[Label, ...], modes_out: tuple[Label, ...]
+) -> tuple[slice | np.ndarray, bool, ModeBasis]:
+    """Where an element mapping ``modes_in`` to ``modes_out`` acts in ``basis``.
+
+    Returns :attr:`Step.at`, whether the element replaces the basis, and
+    the basis after it.  A chain resolves this once, not on every run.
+    Raises ``KeyError`` for a mode missing from ``basis`` and ``ValueError``
+    for a basis change that leaves part of ``basis`` behind.
+    """
+    idx = [basis.index(lab) for lab in modes_in]
     if modes_out == modes_in:
-        rows[idx] = np.matvec(matrix, rows[idx].T).T
-        return amps, basis
-    if set(modes_in) != set(basis.labels):
+        after = basis
+    elif set(modes_in) != set(basis.labels):
         raise ValueError("basis-changing elements must consume the whole basis")
-    return np.matvec(matrix, rows[idx].T), ModeBasis(modes_out)
+    else:
+        after = ModeBasis(modes_out)
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if step > 0 and idx == list(range(idx[0], idx[-1] + 1, step)):
+        return slice(idx[0], idx[-1] + 1, step), after is not basis, after
+    return np.array(idx), after is not basis, after
 
 
-@lru_cache(maxsize=64)
-def _indices(basis: ModeBasis, modes: tuple[Label, ...]) -> np.ndarray:
-    """Positions of ``modes`` in ``basis``, for :func:`_apply`'s fancy indexing."""
-    idx = np.array([basis.index(lab) for lab in modes])
-    idx.flags.writeable = False
-    return idx
+def run_steps(amps: np.ndarray, steps: Iterable[Step]) -> np.ndarray:
+    """Run ``amps``, shape ``(..., dim)``, through routed and checked steps.
+
+    Each matrix is one matrix or a stack matching the leading axes of
+    ``amps``.  This is the one propagation route: circuits, transfer
+    matrices and :func:`apply_unitary` all run here.  ``amps`` is updated in
+    place unless a step replaces the basis; the result is returned.
+    """
+    for matrix, at, replaces in steps:
+        out = np.matvec(matrix, amps[..., at])
+        if replaces:
+            amps = out
+        else:
+            amps[..., at] = out
+    return amps
 
 
 def measure_distribution(

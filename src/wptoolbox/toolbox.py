@@ -215,9 +215,9 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
     for c, term in zip(coeffs[1:], terms[1:]):
         amps = amps + c[..., None] * term
 
-    source = np.zeros(shape + (2**n,), dtype=np.complex128)
+    source = np.zeros(shape + (2,) * n, dtype=np.complex128)  # one axis per photon
     for c, pattern in zip(coeffs, patterns):
-        source[..., int("".join(map(str, pattern)), 2)] = c
+        source[(..., *pattern)] = c
     mats = network_matrix(phi1, phi2, beta).reshape(shape + (n, 4, 2))
     for k in range(n):
         # photon k's polarization axis leads; its four paths move to the back,

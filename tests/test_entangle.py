@@ -418,6 +418,21 @@ class TestConcurrence:
         with pytest.raises(ValueError, match="sector"):
             sector_projection(PureState(basis, amps), settings())
 
+    def test_sector_isometry_matches_kron_columns_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            alpha = rng.uniform(0, PI / 2)
+            phi1, phi2, phi1p, phi2p = rng.uniform(-7, 7, 4)
+            beta_a, beta_b = (rng.choice([0.0, BETA_SPLIT, rng.uniform(-1, 1)]) for _ in "ab")
+            s = settings(alpha, phi1, phi2, phi1p, phi2p, beta_a, beta_b)
+            histories = entangle._entangled(entangle._pair_settings(s))
+            (wa, wb), (pa, pb) = histories.waves, histories.particles
+            kron = np.stack([np.kron(wa, wb), np.kron(wa, pb), np.kron(pa, wb),
+                             np.kron(pa, pb)], axis=1)
+            iso = entangle._sector_isometry(histories)
+            assert iso.shape == (16, 4) and iso.flags.c_contiguous
+            assert iso.tobytes() == kron.tobytes()
+
     def test_wootters_bell_state(self):
         bell = np.zeros(4)
         bell[0] = bell[3] = 1 / np.sqrt(2)

@@ -1,4 +1,6 @@
 """Tests for the displacer/wave-plate realization and its equivalence."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from wptoolbox.hardware import (
     equivalence_scan,
     hardware_output,
     hwp_jones,
+    _fixed_stages,
 )
 from wptoolbox.optics import interferometer_circuit
 from wptoolbox.toolbox import BETA_SPLIT, ToolboxPhases, detection_probabilities
@@ -109,6 +112,11 @@ class TestLayout:
         assert "0.5, 1.5" in text
         assert "V1, H1, V3, H3" in text
 
+    def test_describe_rejects_a_batched_layout(self):
+        layout = build_hardware_layout(ToolboxPhases(np.array([0.1, 0.2]), 0.3), 0.0)
+        with pytest.raises(ValueError, match="one setting, got a batch of shape \\(2,\\)"):
+            describe(layout)
+
 
 class TestEquivalence:
     def test_wave_limit_point(self):
@@ -144,6 +152,13 @@ class TestEquivalence:
         # the representations agree there anyway once forced
         dev = equivalence_check(conceptual, layout, [0.5], strict=False)
         assert dev < 1e-12
+
+    def test_input_outside_range_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert equivalence_scan([(-0.1, 1.0, 2.0)]) < 1e-12
+        assert [w.category for w in caught] == [UserWarning]
+        assert "alpha=-0.1" in str(caught[0].message)
 
     def test_scan_random_grid(self):
         rng = np.random.default_rng(34)
@@ -203,6 +218,33 @@ class TestBatchedRoute:
         angles[plate - 1] += 1e-3
         layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta, angles)
         assert equivalence_check(conceptual, layout, alpha, strict=False) > 1e-6
+
+    @pytest.mark.parametrize("plate", [2, 3])
+    def test_perturbed_plate_changes_its_fused_block(self, plate):
+        alpha, phi1, phi2, beta = random_batch(45)
+        angles = list(DEFAULT_HWP_ANGLES)
+        angles[plate - 1] += 1e-3
+        default, perturbed = _fixed_stages(DEFAULT_HWP_ANGLES), _fixed_stages(tuple(angles))
+        # HWP2 sits in the run before the phase cells (step 0), HWP3 after them (step 3)
+        fused = [k for k, step in enumerate(default.steps) if step.replaces]
+        assert fused == [0, 3]
+        changed, kept = (0, 3) if plate == 2 else (3, 0)
+        assert np.abs(default.steps[changed].matrix - perturbed.steps[changed].matrix).max() > 1e-4
+        np.testing.assert_array_equal(default.steps[kept].matrix, perturbed.steps[kept].matrix)
+        layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta, angles)
+        assert layout.circuit._steps[changed].matrix is perturbed.steps[changed].matrix
+        conceptual = interferometer_circuit(phi1, phi2, beta)
+        assert equivalence_check(conceptual, layout, alpha, strict=False) > 1e-6
+
+    def test_fused_blocks_are_shared_across_calls(self):
+        a = build_hardware_layout(ToolboxPhases(0.1, 0.2), BETA_SPLIT)
+        b = build_hardware_layout(ToolboxPhases(np.array([1.0, 2.0]), 0.5), 0.0)
+        blocks = [s.matrix for s in _fixed_stages(DEFAULT_HWP_ANGLES).steps if s.replaces]
+        assert [m.shape for m in blocks] == [(8, 8), (8, 8)]
+        for layout in (a, b):
+            assert len(layout.circuit.elements) == 15 and len(layout.circuit._steps) == 6
+            fused = [s.matrix for s in layout.circuit._steps if s.replaces]
+            assert len(fused) == 2 and all(x is y for x, y in zip(fused, blocks))
 
     @pytest.mark.parametrize("plate", [4, 5, 6, 7])
     def test_perturbed_routing_plate_leaks(self, plate):

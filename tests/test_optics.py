@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wptoolbox.optics import (
     PATHS,
+    POLS,
     Circuit,
     ElementUnitary,
     balanced_bs,
@@ -14,9 +15,10 @@ from wptoolbox.optics import (
     output_mixer,
     phase_shifter,
     polarizing_bs,
+    _fixed_stages,
 )
 from wptoolbox.hardware import build_hardware_layout
-from wptoolbox.qcore import ModeBasis, PureState
+from wptoolbox.qcore import ModeBasis, PureState, route
 from wptoolbox.toolbox import ToolboxPhases
 
 RT2 = np.sqrt(2.0)
@@ -231,6 +233,71 @@ class TestCircuitMatrix:
             np.testing.assert_allclose(
                 circuit.matrix(), column_by_column(circuit), rtol=0, atol=1e-14
             )
+
+
+class TestCompiledRoute:
+    """Fused fixed runs, per-call checked stacks and one step runner."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_batched_route_matches_embedded_product(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+
+        def column(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)))
+        phi1, phi2 = column(st.floats(-7.0, 7.0)), column(st.floats(-7.0, 7.0))
+        beta = column(st.sampled_from([0.0, BALANCED]) | st.floats(-1.0, 1.0))
+        stack = network_matrix(phi1, phi2, beta)
+        for k in range(n):
+            circuit = interferometer_circuit(phi1[k], phi2[k], beta[k])
+            np.testing.assert_allclose(stack[k], embedded_product(circuit), rtol=0, atol=1e-15)
+            layout = build_hardware_layout(ToolboxPhases(phi1[k], phi2[k]), beta[k])
+            np.testing.assert_allclose(
+                layout.matrix(), embedded_product(layout.circuit), rtol=0, atol=1e-15
+            )
+
+    def test_fused_block_is_shared_across_calls(self):
+        block = _fixed_stages(POLS, PATHS).steps[0].matrix
+        assert block.shape == (4, 2) and not block.flags.writeable
+        a = interferometer_circuit(0.1, 0.2, BALANCED)
+        b = interferometer_circuit(np.array([1.1, 2.0]), 2.2, 0.0)
+        for circuit in (a, b):
+            assert circuit._steps[0].matrix is block
+            assert len(circuit._steps) == 6 and len(circuit.elements) == 8
+        np.testing.assert_array_equal(
+            block, embedded_product(Circuit(a.input_basis, a.output_basis, a.elements[:3]))
+        )
+
+    @pytest.mark.parametrize("bad", ["phi1", "phi2", "beta"])
+    def test_nan_setting_is_not_an_isometry(self, bad):
+        values = {"phi1": np.array([0.1, 0.2]), "phi2": np.array([0.3, 0.4]),
+                  "beta": np.array([0.0, BALANCED])}
+        values[bad][1] = np.nan
+        with pytest.raises(ValueError, match="not an isometry"):
+            network_matrix(**values)
+        with pytest.raises(ValueError, match="not an isometry"):
+            interferometer_circuit(**values)
+        with pytest.raises(ValueError, match="not an isometry"):
+            network_matrix(**{**values, bad: np.nan})
+        phases = ToolboxPhases(values["phi1"], values["phi2"])
+        with pytest.raises(ValueError, match="not an isometry"):
+            build_hardware_layout(phases, values["beta"])
+
+    def test_chain_takes_one_matrix_per_slot(self):
+        chain = _fixed_stages(POLS, PATHS)
+        mixer = output_mixer("1", "2", 0.3)
+        with pytest.raises(ValueError):
+            chain.circuit(phase_shifter("3", 0.1), phase_shifter("4", 0.2), mixer)
+        with pytest.raises(ValueError):
+            chain.steps_with(*(mixer.matrix,) * 5)
+
+    def test_positions_resolve_to_slices_when_evenly_spaced(self):
+        basis = ModeBasis(("a", "b", "c", "d"))
+        assert route(basis, ("a", "c"), ("a", "c"))[:2] == (slice(0, 3, 2), False)
+        assert route(basis, ("d",), ("d",))[0] == slice(3, 4, 1)
+        at, replaces, after = route(basis, ("b", "a", "c", "d"), ("w", "x", "y", "z"))
+        np.testing.assert_array_equal(at, [1, 0, 2, 3])
+        assert replaces and after.labels == ("w", "x", "y", "z")
 
 
 class TestNetworkStages:

@@ -3,7 +3,7 @@
 Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
 ``beta`` sweeps with and without ``--mixed``, both witnesses, ``two-photon``
 tables and sweeps with and without noise, sweeps with the mixers off
-``pi/8``, ``ghz`` at 1 to 8 photons) plus ``verify`` at three grid sizes,
+``pi/8``, ``ghz`` at 1 to 8 photons) plus ``verify`` at four grid sizes,
 and hashes every output file and every command's stdout.
 Usage::
 
@@ -82,11 +82,14 @@ COMMANDS = [
     ("coherence_offsplit.csv", ["witness-coherence", "--beta-deg", "10"]),
 ]
 
-#: ``verify`` runs, stdout only: the default hardware grid, one point and 250
+#: ``verify`` runs, stdout only: the default hardware grid, one point, 250 and
+#: 2000; the hardware line is the only output whose bits come from two
+#: propagations, so it is pinned at a large grid too
 VERIFY = [
     ("verify", ["verify"]),
     ("verify_points1", ["verify", "--points", "1", "--seed", "1"]),
     ("verify_points250", ["verify", "--points", "250", "--seed", "7"]),
+    ("verify_points2000", ["verify", "--points", "2000", "--seed", "3"]),
 ]
 
 
