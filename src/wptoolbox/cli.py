@@ -12,18 +12,17 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments/spec.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .entangle import (
-    CoincidenceTable,
     TwoPhotonSettings,
     coincidence_closed_forms,
     entanglement_witness,
@@ -34,11 +33,11 @@ from .hardware import equivalence_scan
 from .optics import interferometer_circuit
 from .shots import (
     NoiseModel,
-    estimate_witness,
+    count_errors,
     noisy_coincidence_probabilities,
     noisy_single_probabilities,
-    poisson_error,
-    sample_counts,
+    sample_rows,
+    witness_rows,
 )
 from .toolbox import (
     BETA_SPLIT,
@@ -86,36 +85,43 @@ class SweepSpec:
     fmt: str
     out: str | None
 
-    def rows(self) -> list[dict[str, float]]:
-        """Per-row parameter dictionaries (radians / unit scale)."""
-        if self.param is None:
-            return [dict(self.fixed)]
-        values = np.linspace(self.start, self.stop, self.steps)
-        if self.param in ANGLE_PARAMS:
-            values = np.radians(values)
-        out = []
-        for v in values:
-            row = dict(self.fixed)
-            row[self.param] = float(v)
-            out.append(row)
-        return out
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every setting as a column of one value per row (radians / unit scale).
+
+        A swept noise knob is range-checked here, with the message of
+        :class:`~wptoolbox.shots.NoiseModel`.
+        """
+        rows = 1 if self.param is None else self.steps
+        columns = {key: np.full(rows, v) for key, v in self.fixed.items()}
+        if self.param is not None:
+            values = np.linspace(self.start, self.stop, self.steps)
+            if self.param in ANGLE_PARAMS:
+                values = np.radians(values)
+            elif (outside := ~((0.0 <= values) & (values <= 1.0))).any():
+                name = "dephase_wp" if self.param == "dephase" else self.param
+                raise ValueError(f"{name} must lie in [0, 1], got {float(values[outside][0])}")
+            columns[self.param] = values
+        return columns
+
+
+#: the degree flag of each angle setting
+_ANGLE_FLAGS = {
+    "alpha": "alpha-deg", "phi1": "phi1-deg", "phi2": "phi2-deg", "phi1_prime": "phi1p-deg",
+    "phi2_prime": "phi2p-deg", "beta": "beta-deg", "beta_prime": "betap-deg",
+}
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     if args.beta_deg is None:
         # the n-photon table is defined for switched-off mixers
         args.beta_deg = 0.0 if args.command == "ghz" else 22.5
-    fixed = {
-        "alpha": np.radians(args.alpha_deg),
-        "phi1": np.radians(args.phi1_deg),
-        "phi2": np.radians(args.phi2_deg),
-        "phi1_prime": np.radians(args.phi1p_deg),
-        "phi2_prime": np.radians(args.phi2p_deg),
-        "beta": np.radians(args.beta_deg),
-        "beta_prime": np.radians(args.betap_deg),
-        "visibility": args.visibility,
-        "dephase": args.dephase,
-    }
+    fixed = {}
+    for key, flag in _ANGLE_FLAGS.items():
+        degrees = getattr(args, flag.replace("-", "_"))
+        if not np.isfinite(degrees):
+            raise SpecError(f"--{flag} must be finite")
+        fixed[key] = np.radians(degrees)
+    fixed.update(visibility=args.visibility, dephase=args.dephase)
     if args.shots < 0:
         raise SpecError("--shots must be >= 0")
     for knob in ("visibility", "dephase"):
@@ -126,6 +132,9 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     if args.sweep is not None:
         if args.start is None or args.stop is None:
             raise SpecError("--sweep needs explicit --start and --stop")
+        for flag in ("start", "stop"):
+            if not np.isfinite(getattr(args, flag)):
+                raise SpecError(f"--{flag} must be finite")
         param, start, stop, steps = args.sweep, args.start, args.stop, args.steps
     elif args.command in _DEFAULT_SWEEPS:
         param, start, stop, steps = _DEFAULT_SWEEPS[args.command]
@@ -150,22 +159,6 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _json_value(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
 def _output_path(spec: SweepSpec) -> str:
     if spec.out is not None:
         return spec.out
@@ -173,29 +166,54 @@ def _output_path(spec: SweepSpec) -> str:
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), base)
 
 
-def _emit(spec: SweepSpec, header: list[str], rows: list[dict]) -> str:
-    """Write rows as CSV or JSON; returns the path written.
+def _write_table(fh, fmt: str, header: list[str], columns: list) -> None:
+    """Write the columns as CSV or JSON rows, one ``%``-template per row.
 
-    Numbers are formatted by :func:`_fmt` (CSV) or stored as JSON numbers;
-    strings pass through.  The table goes to a temporary file next to the
-    target, which replaces the target only once complete, so a failed write
-    leaves any previous file untouched.
+    The bytes are those of ``csv.writer`` (``%.17g`` floats, ``%d``
+    integers, ``\r\n`` line ends; string cells hold no delimiter or quote,
+    so none is quoted) or of ``json.dump(rows, indent=2)`` plus a newline.
+    """
+    cells, values = [], []
+    for col in map(np.asarray, columns):
+        kind, col_values = col.dtype.kind, col.tolist()
+        if kind == "U":
+            cell = "%s"
+            if fmt == "json":
+                col_values = [encode_basestring_ascii(v) for v in col_values]
+        elif kind in "iu":
+            cell = "%d"
+        elif fmt == "csv":
+            cell = "%.17g"
+        elif np.isfinite(col).all():
+            cell = "%r"
+        else:  # json's NaN and Infinity
+            cell, col_values = "%s", [json.dumps(v) for v in col_values]
+        cells.append(cell)
+        values.append(col_values)
+    if fmt == "csv":
+        template = ",".join(cells) + "\r\n"
+        fh.write(",".join(header) + "\r\n" + "".join(map(template.__mod__, zip(*values))))
+        return
+    keys = (encode_basestring_ascii(col).replace("%", "%%") for col in header)
+    template = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, cells)) + "\n  }"
+    rows = ",\n".join(map(template.__mod__, zip(*values)))
+    fh.write(f"[\n{rows}\n]\n" if rows else "[]\n")
+
+
+def _emit(spec: SweepSpec, header: list[str], columns: list) -> str:
+    """Write the table ``header``/``columns`` as CSV or JSON; returns the path written.
+
+    The table goes to a temporary file next to the target, which replaces
+    the target only once complete, so a failed write leaves any previous
+    file untouched.
     """
     path = _output_path(spec)
     base = os.path.join(os.path.dirname(path), "." + os.path.basename(path))
     tmp = f"{base}.{os.urandom(4).hex()}.tmp"
     try:
-        # csv writes its own line endings; json relies on text-mode translation
+        # csv ends its lines with \r\n itself; json relies on text-mode translation
         with open(tmp, "x", newline="" if spec.fmt == "csv" else None) as fh:
-            if spec.fmt == "csv":
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow(_fmt(row[col]) for col in header)
-            else:
-                payload = [{col: _json_value(row[col]) for col in header} for row in rows]
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            _write_table(fh, spec.fmt, header, columns)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # only when the write or the rename failed
@@ -203,37 +221,21 @@ def _emit(spec: SweepSpec, header: list[str], rows: list[dict]) -> str:
     return path
 
 
-def _noise(values: dict[str, float]) -> NoiseModel:
-    return NoiseModel(visibility=values["visibility"], dephase_wp=values["dephase"])
+#: each engine's settings, in the order of its arguments
+_SINGLE_KEYS = ("alpha", "phi1", "phi2", "beta")
+_PAIR_KEYS = ("alpha", "phi1", "phi2", "phi1_prime", "phi2_prime", "beta", "beta_prime")
 
 
-def _columns(values: list[dict[str, float]], *keys: str) -> list[np.ndarray]:
-    """One array per key, across the rows."""
-    return [np.array([v[key] for v in values]) for key in keys]
-
-
-def _fringe_scales(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
-    """Each row's fringe scale: the noise model's, or 0 for --mixed."""
+def _distributions(spec: SweepSpec, settings: dict[str, np.ndarray], pair: bool) -> np.ndarray:
+    """Detector probabilities (or coincidence tables, for a ``pair``) of every
+    row, from one engine call, honoring --mixed/noise."""
     if spec.mixed:
         # the classical mixture carries no fringe, so noise leaves it alone
-        return np.zeros(len(values))
-    return np.array([_noise(v).fringe_scale for v in values])
-
-
-def _single_distributions(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
-    """Detector probabilities of every row, from one engine call, honoring --mixed/noise."""
-    alpha, phi1, phi2, beta = _columns(values, "alpha", "phi1", "phi2", "beta")
-    return single_photon_batch(
-        alpha, phi1, phi2, beta, _fringe_scales(spec, values)
-    ).probabilities
-
-
-def _pair_distributions(spec: SweepSpec, values: list[dict[str, float]]) -> np.ndarray:
-    """Coincidence tables of every row, from one engine call, honoring --mixed/noise."""
-    settings = _columns(
-        values, "alpha", "phi1", "phi2", "phi1_prime", "phi2_prime", "beta", "beta_prime"
-    )
-    return two_photon_batch(*settings, _fringe_scales(spec, values)).probabilities
+        scales = np.zeros_like(settings["visibility"])
+    else:
+        scales = (1.0 - settings["dephase"]) * settings["visibility"]
+    engine, keys = (two_photon_batch, _PAIR_KEYS) if pair else (single_photon_batch, _SINGLE_KEYS)
+    return engine(*(settings[key] for key in keys), scales).probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -241,43 +243,30 @@ def _pair_distributions(spec: SweepSpec, values: list[dict[str, float]]) -> np.n
 # ---------------------------------------------------------------------------
 
 def cmd_single_sweep(spec: SweepSpec) -> int:
+    settings = spec.columns()
+    probs = _distributions(spec, settings, pair=False)
     header = ["alpha", "phi1", "phi2", "beta", "p1", "p2", "p3", "p4"]
+    columns = [*(settings[key] for key in _SINGLE_KEYS), *probs.T]
     if spec.shots > 0:
+        counts = sample_rows(probs, spec.shots, spec.seed)
         header += [f"c{i}" for i in range(1, 5)] + [f"e{i}" for i in range(1, 5)]
-    values = spec.rows()
-    rows = []
-    for k, (v, dist) in enumerate(zip(values, _single_distributions(spec, values))):
-        row = {
-            "alpha": v["alpha"], "phi1": v["phi1"],
-            "phi2": v["phi2"], "beta": v["beta"],
-        }
-        row.update(zip(("p1", "p2", "p3", "p4"), dist))
-        if spec.shots > 0:
-            counts = sample_counts(dist, spec.shots, spec.seed + k)
-            row.update(zip(("c1", "c2", "c3", "c4"), counts.counts))
-            row.update(zip(("e1", "e2", "e3", "e4"), poisson_error(counts)))
-        rows.append(row)
-    print(f"wrote {_emit(spec, header, rows)}")
+        columns += [*counts.T, *count_errors(counts).T]
+    print(f"wrote {_emit(spec, header, columns)}")
     return EXIT_OK
 
 
 def cmd_witness_coherence(spec: SweepSpec) -> int:
+    settings = spec.columns()
+    probs = _distributions(spec, settings, pair=False)
     header = ["alpha", "phi1", "wc"]
+    columns = [settings["alpha"], settings["phi1"]]
     if spec.shots > 0:
         header.append("wc_err")
-    values = spec.rows()
-    rows = []
-    for k, (v, dist) in enumerate(zip(values, _single_distributions(spec, values))):
-        row = {"alpha": v["alpha"], "phi1": v["phi1"]}
-        if spec.shots > 0:
-            counts = sample_counts(dist, spec.shots, spec.seed + k)
-            estimate = estimate_witness(counts, "coherence")
-            row["wc"] = estimate.value
-            row["wc_err"] = estimate.error
-        else:
-            row["wc"] = abs(float(dist[0]) - float(dist[1]))
-        rows.append(row)
-    print(f"wrote {_emit(spec, header, rows)}")
+        columns += witness_rows(sample_rows(probs, spec.shots, spec.seed), spec.shots,
+                                "coherence")
+    else:
+        columns.append(np.abs(probs[:, 0] - probs[:, 1]))
+    print(f"wrote {_emit(spec, header, columns)}")
     return EXIT_OK
 
 
@@ -285,89 +274,59 @@ _PAIR_COLUMNS = [f"p_{a}{b}p" for a in range(1, 5) for b in range(1, 5)]
 
 
 def cmd_two_photon(spec: SweepSpec) -> int:
-    header = ["phi1", "phi1p", "beta", "betap"] + list(_PAIR_COLUMNS)
-    if spec.shots > 0:
-        header += [c.replace("p_", "c_") for c in _PAIR_COLUMNS]
-        header += [c.replace("p_", "e_") for c in _PAIR_COLUMNS]
     if spec.param is None:
         # default grid: the four fringe corners at both validated mixers
-        value_sets = []
-        for beta in (0.0, BETA_SPLIT):
-            for phi1 in (0.0, np.pi):
-                for phi1p in (0.0, np.pi):
-                    v = dict(spec.fixed)
-                    v.update(
-                        phi1=phi1, phi1_prime=phi1p, beta=beta, beta_prime=beta
-                    )
-                    value_sets.append(v)
+        corners = itertools.product((0.0, BETA_SPLIT), (0.0, np.pi), (0.0, np.pi))
+        beta, phi1, phi1p = np.array(list(corners)).T
+        settings = {key: np.full(len(beta), v) for key, v in spec.fixed.items()}
+        settings.update(phi1=phi1, phi1_prime=phi1p, beta=beta, beta_prime=beta)
     else:
-        value_sets = spec.rows()
-    rows = []
-    for k, (v, table) in enumerate(zip(value_sets, _pair_distributions(spec, value_sets))):
-        row = {
-            "phi1": v["phi1"], "phi1p": v["phi1_prime"],
-            "beta": v["beta"], "betap": v["beta_prime"],
-        }
-        row.update(zip(_PAIR_COLUMNS, table.reshape(-1)))
-        if spec.shots > 0:
-            counts = sample_counts(table, spec.shots, spec.seed + k)
-            row.update(
-                zip((c.replace("p_", "c_") for c in _PAIR_COLUMNS),
-                    counts.counts.reshape(-1))
-            )
-            row.update(
-                zip((c.replace("p_", "e_") for c in _PAIR_COLUMNS),
-                    poisson_error(counts).reshape(-1))
-            )
-        rows.append(row)
-    print(f"wrote {_emit(spec, header, rows)}")
+        settings = spec.columns()
+    tables = _distributions(spec, settings, pair=True).reshape(-1, 16)
+    header = ["phi1", "phi1p", "beta", "betap"] + _PAIR_COLUMNS
+    columns = [settings[key] for key in ("phi1", "phi1_prime", "beta", "beta_prime")]
+    columns += list(tables.T)
+    if spec.shots > 0:
+        counts = sample_rows(tables, spec.shots, spec.seed)
+        header += [c.replace("p_", "c_") for c in _PAIR_COLUMNS]
+        header += [c.replace("p_", "e_") for c in _PAIR_COLUMNS]
+        columns += [*counts.T, *count_errors(counts).T]
+    print(f"wrote {_emit(spec, header, columns)}")
     return EXIT_OK
 
 
 def cmd_witness_entanglement(spec: SweepSpec) -> int:
+    settings = spec.columns()
+    tables = _distributions(spec, settings, pair=True)
     header = ["phi1", "p_22p", "p_21p", "we"]
     if spec.shots > 0:
+        counts = sample_rows(tables, spec.shots, spec.seed)
         header.append("we_err")
-    values = spec.rows()
-    rows = []
-    for k, (v, dist) in enumerate(zip(values, _pair_distributions(spec, values))):
-        table = CoincidenceTable(dist)
-        row = {"phi1": v["phi1"]}
-        if spec.shots > 0:
-            counts = sample_counts(table, spec.shots, spec.seed + k)
-            freq = counts.frequencies()
-            estimate = estimate_witness(counts, "entanglement")
-            row.update(
-                p_22p=float(freq[1, 1]), p_21p=float(freq[1, 0]),
-                we=estimate.value, we_err=estimate.error,
-            )
-        else:
-            row.update(
-                p_22p=table.prob(2, 2), p_21p=table.prob(2, 1),
-                we=entanglement_witness(table),
-            )
-        rows.append(row)
-    print(f"wrote {_emit(spec, header, rows)}")
+        columns = [settings["phi1"], counts[:, 1, 1] / spec.shots,
+                   counts[:, 1, 0] / spec.shots,
+                   *witness_rows(counts, spec.shots, "entanglement")]
+    else:
+        p22, p21 = tables[:, 1, 1], tables[:, 1, 0]
+        columns = [settings["phi1"], p22, p21, p22 - p21]
+    print(f"wrote {_emit(spec, header, columns)}")
     return EXIT_OK
 
 
 def cmd_ghz(spec: SweepSpec, photons: int) -> int:
     if spec.param is not None:
         raise SpecError("the n-photon table does not support sweeps")
-    if spec.mixed or _noise(spec.fixed).fringe_scale != 1.0:
-        raise SpecError("the n-photon table supports neither --mixed nor noise")
     v = spec.fixed
+    if spec.mixed or (1.0 - v["dephase"]) * v["visibility"] != 1.0:
+        raise SpecError("the n-photon table supports neither --mixed nor noise")
     sectors = ghz_sector_probabilities(
         photons, v["alpha"], ToolboxPhases(v["phi1"], v["phi2"]), beta=v["beta"]
     )
-    rows = []
-    crossed_mass = 0.0
-    for pattern, prob in sectors.items():
-        crossed = int(len(set(pattern)) > 1)
-        crossed_mass += prob if crossed else 0.0
-        rows.append({"sector": pattern, "probability": prob, "crossed": crossed})
-    path = _emit(spec, ["sector", "probability", "crossed"], rows)
-    print(f"crossed-sector mass: {_fmt(crossed_mass)}")
+    crossed = [int(len(set(pattern)) > 1) for pattern in sectors]
+    path = _emit(spec, ["sector", "probability", "crossed"],
+                 [list(sectors), list(sectors.values()), crossed])
+    # a running sum in table order, which the printed digits have always come from
+    crossed_mass = sum(p for p, c in zip(sectors.values(), crossed) if c)
+    print(f"crossed-sector mass: {float(crossed_mass):.17g}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -545,6 +504,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise SpecError("--seed must be >= 0")
         if args.command == "verify":
             return cmd_verify(args.points, args.seed)
         spec = _spec_from_args(args)

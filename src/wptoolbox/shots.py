@@ -82,42 +82,58 @@ class WitnessEstimate(NamedTuple):
     error: float
 
 
-def _as_probability_array(dist: Distribution) -> np.ndarray:
-    if isinstance(dist, SingleProbabilities):
-        p = dist.as_array()
-    elif isinstance(dist, CoincidenceTable):
-        p = dist.matrix
-    else:
-        p = np.asarray(dist, dtype=float)
-    if not np.min(p) >= -1e-12:  # NaN fails too
-        raise ValueError("distribution has a negative or NaN probability")
-    if not abs(p.sum() - 1.0) <= 1e-9:
-        raise ValueError(f"distribution sums to {p.sum()}, not 1")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_counts(dist: Distribution, n_shots: int, seed: int) -> CountTable:
-    """Multinomial draw of ``n_shots`` detection events.
+def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
+    """Multinomial draws of ``n_shots`` events for every row of ``dists``.
 
-    Deterministic for a fixed (distribution, shots, seed) triple.
+    ``dists`` holds one distribution per leading index, shape ``(rows, 4)``
+    or ``(rows, 4, 4)``; the counts come back in that shape as int64.  Every
+    row is checked before any draw, and an error names the first bad row.
+    Row ``k`` draws from ``default_rng(seed + k)``, so it is deterministic
+    for a fixed (distribution, shots, seed + k) and equals
+    :func:`sample_counts` of that row at that seed.
     """
     if n_shots < 1:
         raise ValueError("need at least one shot")
-    p = _as_probability_array(dist)
-    flat = np.clip(p.reshape(-1), 0.0, None)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(int(n_shots), flat / flat.sum()).reshape(p.shape)
+    p = np.asarray(dists, dtype=float)
+    flat = p.reshape(len(p), -1)
+    sums = flat.sum(axis=1)
+    # all rows at once; only a failure looks row by row (NaN fails too)
+    if not (flat.min(initial=0.0) >= -1e-12 and np.abs(sums - 1.0).max(initial=0.0) <= 1e-9):
+        lows = flat.min(axis=1)
+        k = int(np.argmax(~((lows >= -1e-12) & (np.abs(sums - 1.0) <= 1e-9))))
+        if not lows[k] >= -1e-12:
+            raise ValueError(f"row {k}: distribution has a negative or NaN probability")
+        raise ValueError(f"row {k}: distribution sums to {sums[k]}, not 1")
+    flat = np.clip(flat, 0.0, None)
+    counts = np.empty(flat.shape, dtype=np.int64)
+    for k, row in enumerate(flat):
+        counts[k] = np.random.default_rng(seed + k).multinomial(int(n_shots), row / row.sum())
+    return counts.reshape(p.shape)
+
+
+def sample_counts(dist: Distribution, n_shots: int, seed: int) -> CountTable:
+    """Multinomial draw of ``n_shots`` detection events: one row of :func:`sample_rows`,
+    deterministic for a fixed (distribution, shots, seed) triple."""
+    if isinstance(dist, SingleProbabilities):
+        dist = dist.as_array()
+    elif isinstance(dist, CoincidenceTable):
+        dist = dist.matrix
+    counts = sample_rows(np.asarray(dist, dtype=float)[None], n_shots, seed)[0]
     return CountTable(counts, int(n_shots), int(seed))
 
 
-def poisson_error(table: CountTable) -> np.ndarray:
+def count_errors(counts: np.ndarray) -> np.ndarray:
     """Per-outcome counting error sqrt(n), with n = 0 mapped to 1."""
-    err = np.sqrt(table.counts.astype(float))
-    return np.where(table.counts == 0, 1.0, err)
+    return np.sqrt(np.maximum(counts, 1))
+
+
+def poisson_error(table: CountTable) -> np.ndarray:
+    """:func:`count_errors` of the table's counts."""
+    return count_errors(table.counts)
 
 
 def estimate_probabilities(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
@@ -160,38 +176,44 @@ def noisy_coincidence_probabilities(
 # witness estimation
 # ---------------------------------------------------------------------------
 
-def estimate_witness(table: CountTable, witness: str) -> WitnessEstimate:
-    """Plug-in witness estimate with quadrature-propagated Poisson error.
+#: each witness's table, outcome count and flat indices of its two entering counts
+_WITNESS_CELLS = {"coherence": ("4-outcome counts", 4, 0, 1),
+                  "entanglement": ("4x4 coincidence counts", 16, 5, 4)}
 
-    ``witness='coherence'`` reads |n1 - n2| / N from 4-outcome counts;
-    ``witness='entanglement'`` reads (n_22' - n_21') / N from coincidence
-    counts.  The error is sqrt(n_a + n_b) / N: the two entering counts are
-    treated as independent Poisson variables (zero counts contribute their
-    unit-error convention).
+
+def witness_rows(counts, n_shots: int, witness: str) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in witness and its Poisson error for every row of ``counts``.
+
+    ``counts`` holds one count table of ``n_shots`` events per leading index:
+    ``(rows, 4)`` for ``witness='coherence'``, which reads |n1 - n2| / N, or
+    ``(rows, 4, 4)`` for ``witness='entanglement'``, which reads
+    (n_22' - n_21') / N.  The error is sqrt(n_a + n_b) / N: the two entering
+    counts are treated as independent Poisson variables (zero counts
+    contribute their unit-error convention of :func:`count_errors`).
+    """
+    if n_shots < 1:
+        raise ValueError("witness estimation needs at least one shot")
+    if witness not in _WITNESS_CELLS:
+        raise ValueError(f"unknown witness {witness!r}")
+    table, size, a, b = _WITNESS_CELLS[witness]
+    flat = np.asarray(counts).reshape(len(counts), -1)
+    if flat.shape[1] != size:
+        raise ValueError(f"{witness} witness needs {table}")
+    # an integer difference: equal to the float one, as counts stay below 2**53
+    diff = flat[:, a] - flat[:, b]
+    errors = count_errors(flat)
+    value = (np.abs(diff) if witness == "coherence" else diff) / n_shots
+    return value, np.hypot(errors[:, a], errors[:, b]) / n_shots
+
+
+def estimate_witness(table: CountTable, witness: str) -> WitnessEstimate:
+    """Plug-in witness estimate with quadrature-propagated Poisson error:
+    :func:`witness_rows` of one table.
 
     The coherence estimate is biased upward near zero: ``|n1 - n2|`` folds
     the counting noise of ``n1 - n2`` onto one side, so where ``P1 = P2``
     (the classical mixture) it reads about ``sqrt(2/pi) * sqrt(n1 + n2) / N``
     instead of 0, which is ``sqrt(2/pi)`` times the reported error.
     """
-    if table.total_shots < 1:
-        raise ValueError("witness estimation needs at least one shot")
-    n = table.total_shots
-    errs = poisson_error(table)
-    if witness == "coherence":
-        if table.counts.size != 4:
-            raise ValueError("coherence witness needs 4-outcome counts")
-        c = table.counts.reshape(-1)
-        e = errs.reshape(-1)
-        value = abs(float(c[0]) - float(c[1])) / n
-        error = float(np.hypot(e[0], e[1])) / n
-    elif witness == "entanglement":
-        if table.counts.size != 16:
-            raise ValueError("entanglement witness needs 4x4 coincidence counts")
-        c = table.counts.reshape(4, 4)
-        e = errs.reshape(4, 4)
-        value = (float(c[1, 1]) - float(c[1, 0])) / n
-        error = float(np.hypot(e[1, 1], e[1, 0])) / n
-    else:
-        raise ValueError(f"unknown witness {witness!r}")
-    return WitnessEstimate(value, error)
+    value, error = witness_rows(table.counts[None], table.total_shots, witness)
+    return WitnessEstimate(float(value[0]), float(error[0]))

@@ -119,13 +119,7 @@ def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
     form agree on this state: both pass the recombined pair (1, 3) through.
     Arrays of settings give a batched state.
     """
-    phi1, beta = as_values(phi1), as_values(beta)
-    g = np.exp(0.5j * phi1)[..., None]
-    cos_h, sin_h = np.cos(phi1 / 2), np.sin(phi1 / 2)
-    t = 2 * beta
-    c, s = np.cos(t), np.sin(t)
-    amps = g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
-    return PureState(_PATH_BASIS, amps)
+    return PureState(_PATH_BASIS, _wave_amplitudes(phi1, beta))
 
 
 def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
@@ -133,6 +127,21 @@ def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
 
     Arrays of settings give a batched state.
     """
+    return PureState(_PATH_BASIS, _particle_amplitudes(phi2, beta))
+
+
+def _wave_amplitudes(phi1, beta) -> np.ndarray:
+    """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``."""
+    phi1, beta = as_values(phi1), as_values(beta)
+    g = np.exp(0.5j * phi1)[..., None]
+    cos_h, sin_h = np.cos(phi1 / 2), np.sin(phi1 / 2)
+    t = 2 * beta
+    c, s = np.cos(t), np.sin(t)
+    return g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
+
+
+def _particle_amplitudes(phi2, beta) -> np.ndarray:
+    """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``."""
     phi2, beta = as_values(phi2), as_values(beta)
     e2 = np.exp(1j * phi2)
     t = 2 * beta
@@ -140,8 +149,7 @@ def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
     # absent mixers pass the open-arm pair (2, 4) straight through; the
     # beta -> 0 limit of the coupled form would flip its sign
     lower = np.where(beta == 0.0, 1.0, -np.cos(t))[()]
-    amps = stack_last([s, lower, s * e2, lower * e2]) / _RT2
-    return PureState(_PATH_BASIS, amps)
+    return stack_last([s, lower, s * e2, lower * e2]) / _RT2
 
 
 def mixed_output(
@@ -201,8 +209,9 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
     shape, n = np.shape(next(iter(settings.values()))), len(patterns[0])
     if 0 in shape:
         raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
-    waves = wave_state(phi1, beta).amplitudes.reshape(shape + (n, 4))
-    particles = particle_state(phi2, beta).amplitudes.reshape(shape + (n, 4))
+    # raw amplitudes: a PureState would copy and scan what the check below compares
+    waves = _wave_amplitudes(phi1, beta).reshape(shape + (n, 4))
+    particles = _particle_amplitudes(phi2, beta).reshape(shape + (n, 4))
     histories = (waves, particles)
     terms = []
     for pattern in patterns:

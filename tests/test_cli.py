@@ -1,14 +1,17 @@
 """Command-line interface: file formats, frozen values, exit codes."""
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wptoolbox.cli as cli
-from wptoolbox.cli import build_parser, main
+from wptoolbox.cli import SweepSpec, build_parser, main
 from wptoolbox.entangle import ghz_sector_probabilities
 from wptoolbox.toolbox import ToolboxPhases
 
@@ -358,6 +361,40 @@ class TestArgumentErrors:
         assert main(["ghz", "--mixed", "--out", out]) == 2
         assert main(["ghz", "--visibility", "0.5", "--out", out]) == 2
 
+    @pytest.mark.parametrize("argv", [["single-sweep", "--shots", "10"],
+                                      ["two-photon"], ["verify", "--points", "1"]])
+    def test_negative_seed_named(self, tmp_path, capsys, argv):
+        out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "x.csv")]
+        assert main(argv + ["--seed", "-1"] + out) == 2
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--alpha-deg", "--phi1-deg", "--phi2-deg", "--phi1p-deg",
+                                      "--phi2p-deg", "--beta-deg", "--betap-deg"])
+    def test_nonfinite_angle_named(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "x.csv")
+        assert main(["two-photon", f"{flag}={value}", "--out", out]) == 2
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bounds", [("nan", "90"), ("0", "inf")])
+    def test_nonfinite_sweep_bound_named(self, tmp_path, capsys, bounds):
+        out = str(tmp_path / "x.csv")
+        assert main(["single-sweep", "--sweep", "alpha", "--start", bounds[0],
+                     "--stop", bounds[1], "--out", out]) == 2
+        flag = "--start" if bounds[0] == "nan" else "--stop"
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mixed", [[], ["--mixed"]])
+    @pytest.mark.parametrize("knob, name", [("visibility", "visibility"),
+                                            ("dephase", "dephase_wp")])
+    def test_swept_noise_knob_out_of_range(self, tmp_path, capsys, knob, name, mixed):
+        out = str(tmp_path / "x.csv")
+        assert main(["witness-coherence", "--sweep", knob, "--start", "0.5", "--stop", "1.5",
+                     "--steps", "3", "--out", out] + mixed) == 2
+        assert f"error: {name} must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -382,22 +419,15 @@ class TestOutputFiles:
     def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch, capsys, fmt):
         out = tmp_path / f"s.{fmt}"
         out.write_text("previous contents\n")
-        if fmt == "csv":
-            real_fmt, calls = cli._fmt, []
+        real_write = cli._write_table
 
-            def failing_fmt(value):
-                calls.append(value)
-                if len(calls) > 20:  # a few rows in
-                    raise OSError(28, "No space left on device")
-                return real_fmt(value)
+        def failing_write(fh, *table):
+            text = io.StringIO()
+            real_write(text, *table)
+            fh.write(text.getvalue()[:200])  # a few rows in
+            raise OSError(28, "No space left on device")
 
-            monkeypatch.setattr(cli, "_fmt", failing_fmt)
-        else:
-            def failing_dump(obj, fh, **kwargs):
-                fh.write('[\n  {"alpha": ')
-                raise OSError(28, "No space left on device")
-
-            monkeypatch.setattr(cli.json, "dump", failing_dump)
+        monkeypatch.setattr(cli, "_write_table", failing_write)
         assert main(["single-sweep", "--format", fmt, "--out", str(out)]) == 2
         assert "cannot write output" in capsys.readouterr().err
         assert out.read_text() == "previous contents\n"
@@ -424,3 +454,82 @@ class TestOutputFiles:
             )
         with open(out, newline="") as fh:
             assert fh.read() == expected
+
+
+# ---------------------------------------------------------------------------
+# the table writer against the stdlib route
+# ---------------------------------------------------------------------------
+
+def _stdlib_fmt(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _stdlib_json_value(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value)
+
+
+def _stdlib_table(path, fmt, header, columns):
+    """The table as ``csv.writer`` and ``json.dump(indent=2)`` write it."""
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(_stdlib_fmt(row[col]) for col in header)
+        else:
+            payload = [{col: _stdlib_json_value(row[col]) for col in header} for row in rows]
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 2.0 / 3.0]
+)
+_KINDS = {
+    "float": lambda n: st.lists(_FLOATS, min_size=n, max_size=n).map(np.array),
+    "count": lambda n: st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    .map(lambda xs: np.array(xs, dtype=np.int64)),
+    "sector": lambda n: st.lists(st.text("wp", min_size=1, max_size=8), min_size=n, max_size=n),
+}
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 6))
+    header = draw(st.lists(st.text("abcp_%1", min_size=1, max_size=5), min_size=1,
+                           max_size=6, unique=True))
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=len(header),
+                          max_size=len(header)))
+    return header, [draw(_KINDS[kind](rows)) for kind in kinds]
+
+
+class TestTableWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
+    def test_bytes_equal_the_stdlib_route(self, tmp_path_factory, table, fmt):
+        header, columns = table
+        base = tmp_path_factory.mktemp("tables")
+        spec = SweepSpec("single-sweep", None, 0.0, 0.0, 0, {}, 0, 0, False, fmt,
+                         str(base / f"emit.{fmt}"))
+        assert cli._emit(spec, header, columns) == spec.out
+        _stdlib_table(base / f"stdlib.{fmt}", fmt, header, columns)
+        assert (base / f"emit.{fmt}").read_bytes() == (base / f"stdlib.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nonfinite_floats_as_the_stdlib_writes_them(self, tmp_path, fmt):
+        header, columns = ["x", "n"], [np.array([np.nan, np.inf, -np.inf, 0.5]),
+                                       np.arange(4)]
+        spec = SweepSpec("single-sweep", None, 0.0, 0.0, 0, {}, 0, 0, False, fmt,
+                         str(tmp_path / f"emit.{fmt}"))
+        cli._emit(spec, header, columns)
+        _stdlib_table(tmp_path / f"stdlib.{fmt}", fmt, header, columns)
+        assert (tmp_path / f"emit.{fmt}").read_bytes() == (tmp_path / f"stdlib.{fmt}").read_bytes()

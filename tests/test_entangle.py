@@ -288,15 +288,14 @@ class TestPairEngine:
 
     @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
     def test_cross_check_names_the_failing_row(self, monkeypatch, beta):
-        exact = toolbox.wave_state
+        exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta=BETA_SPLIT):
-            w = exact(phi1, beta)
-            amps = w.amplitudes.copy()
+        def perturbed(phi1, beta):
+            amps = exact(phi1, beta).copy()
             amps[2] += 1e-9  # one row of the batch
-            return PureState(w.basis, amps)
+            return amps
 
-        monkeypatch.setattr(toolbox, "wave_state", perturbed)
+        monkeypatch.setattr(toolbox, "_wave_amplitudes", perturbed)
         alpha = np.linspace(0.1, 1.4, 5)
         phi1 = np.linspace(0.3, 5.0, 5)
         with pytest.raises(
@@ -495,13 +494,12 @@ class TestSourceTermEngine:
 
     @pytest.fixture
     def perturbed_wave(self, monkeypatch):
-        exact = toolbox.wave_state
+        exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta=BETA_SPLIT):
-            w = exact(phi1, beta)
-            return PureState(w.basis, w.amplitudes + 1e-9)
+        def perturbed(phi1, beta):
+            return exact(phi1, beta) + 1e-9
 
-        monkeypatch.setattr(toolbox, "wave_state", perturbed)
+        monkeypatch.setattr(toolbox, "_wave_amplitudes", perturbed)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_perturbed_closed_form_raises_for_ghz(self, perturbed_wave, n):
@@ -517,7 +515,7 @@ class TestSourceTermEngine:
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_concurrence_evaluates_the_histories_once(self, monkeypatch, mixed):
-        calls = {"wave_state": 0, "particle_state": 0}
+        calls = {"_wave_amplitudes": 0, "_particle_amplitudes": 0}
 
         def counted(name):
             exact = getattr(toolbox, name)
@@ -530,7 +528,7 @@ class TestSourceTermEngine:
         for name in calls:
             monkeypatch.setattr(toolbox, name, counted(name))
         concurrence(settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2), mixed=mixed)
-        assert calls == {"wave_state": 1, "particle_state": 1}
+        assert calls == {"_wave_amplitudes": 1, "_particle_amplitudes": 1}
 
     @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
     def test_two_photon_ghz_is_the_pair_bit_for_bit(self, beta):

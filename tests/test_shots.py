@@ -1,4 +1,6 @@
 """Tests for count sampling, Poisson errors, and noise models."""
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from wptoolbox.shots import (
     noisy_single_probabilities,
     poisson_error,
     sample_counts,
+    sample_rows,
+    witness_rows,
 )
 from wptoolbox.toolbox import BETA_SPLIT, ToolboxPhases, coherence_witness, detection_probabilities
 
@@ -105,6 +109,72 @@ class TestSampling:
             ratios.append(tv_big / tv_small)
         # quadrupling the shots should halve the distance on average
         assert 0.3 < np.mean(ratios) < 0.75
+
+
+def _random_rows(rows, outcomes, seed):
+    """Random distributions, one per row, shaped ``(rows, 4)`` or ``(rows, 4, 4)``."""
+    p = np.random.default_rng(seed).dirichlet(np.full(outcomes, 0.7), rows)
+    p[1] = np.eye(outcomes)[2]  # a point mass among them
+    return p.reshape((rows,) + ((4,) if outcomes == 4 else (4, 4)))
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("outcomes", [4, 16])
+    def test_row_k_is_sample_counts_at_seed_plus_k(self, outcomes):
+        dists = _random_rows(9, outcomes, seed=outcomes)
+        counts = sample_rows(dists, 3_000, seed=41)
+        assert counts.dtype == np.int64 and counts.shape == dists.shape
+        for k, dist in enumerate(dists):
+            one = sample_counts(dist, 3_000, seed=41 + k)
+            assert counts[k].tobytes() == one.counts.tobytes()
+            flat = dist.reshape(-1)
+            drawn = np.random.default_rng(41 + k).multinomial(3_000, flat / flat.sum())
+            assert counts[k].reshape(-1).tobytes() == drawn.tobytes()
+
+    @pytest.mark.parametrize("outcomes", [4, 16])
+    @pytest.mark.parametrize("bad, message", [
+        (-1e-3, "row 3: distribution has a negative or NaN probability"),
+        (np.nan, "row 3: distribution has a negative or NaN probability"),
+        (0.05, "row 3: distribution sums to 1.0"),
+    ])
+    def test_bad_row_is_named(self, outcomes, bad, message):
+        dists = _random_rows(6, outcomes, seed=5)
+        row = dists[3].reshape(-1)  # a view: writes land in dists
+        if bad == 0.05:
+            row[0] += bad
+        else:
+            row[0], row[1] = bad, row[1] + row[0] - bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_rows(dists, 100, seed=0)
+
+    def test_first_bad_row_is_named(self):
+        dists = np.full((5, 4), 0.25)
+        dists[4, 0] = np.nan
+        dists[2] *= 2
+        with pytest.raises(ValueError, match="row 2: distribution sums to 2"):
+            sample_rows(dists, 100, seed=0)
+
+    def test_rejects_zero_shots(self):
+        with pytest.raises(ValueError, match="at least one"):
+            sample_rows(np.full((2, 4), 0.25), 0, seed=0)
+
+    @pytest.mark.parametrize("witness, outcomes", [("coherence", 4), ("entanglement", 16)])
+    def test_witness_rows_are_estimate_witness(self, witness, outcomes):
+        counts = sample_rows(_random_rows(7, outcomes, seed=2), 500, seed=3)
+        value, error = witness_rows(counts, 500, witness)
+        for k in range(len(counts)):
+            one = estimate_witness(CountTable(counts[k], 500, seed=3 + k), witness)
+            assert (value[k], error[k]) == one
+            assert np.float64(one.value).tobytes() == value[k].tobytes()
+            assert np.float64(one.error).tobytes() == error[k].tobytes()
+
+    def test_entanglement_witness_keeps_its_sign(self):
+        counts = np.zeros((2, 4, 4), dtype=np.int64)
+        counts[:, 1, 1], counts[:, 1, 0], counts[:, 0, 0] = (10, 30), (30, 0), (60, 70)
+        value, error = witness_rows(counts, 100, "entanglement")
+        np.testing.assert_array_equal(value, [-0.2, 0.3])
+        np.testing.assert_array_equal(error, [np.hypot(np.sqrt(10), np.sqrt(30)) / 100,
+                                              np.hypot(np.sqrt(30), 1.0) / 100])
 
 
 class TestPoissonError:

@@ -238,15 +238,14 @@ class TestCrossCheck:
 
     @pytest.fixture
     def perturbed_wave(self, monkeypatch):
-        exact = toolbox.wave_state
+        exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta=BETA_SPLIT):
-            w = exact(phi1, beta)
-            amps = w.amplitudes.copy()
+        def perturbed(phi1, beta):
+            amps = exact(phi1, beta).copy()
             amps[0] += 1e-9
-            return PureState(w.basis, amps)
+            return amps
 
-        monkeypatch.setattr(toolbox, "wave_state", perturbed)
+        monkeypatch.setattr(toolbox, "_wave_amplitudes", perturbed)
 
     @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
     def test_perturbed_closed_form_raises(self, perturbed_wave, beta):
@@ -324,15 +323,14 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
     def test_cross_check_names_the_failing_row(self, monkeypatch, beta):
-        exact = toolbox.wave_state
+        exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta=BETA_SPLIT):
-            w = exact(phi1, beta)
-            amps = w.amplitudes.copy()
+        def perturbed(phi1, beta):
+            amps = exact(phi1, beta).copy()
             amps[2] += 1e-9  # one row of the batch
-            return PureState(w.basis, amps)
+            return amps
 
-        monkeypatch.setattr(toolbox, "wave_state", perturbed)
+        monkeypatch.setattr(toolbox, "_wave_amplitudes", perturbed)
         alpha = np.linspace(0.1, 1.4, 5)
         phi1 = np.linspace(0.3, 5.0, 5)
         with pytest.raises(RuntimeError, match=r"disagrees with propagation .* at row 2 \(alpha="):

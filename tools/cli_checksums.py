@@ -3,8 +3,10 @@
 Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
 ``beta`` sweeps with and without ``--mixed``, both witnesses, ``two-photon``
 tables and sweeps with and without noise, sweeps with the mixers off
-``pi/8``, ``ghz`` at 1 to 8 photons) plus ``verify`` at four grid sizes,
-and hashes every output file and every command's stdout.
+``pi/8``, JSON tables with counts and witness columns, swept
+``visibility`` and ``dephase`` with shots, ``ghz`` at 1 to 8 photons) plus
+``verify`` at four grid sizes, and hashes every output file and every
+command's stdout.
 Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
@@ -80,6 +82,27 @@ COMMANDS = [
                                  "--sweep", "phi1", "--start", "0", "--stop", "360",
                                  "--steps", "25"]),
     ("coherence_offsplit.csv", ["witness-coherence", "--beta-deg", "10"]),
+    # JSON tables with counts, errors and witness columns
+    ("single_shots.json", ["single-sweep", "--alpha-deg", "52", "--phi2-deg", "140",
+                           "--visibility", "0.85", "--shots", "6000", "--seed", "21",
+                           "--format", "json"]),
+    ("coherence_shots.json", ["witness-coherence", "--dephase", "0.25", "--shots", "3500",
+                              "--seed", "4", "--format", "json"]),
+    ("pair_shots.json", ["two-photon", "--sweep", "phi1_prime", "--start", "10",
+                         "--stop", "300", "--steps", "7", "--shots", "2500",
+                         "--seed", "13", "--format", "json"]),
+    ("entanglement_shots.json", ["witness-entanglement", "--visibility", "0.9",
+                                 "--shots", "4500", "--seed", "17", "--format", "json"]),
+    # swept noise knobs: one fringe scale per row
+    ("single_visibility_shots.csv", ["single-sweep", "--alpha-deg", "38", "--phi1-deg", "65",
+                                     "--sweep", "visibility", "--start", "0.1",
+                                     "--stop", "1", "--steps", "19", "--shots", "3000",
+                                     "--seed", "23"]),
+    ("entanglement_dephase_shots.csv", ["witness-entanglement", "--phi1-deg", "40",
+                                        "--sweep", "dephase", "--start", "0", "--stop", "0.9",
+                                        "--steps", "13", "--shots", "2000", "--seed", "29"]),
+    ("coherence_mixed.json", ["witness-coherence", "--mixed", "--shots", "1500",
+                              "--format", "json"]),
 ]
 
 #: ``verify`` runs, stdout only: the default hardware grid, one point, 250 and
