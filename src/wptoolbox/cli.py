@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .entangle import (
+    _PAIR_NAMES,
     TwoPhotonSettings,
     coincidence_closed_forms,
     entanglement_witness,
@@ -40,6 +41,7 @@ from .shots import (
     witness_rows,
 )
 from .toolbox import (
+    _SINGLE_NAMES,
     BETA_SPLIT,
     ToolboxPhases,
     detection_closed_forms,
@@ -221,11 +223,6 @@ def _emit(spec: SweepSpec, header: list[str], columns: list) -> str:
     return path
 
 
-#: each engine's settings, in the order of its arguments
-_SINGLE_KEYS = ("alpha", "phi1", "phi2", "beta")
-_PAIR_KEYS = ("alpha", "phi1", "phi2", "phi1_prime", "phi2_prime", "beta", "beta_prime")
-
-
 def _distributions(spec: SweepSpec, settings: dict[str, np.ndarray], pair: bool) -> np.ndarray:
     """Detector probabilities (or coincidence tables, for a ``pair``) of every
     row, from one engine call, honoring --mixed/noise."""
@@ -234,7 +231,8 @@ def _distributions(spec: SweepSpec, settings: dict[str, np.ndarray], pair: bool)
         scales = np.zeros_like(settings["visibility"])
     else:
         scales = (1.0 - settings["dephase"]) * settings["visibility"]
-    engine, keys = (two_photon_batch, _PAIR_KEYS) if pair else (single_photon_batch, _SINGLE_KEYS)
+    engine, keys = ((two_photon_batch, _PAIR_NAMES) if pair
+                    else (single_photon_batch, _SINGLE_NAMES))
     return engine(*(settings[key] for key in keys), scales).probabilities
 
 
@@ -246,7 +244,7 @@ def cmd_single_sweep(spec: SweepSpec) -> int:
     settings = spec.columns()
     probs = _distributions(spec, settings, pair=False)
     header = ["alpha", "phi1", "phi2", "beta", "p1", "p2", "p3", "p4"]
-    columns = [*(settings[key] for key in _SINGLE_KEYS), *probs.T]
+    columns = [*(settings[key] for key in _SINGLE_NAMES), *probs.T]
     if spec.shots > 0:
         counts = sample_rows(probs, spec.shots, spec.seed)
         header += [f"c{i}" for i in range(1, 5)] + [f"e{i}" for i in range(1, 5)]

@@ -31,8 +31,8 @@ on detection distributions, which is all the counting hardware can see.
 
 As in :mod:`wptoolbox.optics`, the arm phases and ``beta`` may be arrays of
 one shape: the LC cells and ``beta`` plates then hold one checked matrix per
-setting and one layout propagates the whole batch.  :func:`describe` and
-:meth:`HardwareLayout.matrix` need a layout of one setting.
+setting and one layout propagates the whole batch, or gives its transfer
+matrices.  Only :func:`describe` needs a layout of one setting.
 """
 from __future__ import annotations
 
@@ -46,10 +46,10 @@ from .optics import (
     Chain,
     Circuit,
     ElementUnitary,
+    _slot_matrices,
     compile_chain,
     interferometer_circuit,
     mirror_matrix,
-    phase_shifter,
 )
 from .qcore import ModeBasis, PureState, as_values, broadcast_values
 from .toolbox import BETA_SPLIT, ToolboxPhases, prepare_input
@@ -148,8 +148,8 @@ def _fixed_stages(hwp_angles: tuple[float, ...]) -> Chain:
         _plate(1, a1, 0),
         _plate(2, a2, 0),
         _plate(2, a2, 1),
-        (_mode("V", 1),),
-        (_mode("H", 0),),
+        ("LC1", (_mode("V", 1),)),
+        ("LC2", (_mode("H", 0),)),
         _plate(3, a3, 1),
         _rail_walk("H", +2, "BD2"),
         _plate(4, a4, 0),
@@ -157,8 +157,8 @@ def _fixed_stages(hwp_angles: tuple[float, ...]) -> Chain:
         _plate(6, a6, 2),
         _plate(7, a7, 3),
         _rail_walk("H", +1, "BD3"),
-        (_mode("V", 1), _mode("H", 1)),
-        (_mode("V", 3), _mode("H", 3)),
+        ("HWP8@1", (_mode("V", 1), _mode("H", 1))),
+        ("HWP8@3", (_mode("V", 3), _mode("H", 3))),
     )
     return compile_chain(RAIL_BASIS, items)
 
@@ -192,20 +192,15 @@ def build_hardware_layout(
     """Assemble the displacer/wave-plate chain for the given settings.
 
     ``phases.phi1``, ``phases.phi2`` and ``beta`` may be arrays of one
-    broadcast shape, one setting per entry.  ``hwp_angles`` are the seven
-    fixed plate angles in radians; overriding them builds a *different*
-    instrument (useful for sensitivity studies), so only the defaults are
-    expected to match the conceptual network.
+    broadcast shape, one setting per entry, checked as one stack.
+    ``hwp_angles`` are the seven fixed plate angles in radians; overriding
+    them builds a *different* instrument (useful for sensitivity studies),
+    so only the defaults are expected to match the conceptual network.
     """
     angles = tuple(float(x) for x in hwp_angles)
     phi1, phi2, beta = broadcast_values(phases.phi1, phases.phi2, beta)
-    mixer = _plate(8, beta, 1)
-    circuit = _fixed_stages(angles).circuit(
-        phase_shifter(_mode("V", 1), phi1, name="LC1"),
-        phase_shifter(_mode("H", 0), phi2, name="LC2"),
-        mixer,
-        mixer.relabeled("HWP8@3", (_mode("V", 3), _mode("H", 3))),
-    )
+    slots = _slot_matrices("LC cells and beta plates", phi1, phi2, beta, mirror_matrix)
+    circuit = _fixed_stages(angles).circuit(*slots)
     return HardwareLayout(circuit, DETECTOR_PORTS, (*angles, beta), (phi1, phi2))
 
 

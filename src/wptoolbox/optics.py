@@ -20,7 +20,7 @@ Every circuit runs through the one step runner
 :func:`wptoolbox.qcore.run_steps`.  The network is compiled once per label
 set by :func:`compile_chain`: each element's mode positions are resolved in
 advance and the fixed run PBS, BS1, BS2 is fused into one checked 4x2
-block.  Only the phases and mixers are built, and checked, per call.
+block.  The phases and mixers are built, and checked as one stack, per call.
 """
 from __future__ import annotations
 
@@ -53,9 +53,9 @@ class ElementUnitary:
     """A named isometry acting on an explicit subset of modes.
 
     ``matrix`` has shape ``(len(modes_out), len(modes_in))``, or carries
-    leading batch axes with one matrix per setting.  It is checked once,
-    here, and frozen; circuits built from elements apply it without
-    checking it again.
+    leading batch axes with one matrix per setting, which circuits run
+    setting by setting.  It is checked once, here, and frozen; circuits
+    apply it without checking it again.
     """
 
     name: str
@@ -72,32 +72,24 @@ class ElementUnitary:
                 f"{self.name}: matrix shape {m.shape} does not match modes"
             )
         _checked(self.name, m)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "modes_in", tuple(self.modes_in))
-        object.__setattr__(self, "modes_out", tuple(self.modes_out))
+        vars(self).update(matrix=m, modes_in=tuple(self.modes_in), modes_out=tuple(self.modes_out))
 
     @property
     def changes_basis(self) -> bool:
         return self.modes_out != self.modes_in
 
-    def relabeled(self, name: str, modes: tuple[Label, ...]) -> "ElementUnitary":
-        """The same, already checked, matrix acting on ``modes`` instead.
 
-        Only the mode count is checked; the matrix is shared, not copied.
-        """
-        if self.changes_basis or len(modes) != len(self.modes_in):
-            raise ValueError(f"{self.name}: cannot move onto {len(modes)} modes")
-        el = object.__new__(ElementUnitary)
-        for attr, value in (("name", name), ("modes_in", tuple(modes)),
-                            ("modes_out", tuple(modes)), ("matrix", self.matrix)):
-            object.__setattr__(el, attr, value)
-        return el
-
-
-def _checked(name: str, matrix: np.ndarray) -> np.ndarray:
-    """``matrix``, frozen, after :func:`~wptoolbox.qcore.is_isometry` passed on it."""
+def _checked(name: str, matrix: np.ndarray, **settings) -> np.ndarray:
+    """``matrix``, frozen, after :func:`~wptoolbox.qcore.is_isometry` passed on it; a
+    failure names the first non-finite of the ``settings`` it was built from and its row."""
     if not is_isometry(matrix):
-        raise ValueError(f"{name}: matrix is not an isometry")
+        where = ""
+        for key, value in zip(settings, np.broadcast_arrays(*settings.values())):
+            rows = np.flatnonzero(~np.isfinite(value))
+            if rows.size:
+                where = f"; {key}={float(value.flat[rows[0]])!r} at row {rows[0]}"
+                break
+        raise ValueError(f"{name}: matrix is not an isometry{where}")
     matrix.flags.writeable = False
     return matrix
 
@@ -137,11 +129,6 @@ def mirror_matrix(theta) -> np.ndarray:
     return stack_last([c, s, s, -c]).reshape(c.shape + (2, 2))
 
 
-def _phase_matrix(phi) -> np.ndarray:
-    """e^{i phi} as a 1x1 matrix, or a stack of them for an array of phases."""
-    return np.exp(1j * as_values(phi))[..., None, None]
-
-
 def _mixer_matrix(beta) -> np.ndarray:
     """The mixer of :func:`output_mixer`, or a stack of them for an array of angles."""
     m = mirror_matrix(beta)
@@ -149,9 +136,30 @@ def _mixer_matrix(beta) -> np.ndarray:
     return m
 
 
+def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, ...]:
+    """The slot matrices of either compiled chain (two arm phases, one plate on
+    two mode pairs), checked as one stack.
+
+    ``diag(e^{i phi1}, e^{i phi2})``, an isometry exactly when both phases
+    are, and ``plate(beta)`` go into one ``S + (2, 2, 2)`` stack, ``S`` the
+    broadcast shape of the settings, for one ``is_isometry`` call.  Returns
+    the 1x1 phase stacks and the plate stack twice, as read-only views of
+    the checked stack.
+    """
+    shape = np.broadcast(phi1, phi2, beta).shape
+    stack = np.zeros(shape + (2, 2, 2), dtype=np.complex128)
+    stack[..., 0, 0, 0] = np.exp(1j * as_values(phi1))
+    stack[..., 0, 1, 1] = np.exp(1j * as_values(phi2))
+    stack[..., 1, :, :] = plate(beta)
+    _checked(name, stack, phi1=phi1, phi2=phi2, beta=beta)
+    mixer = stack[..., 1, :, :]
+    return stack[..., 0, :1, :1], stack[..., 0, 1:, 1:], mixer, mixer
+
+
 def phase_shifter(mode: Label, phi, name: str | None = None) -> ElementUnitary:
     """Single-mode phase e^{i phi}; an array of phases gives a batched element."""
-    return ElementUnitary(name or f"phase({mode})", (mode,), (mode,), _phase_matrix(phi))
+    phase = np.exp(1j * as_values(phi))[..., None, None]
+    return ElementUnitary(name or f"phase({mode})", (mode,), (mode,), phase)
 
 
 def output_mixer(mode_a: Label, mode_b: Label, beta) -> ElementUnitary:
@@ -200,12 +208,10 @@ class Circuit:
     def matrix(self) -> np.ndarray:
         """Full transfer matrix (output dim x input dim), columns = basis images.
 
-        Defined for a circuit of unbatched elements only.
+        A batched circuit gives one per setting, ``S + (out, in)``.
         """
-        if any(el.matrix.ndim > 2 for el in self.elements):
-            raise ValueError("matrix() needs a circuit of unbatched elements")
-        identity = np.eye(self.input_basis.dimension, dtype=np.complex128)
-        return run_steps(identity, self._steps).T
+        shape = np.broadcast_shapes(*(el.matrix.shape[:-2] for el in self.elements))
+        return _transfer_matrix(self._steps, self.input_basis.dimension, shape)
 
     @cached_property
     def _steps(self) -> tuple[Step, ...]:
@@ -218,6 +224,16 @@ class Circuit:
         if basis.labels != self.output_basis.labels:
             raise ValueError("circuit did not land in its declared output basis")
         return tuple(steps)
+
+
+def _transfer_matrix(steps, dim: int, shape: tuple = ()) -> np.ndarray:
+    """Transfer matrices ``shape + (out, in)`` of routed ``steps`` on ``dim`` input
+    modes: one pass of the ``(dim,) + shape + (dim,)`` identity block."""
+    block = np.zeros((dim,) + shape + (dim,), dtype=np.complex128)
+    for k in range(dim):
+        block[k, ..., k] = 1.0
+    images = run_steps(block, steps)
+    return images.transpose(*range(1, images.ndim), 0)
 
 
 def _routed_steps(basis: ModeBasis, elements) -> tuple[list[Step], ModeBasis]:
@@ -233,11 +249,11 @@ def _routed_steps(basis: ModeBasis, elements) -> tuple[list[Step], ModeBasis]:
 class Chain:
     """An element chain compiled once: routed, with its fixed runs fused.
 
-    ``items`` are the fixed elements and, as mode tuples, the slots of the
-    per-setting elements, which act in place on those modes.  ``steps``
-    follow the items, with every run of two or more fixed elements fused
-    into one dense block over the whole basis; ``slots`` are the positions
-    of the steps whose matrix is set per call.
+    ``items`` are the fixed elements and, as ``(name, modes)`` pairs, the
+    slots of the per-setting elements, which act in place on those modes.
+    ``steps`` follow the items, with every run of two or more fixed
+    elements fused into one dense block over the whole basis; ``slots`` are
+    the positions of the steps whose matrix is set per call.
     """
 
     input_basis: ModeBasis
@@ -253,17 +269,24 @@ class Chain:
             steps[k] = Step(m, steps[k].at, False)
         return tuple(steps)
 
-    def circuit(self, *elements: ElementUnitary) -> Circuit:
-        """The chain as a circuit with ``elements`` in its slots, in order.
+    def circuit(self, *matrices: np.ndarray) -> Circuit:
+        """The chain as a circuit with one checked, frozen matrix, or stack, per slot.
 
-        The circuit lists every element and runs on the chain's fused steps.
-        """
-        steps = self.steps_with(*[el.matrix for el in elements])
-        fill = iter(elements)
-        listed = [item if isinstance(item, ElementUnitary) else next(fill) for item in self.items]
+        It lists every element, a slot's under its name and around its matrix
+        as given, and runs on the fused steps."""
+        steps, fill = self.steps_with(*matrices), iter(matrices)
+        listed = [item if isinstance(item, ElementUnitary) else _slot_element(*item, next(fill))
+                  for item in self.items]
         circuit = Circuit(self.input_basis, self.output_basis, tuple(listed))
         object.__setattr__(circuit, "_steps", steps)  # preset the cached property
         return circuit
+
+
+def _slot_element(name: str, modes: tuple[Label, ...], matrix: np.ndarray) -> ElementUnitary:
+    """An in-place element sharing an already checked, frozen ``matrix``."""
+    el = object.__new__(ElementUnitary)  # skips __post_init__: no second check
+    vars(el).update(name=name, modes_in=modes, modes_out=modes, matrix=matrix)
+    return el
 
 
 def compile_chain(input_basis: ModeBasis, items) -> Chain:
@@ -280,14 +303,13 @@ def compile_chain(input_basis: ModeBasis, items) -> Chain:
         if run:
             members, after = _routed_steps(basis, run)
             if len(members) > 1:
-                block = run_steps(np.eye(basis.dimension, dtype=np.complex128), members)
-                name = "*".join(el.name for el in run)
-                block = _checked(name, np.ascontiguousarray(block.T))
+                block = _transfer_matrix(members, basis.dimension)
+                block = _checked("*".join(el.name for el in run), np.ascontiguousarray(block))
                 members = [Step(block, slice(0, basis.dimension), True)]
             steps += members
             basis, run = after, []
         if item is not None:
-            at, _, basis = route(basis, item, item)
+            at, _, basis = route(basis, item[1], item[1])
             slots.append(len(steps))
             steps.append(Step(None, at, False))
     return Chain(input_basis, basis, tuple(items), tuple(steps), tuple(slots))
@@ -306,11 +328,11 @@ def _fixed_stages(pol_labels: tuple[str, str], path_labels: tuple[str, str, str,
         polarizing_bs(pol_labels, path_labels),
         balanced_bs(p1, p3, name="BS1"),
         balanced_bs(p2, p4, name="BS2"),
-        (p3,),
-        (p4,),
+        ("phase1", (p3,)),
+        ("phase2", (p4,)),
         balanced_bs(p1, p3, name="BS3"),
-        (p1, p2),
-        (p3, p4),
+        (f"mixer({p1},{p2})", (p1, p2)),
+        (f"mixer({p3},{p4})", (p3, p4)),
     )
     return compile_chain(ModeBasis(pol_labels), items)
 
@@ -331,39 +353,20 @@ def interferometer_circuit(
         pol_labels: labels of the two input polarization modes.
         path_labels: labels of the four output paths.
 
-    ``phi1``, ``phi2`` and ``beta`` may be arrays of one shape, which gives a
-    batched circuit with one setting per entry.  Both mixers share one
-    checked matrix.
+    ``phi1``, ``phi2`` and ``beta`` may be arrays of one broadcast shape (else
+    ``ValueError``), one setting per entry.  The phases and the mixer are
+    checked as one stack, and both mixers share one matrix.
     """
-    p1, p2, p3, p4 = path_labels
-    mixer = output_mixer(p1, p2, beta)
-    return _fixed_stages(tuple(pol_labels), tuple(path_labels)).circuit(
-        phase_shifter(p3, phi1, name="phase1"),
-        phase_shifter(p4, phi2, name="phase2"),
-        mixer,
-        mixer.relabeled(f"mixer({p3},{p4})", (p3, p4)),
-    )
+    slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
+    return _fixed_stages(tuple(pol_labels), tuple(path_labels)).circuit(*slots)
 
 
 def network_matrix(phi1, phi2, beta) -> np.ndarray:
     """Transfer matrix of :func:`interferometer_circuit` (paths x polarizations).
 
-    Settings of broadcast shape ``S`` give a stack of shape ``S + (4, 2)``:
-    both polarization basis vectors run through the compiled chain as a
-    ``(2,) + S + (2,)`` block.  The arm phases and the mixer are checked on
-    every call, as the circuit's elements are, in one stack: ``diag(e^{i
-    phi1}, e^{i phi2})`` is an isometry exactly when both phases are.
+    Settings of broadcast shape ``S`` give a stack of shape ``S + (4, 2)``
+    from one identity block run through the compiled chain, without building
+    elements; the phases and mixer are checked as in the circuit, every call.
     """
-    shape = np.broadcast(phi1, phi2, beta).shape
-    setting = np.zeros(shape + (2, 2, 2), dtype=np.complex128)
-    setting[..., 0, :1, :1], setting[..., 0, 1:, 1:] = _phase_matrix(phi1), _phase_matrix(phi2)
-    setting[..., 1, :, :] = _mixer_matrix(beta)
-    _checked("arm phases and mixer", setting)
-    arms, mixer = setting[..., 0, :, :], setting[..., 1, :, :]
-    steps = _fixed_stages(POLS, PATHS).steps_with(
-        arms[..., :1, :1], arms[..., 1:, 1:], mixer, mixer
-    )
-    block = np.empty((2,) + shape + (2,), dtype=np.complex128)
-    block[...] = _IDENTITY2.reshape((2,) + (1,) * len(shape) + (2,))
-    images = run_steps(block, steps)
-    return images.transpose(*range(1, images.ndim), 0)  # basis vectors last
+    slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
+    return _transfer_matrix(_fixed_stages(POLS, PATHS).steps_with(*slots), 2, slots[-1].shape[:-2])

@@ -45,6 +45,8 @@ CROSSCHECK_ATOL = 1e-12
 _RT2 = np.sqrt(2.0)
 _POL_BASIS = ModeBasis(POLS)
 _PATH_BASIS = ModeBasis(PATHS)
+#: one photon's settings, in the argument order of :func:`single_photon_batch`
+_SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ def _single_photon(settings: dict) -> _Histories:
 def _single_settings(alpha, phases: ToolboxPhases, beta) -> dict:
     """One photon's settings by name, as broadcast values."""
     values = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
-    return dict(zip(("alpha", "phi1", "phi2", "beta"), values))
+    return dict(zip(_SINGLE_NAMES, values))
 
 
 def _history_weights(phi1, beta) -> tuple:
@@ -333,7 +335,7 @@ def single_photon_batch(
     mixture baseline: ``baseline + scale * (ideal - baseline)``.
     """
     alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
-    settings = {"alpha": alpha, "phi1": phi1, "phi2": phi2, "beta": beta}
+    settings = dict(zip(_SINGLE_NAMES, (alpha, phi1, phi2, beta)))
     histories = _single_photon(settings)
 
     amps = histories.amplitudes

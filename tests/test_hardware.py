@@ -294,3 +294,66 @@ class TestScanInputs:
     @pytest.mark.parametrize("beta", [0.0, BETA_SPLIT, np.radians(22.5)])
     def test_validated_betas_pass(self, beta):
         assert equivalence_scan(self.POINTS, betas=(beta,)) < 1e-12
+
+
+#: (name, modes) of every listed element, in order; every element acts in
+#: place except the polarizing splitter
+NETWORK_ELEMENTS = [
+    ("PBS", ("V", "H"), ("1", "2", "3", "4")),
+    ("BS1", ("1", "3"), None), ("BS2", ("2", "4"), None),
+    ("phase1", ("3",), None), ("phase2", ("4",), None),
+    ("BS3", ("1", "3"), None),
+    ("mixer(1,2)", ("1", "2"), None), ("mixer(3,4)", ("3", "4"), None),
+]
+HARDWARE_ELEMENTS = [
+    ("BD1", ("V0", "V1", "V2", "V3")),
+    ("HWP1@0", ("V0", "H0")), ("HWP2@0", ("V0", "H0")), ("HWP2@1", ("V1", "H1")),
+    ("LC1", ("V1",)), ("LC2", ("H0",)),
+    ("HWP3@1", ("V1", "H1")),
+    ("BD2", ("H0", "H1", "H2", "H3")),
+    ("HWP4@0", ("V0", "H0")), ("HWP5@1", ("V1", "H1")),
+    ("HWP6@2", ("V2", "H2")), ("HWP7@3", ("V3", "H3")),
+    ("BD3", ("H0", "H1", "H2", "H3")),
+    ("HWP8@1", ("V1", "H1")), ("HWP8@3", ("V3", "H3")),
+]
+DEFAULT_DESCRIPTION = """\
+element chain:
+  BD1  on V0, V1, V2, V3
+  HWP1@0  on V0, H0
+  HWP2@0  on V0, H0
+  HWP2@1  on V1, H1
+  LC1  on V1
+  LC2  on H0
+  HWP3@1  on V1, H1
+  BD2  on H0, H1, H2, H3
+  HWP4@0  on V0, H0
+  HWP5@1  on V1, H1
+  HWP6@2  on V2, H2
+  HWP7@3  on V3, H3
+  BD3  on H0, H1, H2, H3
+  HWP8@1  on V1, H1
+  HWP8@3  on V3, H3
+plate angles HWP1..HWP7 [deg]: 45, 22.5, 22.5, 45, 0, 0, 45
+mixing plate beta [deg]: 22.5
+arm phases (phi1, phi2) [rad]: 0.5, 1.5
+detectors 1..4 <- ports V1, H1, V3, H3"""
+
+
+class TestElementSnapshot:
+    """Both chains list every element, by name, modes and order, one setting or a batch."""
+
+    @pytest.mark.parametrize("phi1", [0.1, np.array([0.1, 0.4])])
+    def test_network_elements(self, phi1):
+        listed = [(el.name, el.modes_in, el.modes_out)
+                  for el in interferometer_circuit(phi1, 0.2, BETA_SPLIT).elements]
+        assert listed == [(name, modes, out or modes) for name, modes, out in NETWORK_ELEMENTS]
+
+    @pytest.mark.parametrize("phi1", [0.5, np.array([0.5, 0.9])])
+    def test_hardware_elements(self, phi1):
+        layout = build_hardware_layout(ToolboxPhases(phi1, 1.5), BETA_SPLIT)
+        listed = [(el.name, el.modes_in, el.modes_out) for el in layout.circuit.elements]
+        assert listed == [(name, modes, modes) for name, modes in HARDWARE_ELEMENTS]
+
+    def test_default_description(self):
+        layout = build_hardware_layout(ToolboxPhases(0.5, 1.5), BETA_SPLIT)
+        assert describe(layout) == DEFAULT_DESCRIPTION

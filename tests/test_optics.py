@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wptoolbox import optics, qcore
+from wptoolbox.entangle import TwoPhotonSettings, coincidence_probabilities, ghz_output
 from wptoolbox.optics import (
     PATHS,
     POLS,
@@ -17,9 +19,9 @@ from wptoolbox.optics import (
     polarizing_bs,
     _fixed_stages,
 )
-from wptoolbox.hardware import build_hardware_layout
-from wptoolbox.qcore import ModeBasis, PureState, route
-from wptoolbox.toolbox import ToolboxPhases
+from wptoolbox.hardware import build_hardware_layout, equivalence_scan
+from wptoolbox.qcore import ModeBasis, PureState, is_isometry, route
+from wptoolbox.toolbox import ToolboxPhases, detection_probabilities
 
 RT2 = np.sqrt(2.0)
 BALANCED = np.pi / 8
@@ -122,16 +124,18 @@ class TestCircuit:
             assert a.elements[k] is b.elements[k]
         np.testing.assert_allclose(b.elements[3].matrix, [[np.exp(1.1j)]])
 
-    def test_relabeled_shares_the_checked_matrix(self):
-        mixer = output_mixer("1", "2", 0.3)
-        moved = mixer.relabeled("mixer(3,4)", ("3", "4"))
-        assert moved.matrix is mixer.matrix
-        assert moved.modes_in == moved.modes_out == ("3", "4")
-        assert moved.name == "mixer(3,4)"
-        with pytest.raises(ValueError, match="cannot move"):
-            mixer.relabeled("x", ("3",))
-        with pytest.raises(ValueError, match="cannot move"):
-            polarizing_bs().relabeled("x", ("a", "b"))
+    def test_mixer_slots_share_one_read_only_matrix(self):
+        for beta in (0.3, np.array([0.0, BALANCED, 0.3])):
+            network = interferometer_circuit(0.1, 0.2, beta)
+            layout = build_hardware_layout(ToolboxPhases(0.1, 0.2), beta).circuit
+            for circuit, first, second in ((network, 6, 7), (layout, 13, 14)):
+                a, b = circuit.elements[first], circuit.elements[second]
+                assert a.matrix is b.matrix
+                assert not a.matrix.flags.writeable
+                assert a.matrix.shape == np.shape(beta) + (2, 2)
+                assert sum(step.matrix is a.matrix for step in circuit._steps) == 2
+            np.testing.assert_array_equal(network.elements[6].matrix,
+                                          output_mixer("1", "2", beta).matrix)
 
 
 class TestBatchedCircuits:
@@ -177,10 +181,32 @@ class TestBatchedCircuits:
                     rtol=0, atol=1e-15,
                 )
 
-    def test_matrix_needs_an_unbatched_circuit(self):
-        circ = interferometer_circuit(np.array([0.1, 0.2]), np.array([0.3, 0.4]), BALANCED)
-        with pytest.raises(ValueError, match="unbatched"):
-            circ.matrix()
+    def test_batched_matrix_rows_equal_each_setting(self):
+        rng = np.random.default_rng(23)
+        phi1, phi2 = rng.uniform(-7, 7, (2, 2, 6))
+        beta = np.array([0.0, BALANCED, 0.3, 0.0, -0.7, BALANCED])
+        network = interferometer_circuit(phi1, phi2, beta).matrix()
+        hardware = build_hardware_layout(ToolboxPhases(phi1, phi2), beta).matrix()
+        assert network.shape == (2, 6, 4, 2) and hardware.shape == (2, 6, 8, 8)
+        for i in range(2):
+            for k in range(6):
+                one = interferometer_circuit(phi1[i, k], phi2[i, k], beta[k]).matrix()
+                assert network[i, k].tobytes() == one.tobytes()
+                layout = build_hardware_layout(ToolboxPhases(phi1[i, k], phi2[i, k]), beta[k])
+                assert hardware[i, k].tobytes() == layout.matrix().tobytes()
+        # a circuit of batched elements built by hand runs the same route
+        circuit = interferometer_circuit(phi1, phi2, beta)
+        by_hand = Circuit(circuit.input_basis, circuit.output_basis, circuit.elements)
+        assert by_hand.matrix().tobytes() == network.tobytes()
+
+    def test_settings_that_do_not_broadcast_fail_at_construction(self):
+        phi1, beta = np.array([0.1, 0.2]), np.array([0.0, 0.1, 0.2])
+        with pytest.raises(ValueError, match="broadcast"):
+            interferometer_circuit(phi1, 0.3, beta)
+        with pytest.raises(ValueError, match="broadcast"):
+            network_matrix(phi1, 0.3, beta)
+        with pytest.raises(ValueError, match="broadcast"):
+            build_hardware_layout(ToolboxPhases(phi1, 0.3), beta)
 
 
 def embedded_product(circuit):
@@ -286,10 +312,65 @@ class TestCompiledRoute:
     def test_chain_takes_one_matrix_per_slot(self):
         chain = _fixed_stages(POLS, PATHS)
         mixer = output_mixer("1", "2", 0.3)
+        phases = phase_shifter("3", 0.1).matrix, phase_shifter("4", 0.2).matrix
         with pytest.raises(ValueError):
-            chain.circuit(phase_shifter("3", 0.1), phase_shifter("4", 0.2), mixer)
+            chain.circuit(*phases, mixer.matrix)
         with pytest.raises(ValueError):
             chain.steps_with(*(mixer.matrix,) * 5)
+        circuit = chain.circuit(*phases, mixer.matrix, mixer.matrix)
+        assert [el.name for el in circuit.elements if el.matrix is mixer.matrix] == [
+            "mixer(1,2)", "mixer(3,4)"]
+
+    def test_one_isometry_check_per_chain(self, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return is_isometry(matrix)
+        runs = {
+            "network_matrix": lambda points: network_matrix(0.1, 0.2, BALANCED),
+            "interferometer_circuit": lambda points: interferometer_circuit(0.1, 0.2, 0.0),
+            "build_hardware_layout":
+                lambda points: build_hardware_layout(ToolboxPhases(0.1, 0.2), BALANCED),
+            "equivalence_scan": lambda points: equivalence_scan(points),
+        }
+        expected = {"network_matrix": 1, "interferometer_circuit": 1,
+                    "build_hardware_layout": 1, "equivalence_scan": 2}
+        rng = np.random.default_rng(24)
+        for n in (1, 100):
+            points = [(a, *phis) for a, phis in zip(rng.uniform(0, 1.5, n),
+                                                    rng.uniform(0, 6, (n, 2)))]
+            for name, run in runs.items():
+                run(points)  # the fixed stages are built and checked once, before counting
+                monkeypatch.setattr(optics, "is_isometry", counted)
+                monkeypatch.setattr(qcore, "is_isometry", counted)
+                calls.clear()
+                run(points)
+                monkeypatch.undo()
+                assert len(calls) == expected[name], (name, n, calls)
+
+    @pytest.mark.parametrize("bad", ["phi1", "phi2", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_setting_is_named(self, bad, value):
+        settings = {"phi1": 0.1, "phi2": 0.2, "beta": BALANCED, bad: value}
+        phases = ToolboxPhases(settings["phi1"], settings["phi2"])
+        named = f"not an isometry; {bad}={value!r} at row 0"
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=named):
+                detection_probabilities(0.3, phases, settings["beta"])
+            with pytest.raises(ValueError, match=named.replace("row 0", "row 1")):
+                coincidence_probabilities(TwoPhotonSettings(
+                    0.3, ToolboxPhases(), phases, BALANCED, settings["beta"]))
+            with pytest.raises(ValueError, match=named):
+                ghz_output(3, 0.3, phases, settings["beta"])
+            batch = {k: np.array([0.1, 0.2, 0.3]) for k in settings}
+            batch[bad][2] = value
+            with pytest.raises(ValueError, match=f"{bad}={value!r} at row 2"):
+                build_hardware_layout(ToolboxPhases(batch["phi1"], batch["phi2"]), batch["beta"])
+
+    def test_finite_settings_add_nothing_to_a_failed_check(self):
+        with pytest.raises(ValueError, match="isometry$"):
+            optics._slot_matrices("gain", 0.1, 0.2, 0.3, lambda beta: 1.5 * np.eye(2))
 
     def test_positions_resolve_to_slices_when_evenly_spaced(self):
         basis = ModeBasis(("a", "b", "c", "d"))

@@ -6,7 +6,9 @@ tables and sweeps with and without noise, sweeps with the mixers off
 ``pi/8``, JSON tables with counts and witness columns, swept
 ``visibility`` and ``dephase`` with shots, ``ghz`` at 1 to 8 photons) plus
 ``verify`` at four grid sizes, and hashes every output file and every
-command's stdout.
+command's stdout.  It also hashes the bits of library outputs at fixed
+random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
+change to a propagation route that no CLI file shows is pinned too.
 Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
@@ -116,8 +118,49 @@ VERIFY = [
 ]
 
 
+#: settings per library entry; each draws alpha, phi1, phi2 and a beta of
+#: 0, pi/8 or uniform in [0, pi/4) (compared with ``strict=False``)
+LIBRARY_POINTS = 200
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def library_checksums() -> dict[str, str]:
+    """Name -> sha256 of the hex bits of each library function's outputs."""
+    import numpy as np
+
+    from wptoolbox.entangle import (TwoPhotonSettings, coincidence_probabilities,
+                                    ghz_sector_probabilities)
+    from wptoolbox.hardware import build_hardware_layout, equivalence_scan
+    from wptoolbox.optics import interferometer_circuit, network_matrix
+    from wptoolbox.toolbox import ToolboxPhases, detection_probabilities
+
+    rng = np.random.default_rng(20240601)
+    bits: dict[str, list[str]] = {}
+    for _ in range(LIBRARY_POINTS):
+        alpha = rng.uniform(0, np.pi / 2)
+        phi1, phi2, phi1p, phi2p = rng.uniform(0, 2 * np.pi, 4)
+        kind, uniform = rng.integers(3), rng.uniform(0, np.pi / 4)
+        beta = (0.0, np.pi / 8, uniform)[kind]
+        phases = ToolboxPhases(phi1, phi2)
+        pair = TwoPhotonSettings(alpha, phases, ToolboxPhases(phi1p, phi2p), beta, np.pi / 8)
+        ghz_n = int(rng.integers(1, 5))
+        values = {
+            "equivalence_scan": equivalence_scan([(alpha, phi1, phi2)], (beta,),
+                                                 strict=kind < 2),
+            "network_matrix": network_matrix(phi1, phi2, beta),
+            "circuit_matrix": interferometer_circuit(phi1, phi2, beta).matrix(),
+            "hardware_matrix": build_hardware_layout(phases, beta).matrix(),
+            "detection_probabilities": detection_probabilities(alpha, phases, beta).as_array(),
+            "coincidence_probabilities": coincidence_probabilities(pair).matrix,
+            "ghz_sector_probabilities": list(
+                ghz_sector_probabilities(ghz_n, alpha, phases).values()),
+        }
+        for name, value in values.items():
+            bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
+    return {f"library:{name}": _digest("\n".join(b).encode()) for name, b in bits.items()}
 
 
 def checksums(main) -> dict[str, str]:
@@ -159,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from wptoolbox.cli import main as cli_main
 
-    sums = checksums(cli_main)
+    sums = checksums(cli_main) | library_checksums()
     if args.write:
         Path(args.write).write_text("".join(f"{d}  {n}\n" for n, d in sums.items()))
         print(f"wrote {len(sums)} checksums to {args.write}")
