@@ -3,9 +3,10 @@
 Angles are taken in degrees on the command line (flag names say so) and
 written to the output files in radians.  With ``--shots 0`` every command
 is analytic and seed-independent; with ``--shots N`` each row additionally
-carries multinomial counts (row ``k`` uses ``seed + k``) and Poissonian
-errors.  Numeric columns are printed with 17 significant digits so a fixed
-seed reproduces files byte-for-byte.
+carries multinomial counts and Poissonian errors: a table draws all rows,
+in row order, from one ``default_rng(seed)`` stream, and its row 0 equals
+``sample_counts`` at that seed.  Numeric columns are printed with 17
+significant digits so a fixed seed reproduces files byte-for-byte.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments/spec.
 """
@@ -441,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--shots", type=int, default=0,
                           help="counts per row; 0 = analytic only (default)")
     sampling.add_argument("--seed", type=int, default=12345,
-                          help="RNG seed; row k samples with seed+k (default 12345)")
+                          help="RNG seed; a table draws all rows, in row order, from one"
+                               " default_rng(seed) stream (default 12345)")
     sampling.add_argument("--visibility", type=float, default=1.0,
                           help="fringe-contrast factor in [0, 1] (default 1)")
     sampling.add_argument("--dephase", type=float, default=0.0,

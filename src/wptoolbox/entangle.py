@@ -238,7 +238,7 @@ def coincidence_closed_forms(
     )
     waves, particles, ch, sh = _history_weights(phi1, beta)
     waves_p, particles_p, chp, shp = _history_weights(phi1p, betap)
-    ca2, sa2 = np.float_power(np.cos(a), 2), np.float_power(np.sin(a), 2)
+    ca, sa = np.cos(a), np.sin(a)
     g = np.sin(2 * a) * np.sin(4 * beta) * np.sin(4 * betap) / 8
     sigma = (phi1 + phi1p) / 2
     blocks = np.array([
@@ -250,8 +250,8 @@ def coincidence_closed_forms(
     mp = np.array([chp, -chp, shp, -shp])
     # detector axes lead until the end: every product runs on whole rows
     table = (
-        (ca2 * waves)[:, None] * waves_p
-        + (sa2 * particles)[:, None] * particles_p
+        (ca * ca * waves)[:, None] * waves_p
+        + (sa * sa * particles)[:, None] * particles_p
         + m[:, None] * mp * trig
     )
     return table.transpose(*range(2, table.ndim), 0, 1)

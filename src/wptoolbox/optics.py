@@ -83,15 +83,21 @@ def _checked(name: str, matrix: np.ndarray, **settings) -> np.ndarray:
     """``matrix``, frozen, after :func:`~wptoolbox.qcore.is_isometry` passed on it; a
     failure names the first non-finite of the ``settings`` it was built from and its row."""
     if not is_isometry(matrix):
-        where = ""
-        for key, value in zip(settings, np.broadcast_arrays(*settings.values())):
-            rows = np.flatnonzero(~np.isfinite(value))
-            if rows.size:
-                where = f"; {key}={float(value.flat[rows[0]])!r} at row {rows[0]}"
-                break
+        found = _first_non_finite(settings)
+        where = "; {}={!r} at row {}".format(*found) if found else ""
         raise ValueError(f"{name}: matrix is not an isometry{where}")
     matrix.flags.writeable = False
     return matrix
+
+
+def _first_non_finite(settings: dict) -> tuple[str, float, int] | None:
+    """Name, value and flat row of the first non-finite entry of ``settings``
+    (broadcast together, searched name by name), or ``None``."""
+    for key, value in zip(settings, np.broadcast_arrays(*settings.values())):
+        rows = np.flatnonzero(~np.isfinite(value))
+        if rows.size:
+            return key, float(value.flat[rows[0]]), int(rows[0])
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Sampling uses ``numpy.random.default_rng`` (PCG64) with an explicit 64-bit
 seed, so any count table — and therefore any CSV produced downstream — is
-reproducible byte-for-byte from (distribution, shots, seed).
+reproducible byte-for-byte from (table of distributions, shots, seed).
 
 The noise model has two knobs.  ``dephase_wp`` interpolates the pure output
 toward the classical wave/particle mixture with the same weights (the state
@@ -92,26 +92,28 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
     ``dists`` holds one distribution per leading index, shape ``(rows, 4)``
     or ``(rows, 4, 4)``; the counts come back in that shape as int64.  Every
     row is checked before any draw, and an error names the first bad row.
-    Row ``k`` draws from ``default_rng(seed + k)``, so it is deterministic
-    for a fixed (distribution, shots, seed + k) and equals
-    :func:`sample_counts` of that row at that seed.
+    A table draws all rows, in row order, from one ``default_rng(seed)``
+    stream, so it is deterministic for a fixed (table, shots, seed); row 0
+    equals :func:`sample_counts` of that row at that seed.
     """
     if n_shots < 1:
         raise ValueError("need at least one shot")
     p = np.asarray(dists, dtype=float)
     flat = p.reshape(len(p), -1)
-    sums = flat.sum(axis=1)
+    sums, low = flat.sum(axis=1), flat.min(initial=0.0)
     # all rows at once; only a failure looks row by row (NaN fails too)
-    if not (flat.min(initial=0.0) >= -1e-12 and np.abs(sums - 1.0).max(initial=0.0) <= 1e-9):
+    if not (low >= -1e-12 and np.abs(sums - 1.0).max(initial=0.0) <= 1e-9):
         lows = flat.min(axis=1)
         k = int(np.argmax(~((lows >= -1e-12) & (np.abs(sums - 1.0) <= 1e-9))))
         if not lows[k] >= -1e-12:
             raise ValueError(f"row {k}: distribution has a negative or NaN probability")
         raise ValueError(f"row {k}: distribution sums to {sums[k]}, not 1")
-    flat = np.clip(flat, 0.0, None)
-    counts = np.empty(flat.shape, dtype=np.int64)
-    for k, row in enumerate(flat):
-        counts[k] = np.random.default_rng(seed + k).multinomial(int(n_shots), row / row.sum())
+    if low < 0:
+        flat = np.clip(flat, 0.0, None)
+    pvals = flat / flat.sum(axis=1, keepdims=True)
+    # one row as a vector: the same draw, without the 2-D call's overhead
+    counts = np.random.default_rng(seed).multinomial(
+        int(n_shots), pvals[0] if len(pvals) == 1 else pvals)
     return counts.reshape(p.shape)
 
 

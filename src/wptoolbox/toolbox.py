@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import PATHS, POLS, network_matrix
+from .optics import PATHS, POLS, _first_non_finite, network_matrix
 from .qcore import (
     DensityMatrix,
     ModeBasis,
@@ -181,9 +181,9 @@ class _Histories(NamedTuple):
     particles: np.ndarray
 
     def mixture(self, basis: ModeBasis) -> DensityMatrix:
-        """``sum_t c_t^2 |term_t><term_t|``; ``float_power`` rounds like ``x ** 2``."""
+        """``sum_t c_t^2 |term_t><term_t|``."""
         pairs = zip(self.coeffs, self.terms)
-        return mix((PureState(basis, t), np.float_power(c, 2)) for c, t in pairs)
+        return mix((PureState(basis, t), c * c) for c, t in pairs)
 
     def fringe_scaled(self, probs: np.ndarray, scale, basis: ModeBasis) -> np.ndarray:
         """Rows whose scale is not 1 become ``baseline + scale * (probs -
@@ -206,7 +206,10 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
     axis k of the polarization source.  Coefficients broadcast to the batch
     shape ``S`` of ``settings``; ``phi1``, ``phi2`` and ``beta`` are per
     photon, ``S + (n,)``, or ``S`` for one photon, which keeps one setting
-    unbatched.
+    unbatched.  A non-finite one is named as the caller's setting at its
+    row of ``S``: photon k's is the k-th name in ``settings`` that starts
+    with ``phi1``, ``phi2`` or ``beta``, or the one such name all photons
+    share.
     """
     shape, n = np.shape(next(iter(settings.values()))), len(patterns[0])
     if 0 in shape:
@@ -229,7 +232,20 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
     source = np.zeros(shape + (2,) * n, dtype=np.complex128)  # one axis per photon
     for c, pattern in zip(coeffs, patterns):
         source[(..., *pattern)] = c
-    mats = network_matrix(phi1, phi2, beta).reshape(shape + (n, 4, 2))
+    try:
+        mats = network_matrix(phi1, phi2, beta)
+    except ValueError as err:
+        found = _first_non_finite({"phi1": phi1, "phi2": phi2, "beta": beta})
+        if found is None:
+            raise
+        # flat engine row r is photon r % n of setting r // n
+        key, value, row = found
+        setting, photon = divmod(row, n)
+        names = [name for name in settings if name.startswith(key)]
+        check = str(err).split(";")[0]
+        raise ValueError(f"{check}; {names[min(photon, len(names) - 1)]}={value!r}"
+                         f" at row {setting}") from None
+    mats = mats.reshape(shape + (n, 4, 2))
     for k in range(n):
         # photon k's polarization axis leads; its four paths move to the back,
         # so after n steps the photons are back in order
@@ -260,14 +276,13 @@ def _history_weights(phi1, beta) -> tuple:
     ``(c^2 ch^2, s^2 ch^2, c^2 sh^2, s^2 sh^2)`` and ``(s^2, c^2, s^2, c^2)/2``;
     at ``pi/8`` both squares are exactly 0.5.  The sign flip of
     :func:`particle_state` at ``beta = 0`` drops out of every probability.
-    Squares use ``float_power``, which rounds like the scalar ``x ** 2``
-    these forms were first written with; an array ``** 2`` can differ in
-    the last bit.
+    Squares are products ``x * x``, so a single setting and a batch row
+    round alike.
     """
     c2 = (1 + np.cos(4 * beta)) / 2
     s2 = 1 - c2
     ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
-    ch2, sh2 = np.float_power(ch, 2), np.float_power(sh, 2)
+    ch2, sh2 = ch * ch, sh * sh
     waves = np.array([c2 * ch2, s2 * ch2, c2 * sh2, s2 * sh2])
     particles = np.array([s2, c2, s2, c2]) / 2
     return waves, particles, ch, sh
@@ -289,11 +304,11 @@ def detection_closed_forms(
     """
     a, phi1, phi2, beta = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
     waves, particles, ch, sh = _history_weights(phi1, beta)
-    ca2, sa2 = np.float_power(np.cos(a), 2), np.float_power(np.sin(a), 2)
+    ca, sa = np.cos(a), np.sin(a)
     x = np.sin(2 * a) * np.sin(4 * beta) / (2 * _RT2)
-    ic = x * np.float_power(ch, 2)
+    ic = x * (ch * ch)
     is_ = x * sh * np.sin(phi1 / 2 - phi2)
-    forms = ca2 * waves + sa2 * particles + np.array([ic, -ic, is_, -is_])
+    forms = ca * ca * waves + sa * sa * particles + np.array([ic, -ic, is_, -is_])
     return forms.transpose(*range(1, forms.ndim), 0)
 
 
@@ -324,11 +339,10 @@ def single_photon_batch(
     Every row is computed two ways by :func:`_history_batch`, as a closed
     form and by propagating the input through the batched network matrix,
     and the two are compared at ``CROSSCHECK_ATOL``: the amplitudes, and the
-    Born probabilities against :func:`detection_closed_forms`, on every row
-    at any ``beta``.  Rows at ``beta = pi/8`` return the closed forms, other
-    rows the Born probabilities.  A mismatch raises ``RuntimeError`` naming
-    the first failing row and its settings; an empty batch raises
-    ``ValueError``.
+    Born probabilities, which are the result, against
+    :func:`detection_closed_forms`, on every row at any ``beta``.  A
+    mismatch raises ``RuntimeError`` naming the first failing row and its
+    settings; an empty batch raises ``ValueError``.
 
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
@@ -342,10 +356,7 @@ def single_photon_batch(
     born = np.abs(amps) ** 2
     forms = detection_closed_forms(alpha, ToolboxPhases(phi1, phi2), beta)
     _check("probabilities", np.abs(forms - born), settings)
-    # pi/8 rows give the closed form, other rows the Born probabilities: the
-    # two differ in the last bits, and the fixed-seed CLI files hold these
-    probs = np.where((beta == BETA_SPLIT)[..., None], forms, born)
-    return SingleBatch(amps, histories.fringe_scaled(probs, scale, _PATH_BASIS))
+    return SingleBatch(amps, histories.fringe_scaled(born, scale, _PATH_BASIS))
 
 
 def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
@@ -391,10 +402,9 @@ def detection_probabilities(
 ) -> SingleProbabilities:
     """Detector probabilities P1..P4 with their mean/oscillating split.
 
-    The closed forms of :func:`detection_closed_forms` are verified against
-    the propagated state at every mixer angle; at ``beta = pi/8`` they give
-    the result, elsewhere the Born probabilities of the cross-checked output
-    state do.  ``pc, ps`` and ``ic, is_`` are the half-sums and
+    The Born probabilities of the cross-checked output state, verified
+    against the closed forms of :func:`detection_closed_forms` at every
+    mixer angle.  ``pc, ps`` and ``ic, is_`` are the half-sums and
     half-differences of the detector pairs.  This is one setting of
     :func:`single_photon_batch`.
     """

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptoolbox import optics, qcore
-from wptoolbox.entangle import TwoPhotonSettings, coincidence_probabilities, ghz_output
+from wptoolbox.entangle import (TwoPhotonSettings, coincidence_probabilities, ghz_output,
+                                two_photon_batch)
 from wptoolbox.optics import (
     PATHS,
     POLS,
@@ -358,7 +359,7 @@ class TestCompiledRoute:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match=named):
                 detection_probabilities(0.3, phases, settings["beta"])
-            with pytest.raises(ValueError, match=named.replace("row 0", "row 1")):
+            with pytest.raises(ValueError, match=named.replace(bad, f"{bad}_prime")):
                 coincidence_probabilities(TwoPhotonSettings(
                     0.3, ToolboxPhases(), phases, BALANCED, settings["beta"]))
             with pytest.raises(ValueError, match=named):
@@ -367,6 +368,10 @@ class TestCompiledRoute:
             batch[bad][2] = value
             with pytest.raises(ValueError, match=f"{bad}={value!r} at row 2"):
                 build_hardware_layout(ToolboxPhases(batch["phi1"], batch["phi2"]), batch["beta"])
+            # photon B of the pair's third setting, not the engine's flat row 5
+            with pytest.raises(ValueError, match=f"{bad}_prime={value!r} at row 2"):
+                two_photon_batch(0.3, 0.1, 0.2, batch["phi1"], batch["phi2"], BALANCED,
+                                 batch["beta"])
 
     def test_finite_settings_add_nothing_to_a_failed_check(self):
         with pytest.raises(ValueError, match="isometry$"):

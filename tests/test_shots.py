@@ -118,18 +118,33 @@ def _random_rows(rows, outcomes, seed):
     return p.reshape((rows,) + ((4,) if outcomes == 4 else (4, 4)))
 
 
+#: band of the benchmark oracle's count check: |n - N p| <= Z_MAX sigma + 3
+Z_MAX = 7.0
+
+
 class TestSampleRows:
     @pytest.mark.parametrize("outcomes", [4, 16])
-    def test_row_k_is_sample_counts_at_seed_plus_k(self, outcomes):
+    def test_table_is_one_stream_at_the_seed(self, outcomes):
         dists = _random_rows(9, outcomes, seed=outcomes)
         counts = sample_rows(dists, 3_000, seed=41)
         assert counts.dtype == np.int64 and counts.shape == dists.shape
-        for k, dist in enumerate(dists):
-            one = sample_counts(dist, 3_000, seed=41 + k)
-            assert counts[k].tobytes() == one.counts.tobytes()
-            flat = dist.reshape(-1)
-            drawn = np.random.default_rng(41 + k).multinomial(3_000, flat / flat.sum())
-            assert counts[k].reshape(-1).tobytes() == drawn.tobytes()
+        flat = dists.reshape(9, -1)
+        drawn = np.random.default_rng(41).multinomial(3_000, flat / flat.sum(axis=1, keepdims=True))
+        assert counts.reshape(9, -1).tobytes() == drawn.tobytes()
+        assert counts[0].tobytes() == sample_counts(dists[0], 3_000, seed=41).counts.tobytes()
+        assert sample_rows(dists, 3_000, seed=41).tobytes() == counts.tobytes()
+
+    def test_rows_of_one_distribution_are_independent_draws(self):
+        n, p = 20_000, np.array([0.5, 0.3, 0.15, 0.05])
+        counts = sample_rows(np.tile(p, (200, 1)), n, seed=8)
+        sigma = np.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(counts - n * p) <= Z_MAX * sigma + 3)
+        # lag-1 correlation of each outcome's counts: about N(0, 1/200) if independent
+        for outcome in range(4):
+            x = counts[:, outcome]
+            r = np.corrcoef(x[:-1], x[1:])[0, 1]
+            assert abs(r) < 4 / np.sqrt(len(x)), (outcome, r)
+        assert len({row.tobytes() for row in counts}) > 190
 
     @pytest.mark.parametrize("outcomes", [4, 16])
     @pytest.mark.parametrize("bad, message", [
@@ -146,6 +161,15 @@ class TestSampleRows:
             row[0], row[1] = bad, row[1] + row[0] - bad
         with pytest.raises(ValueError, match=re.escape(message)):
             sample_rows(dists, 100, seed=0)
+
+    def test_round_off_negatives_are_drawn_as_zero(self):
+        dists = np.array([[0.5, 0.5 + 1e-13, -1e-13, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        counts = sample_rows(dists, 10_000, seed=4)
+        clipped = np.clip(dists, 0.0, None)
+        drawn = np.random.default_rng(4).multinomial(
+            10_000, clipped / clipped.sum(axis=1, keepdims=True))
+        assert counts.tobytes() == drawn.tobytes()
+        assert counts[0, 2] == counts[0, 3] == 0
 
     def test_first_bad_row_is_named(self):
         dists = np.full((5, 4), 0.25)

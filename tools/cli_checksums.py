@@ -8,7 +8,8 @@ tables and sweeps with and without noise, sweeps with the mixers off
 ``verify`` at four grid sizes, and hashes every output file and every
 command's stdout.  It also hashes the bits of library outputs at fixed
 random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
-change to a propagation route that no CLI file shows is pinned too.
+change to a propagation route that no CLI file shows is pinned too, and the
+shot sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
 Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
@@ -54,8 +55,9 @@ COMMANDS = [
     ("pair_sweep.csv", ["two-photon", "--sweep", "phi1", "--start", "0",
                         "--stop", "360", "--steps", "9"]),
     ("pair_mixed.csv", ["two-photon", "--mixed", "--shots", "2000"]),
-    # half-degree steps: a mixture weight squared as an array rather than
-    # like the scalar x ** 2 changes the last digit of some of these rows
+    # half-degree steps: the mixture weights are squared as x * x; a square
+    # that rounds like pow (np.float_power, a scalar x ** 2) changes the last
+    # digit of some of these rows
     ("pair_alpha_noise.csv", ["two-photon", "--phi1-deg", "290", "--phi2-deg", "42",
                               "--phi1p-deg", "180", "--phi2p-deg", "95",
                               "--sweep", "alpha", "--start", "0", "--stop", "90",
@@ -122,6 +124,13 @@ VERIFY = [
 #: 0, pi/8 or uniform in [0, pi/4) (compared with ``strict=False``)
 LIBRARY_POINTS = 200
 
+#: (entry, table shape, shots, seed) of each sampled table; ``sample_counts``
+#: is also pinned, at LIBRARY_POINTS one-row draws
+SAMPLER_TABLES = [
+    ("sample_rows_110x4", (110, 4), 50_000, 91),
+    ("sample_rows_22x4x4", (22, 4, 4), 5_000, 12345),
+]
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -135,6 +144,7 @@ def library_checksums() -> dict[str, str]:
                                     ghz_sector_probabilities)
     from wptoolbox.hardware import build_hardware_layout, equivalence_scan
     from wptoolbox.optics import interferometer_circuit, network_matrix
+    from wptoolbox.shots import sample_counts, sample_rows
     from wptoolbox.toolbox import ToolboxPhases, detection_probabilities
 
     rng = np.random.default_rng(20240601)
@@ -160,6 +170,14 @@ def library_checksums() -> dict[str, str]:
         }
         for name, value in values.items():
             bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
+    # the sampler on fixed tables, independent of the engine's bits
+    tables = np.random.default_rng(20240602)
+    for name, shape, shots, seed in SAMPLER_TABLES:
+        dists = tables.dirichlet(np.full(int(np.prod(shape[1:])), 0.7), shape[0])
+        bits[name] = [sample_rows(dists.reshape(shape), shots, seed).tobytes().hex()]
+    bits["sample_counts"] = [
+        sample_counts(tables.dirichlet(np.ones((4, 16)[k % 2])), 1000 + k, seed=k).counts
+        .tobytes().hex() for k in range(LIBRARY_POINTS)]
     return {f"library:{name}": _digest("\n".join(b).encode()) for name, b in bits.items()}
 
 
