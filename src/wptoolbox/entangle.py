@@ -182,7 +182,7 @@ def two_photon_batch(
     )
     _check("coincidence table", np.abs(closed - probs), settings)
 
-    probs = histories.fringe_scaled(probs, scale, _PAIR_BASIS)
+    probs = histories.fringe_scaled(probs.reshape(amps.shape), scale).reshape(probs.shape)
     _check_tables(probs)
     return PairBatch(amps, probs)
 

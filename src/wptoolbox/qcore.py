@@ -323,6 +323,19 @@ def pure_density(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.basis, _projector(state.amplitudes))
 
 
+def check_distribution(values, what: str) -> np.ndarray:
+    """``values`` as floats; raises, naming them ``what``, unless they are
+    non-negative and sum to 1 within tolerance along the first axis."""
+    values = np.array(values, dtype=float)
+    if (values < -ATOL).any():
+        raise ValueError(f"{what} must be non-negative")
+    total = values.sum(axis=0)
+    bad = ~(np.abs(total - 1.0) <= 1e-9)  # NaN fails too
+    if bad.any():
+        raise ValueError(f"{what} must sum to 1, got {total[bad][0]}")
+    return values
+
+
 def mix(pairs: Iterable[tuple[PureState, float]]) -> DensityMatrix:
     """Classical mixture of pure states with the given weights.
 
@@ -334,13 +347,7 @@ def mix(pairs: Iterable[tuple[PureState, float]]) -> DensityMatrix:
     if not pairs:
         raise ValueError("mixture needs at least one component")
     basis = pairs[0][0].basis
-    weights = np.array([w for _, w in pairs], dtype=float)
-    if (weights < -ATOL).any():
-        raise ValueError("mixture weights must be non-negative")
-    total = weights.sum(axis=0)
-    bad = np.abs(total - 1.0) > 1e-9
-    if bad.any():
-        raise ValueError(f"mixture weights must sum to 1, got {total[bad][0]}")
+    weights = check_distribution([w for _, w in pairs], "mixture weights")
     rho = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
     for (state, _), w in zip(pairs, weights[..., None, None]):
         if state.basis.labels != basis.labels:

@@ -1,8 +1,8 @@
 """Finite-shot count simulation, Poissonian errors, and noise models.
 
 Sampling uses ``numpy.random.default_rng`` (PCG64) with an explicit 64-bit
-seed, so any count table — and therefore any CSV produced downstream — is
-reproducible byte-for-byte from (table of distributions, shots, seed).
+seed, so any count table (and any CSV made from it) is reproducible byte for
+byte from (table values, shots, seed), whatever the table's memory layout.
 
 The noise model has two knobs.  ``dephase_wp`` interpolates the pure output
 toward the classical wave/particle mixture with the same weights (the state
@@ -93,13 +93,13 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
     or ``(rows, 4, 4)``; the counts come back in that shape as int64.  Every
     row is checked before any draw, and an error names the first bad row.
     A table draws all rows, in row order, from one ``default_rng(seed)``
-    stream, so it is deterministic for a fixed (table, shots, seed); row 0
-    equals :func:`sample_counts` of that row at that seed.
+    stream, so equal (table values, shots, seed) give equal counts in any
+    memory layout; row 0 equals :func:`sample_counts` of that row at that seed.
     """
     if n_shots < 1:
         raise ValueError("need at least one shot")
     p = np.asarray(dists, dtype=float)
-    flat = p.reshape(len(p), -1)
+    flat = np.ascontiguousarray(p.reshape(len(p), -1))  # a row's sum rounds by layout
     sums, low = flat.sum(axis=1), flat.min(initial=0.0)
     # all rows at once; only a failure looks row by row (NaN fails too)
     if not (low >= -1e-12 and np.abs(sums - 1.0).max(initial=0.0) <= 1e-9):

@@ -30,6 +30,8 @@ from .qcore import (
     PureState,
     as_values,
     broadcast_values,
+    check_distribution,
+    is_isometry,
     mix,
     stack_last,
 )
@@ -185,15 +187,20 @@ class _Histories(NamedTuple):
         pairs = zip(self.coeffs, self.terms)
         return mix((PureState(basis, t), c * c) for c, t in pairs)
 
-    def fringe_scaled(self, probs: np.ndarray, scale, basis: ModeBasis) -> np.ndarray:
-        """Rows whose scale is not 1 become ``baseline + scale * (probs -
-        baseline)``, the baseline being the statistics of :meth:`mixture`."""
+    def fringe_scaled(self, probs: np.ndarray, scale) -> np.ndarray:
+        """Rows of ``probs``, ``S + (d,)``, whose scale is not 1 become ``baseline +
+        scale * (probs - baseline)``.  The baseline ``sum_t c_t^2 |term_t|^2`` is the
+        diagonal of :meth:`mixture` without the matrix; its checks imply the matrix's:
+        weights, finite orthonormal terms (eigenvalues ``c_t^2``), rows summing to 1."""
         noisy = scale != 1.0
         if not noisy.any():
             return probs
-        baseline = self.mixture(basis).probabilities().reshape(probs.shape)
-        rows = (...,) + (None,) * (probs.ndim - np.ndim(scale))
-        return np.where(noisy[rows], baseline + scale[rows] * (probs - baseline), probs)
+        weights = check_distribution([c * c for c in self.coeffs], "mixture weights")
+        if not is_isometry(stack_last(self.terms)):
+            raise ValueError("history terms must be finite and orthonormal")
+        baseline = sum(w[..., None] * (t * t.conj()).real for w, t in zip(weights, self.terms))
+        check_distribution(np.moveaxis(baseline, -1, 0), "mixture baseline rows")
+        return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
 
 
 def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histories:
@@ -209,7 +216,7 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
     unbatched.  A non-finite one is named as the caller's setting at its
     row of ``S``: photon k's is the k-th name in ``settings`` that starts
     with ``phi1``, ``phi2`` or ``beta``, or the one such name all photons
-    share.
+    share.  The terms are returned for the noise baseline, which checks them.
     """
     shape, n = np.shape(next(iter(settings.values()))), len(patterns[0])
     if 0 in shape:
@@ -227,7 +234,7 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
         terms.append(state)
     amps = coeffs[0][..., None] * terms[0]
     for c, term in zip(coeffs[1:], terms[1:]):
-        amps = amps + c[..., None] * term
+        amps += c[..., None] * term
 
     source = np.zeros(shape + (2,) * n, dtype=np.complex128)  # one axis per photon
     for c, pattern in zip(coeffs, patterns):
@@ -245,12 +252,13 @@ def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histo
         check = str(err).split(";")[0]
         raise ValueError(f"{check}; {names[min(photon, len(names) - 1)]}={value!r}"
                          f" at row {setting}") from None
-    mats = mats.reshape(shape + (n, 4, 2))
+    mats = mats.reshape(shape + (n, 4, 2)).swapaxes(-1, -2)
     for k in range(n):
         # photon k's polarization axis leads; its four paths move to the back,
-        # so after n steps the photons are back in order
-        source = np.swapaxes(mats[..., k, :, :] @ source.reshape(shape + (2, -1)), -1, -2)
-    _check(what, np.abs(amps - source.reshape(amps.shape)), settings)
+        # so after n steps the photons are back in order (a contiguous result)
+        source = source.reshape(shape + (2, -1)).swapaxes(-1, -2) @ mats[..., k, :, :]
+    dev = source.reshape(amps.shape)
+    _check(what, np.abs(np.subtract(amps, dev, out=dev)), settings)
     return _Histories(amps, tuple(coeffs), terms, waves, particles)
 
 
@@ -356,7 +364,7 @@ def single_photon_batch(
     born = np.abs(amps) ** 2
     forms = detection_closed_forms(alpha, ToolboxPhases(phi1, phi2), beta)
     _check("probabilities", np.abs(forms - born), settings)
-    return SingleBatch(amps, histories.fringe_scaled(born, scale, _PATH_BASIS))
+    return SingleBatch(amps, histories.fringe_scaled(born, scale))
 
 
 def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:

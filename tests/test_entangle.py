@@ -1,5 +1,6 @@
 """Tests for two-photon coincidences, concurrence, and the n-photon extension."""
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,8 +27,18 @@ from wptoolbox.entangle import (
     vh_variant_output,
     wootters_concurrence,
 )
-from wptoolbox.qcore import ModeBasis, PureState, measure_distribution, product_basis
-from wptoolbox.shots import NoiseModel, noisy_coincidence_probabilities
+from wptoolbox.qcore import (
+    DensityMatrix,
+    ModeBasis,
+    PureState,
+    measure_distribution,
+    product_basis,
+)
+from wptoolbox.shots import (
+    NoiseModel,
+    noisy_coincidence_probabilities,
+    noisy_single_probabilities,
+)
 from wptoolbox.toolbox import (
     BETA_DIRECT,
     BETA_SPLIT,
@@ -35,6 +46,7 @@ from wptoolbox.toolbox import (
     mixed_output,
     output_state,
     particle_state,
+    single_photon_batch,
     wave_state,
 )
 
@@ -583,3 +595,109 @@ class TestGhzSectors:
         assert got.keys() == expected.keys()
         for key, value in expected.items():
             assert got[key] == pytest.approx(value, abs=sector_atol(n))
+
+
+def random_histories(kind, rows=40, seed=5):
+    """Engine output of one source kind at ``rows`` random settings, a
+    quarter of them with both mixers off."""
+    rng = np.random.default_rng(seed)
+    values = dict(zip(entangle._PAIR_NAMES, (
+        rng.uniform(0, PI / 2, rows), *rng.uniform(0, 2 * PI, (4, rows)),
+        *np.where(np.arange(rows) % 4 == 0, 0.0, rng.uniform(0, PI / 4, (2, rows))))))
+    if kind == "single":
+        single = {name: values[name] for name in toolbox._SINGLE_NAMES}
+        return toolbox._single_photon(single), toolbox._PATH_BASIS
+    if kind == "pair":
+        return entangle._entangled(values), entangle._PAIR_BASIS
+    del values["alpha"]
+    c = np.sqrt(0.5)
+    histories = entangle._pair_histories(values, (c, c), ((0, 1), (1, 0)), "variant")
+    return histories, entangle._PAIR_BASIS
+
+
+def baseline(histories):
+    """The noise baseline: every row at fringe scale 0."""
+    rows = np.shape(histories.amplitudes)[:-1]
+    return histories.fringe_scaled(np.zeros(histories.amplitudes.shape), np.zeros(rows))
+
+
+class TestNoiseBaseline:
+    """The baseline of noisy rows is the mixture's diagonal, checked without it."""
+
+    @pytest.mark.parametrize("kind", ["single", "pair", "variant"])
+    def test_is_the_mixture_diagonal_bit_for_bit(self, kind):
+        histories, basis = random_histories(kind)
+        expected = histories.mixture(basis).probabilities()
+        assert baseline(histories).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["single", "pair"])
+    def test_overlapping_terms_raise(self, kind):
+        # both terms the same unit vector: weights and row sums still pass
+        histories, _ = random_histories(kind)
+        patched = histories._replace(terms=[histories.terms[0]] * 2)
+        with pytest.raises(ValueError, match="orthonormal"):
+            baseline(patched)
+
+    def test_nan_term_raises(self):
+        histories, _ = random_histories("pair")
+        term = histories.terms[1].copy()
+        term[7, 3] = np.nan
+        with pytest.raises(ValueError, match="finite and orthonormal"):
+            baseline(histories._replace(terms=[histories.terms[0], term]))
+
+    def test_weights_off_one_raise(self):
+        histories, _ = random_histories("single")
+        cos, sin = histories.coeffs
+        with pytest.raises(ValueError, match="weights must sum to 1"):
+            baseline(histories._replace(coeffs=(cos * 1.001, sin)))
+
+    def test_noisy_engine_calls_build_no_density_matrix(self, monkeypatch):
+        calls = {"DensityMatrix": 0, "eigvalsh": 0}
+        post_init, eigvalsh = DensityMatrix.__post_init__, np.linalg.eigvalsh
+
+        def counted_post_init(self):
+            calls["DensityMatrix"] += 1
+            post_init(self)
+
+        def counted_eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        rows = np.linspace(0, 1, 25)
+        model = NoiseModel(visibility=0.8, dephase_wp=0.3)
+        s = settings(0.5, 0.8, 1.9, 2.2, 0.1, BETA_DIRECT, 0.3)
+        single_photon_batch(rows, 2 * rows, 1.0, BETA_SPLIT, rows)
+        two_photon_batch(rows, 2 * rows, 1.0, 0.4, 3 * rows, BETA_SPLIT, 0.2, rows)
+        noisy_single_probabilities(0.5, ToolboxPhases(0.8, 1.9), model=model)
+        noisy_coincidence_probabilities(s, model)
+        mixture_coincidence_probabilities(s)
+        assert calls == {"DensityMatrix": 0, "eigvalsh": 0}
+        # the counters do count: the mixture state is still a checked matrix
+        mixture_two_photon_output(s)
+        assert calls == {"DensityMatrix": 1, "eigvalsh": 1}
+
+
+def peak_bytes(call):
+    """Peak of traced allocations during ``call``, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_eight_photon_sectors_stay_small(self):
+        # the output alone is 4**8 complex amplitudes, 1 MiB
+        assert peak_bytes(lambda: ghz_sector_probabilities(8, 0.6)) <= 5.0 * 2**20
+
+    def test_noisy_pair_batch_builds_no_matrix_stack(self):
+        # 200 rows of 16x16 density matrices would be 0.8 MiB on their own
+        rows = np.linspace(0, 1, 200)
+        peak = peak_bytes(lambda: two_photon_batch(
+            rows, 2 * rows, 1.0, 0.4, 3 * rows, BETA_SPLIT, 0.2, rows))
+        assert peak <= 1.0 * 2**20

@@ -9,6 +9,7 @@ from wptoolbox.entangle import (
     coincidence_probabilities,
     entanglement_witness,
     mixture_coincidence_probabilities,
+    two_photon_batch,
 )
 from wptoolbox.shots import (
     CountTable,
@@ -23,7 +24,13 @@ from wptoolbox.shots import (
     sample_rows,
     witness_rows,
 )
-from wptoolbox.toolbox import BETA_SPLIT, ToolboxPhases, coherence_witness, detection_probabilities
+from wptoolbox.toolbox import (
+    BETA_SPLIT,
+    ToolboxPhases,
+    coherence_witness,
+    detection_probabilities,
+    single_photon_batch,
+)
 
 PI = np.pi
 FLAT4 = np.full(4, 0.25)
@@ -133,6 +140,29 @@ class TestSampleRows:
         assert counts.reshape(9, -1).tobytes() == drawn.tobytes()
         assert counts[0].tobytes() == sample_counts(dists[0], 3_000, seed=41).counts.tobytes()
         assert sample_rows(dists, 3_000, seed=41).tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("outcomes", [4, 16])
+    def test_counts_depend_on_values_not_layout(self, outcomes):
+        # engine tables: rows of these values sum to 1 - 3 ulp or so, and a
+        # sum that rounds differently changes the normalized draw
+        grid = np.linspace(0, 2 * PI, 5)
+        if outcomes == 4:
+            dists = single_photon_batch(np.linspace(0, PI / 2, 25), np.linspace(0, 2 * PI, 25),
+                                        1.0).probabilities
+        else:
+            dists = two_photon_batch(PI / 4, grid[:, None], 0.0, grid[None, :],
+                                     0.0).probabilities.reshape(25, 4, 4)
+        wide = np.zeros((25, 2 * outcomes))
+        wide[:, ::2] = dists.reshape(25, -1)
+        layouts = {
+            "fortran": np.asfortranarray(dists),
+            "transposed": np.moveaxis(np.ascontiguousarray(np.moveaxis(dists, 0, -1)), -1, 0),
+            "strided": wide[:, ::2].reshape(dists.shape),
+        }
+        counts = sample_rows(dists, 5_000, seed=9).tobytes()
+        for name, table in layouts.items():
+            assert table.tobytes() == dists.tobytes() and not table.flags.c_contiguous, name
+            assert sample_rows(table, 5_000, seed=9).tobytes() == counts, name
 
     def test_rows_of_one_distribution_are_independent_draws(self):
         n, p = 20_000, np.array([0.5, 0.3, 0.15, 0.05])

@@ -8,8 +8,10 @@ tables and sweeps with and without noise, sweeps with the mixers off
 ``verify`` at four grid sizes, and hashes every output file and every
 command's stdout.  It also hashes the bits of library outputs at fixed
 random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
-change to a propagation route that no CLI file shows is pinned too, and the
-shot sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
+change to a propagation route that no CLI file shows is pinned too: noisy
+single and pair engine rows at those settings, ``ghz_output`` amplitudes at
+1 to 8 photons (see :data:`GHZ_POINTS`), and the shot sampler's counts on
+fixed tables (see :data:`SAMPLER_TABLES`).
 Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
@@ -124,6 +126,9 @@ VERIFY = [
 #: 0, pi/8 or uniform in [0, pi/4) (compared with ``strict=False``)
 LIBRARY_POINTS = 200
 
+#: settings per photon number of the ``ghz_output`` entry, drawn like those above
+GHZ_POINTS = LIBRARY_POINTS // 8
+
 #: (entry, table shape, shots, seed) of each sampled table; ``sample_counts``
 #: is also pinned, at LIBRARY_POINTS one-row draws
 SAMPLER_TABLES = [
@@ -140,20 +145,23 @@ def library_checksums() -> dict[str, str]:
     """Name -> sha256 of the hex bits of each library function's outputs."""
     import numpy as np
 
-    from wptoolbox.entangle import (TwoPhotonSettings, coincidence_probabilities,
-                                    ghz_sector_probabilities)
+    from wptoolbox.entangle import (MAX_PHOTONS, TwoPhotonSettings,
+                                    coincidence_probabilities, ghz_output,
+                                    ghz_sector_probabilities, two_photon_batch)
     from wptoolbox.hardware import build_hardware_layout, equivalence_scan
     from wptoolbox.optics import interferometer_circuit, network_matrix
     from wptoolbox.shots import sample_counts, sample_rows
-    from wptoolbox.toolbox import ToolboxPhases, detection_probabilities
+    from wptoolbox.toolbox import ToolboxPhases, detection_probabilities, single_photon_batch
 
     rng = np.random.default_rng(20240601)
     bits: dict[str, list[str]] = {}
+    points = []
     for _ in range(LIBRARY_POINTS):
         alpha = rng.uniform(0, np.pi / 2)
         phi1, phi2, phi1p, phi2p = rng.uniform(0, 2 * np.pi, 4)
         kind, uniform = rng.integers(3), rng.uniform(0, np.pi / 4)
         beta = (0.0, np.pi / 8, uniform)[kind]
+        points.append((alpha, phi1, phi2, phi1p, phi2p, beta))
         phases = ToolboxPhases(phi1, phi2)
         pair = TwoPhotonSettings(alpha, phases, ToolboxPhases(phi1p, phi2p), beta, np.pi / 8)
         ghz_n = int(rng.integers(1, 5))
@@ -170,6 +178,27 @@ def library_checksums() -> dict[str, str]:
         }
         for name, value in values.items():
             bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
+    # noisy engine rows: the settings above as one batch per engine, each
+    # row at fringe scale 0 or uniform in [0, 1), from a stream of its own
+    noise = np.random.default_rng(20240603)
+    scale = np.where(noise.integers(2, size=LIBRARY_POINTS) == 0, 0.0,
+                     noise.uniform(0, 1, LIBRARY_POINTS))
+    alpha, phi1, phi2, phi1p, phi2p, beta = np.array(points).T
+    noisy = {
+        "noisy_single_photon_batch": single_photon_batch(alpha, phi1, phi2, beta, scale),
+        "noisy_two_photon_batch": two_photon_batch(alpha, phi1, phi2, phi1p, phi2p, beta,
+                                                   np.pi / 8, scale),
+    }
+    for name, batch in noisy.items():
+        bits[name] = [row.tobytes().hex() for row in batch.probabilities]
+    ghz = np.random.default_rng(20240604)
+    bits["ghz_output"] = []
+    for n in range(1, MAX_PHOTONS + 1):
+        for _ in range(GHZ_POINTS):
+            alpha, phi1, phi2 = ghz.uniform(0, np.pi / 2), *ghz.uniform(0, 2 * np.pi, 2)
+            beta = (0.0, np.pi / 8, ghz.uniform(0, np.pi / 4))[ghz.integers(3)]
+            state = ghz_output(n, alpha, ToolboxPhases(phi1, phi2), beta)
+            bits["ghz_output"].append(state.amplitudes.tobytes().hex())
     # the sampler on fixed tables, independent of the engine's bits
     tables = np.random.default_rng(20240602)
     for name, shape, shots, seed in SAMPLER_TABLES:
