@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -25,20 +26,20 @@ from .qcore import (
     DensityMatrix,
     ModeBasis,
     PureState,
-    as_values,
     broadcast_values,
     product_basis,
-    stack_last,
 )
 from .toolbox import (
     BETA_SPLIT,
     ToolboxPhases,
+    _PHOTON,
+    _alpha_source,
     _check,
-    _check_alpha,
     _Histories,
     _history_batch,
     _history_weights,
     _in_sector,
+    _single_settings,
 )
 
 PRIMED_PATHS: tuple[str, str, str, str] = ("1'", "2'", "3'", "4'")
@@ -53,6 +54,8 @@ _SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y)
 
 #: the settings of a pair, in the argument order of :func:`two_photon_batch`
 _PAIR_NAMES = ("alpha", "phi1", "phi2", "phi1_prime", "phi2_prime", "beta", "beta_prime")
+#: each photon's phi1, phi2 and beta among them
+_PAIR_PHOTONS = (("phi1", "phi2", "beta"), ("phi1_prime", "phi2_prime", "beta_prime"))
 
 
 @dataclass(frozen=True)
@@ -114,19 +117,9 @@ def _pair_settings(s: TwoPhotonSettings) -> dict:
     return dict(zip(_PAIR_NAMES, broadcast_values(*values)))
 
 
-def _pair_histories(settings: dict, coeffs, terms, what: str) -> _Histories:
-    """The engine's case of a pair source at broadcast ``settings``."""
-    per_photon = (
-        stack_last([settings[name], settings[name + "_prime"]])
-        for name in ("phi1", "phi2", "beta")
-    )
-    return _history_batch(coeffs, terms, *per_photon, what, settings)
-
-
 def _entangled(settings: dict) -> _Histories:
     """The pair ``cos(alpha)|VV'> + sin(alpha)|HH'>`` through the engine."""
-    a = _check_alpha(settings["alpha"])
-    return _pair_histories(settings, (np.cos(a), np.sin(a)), ((0, 0), (1, 1)), "pair state")
+    return _alpha_source(settings, _PAIR_PHOTONS, "pair state")
 
 
 class PairBatch(NamedTuple):
@@ -366,7 +359,8 @@ def vh_variant_output(s: TwoPhotonSettings) -> PureState:
     settings = _pair_settings(s)
     del settings["alpha"]
     c = np.sqrt(0.5)
-    histories = _pair_histories(settings, (c, c), ((0, 1), (1, 0)), "variant pair state")
+    histories = _history_batch((c, c), ((0, 1), (1, 0)), _PAIR_PHOTONS, "variant pair state",
+                               settings)
     return PureState(_PAIR_BASIS, histories.amplitudes)
 
 
@@ -400,14 +394,11 @@ def ghz_output(
     form is verified against applying the network transfer matrix to every
     photon of the polarization state ``cos(alpha)|V..V> + sin(alpha)|H..H>``.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_PHOTONS:
+    if not isinstance(n, Integral) or isinstance(n, bool) or not 1 <= n <= MAX_PHOTONS:
         raise ValueError(f"photon number must be an integer in [1, {MAX_PHOTONS}]")
-    alpha, phi1, phi2, beta = map(as_values, (alpha, phases.phi1, phases.phi2, beta))
-    settings = {"alpha": alpha, "phi1": phi1, "phi2": phi2, "beta": beta}
-    histories = _history_batch(
-        (np.cos(alpha), np.sin(alpha)), ((0,) * n, (1,) * n),
-        np.full(n, phi1), np.full(n, phi2), np.full(n, beta), "n-photon state", settings,
-    )
+    # every photon names the same setting, evaluated once
+    histories = _alpha_source(_single_settings(alpha, phases, beta), (_PHOTON,) * n,
+                              "n-photon state")
     return PureState(_n_photon_basis(n), histories.amplitudes)
 
 

@@ -17,15 +17,15 @@ Phases and mixer angles may be arrays: the setting-dependent elements then
 hold one matrix per setting, and one circuit propagates a whole batch.
 
 Every circuit runs through the one step runner
-:func:`wptoolbox.qcore.run_steps`.  The network is compiled once per label
-set by :func:`compile_chain`: each element's mode positions are resolved in
+:func:`wptoolbox.qcore.run_steps`.  The network is compiled once by
+:func:`compile_chain`: each element's mode positions are resolved in
 advance and the fixed run PBS, BS1, BS2 is fused into one checked 4x2
 block.  The phases and mixers are built, and checked as one stack, per call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -321,17 +321,17 @@ def compile_chain(input_basis: ModeBasis, items) -> Chain:
     return Chain(input_basis, basis, tuple(items), tuple(steps), tuple(slots))
 
 
-@lru_cache(maxsize=8)
-def _fixed_stages(pol_labels: tuple[str, str], path_labels: tuple[str, str, str, str]) -> Chain:
-    """The network's chain, built, fused and validated once per label set.
+@cache
+def _fixed_stages() -> Chain:
+    """The network's chain, built, fused and validated once.
 
     Its fixed elements are the polarizing splitter and the balanced
     splitters BS1, BS2 (fused into one 4x2 block) and BS3; its slots are
     the two arm phases and the two mixers.
     """
-    p1, p2, p3, p4 = path_labels
+    p1, p2, p3, p4 = PATHS
     items = (
-        polarizing_bs(pol_labels, path_labels),
+        polarizing_bs(),
         balanced_bs(p1, p3, name="BS1"),
         balanced_bs(p2, p4, name="BS2"),
         ("phase1", (p3,)),
@@ -340,31 +340,23 @@ def _fixed_stages(pol_labels: tuple[str, str], path_labels: tuple[str, str, str,
         (f"mixer({p1},{p2})", (p1, p2)),
         (f"mixer({p3},{p4})", (p3, p4)),
     )
-    return compile_chain(ModeBasis(pol_labels), items)
+    return compile_chain(ModeBasis(POLS), items)
 
 
-def interferometer_circuit(
-    phi1: float,
-    phi2: float,
-    beta: float,
-    pol_labels: tuple[str, str] = POLS,
-    path_labels: tuple[str, str, str, str] = PATHS,
-) -> Circuit:
+def interferometer_circuit(phi1: float, phi2: float, beta: float) -> Circuit:
     """The full polarization-to-four-paths network described in the module docstring.
 
     Args:
         phi1: phase in the recombined arm (path 3).
         phi2: phase in the open arm (path 4).
         beta: detection-stage mixer angle; 0 disables the mixers.
-        pol_labels: labels of the two input polarization modes.
-        path_labels: labels of the four output paths.
 
     ``phi1``, ``phi2`` and ``beta`` may be arrays of one broadcast shape (else
     ``ValueError``), one setting per entry.  The phases and the mixer are
     checked as one stack, and both mixers share one matrix.
     """
     slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
-    return _fixed_stages(tuple(pol_labels), tuple(path_labels)).circuit(*slots)
+    return _fixed_stages().circuit(*slots)
 
 
 def network_matrix(phi1, phi2, beta) -> np.ndarray:
@@ -375,4 +367,4 @@ def network_matrix(phi1, phi2, beta) -> np.ndarray:
     elements; the phases and mixer are checked as in the circuit, every call.
     """
     slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
-    return _transfer_matrix(_fixed_stages(POLS, PATHS).steps_with(*slots), 2, slots[-1].shape[:-2])
+    return _transfer_matrix(_fixed_stages().steps_with(*slots), 2, slots[-1].shape[:-2])

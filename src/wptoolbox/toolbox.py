@@ -49,6 +49,8 @@ _POL_BASIS = ModeBasis(POLS)
 _PATH_BASIS = ModeBasis(PATHS)
 #: one photon's settings, in the argument order of :func:`single_photon_batch`
 _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
+#: the names of one photon's phi1, phi2 and beta among them
+_PHOTON = _SINGLE_NAMES[1:]
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,8 @@ def mixed_output(
 
 class _Histories(NamedTuple):
     """The checked output ``S + (4**n,)`` of :func:`_history_batch`, each
-    term's product state, and each photon's histories ``S + (n, 4)``."""
+    term's product state, and the histories ``S + (m, 4)`` of its ``m``
+    distinct photon settings: one row per photon for a single or a pair."""
 
     amplitudes: np.ndarray
     coeffs: tuple
@@ -203,70 +206,75 @@ class _Histories(NamedTuple):
         return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
 
 
-def _history_batch(coeffs, patterns, phi1, phi2, beta, what, settings) -> _Histories:
+def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     """Output of the source ``sum_t coeffs[t] |patterns[t]>``, checked both ways.
 
-    The distinct patterns hold 0 (V) or 1 (H) per photon; V leaves as the
+    The caller's ``settings``, by name and broadcast to one batch shape
+    ``S``, are the only settings; ``photons[k]`` names photon k's ``phi1``,
+    ``phi2`` and ``beta`` among them.  Each distinct name triple is
+    evaluated once, for the histories and for the network matrix.  The
+    distinct patterns hold 0 (V) or 1 (H) per photon; V leaves as the
     photon's wave history and H as its particle history, so the closed form
     is ``sum_t c_t (x)_k history_{t,k}``.  Row by row (:func:`_check`,
     naming ``what``) it must match photon k's transfer matrix applied to
-    axis k of the polarization source.  Coefficients broadcast to the batch
-    shape ``S`` of ``settings``; ``phi1``, ``phi2`` and ``beta`` are per
-    photon, ``S + (n,)``, or ``S`` for one photon, which keeps one setting
-    unbatched.  A non-finite one is named as the caller's setting at its
-    row of ``S``: photon k's is the k-th name in ``settings`` that starts
-    with ``phi1``, ``phi2`` or ``beta``, or the one such name all photons
-    share.  The terms are returned for the noise baseline, which checks them.
+    axis k of the polarization source.  Coefficients broadcast to ``S``.  A
+    failed slot check names the first non-finite setting and its row of
+    ``S``.  The terms are returned for the noise baseline, which checks them.
     """
-    shape, n = np.shape(next(iter(settings.values()))), len(patterns[0])
+    shape = np.shape(next(iter(settings.values())))
     if 0 in shape:
         raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
+    distinct = list(dict.fromkeys(photons))
+    rows = [distinct.index(names) for names in photons]
+    # photon k's values are row rows[k] of S + (m,), m distinct; one keeps shape S
+    phi1, phi2, beta = (settings[names[0]] if len(distinct) == 1
+                        else stack_last([settings[name] for name in names])
+                        for names in zip(*distinct))
     # raw amplitudes: a PureState would copy and scan what the check below compares
-    waves = _wave_amplitudes(phi1, beta).reshape(shape + (n, 4))
-    particles = _particle_amplitudes(phi2, beta).reshape(shape + (n, 4))
+    waves = _wave_amplitudes(phi1, beta).reshape(shape + (-1, 4))
+    particles = _particle_amplitudes(phi2, beta).reshape(shape + (-1, 4))
     histories = (waves, particles)
     terms = []
     for pattern in patterns:
-        state = histories[pattern[0]][..., 0, :]
-        for k, h in enumerate(pattern[1:], 1):
-            b = histories[h][..., k, :]
+        state = histories[pattern[0]][..., rows[0], :]
+        for h, row in zip(pattern[1:], rows[1:]):
+            b = histories[h][..., row, :]
             state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
         terms.append(state)
     amps = coeffs[0][..., None] * terms[0]
     for c, term in zip(coeffs[1:], terms[1:]):
         amps += c[..., None] * term
 
-    source = np.zeros(shape + (2,) * n, dtype=np.complex128)  # one axis per photon
+    source = np.zeros(shape + (2,) * len(photons), dtype=np.complex128)  # one axis per photon
     for c, pattern in zip(coeffs, patterns):
         source[(..., *pattern)] = c
     try:
         mats = network_matrix(phi1, phi2, beta)
     except ValueError as err:
-        found = _first_non_finite({"phi1": phi1, "phi2": phi2, "beta": beta})
+        found = _first_non_finite(settings)
         if found is None:
             raise
-        # flat engine row r is photon r % n of setting r // n
-        key, value, row = found
-        setting, photon = divmod(row, n)
-        names = [name for name in settings if name.startswith(key)]
-        check = str(err).split(";")[0]
-        raise ValueError(f"{check}; {names[min(photon, len(names) - 1)]}={value!r}"
-                         f" at row {setting}") from None
-    mats = mats.reshape(shape + (n, 4, 2)).swapaxes(-1, -2)
-    for k in range(n):
+        raise ValueError("{}; {}={!r} at row {}".format(str(err).split(";")[0], *found)) from None
+    mats = mats.reshape(shape + (-1, 4, 2)).swapaxes(-1, -2)
+    for row in rows:
         # photon k's polarization axis leads; its four paths move to the back,
         # so after n steps the photons are back in order (a contiguous result)
-        source = source.reshape(shape + (2, -1)).swapaxes(-1, -2) @ mats[..., k, :, :]
+        source = source.reshape(shape + (2, -1)).swapaxes(-1, -2) @ mats[..., row, :, :]
     dev = source.reshape(amps.shape)
     _check(what, np.abs(np.subtract(amps, dev, out=dev)), settings)
     return _Histories(amps, tuple(coeffs), terms, waves, particles)
 
 
+def _alpha_source(settings: dict, photons: tuple, what: str) -> _Histories:
+    """``cos(alpha)|V..V> + sin(alpha)|H..H>`` over ``photons`` through the engine,
+    at broadcast ``settings``, once ``alpha`` passed :func:`_check_alpha`."""
+    a, n = _check_alpha(settings["alpha"]), len(photons)
+    return _history_batch((np.cos(a), np.sin(a)), ((0,) * n, (1,) * n), photons, what, settings)
+
+
 def _single_photon(settings: dict) -> _Histories:
     """``cos(alpha)|V> + sin(alpha)|H>`` through the engine at broadcast ``settings``."""
-    a = _check_alpha(settings["alpha"])
-    return _history_batch((np.cos(a), np.sin(a)), ((0,), (1,)), settings["phi1"],
-                          settings["phi2"], settings["beta"], "output", settings)
+    return _alpha_source(settings, (_PHOTON,), "output")
 
 
 def _single_settings(alpha, phases: ToolboxPhases, beta) -> dict:

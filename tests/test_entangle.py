@@ -469,6 +469,28 @@ class TestGhzExtension:
         with pytest.raises(ValueError, match="photon number"):
             ghz_output(9, PI / 4)
 
+    def test_photon_number_of_any_integral_type(self):
+        phases = ToolboxPhases(0.8, 2.1)
+        wide = ghz_output(np.int64(3), 0.3, phases)
+        assert wide.amplitudes.tobytes() == ghz_output(3, 0.3, phases).amplitudes.tobytes()
+        assert wide.basis == ghz_output(3, 0.3).basis
+        with pytest.raises(ValueError, match=r"photon number must be an integer in \[1, 8\]"):
+            ghz_output(True, 0.3)
+
+    @pytest.mark.parametrize("source", [ghz_output, ghz_sector_probabilities])
+    def test_non_finite_alpha_rejected(self, source):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            source(3, np.nan)
+
+    @pytest.mark.parametrize("source", [ghz_output, ghz_sector_probabilities])
+    @pytest.mark.parametrize("alpha", [-0.2, 2.0])
+    def test_alpha_outside_quadrant_warns_once(self, source, alpha):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            source(3, alpha)
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            f"alpha={alpha:.6g} lies outside [0, pi/2]"]
+
     def test_single_photon_reduces_to_toolbox(self):
         phases = ToolboxPhases(1.1, 0.6)
         one = ghz_output(1, 0.4, phases)
@@ -542,6 +564,18 @@ class TestSourceTermEngine:
         concurrence(settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2), mixed=mixed)
         assert calls == {"_wave_amplitudes": 1, "_particle_amplitudes": 1}
 
+    def test_ghz_evaluates_the_shared_setting_once(self, monkeypatch):
+        shapes = []
+        exact = toolbox.network_matrix
+
+        def recorded(*values):
+            shapes.append(tuple(np.shape(v) for v in values))
+            return exact(*values)
+
+        monkeypatch.setattr(toolbox, "network_matrix", recorded)
+        ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2), BETA_SPLIT)
+        assert shapes == [((), (), ())]
+
     @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
     def test_two_photon_ghz_is_the_pair_bit_for_bit(self, beta):
         phi1, phi2 = 1.3, 0.4
@@ -611,7 +645,8 @@ def random_histories(kind, rows=40, seed=5):
         return entangle._entangled(values), entangle._PAIR_BASIS
     del values["alpha"]
     c = np.sqrt(0.5)
-    histories = entangle._pair_histories(values, (c, c), ((0, 1), (1, 0)), "variant")
+    histories = toolbox._history_batch((c, c), ((0, 1), (1, 0)), entangle._PAIR_PHOTONS,
+                                       "variant", values)
     return histories, entangle._PAIR_BASIS
 
 

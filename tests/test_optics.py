@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from wptoolbox import optics, qcore
 from wptoolbox.entangle import (TwoPhotonSettings, coincidence_probabilities, ghz_output,
-                                two_photon_batch)
+                                two_photon_batch, vh_variant_output)
 from wptoolbox.optics import (
     PATHS,
-    POLS,
     Circuit,
     ElementUnitary,
     balanced_bs,
@@ -284,7 +283,7 @@ class TestCompiledRoute:
             )
 
     def test_fused_block_is_shared_across_calls(self):
-        block = _fixed_stages(POLS, PATHS).steps[0].matrix
+        block = _fixed_stages().steps[0].matrix
         assert block.shape == (4, 2) and not block.flags.writeable
         a = interferometer_circuit(0.1, 0.2, BALANCED)
         b = interferometer_circuit(np.array([1.1, 2.0]), 2.2, 0.0)
@@ -311,7 +310,7 @@ class TestCompiledRoute:
             build_hardware_layout(phases, values["beta"])
 
     def test_chain_takes_one_matrix_per_slot(self):
-        chain = _fixed_stages(POLS, PATHS)
+        chain = _fixed_stages()
         mixer = output_mixer("1", "2", 0.3)
         phases = phase_shifter("3", 0.1).matrix, phase_shifter("4", 0.2).matrix
         with pytest.raises(ValueError):
@@ -359,9 +358,10 @@ class TestCompiledRoute:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match=named):
                 detection_probabilities(0.3, phases, settings["beta"])
-            with pytest.raises(ValueError, match=named.replace(bad, f"{bad}_prime")):
-                coincidence_probabilities(TwoPhotonSettings(
-                    0.3, ToolboxPhases(), phases, BALANCED, settings["beta"]))
+            pair = TwoPhotonSettings(0.3, ToolboxPhases(), phases, BALANCED, settings["beta"])
+            for source in (coincidence_probabilities, vh_variant_output):
+                with pytest.raises(ValueError, match=named.replace(bad, f"{bad}_prime")):
+                    source(pair)
             with pytest.raises(ValueError, match=named):
                 ghz_output(3, 0.3, phases, settings["beta"])
             batch = {k: np.array([0.1, 0.2, 0.3]) for k in settings}
@@ -376,6 +376,32 @@ class TestCompiledRoute:
     def test_finite_settings_add_nothing_to_a_failed_check(self):
         with pytest.raises(ValueError, match="isometry$"):
             optics._slot_matrices("gain", 0.1, 0.2, 0.3, lambda beta: 1.5 * np.eye(2))
+
+    def test_finite_settings_keep_the_engine_check_message(self, monkeypatch):
+        def gain(beta):
+            return 1.5 * np.broadcast_to(np.eye(2), np.shape(beta) + (2, 2))
+
+        monkeypatch.setattr(optics, "_mixer_matrix", gain)
+        pair = TwoPhotonSettings(0.3, ToolboxPhases(0.1, 0.2), ToolboxPhases(0.3, 0.4))
+        for run in (lambda: detection_probabilities(0.3, ToolboxPhases(0.1, 0.2)),
+                    lambda: coincidence_probabilities(pair),
+                    lambda: vh_variant_output(pair),
+                    lambda: ghz_output(3, 0.3)):
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == "arm phases and mixer: matrix is not an isometry"
+
+    def test_first_non_finite_in_argument_order_is_named(self):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="; phi2=inf at row 0$"):
+                two_photon_batch(0.3, 0.1, np.inf, np.nan, 0.2)
+            # phi2 comes first in the arguments, though phi1_prime's row is earlier
+            with pytest.raises(ValueError, match="; phi2=inf at row 2$"):
+                two_photon_batch(0.3, 0.1, np.array([0.2, 0.2, np.inf]),
+                                 np.array([np.nan, 0.1, 0.1]), 0.2)
+            with pytest.raises(ValueError, match="; phi1=nan at row 1$"):
+                detection_probabilities(0.3, ToolboxPhases(np.array([0.1, np.nan]),
+                                                           np.array([0.2, np.inf])))
 
     def test_positions_resolve_to_slices_when_evenly_spaced(self):
         basis = ModeBasis(("a", "b", "c", "d"))

@@ -10,8 +10,10 @@ command's stdout.  It also hashes the bits of library outputs at fixed
 random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
 change to a propagation route that no CLI file shows is pinned too: noisy
 single and pair engine rows at those settings, ``ghz_output`` amplitudes at
-1 to 8 photons (see :data:`GHZ_POINTS`), and the shot sampler's counts on
-fixed tables (see :data:`SAMPLER_TABLES`).
+1 to 8 photons (see :data:`GHZ_POINTS`), the routes that read each photon's
+wave and particle histories (``vh_variant_output``, ``concurrence``,
+``coherence``, ``sector_projection``, ``mixed_output``), and the shot
+sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
 Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
@@ -146,12 +148,14 @@ def library_checksums() -> dict[str, str]:
     import numpy as np
 
     from wptoolbox.entangle import (MAX_PHOTONS, TwoPhotonSettings,
-                                    coincidence_probabilities, ghz_output,
-                                    ghz_sector_probabilities, two_photon_batch)
+                                    coincidence_probabilities, concurrence, ghz_output,
+                                    ghz_sector_probabilities, sector_projection,
+                                    two_photon_batch, two_photon_output, vh_variant_output)
     from wptoolbox.hardware import build_hardware_layout, equivalence_scan
     from wptoolbox.optics import interferometer_circuit, network_matrix
     from wptoolbox.shots import sample_counts, sample_rows
-    from wptoolbox.toolbox import ToolboxPhases, detection_probabilities, single_photon_batch
+    from wptoolbox.toolbox import (ToolboxPhases, coherence, detection_probabilities,
+                                   mixed_output, single_photon_batch)
 
     rng = np.random.default_rng(20240601)
     bits: dict[str, list[str]] = {}
@@ -199,6 +203,24 @@ def library_checksums() -> dict[str, str]:
             beta = (0.0, np.pi / 8, ghz.uniform(0, np.pi / 4))[ghz.integers(3)]
             state = ghz_output(n, alpha, ToolboxPhases(phi1, phi2), beta)
             bits["ghz_output"].append(state.amplitudes.tobytes().hex())
+    # the per-photon history routes, both mixers drawn like beta above
+    histories = np.random.default_rng(20240605)
+    for _ in range(LIBRARY_POINTS):
+        alpha = histories.uniform(0, np.pi / 2)
+        phi1, phi2, phi1p, phi2p = histories.uniform(0, 2 * np.pi, 4)
+        beta, betap = ((0.0, np.pi / 8, histories.uniform(0, np.pi / 4))[histories.integers(3)]
+                       for _ in range(2))
+        phases = ToolboxPhases(phi1, phi2)
+        pair = TwoPhotonSettings(alpha, phases, ToolboxPhases(phi1p, phi2p), beta, betap)
+        values = {
+            "vh_variant_output": vh_variant_output(pair).amplitudes,
+            "concurrence": [concurrence(pair), concurrence(pair, mixed=True)],
+            "coherence": [coherence(alpha, phases, beta), coherence(alpha, phases, beta, True)],
+            "sector_projection": sector_projection(two_photon_output(pair), pair),
+            "mixed_output": mixed_output(alpha, phases, beta).matrix,
+        }
+        for name, value in values.items():
+            bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
     # the sampler on fixed tables, independent of the engine's bits
     tables = np.random.default_rng(20240602)
     for name, shape, shots, seed in SAMPLER_TABLES:
