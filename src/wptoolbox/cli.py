@@ -18,7 +18,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -72,100 +71,89 @@ class SpecError(Exception):
     """Invalid sweep/command specification (maps to exit code 2)."""
 
 
-@dataclass
-class SweepSpec:
-    """One command run: swept parameter (or None), fixed values, output."""
-
-    command: str
-    param: str | None
-    start: float
-    stop: float
-    steps: int
-    fixed: dict[str, float]
-    shots: int
-    seed: int
-    mixed: bool
-    fmt: str
-    out: str | None
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """Every setting as a column of one value per row (radians / unit scale).
-
-        A swept noise knob is range-checked here, with the message of
-        :class:`~wptoolbox.shots.NoiseModel`.
-        """
-        rows = 1 if self.param is None else self.steps
-        columns = {key: np.full(rows, v) for key, v in self.fixed.items()}
-        if self.param is not None:
-            values = np.linspace(self.start, self.stop, self.steps)
-            if self.param in ANGLE_PARAMS:
-                values = np.radians(values)
-            elif (outside := ~((0.0 <= values) & (values <= 1.0))).any():
-                name = "dephase_wp" if self.param == "dephase" else self.param
-                raise ValueError(f"{name} must lie in [0, 1], got {float(values[outside][0])}")
-            columns[self.param] = values
-        return columns
-
-
-#: the degree flag of each angle setting
+#: the degree flag, default and help of each angle setting, in help order
 _ANGLE_FLAGS = {
-    "alpha": "alpha-deg", "phi1": "phi1-deg", "phi2": "phi2-deg", "phi1_prime": "phi1p-deg",
-    "phi2_prime": "phi2p-deg", "beta": "beta-deg", "beta_prime": "betap-deg",
+    "alpha": ("alpha-deg", 45.0, "input superposition angle (default 45)"),
+    "phi1": ("phi1-deg", 0.0, "closed-arm phase (default 0)"),
+    "phi2": ("phi2-deg", 0.0, "open-arm phase (default 0)"),
+    "phi1_prime": ("phi1p-deg", 0.0, "closed-arm phase, photon B (default 0)"),
+    "phi2_prime": ("phi2p-deg", 0.0, "open-arm phase, photon B (default 0)"),
+    "beta": ("beta-deg", None, "detection mixer angle (default 22.5; 0 = mixers off; "
+             "the ghz command defaults to 0)"),
+    "beta_prime": ("betap-deg", 22.5, "detection mixer angle, photon B (default 22.5)"),
 }
 
 
-def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject invalid input, naming its flag; set the default mixer and sweep on ``args``."""
+    if args.seed < 0:
+        raise SpecError("--seed must be >= 0")
+    if args.command == "verify":
+        if args.points < 1:
+            raise SpecError(f"--points must be >= 1, got {args.points}")
+        return
     if args.beta_deg is None:
         # the n-photon table is defined for switched-off mixers
         args.beta_deg = 0.0 if args.command == "ghz" else 22.5
-    fixed = {}
-    for key, flag in _ANGLE_FLAGS.items():
-        degrees = getattr(args, flag.replace("-", "_"))
-        if not np.isfinite(degrees):
+    for flag, _, _ in _ANGLE_FLAGS.values():
+        if not np.isfinite(getattr(args, flag.replace("-", "_"))):
             raise SpecError(f"--{flag} must be finite")
-        fixed[key] = np.radians(degrees)
-    fixed.update(visibility=args.visibility, dephase=args.dephase)
     if args.shots < 0:
         raise SpecError("--shots must be >= 0")
     for knob in ("visibility", "dephase"):
-        if not 0.0 <= fixed[knob] <= 1.0:
+        if not 0.0 <= getattr(args, knob) <= 1.0:
             raise SpecError(f"--{knob} must lie in [0, 1]")
 
-    param, start, stop, steps = None, 0.0, 0.0, 0
     if args.sweep is not None:
         if args.start is None or args.stop is None:
             raise SpecError("--sweep needs explicit --start and --stop")
         for flag in ("start", "stop"):
             if not np.isfinite(getattr(args, flag)):
                 raise SpecError(f"--{flag} must be finite")
-        param, start, stop, steps = args.sweep, args.start, args.stop, args.steps
     elif args.command in _DEFAULT_SWEEPS:
-        param, start, stop, steps = _DEFAULT_SWEEPS[args.command]
-    if param is not None and steps < 2:
+        args.sweep, args.start, args.stop, args.steps = _DEFAULT_SWEEPS[args.command]
+    if args.sweep is not None and args.steps < 2:
         raise SpecError("sweeps need --steps >= 2")
-    return SweepSpec(
-        command=args.command,
-        param=param,
-        start=start,
-        stop=stop,
-        steps=steps,
-        fixed=fixed,
-        shots=args.shots,
-        seed=args.seed,
-        mixed=args.mixed,
-        fmt=args.format,
-        out=args.out,
-    )
+
+    if args.command == "ghz":
+        if args.sweep is not None:
+            raise SpecError("the n-photon table does not support sweeps")
+        if args.mixed or (1.0 - args.dephase) * args.visibility != 1.0:
+            raise SpecError("the n-photon table supports neither --mixed nor noise")
+        if args.shots > 0:
+            raise SpecError("the n-photon table is analytic and takes no --shots")
+
+
+def _columns(args: argparse.Namespace) -> dict[str, np.ndarray]:
+    """Every setting as a column of one value per row (radians / unit scale).
+
+    A swept noise knob is range-checked here, with the message of
+    :class:`~wptoolbox.shots.NoiseModel`.
+    """
+    rows = 1 if args.sweep is None else args.steps
+    columns = {key: np.full(rows, np.radians(getattr(args, flag.replace("-", "_"))))
+               for key, (flag, _, _) in _ANGLE_FLAGS.items()}
+    columns.update(visibility=np.full(rows, args.visibility),
+                   dephase=np.full(rows, args.dephase))
+    if args.sweep is not None:
+        values = np.linspace(args.start, args.stop, args.steps)
+        if args.sweep in ANGLE_PARAMS:
+            values = np.radians(values)
+        elif (outside := ~((0.0 <= values) & (values <= 1.0))).any():
+            name = "dephase_wp" if args.sweep == "dephase" else args.sweep
+            raise ValueError(f"{name} must lie in [0, 1], got {float(values[outside][0])}")
+        columns[args.sweep] = values
+    return columns
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _output_path(spec: SweepSpec) -> str:
-    if spec.out is not None:
-        return spec.out
-    base = spec.command.replace("-", "_") + ("." + spec.fmt)
+def _output_path(args: argparse.Namespace) -> str:
+    if args.out is not None:
+        return args.out
+    base = args.command.replace("-", "_") + ("." + args.format)
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), base)
 
 
@@ -203,20 +191,20 @@ def _write_table(fh, fmt: str, header: list[str], columns: list) -> None:
     fh.write(f"[\n{rows}\n]\n" if rows else "[]\n")
 
 
-def _emit(spec: SweepSpec, header: list[str], columns: list) -> str:
+def _emit(args: argparse.Namespace, header: list[str], columns: list) -> str:
     """Write the table ``header``/``columns`` as CSV or JSON; returns the path written.
 
     The table goes to a temporary file next to the target, which replaces
     the target only once complete, so a failed write leaves any previous
     file untouched.
     """
-    path = _output_path(spec)
+    path = _output_path(args)
     base = os.path.join(os.path.dirname(path), "." + os.path.basename(path))
     tmp = f"{base}.{os.urandom(4).hex()}.tmp"
     try:
         # csv ends its lines with \r\n itself; json relies on text-mode translation
-        with open(tmp, "x", newline="" if spec.fmt == "csv" else None) as fh:
-            _write_table(fh, spec.fmt, header, columns)
+        with open(tmp, "x", newline="" if args.format == "csv" else None) as fh:
+            _write_table(fh, args.format, header, columns)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # only when the write or the rename failed
@@ -224,10 +212,11 @@ def _emit(spec: SweepSpec, header: list[str], columns: list) -> str:
     return path
 
 
-def _distributions(spec: SweepSpec, settings: dict[str, np.ndarray], pair: bool) -> np.ndarray:
+def _distributions(args: argparse.Namespace, settings: dict[str, np.ndarray],
+                   pair: bool) -> np.ndarray:
     """Detector probabilities (or coincidence tables, for a ``pair``) of every
     row, from one engine call, honoring --mixed/noise."""
-    if spec.mixed:
+    if args.mixed:
         # the classical mixture carries no fringe, so noise leaves it alone
         scales = np.zeros_like(settings["visibility"])
     else:
@@ -241,87 +230,82 @@ def _distributions(spec: SweepSpec, settings: dict[str, np.ndarray], pair: bool)
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_single_sweep(spec: SweepSpec) -> int:
-    settings = spec.columns()
-    probs = _distributions(spec, settings, pair=False)
+def cmd_single_sweep(args: argparse.Namespace) -> int:
+    settings = _columns(args)
+    probs = _distributions(args, settings, pair=False)
     header = ["alpha", "phi1", "phi2", "beta", "p1", "p2", "p3", "p4"]
     columns = [*(settings[key] for key in _SINGLE_NAMES), *probs.T]
-    if spec.shots > 0:
-        counts = sample_rows(probs, spec.shots, spec.seed)
+    if args.shots > 0:
+        counts = sample_rows(probs, args.shots, args.seed)
         header += [f"c{i}" for i in range(1, 5)] + [f"e{i}" for i in range(1, 5)]
         columns += [*counts.T, *count_errors(counts).T]
-    print(f"wrote {_emit(spec, header, columns)}")
+    print(f"wrote {_emit(args, header, columns)}")
     return EXIT_OK
 
 
-def cmd_witness_coherence(spec: SweepSpec) -> int:
-    settings = spec.columns()
-    probs = _distributions(spec, settings, pair=False)
+def cmd_witness_coherence(args: argparse.Namespace) -> int:
+    settings = _columns(args)
+    probs = _distributions(args, settings, pair=False)
     header = ["alpha", "phi1", "wc"]
     columns = [settings["alpha"], settings["phi1"]]
-    if spec.shots > 0:
+    if args.shots > 0:
         header.append("wc_err")
-        columns += witness_rows(sample_rows(probs, spec.shots, spec.seed), spec.shots,
+        columns += witness_rows(sample_rows(probs, args.shots, args.seed), args.shots,
                                 "coherence")
     else:
         columns.append(np.abs(probs[:, 0] - probs[:, 1]))
-    print(f"wrote {_emit(spec, header, columns)}")
+    print(f"wrote {_emit(args, header, columns)}")
     return EXIT_OK
 
 
 _PAIR_COLUMNS = [f"p_{a}{b}p" for a in range(1, 5) for b in range(1, 5)]
 
 
-def cmd_two_photon(spec: SweepSpec) -> int:
-    if spec.param is None:
+def cmd_two_photon(args: argparse.Namespace) -> int:
+    settings = _columns(args)
+    if args.sweep is None:
         # default grid: the four fringe corners at both validated mixers
         corners = itertools.product((0.0, BETA_SPLIT), (0.0, np.pi), (0.0, np.pi))
         beta, phi1, phi1p = np.array(list(corners)).T
-        settings = {key: np.full(len(beta), v) for key, v in spec.fixed.items()}
+        settings = {key: np.repeat(col, len(beta)) for key, col in settings.items()}
         settings.update(phi1=phi1, phi1_prime=phi1p, beta=beta, beta_prime=beta)
-    else:
-        settings = spec.columns()
-    tables = _distributions(spec, settings, pair=True).reshape(-1, 16)
+    tables = _distributions(args, settings, pair=True).reshape(-1, 16)
     header = ["phi1", "phi1p", "beta", "betap"] + _PAIR_COLUMNS
     columns = [settings[key] for key in ("phi1", "phi1_prime", "beta", "beta_prime")]
     columns += list(tables.T)
-    if spec.shots > 0:
-        counts = sample_rows(tables, spec.shots, spec.seed)
+    if args.shots > 0:
+        counts = sample_rows(tables, args.shots, args.seed)
         header += [c.replace("p_", "c_") for c in _PAIR_COLUMNS]
         header += [c.replace("p_", "e_") for c in _PAIR_COLUMNS]
         columns += [*counts.T, *count_errors(counts).T]
-    print(f"wrote {_emit(spec, header, columns)}")
+    print(f"wrote {_emit(args, header, columns)}")
     return EXIT_OK
 
 
-def cmd_witness_entanglement(spec: SweepSpec) -> int:
-    settings = spec.columns()
-    tables = _distributions(spec, settings, pair=True)
+def cmd_witness_entanglement(args: argparse.Namespace) -> int:
+    settings = _columns(args)
+    tables = _distributions(args, settings, pair=True)
     header = ["phi1", "p_22p", "p_21p", "we"]
-    if spec.shots > 0:
-        counts = sample_rows(tables, spec.shots, spec.seed)
+    if args.shots > 0:
+        counts = sample_rows(tables, args.shots, args.seed)
         header.append("we_err")
-        columns = [settings["phi1"], counts[:, 1, 1] / spec.shots,
-                   counts[:, 1, 0] / spec.shots,
-                   *witness_rows(counts, spec.shots, "entanglement")]
+        columns = [settings["phi1"], counts[:, 1, 1] / args.shots,
+                   counts[:, 1, 0] / args.shots,
+                   *witness_rows(counts, args.shots, "entanglement")]
     else:
         p22, p21 = tables[:, 1, 1], tables[:, 1, 0]
         columns = [settings["phi1"], p22, p21, p22 - p21]
-    print(f"wrote {_emit(spec, header, columns)}")
+    print(f"wrote {_emit(args, header, columns)}")
     return EXIT_OK
 
 
-def cmd_ghz(spec: SweepSpec, photons: int) -> int:
-    if spec.param is not None:
-        raise SpecError("the n-photon table does not support sweeps")
-    v = spec.fixed
-    if spec.mixed or (1.0 - v["dephase"]) * v["visibility"] != 1.0:
-        raise SpecError("the n-photon table supports neither --mixed nor noise")
+def cmd_ghz(args: argparse.Namespace) -> int:
+    v = {key: col[0] for key, col in _columns(args).items()}
     sectors = ghz_sector_probabilities(
-        photons, v["alpha"], ToolboxPhases(v["phi1"], v["phi2"]), beta=v["beta"]
+        args.photons, v["alpha"], ToolboxPhases(v["phi1"], v["phi2"]), beta=v["beta"]
     )
     crossed = [int(len(set(pattern)) > 1) for pattern in sectors]
-    path = _emit(spec, ["sector", "probability", "crossed"],
+    path = _emit(args, ["sector", "probability", "crossed"],
                  [list(sectors), list(sectors.values()), crossed])
     # a running sum in table order, which the printed digits have always come from
     crossed_mass = sum(p for p, c in zip(sectors.values(), crossed) if c)
@@ -391,13 +375,11 @@ def _verify_noise() -> float:
     return max(worst, abs(probs.p1 - probs.p2))
 
 
-def cmd_verify(points: int, seed: int) -> int:
-    if points < 1:
-        raise SpecError(f"--points must be >= 1, got {points}")
+def cmd_verify(args: argparse.Namespace) -> int:
     checks = [
         ("single-photon closed forms vs propagation", _verify_detection, 1e-10),
         ("two-photon closed forms vs propagation", _verify_two_photon, 1e-10),
-        ("hardware equivalence", lambda: _verify_hardware(points, seed), 1e-10),
+        ("hardware equivalence", lambda: _verify_hardware(args.points, args.seed), 1e-10),
         ("n-photon history sectors", _verify_ghz, 1e-10),
         ("noise-model witness scaling", _verify_noise, 1e-10),
     ]
@@ -423,21 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     angles = common.add_argument_group("settings (degrees)")
-    angles.add_argument("--alpha-deg", type=float, default=45.0,
-                        help="input superposition angle (default 45)")
-    angles.add_argument("--phi1-deg", type=float, default=0.0,
-                        help="closed-arm phase (default 0)")
-    angles.add_argument("--phi2-deg", type=float, default=0.0,
-                        help="open-arm phase (default 0)")
-    angles.add_argument("--phi1p-deg", type=float, default=0.0,
-                        help="closed-arm phase, photon B (default 0)")
-    angles.add_argument("--phi2p-deg", type=float, default=0.0,
-                        help="open-arm phase, photon B (default 0)")
-    angles.add_argument("--beta-deg", type=float, default=None,
-                        help="detection mixer angle (default 22.5; 0 = mixers off; "
-                             "the ghz command defaults to 0)")
-    angles.add_argument("--betap-deg", type=float, default=22.5,
-                        help="detection mixer angle, photon B (default 22.5)")
+    for flag, default, text in _ANGLE_FLAGS.values():
+        angles.add_argument(f"--{flag}", type=float, default=default, help=text)
     sampling = common.add_argument_group("sampling and noise")
     sampling.add_argument("--shots", type=int, default=0,
                           help="counts per row; 0 = analytic only (default)")
@@ -501,25 +470,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_COMMANDS = {
+    "single-sweep": cmd_single_sweep,
+    "witness-coherence": cmd_witness_coherence,
+    "two-photon": cmd_two_photon,
+    "witness-entanglement": cmd_witness_entanglement,
+    "ghz": cmd_ghz,
+    "verify": cmd_verify,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.seed < 0:
-            raise SpecError("--seed must be >= 0")
-        if args.command == "verify":
-            return cmd_verify(args.points, args.seed)
-        spec = _spec_from_args(args)
-        if args.command == "single-sweep":
-            return cmd_single_sweep(spec)
-        if args.command == "witness-coherence":
-            return cmd_witness_coherence(spec)
-        if args.command == "two-photon":
-            return cmd_two_photon(spec)
-        if args.command == "witness-entanglement":
-            return cmd_witness_entanglement(spec)
-        if args.command == "ghz":
-            return cmd_ghz(spec, args.photons)
-        raise SpecError(f"unknown command {args.command!r}")
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

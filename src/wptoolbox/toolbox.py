@@ -17,6 +17,8 @@ engine behind the pair and n-photon sources of :mod:`wptoolbox.entangle`.
 """
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,6 +53,8 @@ _PATH_BASIS = ModeBasis(PATHS)
 _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
 #: the names of one photon's phi1, phi2 and beta among them
 _PHOTON = _SINGLE_NAMES[1:]
+#: the files of this package; an alpha warning points at the first frame outside them
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -103,17 +107,21 @@ def prepare_input(alpha) -> PureState:
 def _check_alpha(alpha):
     """``alpha`` as values; raises unless finite, warns outside ``[0, pi/2]``.
 
-    The warning points at the caller of the function that called this.
+    The warning points at the first frame outside this package, so at the
+    caller's line whichever public function was called.
     """
     a = as_values(alpha)
     inside = (0.0 <= a) & (a <= np.pi / 2)
     if not inside.all():
         if not np.isfinite(a).all():
             raise ValueError("alpha must be finite")
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"alpha={a[~inside][0]:.6g} lies outside [0, pi/2]; amplitude signs"
             " will flip the interference terms",
-            stacklevel=3,
+            stacklevel=level,
         )
     return a
 

@@ -1,4 +1,5 @@
 """Command-line interface: file formats, frozen values, exit codes."""
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wptoolbox.cli as cli
-from wptoolbox.cli import SweepSpec, build_parser, main
+from wptoolbox.cli import build_parser, main
 from wptoolbox.entangle import ghz_sector_probabilities
 from wptoolbox.toolbox import ToolboxPhases
 
@@ -336,30 +337,51 @@ class TestArgumentErrors:
     def test_unwritable_output_path(self):
         assert main(["single-sweep", "--out", "/nonexistent-dir/x.csv"]) == 2
 
-    def test_negative_shots(self, tmp_path):
+    def test_negative_shots(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert main(["single-sweep", "--shots", "-5", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --shots must be >= 0\n"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_visibility_out_of_range(self, tmp_path):
+    def test_visibility_out_of_range(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert main(["single-sweep", "--visibility", "1.5", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --visibility must lie in [0, 1]\n"
         assert main(["single-sweep", "--dephase", "-0.2", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --dephase must lie in [0, 1]\n"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_sweep_without_bounds(self, tmp_path):
+    def test_sweep_without_bounds(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert main(["single-sweep", "--sweep", "alpha", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --sweep needs explicit --start and --stop\n"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_single_step_sweep_rejected(self, tmp_path):
+    def test_single_step_sweep_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert main(["single-sweep", "--sweep", "alpha", "--start", "0",
                      "--stop", "90", "--steps", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: sweeps need --steps >= 2\n"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_ghz_rejects_sweeps_and_noise(self, tmp_path):
+    def test_ghz_rejects_sweeps_and_noise(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert main(["ghz", "--sweep", "phi1", "--start", "0", "--stop", "360",
                      "--out", out]) == 2
-        assert main(["ghz", "--mixed", "--out", out]) == 2
-        assert main(["ghz", "--visibility", "0.5", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: the n-photon table does not support sweeps\n"
+        for noise in (["--mixed"], ["--visibility", "0.5"], ["--mixed", "--shots", "100"]):
+            assert main(["ghz", *noise, "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                "error: the n-photon table supports neither --mixed nor noise\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ghz_rejects_shots(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert main(["ghz", "--photons", "3", "--shots", "100", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: the n-photon table is analytic and takes no --shots\n")
+        assert list(tmp_path.iterdir()) == []
+        assert main(["ghz", "--shots", "0", "--out", out]) == 0
 
     @pytest.mark.parametrize("argv", [["single-sweep", "--shots", "10"],
                                       ["two-photon"], ["verify", "--points", "1"]])
@@ -518,8 +540,8 @@ class TestTableWriter:
     def test_bytes_equal_the_stdlib_route(self, tmp_path_factory, table, fmt):
         header, columns = table
         base = tmp_path_factory.mktemp("tables")
-        spec = SweepSpec("single-sweep", None, 0.0, 0.0, 0, {}, 0, 0, False, fmt,
-                         str(base / f"emit.{fmt}"))
+        spec = argparse.Namespace(command="single-sweep", format=fmt,
+                                  out=str(base / f"emit.{fmt}"))
         assert cli._emit(spec, header, columns) == spec.out
         _stdlib_table(base / f"stdlib.{fmt}", fmt, header, columns)
         assert (base / f"emit.{fmt}").read_bytes() == (base / f"stdlib.{fmt}").read_bytes()
@@ -528,8 +550,8 @@ class TestTableWriter:
     def test_nonfinite_floats_as_the_stdlib_writes_them(self, tmp_path, fmt):
         header, columns = ["x", "n"], [np.array([np.nan, np.inf, -np.inf, 0.5]),
                                        np.arange(4)]
-        spec = SweepSpec("single-sweep", None, 0.0, 0.0, 0, {}, 0, 0, False, fmt,
-                         str(tmp_path / f"emit.{fmt}"))
+        spec = argparse.Namespace(command="single-sweep", format=fmt,
+                                  out=str(tmp_path / f"emit.{fmt}"))
         cli._emit(spec, header, columns)
         _stdlib_table(tmp_path / f"stdlib.{fmt}", fmt, header, columns)
         assert (tmp_path / f"emit.{fmt}").read_bytes() == (tmp_path / f"stdlib.{fmt}").read_bytes()

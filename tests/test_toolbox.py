@@ -7,6 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wptoolbox.toolbox as toolbox
+from wptoolbox.entangle import (
+    TwoPhotonSettings,
+    coincidence_probabilities,
+    concurrence,
+    ghz_output,
+    two_photon_batch,
+)
+from wptoolbox.hardware import build_hardware_layout, hardware_output
 from wptoolbox.optics import interferometer_circuit
 from wptoolbox.qcore import ModeBasis, PureState, measure_distribution
 from wptoolbox.shots import NoiseModel, noisy_single_probabilities
@@ -43,6 +51,25 @@ class TestPrepareInput:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             prepare_input(np.inf)
+
+    @pytest.mark.parametrize("call", [
+        lambda: prepare_input(2.0),
+        lambda: detection_probabilities(2.0),
+        lambda: single_photon_batch(2.0, 0.1, 0.2),
+        lambda: coincidence_probabilities(TwoPhotonSettings(2.0)),
+        lambda: two_photon_batch(2.0, 0.1, 0.2, 0.3, 0.4),
+        lambda: concurrence(TwoPhotonSettings(2.0)),
+        lambda: ghz_output(3, 2.0),
+        lambda: hardware_output(build_hardware_layout(ToolboxPhases(), BETA_SPLIT), 2.0),
+    ], ids=["prepare_input", "detection_probabilities", "single_photon_batch",
+            "coincidence_probabilities", "two_photon_batch", "concurrence", "ghz_output",
+            "hardware_output"])
+    def test_warning_points_at_the_caller(self, call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [UserWarning]
+        assert caught[0].filename == __file__
 
 
 class TestComponentStates:

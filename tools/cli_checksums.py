@@ -6,7 +6,10 @@ tables and sweeps with and without noise, sweeps with the mixers off
 ``pi/8``, JSON tables with counts and witness columns, swept
 ``visibility`` and ``dephase`` with shots, ``ghz`` at 1 to 8 photons) plus
 ``verify`` at four grid sizes, and hashes every output file and every
-command's stdout.  It also hashes the bits of library outputs at fixed
+command's stdout.  It hashes the exit code and stderr of a fixed list of
+invalid invocations (see :data:`ERRORS`; each must exit 2 and write no
+file) and the ``--help`` text of the top level and of each subcommand at
+80 columns.  It also hashes the bits of library outputs at fixed
 random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
 change to a propagation route that no CLI file shows is pinned too: noisy
 single and pair engine rows at those settings, ``ghz_output`` amplitudes at
@@ -123,6 +126,34 @@ VERIFY = [
     ("verify_points2000", ["verify", "--points", "2000", "--seed", "3"]),
 ]
 
+#: (entry, argv) of invalid invocations; each must exit 2 and write no file
+ERRORS = [
+    ("error_shots", ["single-sweep", "--shots", "-5"]),
+    ("error_visibility", ["single-sweep", "--visibility", "1.5"]),
+    ("error_dephase", ["single-sweep", "--dephase", "-0.2"]),
+    ("error_sweep_bounds", ["single-sweep", "--sweep", "alpha"]),
+    ("error_sweep_start", ["single-sweep", "--sweep", "alpha", "--start", "nan",
+                           "--stop", "90"]),
+    ("error_steps", ["single-sweep", "--sweep", "alpha", "--start", "0", "--stop", "90",
+                     "--steps", "1"]),
+    ("error_swept_visibility", ["witness-coherence", "--sweep", "visibility", "--start", "0.5",
+                                "--stop", "1.5", "--steps", "3"]),
+    ("error_swept_dephase", ["witness-entanglement", "--sweep", "dephase", "--start", "-0.5",
+                             "--stop", "0.5", "--steps", "3", "--mixed"]),
+    ("error_ghz_sweep", ["ghz", "--sweep", "phi1", "--start", "0", "--stop", "360"]),
+    ("error_ghz_mixed", ["ghz", "--mixed"]),
+    ("error_ghz_noise", ["ghz", "--visibility", "0.5"]),
+    ("error_ghz_photons", ["ghz", "--photons", "9"]),
+    ("error_points", ["verify", "--points", "0"]),
+    ("error_seed", ["two-photon", "--seed", "-1"]),
+    ("error_verify_seed", ["verify", "--seed", "-1"]),
+    ("error_phi2_nan", ["two-photon", "--phi2-deg", "nan"]),
+]
+
+#: argv prefixes whose ``--help`` text is pinned, at COLUMNS=80
+HELP = [[], ["single-sweep"], ["witness-coherence"], ["two-photon"],
+        ["witness-entanglement"], ["ghz"], ["verify"]]
+
 
 #: settings per library entry; each draws alpha, phi1, phi2 and a beta of
 #: 0, pi/8 or uniform in [0, pi/4) (compared with ``strict=False``)
@@ -232,25 +263,51 @@ def library_checksums() -> dict[str, str]:
     return {f"library:{name}": _digest("\n".join(b).encode()) for name, b in bits.items()}
 
 
+def _run(main, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``; an argparse exit counts too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def checksums(main) -> dict[str, str]:
-    """Name -> sha256 of every output file and stdout, ``main`` being ``cli.main``."""
+    """Name -> sha256 of every output file, stdout, error path and help text,
+    ``main`` being ``cli.main``."""
     sums = {}
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative --out paths keep "wrote <path>" stable
+        os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
         try:
             for name, argv in COMMANDS + VERIFY:
                 writes = argv[0] != "verify"
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    code = main(argv + ["--out", name] if writes else argv)
+                code, stdout, _ = _run(main, argv + ["--out", name] if writes else argv)
                 if code != 0:
                     raise SystemExit(f"{name}: exit code {code}")
-                sums[f"{name}.stdout"] = _digest(buf.getvalue().encode())
+                sums[f"{name}.stdout"] = _digest(stdout.encode())
                 if writes:
                     sums[name] = _digest(Path(name).read_bytes())
+            for name, argv in ERRORS:
+                out = [] if argv[0] == "verify" else ["--out", name]
+                code, _, stderr = _run(main, argv + out)
+                if code != 2 or os.path.exists(name):
+                    raise SystemExit(f"{name}: exit code {code}, or a file was written")
+                sums[name] = _digest(f"{code}\n{stderr}".encode())
+            for argv in HELP:
+                code, stdout, _ = _run(main, argv + ["--help"])
+                if code != 0:
+                    raise SystemExit(f"{argv} --help: exit code {code}")
+                sums[f"help:{' '.join(argv) or 'wptoolbox'}"] = _digest(stdout.encode())
         finally:
             os.chdir(cwd)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
     return sums
 
 
