@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -67,10 +68,6 @@ _DEFAULT_SWEEPS = {
 }
 
 
-class SpecError(Exception):
-    """Invalid sweep/command specification (maps to exit code 2)."""
-
-
 #: the degree flag, default and help of each angle setting, in help order
 _ANGLE_FLAGS = {
     "alpha": ("alpha-deg", 45.0, "input superposition angle (default 45)"),
@@ -87,49 +84,51 @@ _ANGLE_FLAGS = {
 def _check_args(args: argparse.Namespace) -> None:
     """Reject invalid input, naming its flag; set the default mixer and sweep on ``args``."""
     if args.seed < 0:
-        raise SpecError("--seed must be >= 0")
+        raise ValueError("--seed must be >= 0")
     if args.command == "verify":
         if args.points < 1:
-            raise SpecError(f"--points must be >= 1, got {args.points}")
+            raise ValueError(f"--points must be >= 1, got {args.points}")
         return
     if args.beta_deg is None:
         # the n-photon table is defined for switched-off mixers
         args.beta_deg = 0.0 if args.command == "ghz" else 22.5
     for flag, _, _ in _ANGLE_FLAGS.values():
         if not np.isfinite(getattr(args, flag.replace("-", "_"))):
-            raise SpecError(f"--{flag} must be finite")
+            raise ValueError(f"--{flag} must be finite")
     if args.shots < 0:
-        raise SpecError("--shots must be >= 0")
+        raise ValueError("--shots must be >= 0")
     for knob in ("visibility", "dephase"):
         if not 0.0 <= getattr(args, knob) <= 1.0:
-            raise SpecError(f"--{knob} must lie in [0, 1]")
+            raise ValueError(f"--{knob} must lie in [0, 1]")
 
     if args.sweep is not None:
         if args.start is None or args.stop is None:
-            raise SpecError("--sweep needs explicit --start and --stop")
+            raise ValueError("--sweep needs explicit --start and --stop")
         for flag in ("start", "stop"):
             if not np.isfinite(getattr(args, flag)):
-                raise SpecError(f"--{flag} must be finite")
+                raise ValueError(f"--{flag} must be finite")
+        if args.sweep.endswith("_prime") and args.command in ("single-sweep", "witness-coherence"):
+            sweepable = ", ".join(p for p in SWEEP_PARAMS if not p.endswith("_prime"))
+            raise ValueError(f"{args.command} has one photon: --sweep takes {sweepable}")
+        args.steps = 25 if args.steps is None else args.steps
+    elif given := [flag for flag in ("start", "stop", "steps") if getattr(args, flag) is not None]:
+        raise ValueError(f"--{given[0]} needs --sweep")
     elif args.command in _DEFAULT_SWEEPS:
         args.sweep, args.start, args.stop, args.steps = _DEFAULT_SWEEPS[args.command]
     if args.sweep is not None and args.steps < 2:
-        raise SpecError("sweeps need --steps >= 2")
+        raise ValueError("sweeps need --steps >= 2")
 
     if args.command == "ghz":
         if args.sweep is not None:
-            raise SpecError("the n-photon table does not support sweeps")
-        if args.mixed or (1.0 - args.dephase) * args.visibility != 1.0:
-            raise SpecError("the n-photon table supports neither --mixed nor noise")
+            raise ValueError("the n-photon table does not support sweeps")
+        if args.mixed or NoiseModel(args.visibility, args.dephase).fringe_scale != 1.0:
+            raise ValueError("the n-photon table supports neither --mixed nor noise")
         if args.shots > 0:
-            raise SpecError("the n-photon table is analytic and takes no --shots")
+            raise ValueError("the n-photon table is analytic and takes no --shots")
 
 
 def _columns(args: argparse.Namespace) -> dict[str, np.ndarray]:
-    """Every setting as a column of one value per row (radians / unit scale).
-
-    A swept noise knob is range-checked here, with the message of
-    :class:`~wptoolbox.shots.NoiseModel`.
-    """
+    """Every setting as a column of one value per row (radians / unit scale)."""
     rows = 1 if args.sweep is None else args.steps
     columns = {key: np.full(rows, np.radians(getattr(args, flag.replace("-", "_"))))
                for key, (flag, _, _) in _ANGLE_FLAGS.items()}
@@ -137,12 +136,7 @@ def _columns(args: argparse.Namespace) -> dict[str, np.ndarray]:
                    dephase=np.full(rows, args.dephase))
     if args.sweep is not None:
         values = np.linspace(args.start, args.stop, args.steps)
-        if args.sweep in ANGLE_PARAMS:
-            values = np.radians(values)
-        elif (outside := ~((0.0 <= values) & (values <= 1.0))).any():
-            name = "dephase_wp" if args.sweep == "dephase" else args.sweep
-            raise ValueError(f"{name} must lie in [0, 1], got {float(values[outside][0])}")
-        columns[args.sweep] = values
+        columns[args.sweep] = np.radians(values) if args.sweep in ANGLE_PARAMS else values
     return columns
 
 
@@ -216,11 +210,9 @@ def _distributions(args: argparse.Namespace, settings: dict[str, np.ndarray],
                    pair: bool) -> np.ndarray:
     """Detector probabilities (or coincidence tables, for a ``pair``) of every
     row, from one engine call, honoring --mixed/noise."""
-    if args.mixed:
-        # the classical mixture carries no fringe, so noise leaves it alone
-        scales = np.zeros_like(settings["visibility"])
-    else:
-        scales = (1.0 - settings["dephase"]) * settings["visibility"]
+    model = NoiseModel(settings["visibility"], settings["dephase"])
+    # the classical mixture carries no fringe, so noise leaves it alone
+    scales = np.zeros_like(settings["visibility"]) if args.mixed else model.fringe_scale
     engine, keys = ((two_photon_batch, _PAIR_NAMES) if pair
                     else (single_photon_batch, _SINGLE_NAMES))
     return engine(*(settings[key] for key in keys), scales).probabilities
@@ -392,6 +384,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+#: each subcommand's function and help, in help order
+_COMMANDS = {
+    "single-sweep": (cmd_single_sweep,
+                     "four detector probabilities (default: phi1 sweep, 25 points)"),
+    "witness-coherence": (cmd_witness_coherence,
+                          "|P1 - P2| witness (default: alpha sweep, 13 points)"),
+    "two-photon": (cmd_two_photon,
+                   "4x4 coincidence tables (default: fringe corners at both mixers)"),
+    "witness-entanglement": (cmd_witness_entanglement,
+                             "P22' - P21' witness (default: phi1 sweep at phi1' = 0)"),
+    "ghz": (cmd_ghz, "n-photon history-sector table (mixers off)"),
+    "verify": (cmd_verify, "run the built-in consistency grids and report deviations"),
+}
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -426,38 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep start (degrees for angle parameters)")
     sweep.add_argument("--stop", type=float, default=None,
                        help="sweep stop (degrees for angle parameters)")
-    sweep.add_argument("--steps", type=int, default=25,
+    sweep.add_argument("--steps", type=int, default=None,
                        help="sweep length (default 25; must be >= 2)")
     output = common.add_argument_group("output")
     output.add_argument("--format", choices=("csv", "json"), default="csv")
     output.add_argument("--out", default=None,
                         help=f"output path (default: command name in ${OUTDIR_ENV} or .)")
 
-    sub.add_parser(
-        "single-sweep", parents=[common],
-        help="four detector probabilities (default: phi1 sweep, 25 points)",
-    )
-    sub.add_parser(
-        "witness-coherence", parents=[common],
-        help="|P1 - P2| witness (default: alpha sweep, 13 points)",
-    )
-    sub.add_parser(
-        "two-photon", parents=[common],
-        help="4x4 coincidence tables (default: fringe corners at both mixers)",
-    )
-    sub.add_parser(
-        "witness-entanglement", parents=[common],
-        help="P22' - P21' witness (default: phi1 sweep at phi1' = 0)",
-    )
-    ghz = sub.add_parser(
-        "ghz", parents=[common],
-        help="n-photon history-sector table (mixers off)",
-    )
-    ghz.add_argument("--photons", type=int, default=3,
-                     help="number of photons, 1..8 (default 3)")
-    verify = sub.add_parser(
-        "verify", help="run the built-in consistency grids and report deviations"
-    )
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[] if name == "verify" else [common], help=text)
+    sub.choices["ghz"].add_argument("--photons", type=int, default=3,
+                                    help="number of photons, 1..8 (default 3)")
+    verify = sub.choices["verify"]
     verify.add_argument("--points", type=int, default=100,
                         help="random points for the hardware grid (default 100)")
     verify.add_argument("--seed", type=int, default=12345)
@@ -470,27 +457,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_COMMANDS = {
-    "single-sweep": cmd_single_sweep,
-    "witness-coherence": cmd_witness_coherence,
-    "two-photon": cmd_two_photon,
-    "witness-entanglement": cmd_witness_entanglement,
-    "ghz": cmd_ghz,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        _check_args(args)
-        return _COMMANDS[args.command](args)
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_SPEC
+    with warnings.catch_warnings():
+        # every warning of the command, as one line without the file and line that raised it
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            _check_args(args)
+            return _COMMANDS[args.command][0](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SPEC
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_SPEC
 
 
 if __name__ == "__main__":

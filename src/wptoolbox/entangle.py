@@ -34,7 +34,6 @@ from .toolbox import (
     ToolboxPhases,
     _PHOTON,
     _alpha_source,
-    _check,
     _Histories,
     _history_batch,
     _history_weights,
@@ -42,11 +41,23 @@ from .toolbox import (
     _single_settings,
 )
 
-PRIMED_PATHS: tuple[str, str, str, str] = ("1'", "2'", "3'", "4'")
-
 MAX_PHOTONS = 8
 
-_PAIR_BASIS = product_basis(ModeBasis(PATHS), ModeBasis(PRIMED_PATHS))
+
+def _photon_basis(k: int) -> ModeBasis:
+    return ModeBasis(tuple(path + "'" * k for path in PATHS))
+
+
+@lru_cache(maxsize=MAX_PHOTONS)
+def _n_photon_basis(n: int) -> ModeBasis:
+    """Path basis of n photons, photon k's labels primed k times, built once
+    per n as nested :func:`product_basis` calls; one photon keeps its plain basis."""
+    if n == 1:
+        return _photon_basis(0)
+    return product_basis(_n_photon_basis(n - 1), _photon_basis(n - 1))
+
+
+_PAIR_BASIS = _n_photon_basis(2)
 #: detectors (1, 2) and (3, 4) of each photon share one block of a 2x2 array
 _DETECTOR_BLOCKS = np.ix_((0, 0, 1, 1), (0, 0, 1, 1))
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -160,7 +171,8 @@ def two_photon_batch(
 
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
-    mixture baseline: ``baseline + scale * (ideal - baseline)``.
+    mixture baseline: ``baseline + scale * (ideal - baseline)``; such a scale
+    must lie in [0, 1], or ``ValueError`` names its first row.
     """
     alpha, phi1, phi2, phi1p, phi2p, beta, betap, scale = broadcast_values(
         alpha, phi1, phi2, phi1_prime, phi2_prime, beta, beta_prime, fringe_scale
@@ -169,13 +181,11 @@ def two_photon_batch(
     histories = _entangled(settings)
 
     amps = histories.amplitudes
-    probs = (np.abs(amps) ** 2).reshape(np.shape(alpha) + (4, 4))
     closed = coincidence_closed_forms(
         alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p), beta, betap
     )
-    _check("coincidence table", np.abs(closed - probs), settings)
-
-    probs = histories.fringe_scaled(probs.reshape(amps.shape), scale).reshape(probs.shape)
+    probs = histories.born(closed.reshape(amps.shape), "coincidence table", scale)
+    probs = probs.reshape(closed.shape)
     _check_tables(probs)
     return PairBatch(amps, probs)
 
@@ -282,14 +292,6 @@ def entanglement_witness(table: CoincidenceTable) -> float:
 # concurrence
 # ---------------------------------------------------------------------------
 
-def _sector_isometry(histories: _Histories) -> np.ndarray:
-    """16x4 isometry onto span{|ww'>, |wp'>, |pw'>, |pp'>} of one pair setting."""
-    # each photon's (wave, particle) pair as columns, shape (paths, 2)
-    a, b = np.stack([histories.waves, histories.particles], axis=-1)
-    # entry (path of A, path of B, history of A, history of B)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 4)
-
-
 def sector_projection(
     state: PureState | DensityMatrix, s: TwoPhotonSettings
 ) -> np.ndarray:
@@ -299,7 +301,7 @@ def sector_projection(
     settings.  Raises if the state has weight outside this sector, since a
     two-qubit description would then be lossy.
     """
-    return _in_sector(state, _sector_isometry(_entangled(_pair_settings(s))))
+    return _in_sector(state, _entangled(_pair_settings(s)).sector())
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -330,7 +332,7 @@ def concurrence(s: TwoPhotonSettings, mixed: bool = False) -> float:
     pure-state formula ``2 |c_ww c_pp - c_wp c_pw|``.
     """
     histories = _entangled(_pair_settings(s))
-    basis = _sector_isometry(histories)
+    basis = histories.sector()
     if mixed:
         return wootters_concurrence(_in_sector(histories.mixture(_PAIR_BASIS), basis))
     state = PureState(_PAIR_BASIS, histories.amplitudes)
@@ -362,24 +364,6 @@ def vh_variant_output(s: TwoPhotonSettings) -> PureState:
     histories = _history_batch((c, c), ((0, 1), (1, 0)), _PAIR_PHOTONS, "variant pair state",
                                settings)
     return PureState(_PAIR_BASIS, histories.amplitudes)
-
-
-def _photon_basis(k: int) -> ModeBasis:
-    return ModeBasis(tuple(path + "'" * k for path in PATHS))
-
-
-@lru_cache(maxsize=MAX_PHOTONS)
-def _n_photon_basis(n: int) -> ModeBasis:
-    """Path basis of n photons, photon k's labels primed k times.
-
-    The same labels, order and factors as nested :func:`product_basis`
-    calls, built in one pass and once per n; one photon keeps its plain
-    basis.
-    """
-    if n == 1:
-        return _photon_basis(0)
-    factors = tuple(_photon_basis(k) for k in range(n))
-    return ModeBasis(tuple(itertools.product(*(f.labels for f in factors))), factors)
 
 
 def ghz_output(

@@ -23,6 +23,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .entangle import CoincidenceTable, TwoPhotonSettings, _pair_batch
+from .qcore import as_values
 from .toolbox import (
     BETA_SPLIT,
     SingleProbabilities,
@@ -35,17 +36,19 @@ Distribution = Union[SingleProbabilities, CoincidenceTable, np.ndarray]
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Fringe-contrast and dephasing imperfections, both in [0, 1]."""
+    """Fringe-contrast and dephasing imperfections, both in [0, 1]: numbers, kept as
+    floats, or arrays of one value per row.  An error names the first bad value."""
 
     visibility: float = 1.0
     dephase_wp: float = 0.0
 
     def __post_init__(self) -> None:
         for field_name in ("visibility", "dephase_wp"):
-            v = float(getattr(self, field_name))
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{field_name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, field_name, v)
+            v = as_values(getattr(self, field_name))
+            inside = (0.0 <= v) & (v <= 1.0)  # NaN is outside
+            if np.count_nonzero(inside) < v.size:
+                raise ValueError(f"{field_name} must lie in [0, 1], got {v[~inside].flat[0]}")
+            object.__setattr__(self, field_name, float(v) if v.ndim == 0 else v)
 
     @property
     def fringe_scale(self) -> float:

@@ -184,34 +184,63 @@ def mixed_output(
 
 class _Histories(NamedTuple):
     """The checked output ``S + (4**n,)`` of :func:`_history_batch`, each
-    term's product state, and the histories ``S + (m, 4)`` of its ``m``
-    distinct photon settings: one row per photon for a single or a pair."""
+    term's product state, the histories ``S + (m, 4)`` of its ``m`` distinct
+    photon settings (one row per photon for a single or a pair), and the
+    caller's settings by name, which a failed check names."""
 
     amplitudes: np.ndarray
     coeffs: tuple
     terms: list
     waves: np.ndarray
     particles: np.ndarray
+    settings: dict
 
     def mixture(self, basis: ModeBasis) -> DensityMatrix:
         """``sum_t c_t^2 |term_t><term_t|``."""
         pairs = zip(self.coeffs, self.terms)
         return mix((PureState(basis, t), c * c) for c, t in pairs)
 
+    def born(self, closed: np.ndarray, what: str, scale) -> np.ndarray:
+        """The amplitudes' Born probabilities, checked row by row against ``closed``, of
+        their shape (:func:`_check`, naming ``what``), then :meth:`fringe_scaled`."""
+        born = np.abs(self.amplitudes) ** 2
+        _check(what, np.abs(closed - born), self.settings)
+        return self.fringe_scaled(born, scale)
+
     def fringe_scaled(self, probs: np.ndarray, scale) -> np.ndarray:
         """Rows of ``probs``, ``S + (d,)``, whose scale is not 1 become ``baseline +
-        scale * (probs - baseline)``.  The baseline ``sum_t c_t^2 |term_t|^2`` is the
-        diagonal of :meth:`mixture` without the matrix; its checks imply the matrix's:
-        weights, finite orthonormal terms (eigenvalues ``c_t^2``), rows summing to 1."""
+        scale * (probs - baseline)``; a scale outside [0, 1] raises, naming its first
+        row.  The baseline ``sum_t c_t^2 |term_t|^2`` is the diagonal of :meth:`mixture`
+        without the matrix; its checks imply the matrix's: weights, finite orthonormal
+        terms (eigenvalues ``c_t^2``), rows summing to 1."""
         noisy = scale != 1.0
         if not noisy.any():
             return probs
+        inside = (0.0 <= scale) & (scale <= 1.0)  # NaN is outside
+        if np.count_nonzero(inside) < inside.size:
+            i = int(np.argmin(inside))
+            raise ValueError(f"fringe_scale must lie in [0, 1], got {scale.flat[i]} at row {i}")
         weights = check_distribution([c * c for c in self.coeffs], "mixture weights")
         if not is_isometry(stack_last(self.terms)):
             raise ValueError("history terms must be finite and orthonormal")
         baseline = sum(w[..., None] * (t * t.conj()).real for w, t in zip(weights, self.terms))
         check_distribution(np.moveaxis(baseline, -1, 0), "mixture baseline rows")
         return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
+
+    def sector(self) -> np.ndarray:
+        """The wave/particle sector of an unbatched output, ``(4**m, 2**m)``: its
+        columns are the kron products of the m photons' (wave, particle) states, in
+        pattern order.  Raises unless each photon's two states are orthogonal."""
+        basis = None
+        for w, p in zip(self.waves, self.particles):
+            overlap = np.vdot(w, p)
+            if abs(overlap) > 1e-12:
+                raise RuntimeError(f"wave/particle basis not orthogonal: {abs(overlap):.3e}")
+            cols = np.array([w, p]).T.copy()  # the photon's (wave, particle) columns
+            # a product's entry is (paths so far, path, histories so far, history)
+            basis = cols if basis is None else (
+                basis[:, None, :, None] * cols[None, :, None, :]).reshape(4 * len(basis), -1)
+        return basis
 
 
 def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
@@ -270,7 +299,7 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
         source = source.reshape(shape + (2, -1)).swapaxes(-1, -2) @ mats[..., row, :, :]
     dev = source.reshape(amps.shape)
     _check(what, np.abs(np.subtract(amps, dev, out=dev)), settings)
-    return _Histories(amps, tuple(coeffs), terms, waves, particles)
+    return _Histories(amps, tuple(coeffs), terms, waves, particles, settings)
 
 
 def _alpha_source(settings: dict, photons: tuple, what: str) -> _Histories:
@@ -370,17 +399,13 @@ def single_photon_batch(
 
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
-    mixture baseline: ``baseline + scale * (ideal - baseline)``.
+    mixture baseline: ``baseline + scale * (ideal - baseline)``; such a scale
+    must lie in [0, 1], or ``ValueError`` names its first row.
     """
     alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
-    settings = dict(zip(_SINGLE_NAMES, (alpha, phi1, phi2, beta)))
-    histories = _single_photon(settings)
-
-    amps = histories.amplitudes
-    born = np.abs(amps) ** 2
+    histories = _single_photon(dict(zip(_SINGLE_NAMES, (alpha, phi1, phi2, beta))))
     forms = detection_closed_forms(alpha, ToolboxPhases(phi1, phi2), beta)
-    _check("probabilities", np.abs(forms - born), settings)
-    return SingleBatch(amps, histories.fringe_scaled(born, scale))
+    return SingleBatch(histories.amplitudes, histories.born(forms, "probabilities", scale))
 
 
 def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
@@ -467,11 +492,7 @@ def coherence(
     for the mixture it is zero.
     """
     histories = _single_photon(_single_settings(alpha, phases, beta))
-    w, p = histories.waves[0], histories.particles[0]
-    overlap = np.vdot(w, p)
-    if abs(overlap) > 1e-12:
-        raise RuntimeError(f"wave/particle basis not orthogonal: {abs(overlap):.3e}")
     amps = histories.amplitudes
     state = histories.mixture(_PATH_BASIS) if mixed else PureState(_PATH_BASIS, amps)
-    sector = _in_sector(state, np.stack([w, p], axis=1))  # columns: the sector states
+    sector = _in_sector(state, histories.sector())
     return float(abs(sector[0, 1]) + abs(sector[1, 0]))

@@ -295,6 +295,14 @@ class TestGhz:
         assert by_sector["www"] == pytest.approx(0.75, abs=1e-12)
         assert by_sector["ppp"] == pytest.approx(0.25, abs=1e-12)
 
+    def test_alpha_warning_is_one_line_every_call(self, tmp_path, capsys):
+        out = str(tmp_path / "g.csv")
+        for _ in range(2):
+            assert main(["ghz", "--alpha-deg", "120", "--out", out]) == 0
+            assert capsys.readouterr().err == (
+                "warning: alpha=2.0944 lies outside [0, pi/2]; amplitude signs will flip"
+                " the interference terms\n")
+
     def test_out_of_range_photons_is_spec_error(self, tmp_path):
         out = tmp_path / "g.csv"
         assert main(["ghz", "--photons", "9", "--out", str(out)]) == 2
@@ -416,6 +424,37 @@ class TestArgumentErrors:
         assert main(["witness-coherence", "--sweep", knob, "--start", "0.5", "--stop", "1.5",
                      "--steps", "3", "--out", out] + mixed) == 2
         assert f"error: {name} must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["witness-coherence", "--steps", "3"], "--steps"),
+        (["two-photon", "--steps", "1"], "--steps"),
+        (["witness-coherence", "--start", "10", "--stop", "20"], "--start"),
+        (["single-sweep", "--stop", "20"], "--stop"),
+        (["ghz", "--steps", "4"], "--steps"),
+    ])
+    def test_sweep_flags_without_a_sweep(self, tmp_path, capsys, argv, flag):
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {flag} needs --sweep\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_steps_default_to_25(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["two-photon", "--sweep", "phi1", "--start", "0", "--stop", "90",
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 26
+
+    @pytest.mark.parametrize("param", ["phi1_prime", "phi2_prime"])
+    @pytest.mark.parametrize("command", ["single-sweep", "witness-coherence"])
+    def test_one_photon_commands_reject_photon_b_sweeps(self, tmp_path, capsys, command,
+                                                        param):
+        out = str(tmp_path / "x.csv")
+        assert main([command, "--sweep", param, "--start", "0", "--stop", "90",
+                     "--steps", "3", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} has one photon: --sweep takes alpha, phi1, phi2, beta,"
+            " visibility, dephase\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command_exits_via_argparse(self):
         with pytest.raises(SystemExit) as info:

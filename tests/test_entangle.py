@@ -440,9 +440,26 @@ class TestConcurrence:
             (wa, wb), (pa, pb) = histories.waves, histories.particles
             kron = np.stack([np.kron(wa, wb), np.kron(wa, pb), np.kron(pa, wb),
                              np.kron(pa, pb)], axis=1)
-            iso = entangle._sector_isometry(histories)
+            iso = histories.sector()
             assert iso.shape == (16, 4) and iso.flags.c_contiguous
             assert iso.tobytes() == kron.tobytes()
+
+    def test_single_photon_sector_is_the_stacked_histories_bit_for_bit(self):
+        rng = np.random.default_rng(48)
+        for beta in (0.0, BETA_SPLIT, *rng.uniform(-1, 1, 20)):
+            phases = ToolboxPhases(*rng.uniform(-7, 7, 2))
+            single = toolbox._single_photon(toolbox._single_settings(0.4, phases, beta))
+            w, p = single.waves[0], single.particles[0]
+            assert single.sector().tobytes() == np.stack([w, p], axis=1).tobytes()
+
+    @pytest.mark.parametrize("source", ["single", "pair"])
+    def test_sector_rejects_overlapping_histories(self, source):
+        s = settings(0.4, 0.7, 1.9, 0.3, 2.2)
+        histories = (entangle._entangled(entangle._pair_settings(s)) if source == "pair"
+                     else toolbox._single_photon(toolbox._single_settings(0.4, s.phases_a,
+                                                                          s.beta_a)))
+        with pytest.raises(RuntimeError, match="wave/particle basis not orthogonal"):
+            histories._replace(particles=histories.waves).sector()
 
     def test_wootters_bell_state(self):
         bell = np.zeros(4)
@@ -679,6 +696,17 @@ class TestNoiseBaseline:
         term[7, 3] = np.nan
         with pytest.raises(ValueError, match="finite and orthonormal"):
             baseline(histories._replace(terms=[histories.terms[0], term]))
+
+    @pytest.mark.parametrize("bad", [np.nan, 5.0, -1.0, 1.0 + 1e-9])
+    @pytest.mark.parametrize("engine", [toolbox.single_photon_batch, two_photon_batch])
+    def test_fringe_scale_outside_unit_interval_raises(self, engine, bad):
+        settings = (0.4,) + (0.0,) * (2 if engine is toolbox.single_photon_batch else 4)
+        message = rf"fringe_scale must lie in \[0, 1\], got {float(bad)} at row"
+        with pytest.raises(ValueError, match=message + " 0$"):
+            engine(*settings, fringe_scale=bad)
+        with pytest.raises(ValueError, match=message + " 2$"):
+            engine(*settings, fringe_scale=np.array([1.0, 0.5, bad, bad]))
+        assert engine(*settings, fringe_scale=np.array([0.0, 1.0])).probabilities.shape[0] == 2
 
     def test_weights_off_one_raise(self):
         histories, _ = random_histories("single")

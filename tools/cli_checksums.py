@@ -6,11 +6,12 @@ tables and sweeps with and without noise, sweeps with the mixers off
 ``pi/8``, JSON tables with counts and witness columns, swept
 ``visibility`` and ``dephase`` with shots, ``ghz`` at 1 to 8 photons) plus
 ``verify`` at four grid sizes, and hashes every output file and every
-command's stdout.  It hashes the exit code and stderr of a fixed list of
-invalid invocations (see :data:`ERRORS`; each must exit 2 and write no
-file) and the ``--help`` text of the top level and of each subcommand at
-80 columns.  It also hashes the bits of library outputs at fixed
-random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
+command's stdout; each of these runs must exit 0 and write nothing to
+stderr, so a stray warning fails the check.  It hashes the exit code and
+stderr of a fixed list of invalid invocations (see :data:`ERRORS`; each
+must exit 2 and write no file) and the ``--help`` text of the top level
+and of each subcommand at 80 columns.  It also hashes the bits of library
+outputs at fixed random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
 change to a propagation route that no CLI file shows is pinned too: noisy
 single and pair engine rows at those settings, ``ghz_output`` amplitudes at
 1 to 8 photons (see :data:`GHZ_POINTS`), the routes that read each photon's
@@ -285,9 +286,9 @@ def checksums(main) -> dict[str, str]:
         try:
             for name, argv in COMMANDS + VERIFY:
                 writes = argv[0] != "verify"
-                code, stdout, _ = _run(main, argv + ["--out", name] if writes else argv)
-                if code != 0:
-                    raise SystemExit(f"{name}: exit code {code}")
+                code, stdout, stderr = _run(main, argv + ["--out", name] if writes else argv)
+                if code != 0 or stderr:
+                    raise SystemExit(f"{name}: exit code {code}, stderr {stderr!r}")
                 sums[f"{name}.stdout"] = _digest(stdout.encode())
                 if writes:
                     sums[name] = _digest(Path(name).read_bytes())
