@@ -50,8 +50,9 @@ def _photon_basis(k: int) -> ModeBasis:
 
 @lru_cache(maxsize=MAX_PHOTONS)
 def _n_photon_basis(n: int) -> ModeBasis:
-    """Path basis of n photons, photon k's labels primed k times, built once
-    per n as nested :func:`product_basis` calls; one photon keeps its plain basis."""
+    """Path basis of n photons, photon k's labels primed k times, as nested
+    :func:`product_basis` calls, which keep the n factors and no ``4**n``
+    labels; one photon keeps its plain basis."""
     if n == 1:
         return _photon_basis(0)
     return product_basis(_n_photon_basis(n - 1), _photon_basis(n - 1))

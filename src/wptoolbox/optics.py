@@ -207,7 +207,7 @@ class Circuit:
         A batched state runs through batched elements setting by setting; the
         batch shapes must agree.
         """
-        if state.basis.labels != self.input_basis.labels:
+        if state.basis != self.input_basis:
             raise ValueError("state basis does not match circuit input basis")
         return PureState(self.output_basis, run_steps(state.amplitudes.copy(), self._steps))
 
@@ -227,7 +227,7 @@ class Circuit:
         the current basis, and the chain ends in the declared output basis.
         """
         steps, basis = _routed_steps(self.input_basis, self.elements)
-        if basis.labels != self.output_basis.labels:
+        if basis != self.output_basis:
             raise ValueError("circuit did not land in its declared output basis")
         return tuple(steps)
 

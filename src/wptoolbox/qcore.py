@@ -13,8 +13,10 @@ number (``norm``, ``amplitude``, ``purity``, ...) need a single state.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, product
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -77,48 +79,109 @@ def stack_last(parts) -> np.ndarray:
     return m.transpose(*range(1, m.ndim), 0)
 
 
-@dataclass(frozen=True)
 class ModeBasis:
-    """Ordered set of distinguishable mode labels.
+    """Ordered set of distinguishable mode labels, immutable.
 
     ``factors`` remembers the tensor factorization when the basis was built
-    as a product, which is what makes partial traces well defined.
+    as a product, which is what makes partial traces well defined.  A basis
+    made by :func:`product_basis` is defined by its factors: ``dimension``,
+    :meth:`index` (mixed radix over the factors), ``in`` and ``==`` are
+    computed from them, and ``labels`` are built on each read, never
+    stored, so an n-photon basis holds no ``4**n`` tuples.  Two bases are
+    equal when their labels are, in order.
     """
 
-    labels: tuple[Label, ...]
-    factors: tuple["ModeBasis", ...] | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.labels) == 0:
+    def __init__(self, labels: Iterable[Label], factors: tuple | None = None) -> None:
+        labels = tuple(labels)
+        if len(labels) == 0:
             raise ValueError("basis needs at least one mode")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("mode labels must be unique")
-        object.__setattr__(self, "labels", tuple(self.labels))
+        vars(self).update(_labels=labels, _radix=None, factors=factors, dimension=len(labels))
+
+    @classmethod
+    def _product(cls, factors: tuple, radix: tuple) -> "ModeBasis":
+        """The product of ``factors``; ``radix`` holds each factor's flat labels, as a
+        dict to their positions, and their common length.  Such labels are unique and
+        of one length per factor, so the product's are unique: nothing is checked here."""
+        basis = object.__new__(cls)
+        dimension = math.prod(len(lookup) for lookup, _ in radix)
+        vars(basis).update(_labels=None, _radix=radix, factors=factors, dimension=dimension)
+        return basis
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a ModeBasis")
 
     @property
-    def dimension(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[Label, ...]:
+        if self._labels is not None:
+            return self._labels
+        return _product_labels([tuple(lookup) for lookup, _ in self._radix])
 
     def index(self, label: Label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
+        if self._radix is None:
+            try:
+                return self._labels.index(label)
+            except ValueError:
+                raise KeyError(f"label {label!r} not in basis") from None
+        i = start = 0
+        try:  # each factor's part of the label, a tuple slice, is a key of its lookup
+            for lookup, width in self._radix:
+                i = i * len(lookup) + lookup[label[start:start + width]]
+                start += width
+            if start != len(label):
+                raise KeyError
+        except (KeyError, TypeError):  # TypeError: no sequence, or an unhashable part
             raise KeyError(f"label {label!r} not in basis") from None
+        return i
 
     def __contains__(self, label: Label) -> bool:
-        return label in self.labels
+        try:
+            self.index(label)
+        except KeyError:
+            return False
+        return True
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModeBasis):
+            return NotImplemented
+        # equal flat factors give equal labels; any other pair compares its labels
+        if self is other or (self._radix is not None and self._radix == other._radix):
+            return True
+        return self.dimension == other.dimension and self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    def __repr__(self) -> str:
+        if self._radix is None:
+            return f"ModeBasis(labels={self._labels!r}, factors={self.factors!r})"
+        return f"ModeBasis(factors={self.factors!r})"
+
+
+def _product_labels(flats: list) -> tuple:
+    """Flat tuple labels of a product, row-major over each factor's flat labels."""
+    return tuple(tuple(chain.from_iterable(parts)) for parts in product(*flats))
 
 
 def product_basis(a: ModeBasis, b: ModeBasis) -> ModeBasis:
     """Cartesian-product basis with flat tuple labels.
 
     Labels of nested products are flattened, so ``(a*b)*c`` and ``a*(b*c)``
-    produce identical label orderings.
+    produce identical label orderings.  When every factor's flat labels are
+    unique and of one length, the product's are unique by construction and
+    the basis keeps only its factors; otherwise its labels are built and
+    checked.
     """
-    tails = [_as_tuple(y) for y in b.labels]
-    labels = tuple(head + tail for head in map(_as_tuple, a.labels) for tail in tails)
     factors = (a.factors or (a,)) + (b.factors or (b,))
-    return ModeBasis(labels, factors)
+    flats = [[_as_tuple(x) for x in f.labels] for f in factors]
+    radix = []
+    for flat in flats:
+        lookup, widths = dict(zip(flat, range(len(flat)))), {len(x) for x in flat}
+        if len(widths) > 1 or len(lookup) < len(flat):  # ragged or colliding flat labels
+            return ModeBasis(_product_labels(flats), factors)
+        radix.append((lookup, widths.pop()))
+    return ModeBasis._product(factors, tuple(radix))
 
 
 @dataclass(frozen=True)
@@ -350,7 +413,7 @@ def mix(pairs: Iterable[tuple[PureState, float]]) -> DensityMatrix:
     weights = check_distribution([w for _, w in pairs], "mixture weights")
     rho = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
     for (state, _), w in zip(pairs, weights[..., None, None]):
-        if state.basis.labels != basis.labels:
+        if state.basis != basis:
             raise ValueError("all mixture components must share one basis")
         rho = rho + w * _projector(state.amplitudes)
     return DensityMatrix(basis, rho)

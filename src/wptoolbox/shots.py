@@ -23,7 +23,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .entangle import CoincidenceTable, TwoPhotonSettings, _pair_batch
-from .qcore import as_values
 from .toolbox import (
     BETA_SPLIT,
     SingleProbabilities,
@@ -32,23 +31,51 @@ from .toolbox import (
 )
 
 Distribution = Union[SingleProbabilities, CoincidenceTable, np.ndarray]
+#: the fields of :class:`NoiseModel`, in the order its errors name them
+_KNOBS = ("visibility", "dephase_wp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Fringe-contrast and dephasing imperfections, both in [0, 1]: numbers, kept as
-    floats, or arrays of one value per row.  An error names the first bad value."""
+    floats, or arrays of one value per row, kept as read-only copies (a number beside
+    an array is broadcast to it).  An error names the first bad value.  Models compare
+    and hash by their values."""
 
     visibility: float = 1.0
     dephase_wp: float = 0.0
 
     def __post_init__(self) -> None:
-        for field_name in ("visibility", "dephase_wp"):
-            v = as_values(getattr(self, field_name))
-            inside = (0.0 <= v) & (v <= 1.0)  # NaN is outside
-            if np.count_nonzero(inside) < v.size:
-                raise ValueError(f"{field_name} must lie in [0, 1], got {v[~inside].flat[0]}")
-            object.__setattr__(self, field_name, float(v) if v.ndim == 0 else v)
+        knobs = (self.visibility, self.dephase_wp)
+        try:  # one copy of both knobs, checked in one pass
+            both = np.array(knobs, dtype=float)
+        except ValueError:  # knobs of two shapes, such as a number and an array
+            both = np.array(np.broadcast_arrays(*knobs), dtype=float)
+        inside = (0.0 <= both) & (both <= 1.0)  # NaN is outside
+        if np.count_nonzero(inside) < both.size:
+            i = int(np.argmin(inside))  # the first bad value, visibility's first
+            name = _KNOBS[2 * i // both.size]
+            raise ValueError(f"{name} must lie in [0, 1], got {both.flat[i]}")
+        if both.ndim == 1:  # two numbers, kept as floats
+            values = both.tolist()
+        else:
+            both.flags.writeable = False
+            values = list(both)
+        for name, value in zip(_KNOBS, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        """Both knobs as hashable values: a number itself, an array its shape and values."""
+        return tuple(k if isinstance(k, float) else (k.shape, tuple(k.ravel().tolist()))
+                     for k in (self.visibility, self.dephase_wp))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def fringe_scale(self) -> float:
@@ -65,8 +92,7 @@ class CountTable:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.counts, dtype=np.int64).copy()
-        if c.size not in (4, 16):
-            raise ValueError(f"expected 4 or 16 outcomes, got {c.size}")
+        _check_outcomes(c)
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
         if c.sum() != self.total_shots:
@@ -76,8 +102,24 @@ class CountTable:
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
+    @classmethod
+    def _drawn(cls, counts: np.ndarray, total_shots: int, seed: int) -> "CountTable":
+        """A table of counts :func:`sample_rows` has just drawn, kept without a copy:
+        they are int64, non-negative, sum to ``total_shots`` and are held by nothing
+        else, so only their number of outcomes is checked."""
+        _check_outcomes(counts)
+        table = object.__new__(cls)  # skips __post_init__
+        counts.flags.writeable = False
+        vars(table).update(counts=counts, total_shots=total_shots, seed=seed)
+        return table
+
     def frequencies(self) -> np.ndarray:
         return self.counts / self.total_shots
+
+
+def _check_outcomes(counts: np.ndarray) -> None:
+    if counts.size not in (4, 16):
+        raise ValueError(f"expected 4 or 16 outcomes, got {counts.size}")
 
 
 class WitnessEstimate(NamedTuple):
@@ -128,7 +170,7 @@ def sample_counts(dist: Distribution, n_shots: int, seed: int) -> CountTable:
     elif isinstance(dist, CoincidenceTable):
         dist = dist.matrix
     counts = sample_rows(np.asarray(dist, dtype=float)[None], n_shots, seed)[0]
-    return CountTable(counts, int(n_shots), int(seed))
+    return CountTable._drawn(counts, int(n_shots), int(seed))
 
 
 def count_errors(counts: np.ndarray) -> np.ndarray:

@@ -183,21 +183,28 @@ def mixed_output(
 # ---------------------------------------------------------------------------
 
 class _Histories(NamedTuple):
-    """The checked output ``S + (4**n,)`` of :func:`_history_batch`, each
-    term's product state, the histories ``S + (m, 4)`` of its ``m`` distinct
-    photon settings (one row per photon for a single or a pair), and the
-    caller's settings by name, which a failed check names."""
+    """The checked output ``S + (4**n,)`` of :func:`_history_batch`, its source
+    terms (coefficients, patterns and each photon's row of the histories), the
+    histories ``S + (m, 4)`` of its ``m`` distinct photon settings (one row per
+    photon for a single or a pair), and the caller's settings by name, which a
+    failed check names."""
 
     amplitudes: np.ndarray
     coeffs: tuple
-    terms: list
+    patterns: tuple
+    rows: list
     waves: np.ndarray
     particles: np.ndarray
     settings: dict
 
+    def terms(self):
+        """Each term's product state ``S + (4**n,)``, unscaled, rebuilt from the
+        histories by the kron chain of :func:`_history_batch`."""
+        return _product_terms((self.waves, self.particles), self.patterns, self.rows)
+
     def mixture(self, basis: ModeBasis) -> DensityMatrix:
         """``sum_t c_t^2 |term_t><term_t|``."""
-        pairs = zip(self.coeffs, self.terms)
+        pairs = zip(self.coeffs, self.terms())
         return mix((PureState(basis, t), c * c) for c, t in pairs)
 
     def born(self, closed: np.ndarray, what: str, scale) -> np.ndarray:
@@ -221,9 +228,10 @@ class _Histories(NamedTuple):
             i = int(np.argmin(inside))
             raise ValueError(f"fringe_scale must lie in [0, 1], got {scale.flat[i]} at row {i}")
         weights = check_distribution([c * c for c in self.coeffs], "mixture weights")
-        if not is_isometry(stack_last(self.terms)):
+        terms = list(self.terms())
+        if not is_isometry(stack_last(terms)):
             raise ValueError("history terms must be finite and orthonormal")
-        baseline = sum(w[..., None] * (t * t.conj()).real for w, t in zip(weights, self.terms))
+        baseline = sum(w[..., None] * (t * t.conj()).real for w, t in zip(weights, terms))
         check_distribution(np.moveaxis(baseline, -1, 0), "mixture baseline rows")
         return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
 
@@ -256,7 +264,8 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     naming ``what``) it must match photon k's transfer matrix applied to
     axis k of the polarization source.  Coefficients broadcast to ``S``.  A
     failed slot check names the first non-finite setting and its row of
-    ``S``.  The terms are returned for the noise baseline, which checks them.
+    ``S``.  Each term is scaled in place and summed, not kept: the noise
+    baseline rebuilds them (:meth:`_Histories.terms`) and checks them.
     """
     shape = np.shape(next(iter(settings.values())))
     if 0 in shape:
@@ -270,17 +279,12 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     # raw amplitudes: a PureState would copy and scan what the check below compares
     waves = _wave_amplitudes(phi1, beta).reshape(shape + (-1, 4))
     particles = _particle_amplitudes(phi2, beta).reshape(shape + (-1, 4))
-    histories = (waves, particles)
-    terms = []
-    for pattern in patterns:
-        state = histories[pattern[0]][..., rows[0], :]
-        for h, row in zip(pattern[1:], rows[1:]):
-            b = histories[h][..., row, :]
-            state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
-        terms.append(state)
-    amps = coeffs[0][..., None] * terms[0]
-    for c, term in zip(coeffs[1:], terms[1:]):
-        amps += c[..., None] * term
+    amps = None
+    for c, term in zip(coeffs, _product_terms((waves, particles), patterns, rows)):
+        # one photon's term is a view of its stored history: scale a copy
+        term = c[..., None] * term if len(rows) == 1 else np.multiply(term, c[..., None], out=term)
+        amps = term if amps is None else np.add(amps, term, out=amps)
+    del term  # summed into amps: free it before the propagation allocates
 
     source = np.zeros(shape + (2,) * len(photons), dtype=np.complex128)  # one axis per photon
     for c, pattern in zip(coeffs, patterns):
@@ -299,7 +303,18 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
         source = source.reshape(shape + (2, -1)).swapaxes(-1, -2) @ mats[..., row, :, :]
     dev = source.reshape(amps.shape)
     _check(what, np.abs(np.subtract(amps, dev, out=dev)), settings)
-    return _Histories(amps, tuple(coeffs), terms, waves, particles, settings)
+    return _Histories(amps, tuple(coeffs), patterns, rows, waves, particles, settings)
+
+
+def _product_terms(histories: tuple, patterns, rows: list):
+    """For each pattern, ``(x)_k histories[pattern[k]][..., rows[k], :]``, shape
+    ``S + (4**n,)``: a fresh array, or for one photon a view of its history."""
+    for pattern in patterns:
+        state = histories[pattern[0]][..., rows[0], :]
+        for h, row in zip(pattern[1:], rows[1:]):
+            b = histories[h][..., row, :]
+            state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
+        yield state
 
 
 def _alpha_source(settings: dict, photons: tuple, what: str) -> _Histories:

@@ -472,11 +472,28 @@ class TestGhzExtension:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_basis_matches_nested_products(self, n):
         nested = entangle._photon_basis(0)
+        # the materialized labels, built as nested products of flat label tuples
+        labels = nested.labels
         for k in range(1, n):
-            nested = product_basis(nested, entangle._photon_basis(k))
+            photon = entangle._photon_basis(k)
+            nested = product_basis(nested, photon)
+            labels = tuple((head if k > 1 else (head,)) + (tail,)
+                           for head in labels for tail in photon.labels)
         basis = ghz_output(n, 0.4).basis
-        assert basis.labels == nested.labels
+        assert basis.labels == nested.labels == labels
         assert basis.factors == nested.factors
+        materialized = ModeBasis(labels)
+        assert basis == materialized and materialized == basis and basis == nested
+        assert basis.dimension == len(labels) == 4**n
+        assert all(basis.index(label) == i for i, label in enumerate(labels))
+        assert all(label in basis for label in labels)
+        first = labels[0] if n > 1 else (labels[0],)  # as a tuple of paths
+        strangers = [first + ("1",), first[:-1], list(first), "1'" * n,
+                     tuple(path + "'" for path in first), (["1"],) * n]
+        for label in strangers:
+            assert label not in basis and label not in materialized
+            with pytest.raises(KeyError, match="not in basis"):
+                basis.index(label)
         if n == 1:
             assert basis.factors is None and basis.labels == ("1", "2", "3", "4")
 
@@ -684,18 +701,19 @@ class TestNoiseBaseline:
 
     @pytest.mark.parametrize("kind", ["single", "pair"])
     def test_overlapping_terms_raise(self, kind):
-        # both terms the same unit vector: weights and row sums still pass
+        # the particle histories replaced by the wave ones: both rebuilt terms are
+        # the same unit vector, and weights and row sums still pass
         histories, _ = random_histories(kind)
-        patched = histories._replace(terms=[histories.terms[0]] * 2)
+        patched = histories._replace(particles=histories.waves)
         with pytest.raises(ValueError, match="orthonormal"):
             baseline(patched)
 
     def test_nan_term_raises(self):
         histories, _ = random_histories("pair")
-        term = histories.terms[1].copy()
-        term[7, 3] = np.nan
+        particles = histories.particles.copy()
+        particles[7, 1, 3] = np.nan  # photon B's particle history, row 7
         with pytest.raises(ValueError, match="finite and orthonormal"):
-            baseline(histories._replace(terms=[histories.terms[0], term]))
+            baseline(histories._replace(particles=particles))
 
     @pytest.mark.parametrize("bad", [np.nan, 5.0, -1.0, 1.0 + 1e-9])
     @pytest.mark.parametrize("engine", [toolbox.single_photon_batch, two_photon_batch])
@@ -756,7 +774,18 @@ def peak_bytes(call):
 class TestMemory:
     def test_eight_photon_sectors_stay_small(self):
         # the output alone is 4**8 complex amplitudes, 1 MiB
-        assert peak_bytes(lambda: ghz_sector_probabilities(8, 0.6)) <= 5.0 * 2**20
+        assert peak_bytes(lambda: ghz_sector_probabilities(8, 0.6)) <= 3.0 * 2**20
+
+    def test_cold_eight_photon_output_retains_no_basis_labels(self):
+        # 4**8 label tuples would hold about 9 MiB
+        entangle._n_photon_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            ghz_output(8, 0.6)  # the result is dropped at once
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.0 * 2**20
 
     def test_noisy_pair_batch_builds_no_matrix_stack(self):
         # 200 rows of 16x16 density matrices would be 0.8 MiB on their own

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import wptoolbox.qcore as qcore
 from wptoolbox.qcore import (
     DensityMatrix,
     ModeBasis,
@@ -45,6 +46,40 @@ class TestModeBasis:
         abc = product_basis(ab, ModeBasis(("x",)))
         assert abc.labels[0] == ("1", "1'", "x")
         assert len(abc.factors) == 3
+
+    def test_ragged_products_still_check_uniqueness(self):
+        # flat labels of two lengths, or of one length that collide, can repeat a label
+        ragged = ModeBasis(("x", ("x", "y"))), ModeBasis((("y", "z"), "z"))
+        with pytest.raises(ValueError, match="mode labels must be unique"):
+            product_basis(*ragged)
+        with pytest.raises(ValueError, match="mode labels must be unique"):
+            product_basis(ModeBasis(("1", ("1",))), ModeBasis(("a", "b")))
+        # a ragged product without a collision keeps its labels and factors
+        basis = product_basis(ragged[0], ModeBasis(("z",)))
+        assert basis.labels == (("x", "z"), ("x", "y", "z"))
+        assert basis.index(("x", "y", "z")) == 1 and ("x", "y") not in basis
+        assert basis.factors == (ragged[0], ModeBasis(("z",)))
+
+    def test_equal_products_compare_without_labels(self, monkeypatch):
+        a, b, c = ModeBasis(("1", "2")), ModeBasis(("1'", "2'")), ModeBasis(("x", "y", "z"))
+        twice = product_basis(product_basis(a, b), c), product_basis(a, product_basis(b, c))
+
+        def unbuilt(flats):
+            raise AssertionError("labels were built")
+
+        monkeypatch.setattr(qcore, "_product_labels", unbuilt)
+        assert twice[0] == twice[1] and not twice[0] != twice[1]
+        assert twice[0].dimension == 12 and twice[0].index(("2", "1'", "y")) == 7
+        with pytest.raises(AssertionError, match="labels were built"):
+            twice[0].labels
+
+    def test_products_equal_plain_bases_with_their_labels(self):
+        ab = product_basis(ModeBasis(("1", "2")), ModeBasis(("1'", "2'")))
+        plain = ModeBasis(ab.labels)
+        assert ab == plain and plain == ab and hash(ab) == hash(plain)
+        assert ab != ModeBasis(ab.labels[::-1]) and ab != "not a basis"
+        with pytest.raises(AttributeError):
+            ab.dimension = 5
 
 
 class TestPureState:

@@ -47,6 +47,42 @@ class TestNoiseModel:
         assert NoiseModel().fringe_scale == 1.0
         assert NoiseModel(visibility=0.8, dephase_wp=0.5).fringe_scale == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("visibility, dephase, message", [
+        (0.5, -0.1, "dephase_wp must lie in [0, 1], got -0.1"),
+        (1.2, -0.1, "visibility must lie in [0, 1], got 1.2"),
+        (np.nan, 0.0, "visibility must lie in [0, 1], got nan"),
+        (np.array([0.5, 2.0, 3.0]), np.array([-1.0, 0.5, 0.5]),
+         "visibility must lie in [0, 1], got 2.0"),
+        (np.array([0.5, 0.2]), np.array([0.1, np.nan]), "dephase_wp must lie in [0, 1], got nan"),
+        (np.array([0.5, 0.2]), 7.0, "dephase_wp must lie in [0, 1], got 7.0"),
+    ])
+    def test_error_names_the_first_bad_value(self, visibility, dephase, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseModel(visibility, dephase)
+
+    def test_array_knobs_are_read_only_copies(self):
+        visibility = np.array([0.5, 0.6])
+        model = NoiseModel(visibility, np.array([0.1, 0.2]))
+        visibility[0] = 0.9
+        np.testing.assert_array_equal(model.visibility, [0.5, 0.6])
+        with pytest.raises(ValueError, match="read-only"):
+            model.dephase_wp[0] = 0.3
+        np.testing.assert_array_equal(NoiseModel(visibility, 0.3).dephase_wp, [0.3, 0.3])
+
+    def test_models_compare_and_hash_by_value(self):
+        a = NoiseModel(np.array([0.5, 0.6]), np.array([0.0, 0.1]))
+        b = NoiseModel(np.array([0.5, 0.6]), np.array([0.0, 0.1]))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != NoiseModel(np.array([0.5, 0.7]), np.array([0.0, 0.1]))
+        assert a != NoiseModel(np.array([[0.5, 0.6]]), np.array([[0.0, 0.1]]))
+        assert NoiseModel(np.array([0.5])) != NoiseModel(0.5)
+
+    def test_scalar_models_stay_floats(self):
+        model = NoiseModel(np.float64(0.8), 1)
+        assert type(model.visibility) is float and type(model.dephase_wp) is float
+        assert model == NoiseModel(0.8, 1.0) and hash(model) == hash((0.8, 1.0))
+        assert NoiseModel() != NoiseModel(0.9) and NoiseModel().__eq__(0.9) is NotImplemented
+
 
 class TestCountTable:
     def test_sum_invariant(self):
@@ -72,6 +108,29 @@ class TestSampling:
         b = sample_counts(FLAT4, 10_000, seed=42)
         np.testing.assert_array_equal(a.counts, b.counts)
         assert a.seed == 42
+
+    @pytest.mark.parametrize("dist", [FLAT4, np.full((4, 4), 1 / 16)])
+    def test_drawn_tables_skip_the_second_check(self, monkeypatch, dist):
+        checked = []
+        post_init = CountTable.__post_init__
+
+        def counted(self):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(CountTable, "__post_init__", counted)
+        drawn = sample_counts(dist, 5000, seed=9)
+        assert checked == []
+        built = CountTable(drawn.counts, 5000, 9)
+        assert len(checked) == 1 and checked[0] is built
+        assert (built.total_shots, built.seed) == (drawn.total_shots, drawn.seed) == (5000, 9)
+        assert built.counts.tobytes() == drawn.counts.tobytes()
+        assert drawn.counts.dtype == np.int64 and drawn.counts.shape == dist.shape
+        assert not drawn.counts.flags.writeable
+
+    def test_drawn_tables_still_check_their_outcome_count(self):
+        with pytest.raises(ValueError, match="expected 4 or 16 outcomes, got 5"):
+            sample_counts(np.full(5, 0.2), 10, seed=0)
 
     def test_point_mass(self):
         t = sample_counts(np.array([1.0, 0.0, 0.0, 0.0]), 500, seed=1)
