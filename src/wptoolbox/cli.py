@@ -157,10 +157,12 @@ def _write_table(fh, fmt: str, header: list[str], columns: list) -> None:
     The bytes are those of ``csv.writer`` (``%.17g`` floats, ``%d``
     integers, ``\r\n`` line ends; string cells hold no delimiter or quote,
     so none is quoted) or of ``json.dump(rows, indent=2)`` plus a newline.
+    A column that holds one value (the same bits, so one sign of zero) is
+    formatted once, into the template.
     """
-    cells, values = [], []
+    cells, values, rows = [], [], 0
     for col in map(np.asarray, columns):
-        kind, col_values = col.dtype.kind, col.tolist()
+        kind, col_values, rows = col.dtype.kind, col.tolist(), len(col)
         if kind == "U":
             cell = "%s"
             if fmt == "json":
@@ -173,16 +175,31 @@ def _write_table(fh, fmt: str, header: list[str], columns: list) -> None:
             cell = "%r"
         else:  # json's NaN and Infinity
             cell, col_values = "%s", [json.dumps(v) for v in col_values]
-        cells.append(cell)
-        values.append(col_values)
+        if _constant(col, col_values):
+            cells.append((cell % col_values[0]).replace("%", "%%"))
+        else:
+            cells.append(cell)
+            values.append(col_values)
     if fmt == "csv":
         template = ",".join(cells) + "\r\n"
-        fh.write(",".join(header) + "\r\n" + "".join(map(template.__mod__, zip(*values))))
+    else:
+        keys = (encode_basestring_ascii(col).replace("%", "%%") for col in header)
+        template = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, cells)) + "\n  }"
+    lines = map(template.__mod__, zip(*values)) if values else [template % ()] * rows
+    if fmt == "csv":
+        fh.write(",".join(header) + "\r\n" + "".join(lines))
         return
-    keys = (encode_basestring_ascii(col).replace("%", "%%") for col in header)
-    template = "  {\n" + ",\n".join(f"    {k}: {c}" for k, c in zip(keys, cells)) + "\n  }"
-    rows = ",\n".join(map(template.__mod__, zip(*values)))
-    fh.write(f"[\n{rows}\n]\n" if rows else "[]\n")
+    body = ",\n".join(lines)
+    fh.write(f"[\n{body}\n]\n" if body else "[]\n")
+
+
+def _constant(col: np.ndarray, values: list) -> bool:
+    """True when every value of ``col`` has the bits of its first: equal ``values``,
+    counted at C speed, and for a float zero one sign."""
+    if not values or values.count(values[0]) < len(values):
+        return False
+    return (values[0] != 0 or col.dtype.kind != "f"
+            or np.count_nonzero(np.signbit(col)) in (0, len(values)))
 
 
 def _emit(args: argparse.Namespace, header: list[str], columns: list) -> str:

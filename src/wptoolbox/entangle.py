@@ -23,6 +23,7 @@ import numpy as np
 
 from .optics import PATHS
 from .qcore import (
+    ByValue,
     DensityMatrix,
     ModeBasis,
     PureState,
@@ -81,9 +82,10 @@ class TwoPhotonSettings:
     beta_b: float = BETA_SPLIT
 
 
-@dataclass(frozen=True)
-class CoincidenceTable:
-    """4x4 joint detector probabilities; rows = photon A, columns = photon B."""
+@dataclass(frozen=True, eq=False)
+class CoincidenceTable(ByValue):
+    """4x4 joint detector probabilities; rows = photon A, columns = photon B.
+    Tables compare and hash by their matrix."""
 
     matrix: np.ndarray
 

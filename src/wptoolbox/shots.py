@@ -23,6 +23,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .entangle import CoincidenceTable, TwoPhotonSettings, _pair_batch
+from .qcore import ByValue
 from .toolbox import (
     BETA_SPLIT,
     SingleProbabilities,
@@ -36,7 +37,7 @@ _KNOBS = ("visibility", "dephase_wp")
 
 
 @dataclass(frozen=True, eq=False)
-class NoiseModel:
+class NoiseModel(ByValue):
     """Fringe-contrast and dephasing imperfections, both in [0, 1]: numbers, kept as
     floats, or arrays of one value per row, kept as read-only copies (a number beside
     an array is broadcast to it).  An error names the first bad value.  Models compare
@@ -64,27 +65,15 @@ class NoiseModel:
         for name, value in zip(_KNOBS, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        """Both knobs as hashable values: a number itself, an array its shape and values."""
-        return tuple(k if isinstance(k, float) else (k.shape, tuple(k.ravel().tolist()))
-                     for k in (self.visibility, self.dephase_wp))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     @property
     def fringe_scale(self) -> float:
         return (1.0 - self.dephase_wp) * self.visibility
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Multinomial detector counts; shape (4,) or (4, 4) for coincidences."""
+@dataclass(frozen=True, eq=False)
+class CountTable(ByValue):
+    """Multinomial detector counts; shape (4,) or (4, 4) for coincidences.  Tables
+    compare and hash by their counts' shape and values, shots and seed."""
 
     counts: np.ndarray
     total_shots: int

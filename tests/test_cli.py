@@ -560,6 +560,12 @@ _KINDS = {
     "count": lambda n: st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
     .map(lambda xs: np.array(xs, dtype=np.int64)),
     "sector": lambda n: st.lists(st.text("wp", min_size=1, max_size=8), min_size=n, max_size=n),
+    # one drawn value per column, formatted once into the row template
+    "constant": lambda n: (_FLOATS | st.integers(-(2**63), 2**63 - 1)).map(
+        lambda x: np.full(n, x)),
+    # equal values of two signs: not one value
+    "signed zero": lambda n: st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                                      max_size=n).map(np.array),
 }
 
 
@@ -589,6 +595,27 @@ class TestTableWriter:
     def test_nonfinite_floats_as_the_stdlib_writes_them(self, tmp_path, fmt):
         header, columns = ["x", "n"], [np.array([np.nan, np.inf, -np.inf, 0.5]),
                                        np.arange(4)]
+        spec = argparse.Namespace(command="single-sweep", format=fmt,
+                                  out=str(tmp_path / f"emit.{fmt}"))
+        cli._emit(spec, header, columns)
+        _stdlib_table(tmp_path / f"stdlib.{fmt}", fmt, header, columns)
+        assert (tmp_path / f"emit.{fmt}").read_bytes() == (tmp_path / f"stdlib.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("header, columns", [
+        # every column constant: the row template repeated
+        (["a", "z", "n", "s"], [np.full(3, 0.1), np.full(3, -0.0), np.full(3, -7),
+                                ["w%p"] * 3]),
+        # one row, so every column constant
+        (["x", "n", "s"], [np.array([2.0 / 3.0]), np.array([2**63 - 1]), ["pw"]]),
+        (["x"], [np.array([5e-324])]),
+        # a header holding %, beside constant and varying columns
+        (["p%d", "%%", "q%"], [np.full(2, 0.5), np.array([1.0, 2.0]), np.array([0.0, -0.0])]),
+        # constant non-finite columns
+        (["x", "y", "n"], [np.full(4, np.nan), np.full(4, -np.inf), np.arange(4)]),
+        (["x", "y"], [np.full(2, np.inf), np.array([np.nan, 1.0])]),
+    ])
+    def test_constant_columns_as_the_stdlib_writes_them(self, tmp_path, fmt, header, columns):
         spec = argparse.Namespace(command="single-sweep", format=fmt,
                                   out=str(tmp_path / f"emit.{fmt}"))
         cli._emit(spec, header, columns)

@@ -1,5 +1,7 @@
 """Tests for two-photon coincidences, concurrence, and the n-photon extension."""
+import copy
 import itertools
+import pickle
 import tracemalloc
 import warnings
 
@@ -106,6 +108,20 @@ class TestCoincidenceTable:
         stack[2, 0, 0] = -0.5
         with pytest.raises(ValueError, match="outside"):
             entangle._check_tables(stack)
+
+    def test_tables_compare_and_hash_by_value(self):
+        m = np.arange(16.0).reshape(4, 4) / 120
+        a, b = CoincidenceTable(m), CoincidenceTable(m.T.copy().T)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != CoincidenceTable(m.T) and a != CoincidenceTable(np.full((4, 4), 1 / 16))
+        assert a.__eq__(m) is NotImplemented
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_matrix_stays_read_only_through_pickle_and_deepcopy(self, clone):
+        table = coincidence_probabilities(TwoPhotonSettings())
+        twin = clone(table)
+        assert twin == table and not twin.matrix.flags.writeable
 
     def test_prob_is_one_based(self):
         m = np.zeros((4, 4))

@@ -1,4 +1,7 @@
 """Tests for the labeled-basis state algebra."""
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,29 @@ class TestPureState:
             zero.normalized()
 
 
+class TestRebuilt:
+    @pytest.mark.parametrize("make, field", [
+        (lambda b: PureState(b, np.array([0.6, 0.0, 0.0, 0.8j])), "amplitudes"),
+        (lambda b: DensityMatrix(b, np.eye(4) / 4), "matrix"),
+    ], ids=["PureState", "DensityMatrix"])
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_arrays_stay_read_only_through_pickle_and_deepcopy(self, make, field, clone):
+        basis = product_basis(ModeBasis(("V", "H")), ModeBasis(("1", "2")))
+        original = make(basis)
+        twin = clone(original)
+        assert not getattr(twin, field).flags.writeable
+        np.testing.assert_array_equal(getattr(twin, field), getattr(original, field))
+        assert twin.basis == basis and twin.basis.labels == basis.labels
+
+    def test_unpickling_runs_the_checks(self, monkeypatch):
+        data = pickle.dumps(PureState(ModeBasis(("V", "H")), np.array([1.0, 0.0])))
+        checked, post_init = [], PureState.__post_init__
+        monkeypatch.setattr(PureState, "__post_init__",
+                            lambda self: checked.append(self) or post_init(self))
+        assert pickle.loads(data) is checked[0]
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         basis = ModeBasis(("V", "H"))
@@ -181,6 +207,33 @@ class TestApplyUnitary:
         bad = good.copy()
         bad[1, 1, 1] += 1e-11
         assert not is_isometry(bad)
+
+    @pytest.mark.parametrize("shape", [(100, 2, 2), (100, 2, 2, 2), (100, 4, 2), (100, 16, 2)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_stacks_match_a_per_matrix_oracle(self, shape, real):
+        rng = np.random.default_rng(sum(shape) + real)
+        z = rng.normal(size=shape) if real else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        good = np.linalg.qr(z)[0]  # orthonormal columns, to rounding
+        cols = shape[-1]
+
+        def oracle(stack):
+            return all(np.abs(m.conj().T @ m - np.eye(cols)).max() <= qcore.ATOL
+                       for m in stack.reshape(-1, *stack.shape[-2:]))
+
+        def verdict(stack):
+            assert is_isometry(stack) == oracle(stack)
+            for view in (stack[::3], stack.swapaxes(-1, -2).copy().swapaxes(-1, -2)):
+                assert not view.flags.c_contiguous
+                assert is_isometry(view) == oracle(view)
+            return is_isometry(stack)
+
+        assert verdict(good)
+        k = np.unravel_index(57, shape[:-2])  # one matrix of the stack
+        for change, ok in ((1 + 1e-13, True), (1 + 1e-11, False), (np.nan, False)):
+            bad = good.copy()
+            bad[k] *= change
+            assert verdict(bad) is ok
 
     def test_basis_change_isometry(self):
         pol = ModeBasis(("V", "H"))

@@ -1,4 +1,6 @@
 """Tests for count sampling, Poisson errors, and noise models."""
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -100,6 +102,30 @@ class TestCountTable:
     def test_frequencies(self):
         t = CountTable(np.array([1, 2, 3, 4]), 10, seed=0)
         np.testing.assert_allclose(t.frequencies(), [0.1, 0.2, 0.3, 0.4])
+
+    def test_tables_compare_and_hash_by_value(self):
+        a = CountTable(np.array([1, 2, 3, 4]), 10, seed=0)
+        b = CountTable(np.array([1, 2, 3, 4], dtype=np.int32), 10, seed=0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        drawn = sample_counts(np.array([0.1, 0.2, 0.3, 0.4]), 1000, seed=5)
+        assert drawn == CountTable(drawn.counts.copy(), 1000, 5)
+        assert hash(drawn) == hash(CountTable(drawn.counts.copy(), 1000, 5))
+        assert a != CountTable(np.array([1, 2, 4, 3]), 10, seed=0)
+        assert a != CountTable(np.array([1, 2, 3, 4]), 10, seed=1)
+        assert a != CountTable(np.array([[1, 2, 3, 4], [0] * 4, [0] * 4, [0] * 4]), 10, seed=0)
+        assert a.__eq__(NoiseModel()) is NotImplemented
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_arrays_stay_read_only_through_pickle_and_deepcopy(clone):
+    model = NoiseModel(np.array([0.5, 0.6]), np.array([0.1, 0.2]))
+    tables = [CountTable(np.array([1, 2, 3, 4]), 10, seed=3),
+              sample_counts(np.full(4, 0.25), 100, seed=1)]
+    for original, field in [(model, "visibility"), (model, "dephase_wp"),
+                            *((table, "counts") for table in tables)]:
+        twin = clone(original)
+        assert twin == original and not getattr(twin, field).flags.writeable
 
 
 class TestSampling:

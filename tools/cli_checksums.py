@@ -4,7 +4,8 @@ Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
 ``beta`` sweeps with and without ``--mixed``, both witnesses, ``two-photon``
 tables and sweeps with and without noise, sweeps with the mixers off
 ``pi/8``, JSON tables with counts and witness columns, swept
-``visibility`` and ``dephase`` with shots, ``ghz`` at 1 to 8 photons) plus
+``visibility`` and ``dephase`` with shots, tables whose every column holds
+one value, ``ghz`` at 1 to 8 photons) plus
 ``verify`` at four grid sizes, and hashes every output file and every
 command's stdout; each of these runs must exit 0 and write nothing to
 stderr, so a stray warning fails the check.  It hashes the exit code and
@@ -115,6 +116,13 @@ COMMANDS = [
                                         "--steps", "13", "--shots", "2000", "--seed", "29"]),
     ("coherence_mixed.json", ["witness-coherence", "--mixed", "--shots", "1500",
                               "--format", "json"]),
+    # tables whose every column holds one value, one of them a -0 column
+    ("single_mixed_visibility.json", ["single-sweep", "--mixed", "--sweep", "visibility",
+                                      "--start", "0.2", "--stop", "1", "--steps", "5",
+                                      "--format", "json"]),
+    ("coherence_mixed_dephase.csv", ["witness-coherence", "--mixed", "--phi1-deg", "-0",
+                                     "--sweep", "dephase", "--start", "0", "--stop", "0.8",
+                                     "--steps", "5"]),
 ]
 
 #: ``verify`` runs, stdout only: the default hardware grid, one point, 250 and
