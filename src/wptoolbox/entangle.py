@@ -59,6 +59,22 @@ def _n_photon_basis(n: int) -> ModeBasis:
     return product_basis(_n_photon_basis(n - 1), _photon_basis(n - 1))
 
 
+@lru_cache(maxsize=MAX_PHOTONS)
+def _pattern_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only path-index offsets of the 2**n history patterns, a column, and
+    of the 2**n detector-pair patterns, a row, photon 0 first in both.
+
+    A path index has one base-4 digit ``2 * pair + history`` per photon
+    (paths 1, 3 carry the wave history, 2, 4 the particle one), so entry
+    ``[h, q]`` of their sum indexes history pattern h at pair pattern q."""
+    spread = np.zeros(1, dtype=np.intp)  # pattern bits on the digits' low bit
+    for _ in range(n):
+        spread = (4 * spread[:, None] + (0, 1)).reshape(-1)
+    history, pair = spread[:, None], 2 * spread
+    history.flags.writeable = pair.flags.writeable = False
+    return history, pair
+
+
 _PAIR_BASIS = _n_photon_basis(2)
 #: detectors (1, 2) and (3, 4) of each photon share one block of a 2x2 array
 _DETECTOR_BLOCKS = np.ix_((0, 0, 1, 1), (0, 0, 1, 1))
@@ -386,7 +402,8 @@ def ghz_output(
     # every photon names the same setting, evaluated once
     histories = _alpha_source(_single_settings(alpha, phases, beta), (_PHOTON,) * n,
                               "n-photon state")
-    return PureState(_n_photon_basis(n), histories.amplitudes)
+    # the engine's own output, finite once its cross-check passed: frozen, not copied
+    return PureState._wrap(_n_photon_basis(n), histories.amplitudes)
 
 
 def ghz_sector_probabilities(
@@ -407,11 +424,8 @@ def ghz_sector_probabilities(
             "history patterns are only detector-resolvable with mixers off (beta=0)"
         )
     probs = ghz_output(n, alpha, phases, beta).probabilities()
-    # path index = 2 * pair + history: paths 1, 3 (indices 0, 2) carry the
-    # wave history and 2, 4 the particle one.  Move the n history axes in
-    # front of the n pair axes and sum each row over the pairs.
-    split = probs.reshape((2, 2) * n)
-    order = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
-    sectors = split.transpose(order).reshape(2**n, 2**n).sum(axis=1)
+    # gather each history pattern's row of pair patterns and sum it
+    history, pair = _pattern_offsets(n)
+    sectors = probs[history + pair].sum(axis=1)
     keys = ("".join(letters) for letters in itertools.product("wp", repeat=n))
     return {key: float(p) for key, p in zip(keys, sectors)}

@@ -367,4 +367,10 @@ def network_matrix(phi1, phi2, beta) -> np.ndarray:
     elements; the phases and mixer are checked as in the circuit, every call.
     """
     slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
-    return _transfer_matrix(_fixed_stages().steps_with(*slots), 2, slots[-1].shape[:-2])
+    head, *steps = _fixed_stages().steps_with(*slots)
+    # the identity block's image under the fused PBS·BS1·BS2 block is its columns
+    shape = slots[-1].shape[:-2]
+    block = np.empty((2,) + shape + (4,), dtype=np.complex128)
+    block[...] = head.matrix.T.reshape((2,) + (1,) * len(shape) + (4,))
+    images = run_steps(block, steps)
+    return images.transpose(*range(1, images.ndim), 0)

@@ -40,8 +40,12 @@ def is_isometry(matrix: np.ndarray) -> bool:
     add a relative slack of 1e-5 on the unit diagonal.  A stack of matrices,
     shape ``(..., rows, cols)``, passes only when every one of them does;
     its Gram matrices are one ``vecdot`` over the rows, where a stacked
-    ``@`` would make one BLAS call per matrix.
+    ``@`` would make one BLAS call per matrix.  Integer and boolean input is
+    taken as float64; floating and complex input is used as it is.
     """
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind in "biu":  # the identity is subtracted in place below
+        matrix = matrix.astype(np.float64)
     gram = np.vecdot(matrix[..., :, :, None], matrix[..., :, None, :], axis=-3)
     n = gram.shape[-1]
     # subtract the identity in place, through a flat view of each matrix
@@ -81,20 +85,18 @@ def stack_last(parts) -> np.ndarray:
     return m.transpose(*range(1, m.ndim), 0)
 
 
-class Rebuilt:
-    """Pickling and copying of a frozen dataclass through its constructor.
+class ByValue:
+    """Value semantics for a frozen dataclass that holds arrays (its dataclass
+    takes ``eq=False``).
 
-    Restoring ``__dict__`` alone would skip ``__post_init__``: its checks,
-    and the read-only copies of the arrays it holds.
+    It compares and hashes by its fields' values, an array by its shape and
+    values.  Pickling and copying run through its constructor: restoring
+    ``__dict__`` alone would skip ``__post_init__``, its checks and the
+    read-only copies of the arrays it holds.
     """
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
-
-
-class ByValue(Rebuilt):
-    """A :class:`Rebuilt` type that compares and hashes by its fields' values,
-    an array by its shape and values (its dataclass takes ``eq=False``)."""
 
     def _values(self) -> tuple:
         return tuple((v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
@@ -214,9 +216,13 @@ def product_basis(a: ModeBasis, b: ModeBasis) -> ModeBasis:
     return ModeBasis._product(factors, tuple(radix))
 
 
-@dataclass(frozen=True)
-class PureState(Rebuilt):
-    """Amplitude vector over a ModeBasis, or a batch of them, shape ``(..., dim)``."""
+@dataclass(frozen=True, eq=False)
+class PureState(ByValue):
+    """Amplitude vector over a ModeBasis, or a batch of them, shape ``(..., dim)``.
+
+    States compare and hash by basis and amplitudes (:class:`ByValue`); hashing
+    a :func:`product_basis` state builds its basis labels once per call.
+    """
 
     basis: ModeBasis
     amplitudes: np.ndarray
@@ -231,6 +237,16 @@ class PureState(Rebuilt):
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _wrap(cls, basis: ModeBasis, amps: np.ndarray) -> "PureState":
+        """A state around ``amps``, frozen in place, neither copied nor scanned:
+        only for C-ordered complex128 amplitudes of ``basis``'s dimension that
+        the caller owns and knows finite, as the engine's checked output."""
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        vars(state).update(basis=basis, amplitudes=amps)
+        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes, axis=-1))  # raises for a batch
@@ -251,12 +267,13 @@ class PureState(Rebuilt):
         return float(abs(self.amplitudes[self.basis.index(label)]) ** 2)
 
 
-@dataclass(frozen=True)
-class DensityMatrix(Rebuilt):
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(ByValue):
     """Hermitian, unit-trace, positive-semidefinite operator over a ModeBasis.
 
     ``matrix`` is one ``(dim, dim)`` operator or a batch, ``(..., dim, dim)``;
-    every check must hold for every member of the batch.
+    every check must hold for every member of the batch.  Matrices compare and
+    hash by value, as :class:`PureState` does.
     """
 
     basis: ModeBasis

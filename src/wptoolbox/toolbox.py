@@ -55,6 +55,8 @@ _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
 _PHOTON = _SINGLE_NAMES[1:]
 #: the files of this package; an alpha warning points at the first frame outside them
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+#: a product prefix this long or longer is multiplied column by column (:func:`_product_terms`)
+_LONG_PREFIX = 1024
 
 
 @dataclass(frozen=True)
@@ -308,12 +310,24 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
 
 def _product_terms(histories: tuple, patterns, rows: list):
     """For each pattern, ``(x)_k histories[pattern[k]][..., rows[k], :]``, shape
-    ``S + (4**n,)``: a fresh array, or for one photon a view of its history."""
+    ``S + (4**n,)``: a fresh array, or for one photon a view of its history.
+
+    A prefix of ``_LONG_PREFIX`` amplitudes or more is multiplied by one entry
+    of the next history at a time, four products along the prefix into strided
+    columns; a shorter one by one broadcast product, whose inner loop runs over
+    the four entries.  Both put the prefix first, so they round alike."""
     for pattern in patterns:
         state = histories[pattern[0]][..., rows[0], :]
         for h, row in zip(pattern[1:], rows[1:]):
             b = histories[h][..., row, :]
-            state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
+            if state.shape[-1] < _LONG_PREFIX:
+                state = state[..., :, None] * b[..., None, :]
+            else:
+                out = np.empty(state.shape + (4,), dtype=np.complex128)
+                for j in range(4):
+                    np.multiply(state, b[..., j, None], out=out[..., j])
+                state = out
+            state = state.reshape(b.shape[:-1] + (-1,))
         yield state
 
 

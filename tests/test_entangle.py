@@ -2,6 +2,7 @@
 import copy
 import itertools
 import pickle
+from functools import reduce
 import tracemalloc
 import warnings
 
@@ -635,6 +636,53 @@ class TestSourceTermEngine:
         assert ghz.amplitudes.tobytes() == pair.amplitudes.tobytes()
 
 
+class TestGhzAmplitudeBits:
+    """ghz_output's amplitudes are the kron products of one photon's wave and
+    particle histories, scaled and summed, bit for bit at every n."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, "random"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_amplitudes_are_the_kron_oracle_bit_for_bit(self, n, beta, seed):
+        rng = np.random.default_rng([n, seed])
+        alpha, phi1, phi2 = rng.uniform(0, PI / 2), *rng.uniform(0, 2 * PI, 2)
+        beta = rng.uniform(0, PI / 4) if beta == "random" else beta
+        w = toolbox._wave_amplitudes(phi1, beta)
+        p = toolbox._particle_amplitudes(phi2, beta)
+        if n == 1:
+            expected = np.cos(alpha) * w + np.sin(alpha) * p
+        else:
+            expected = (reduce(np.kron, [w] * n) * np.cos(alpha)
+                        + reduce(np.kron, [p] * n) * np.sin(alpha))
+        got = ghz_output(n, alpha, ToolboxPhases(phi1, phi2), beta).amplitudes
+        assert got.shape == expected.shape == (4**n,)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_nan_in_an_eight_photon_history_raises_through_the_cross_check(self, monkeypatch):
+        # the output is not scanned again after the check: the check must catch it
+        exact = toolbox._wave_amplitudes
+
+        def poisoned(phi1, beta):
+            amps = exact(phi1, beta).copy()
+            amps[..., 2] = np.nan
+            return amps
+
+        monkeypatch.setattr(toolbox, "_wave_amplitudes", poisoned)
+        with pytest.raises(RuntimeError, match="disagrees with propagation by nan at row 0"):
+            ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2))
+        with pytest.raises(RuntimeError, match="disagrees with propagation by nan"):
+            ghz_sector_probabilities(8, 0.6, ToolboxPhases(0.3, 1.2))
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_amplitudes_are_read_only(self, n):
+        state = ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 0.0
+        twin = pickle.loads(pickle.dumps(state))  # through the checking constructor
+        assert twin == state and not twin.amplitudes.flags.writeable
+
+
 def sector_atol(n):
     """Round-off allowance for sums of 2^n terms in another order."""
     return 2**n * np.finfo(float).eps
@@ -669,6 +717,20 @@ class TestGhzSectors:
             [got[key] for key in order], [expected[key] for key in order],
             rtol=0, atol=sector_atol(n),
         )
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sums_the_transposed_pattern_table_bit_for_bit(self, monkeypatch, n):
+        # the sums run over each history pattern's row of pair patterns, in
+        # pair order, as over the rows of the transposed (2,) * 2n table
+        rng = np.random.default_rng(10 + n)
+        amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+        state = PureState(ModeBasis(tuple(range(4**n))), amps / np.linalg.norm(amps))
+        monkeypatch.setattr(entangle, "ghz_output", lambda *args: state)
+        order = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
+        table = state.probabilities().reshape((2, 2) * n).transpose(order)
+        expected = table.reshape(2**n, 2**n).sum(axis=1)
+        got = np.array(list(ghz_sector_probabilities(n, 0.3).values()))
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force_on_ghz_output(self, n):

@@ -282,6 +282,21 @@ class TestCompiledRoute:
                 layout.matrix(), embedded_product(layout.circuit), rtol=0, atol=1e-15
             )
 
+    @pytest.mark.parametrize("shape", [(), (22,), (22, 2)])
+    @pytest.mark.parametrize("beta", [BALANCED, 0.0, -0.0, "random"])
+    def test_network_matrix_is_the_circuit_matrix_bit_for_bit(self, shape, beta):
+        # network_matrix starts from the fused block's columns; Circuit.matrix
+        # runs the identity block through every step, that block included
+        rng = np.random.default_rng(len(shape))
+        phi1, phi2 = rng.uniform(-7, 7, (2,) + shape)
+        phi1.flat[::3] = -0.0  # signed zeros in the phases too
+        beta = rng.uniform(-1, 1, shape) if beta == "random" else np.full(shape, beta)
+        if not shape:
+            phi1, phi2, beta = float(phi1), float(phi2), float(beta)
+        stack = network_matrix(phi1, phi2, beta)
+        assert stack.shape == np.shape(beta) + (4, 2)
+        assert stack.tobytes() == interferometer_circuit(phi1, phi2, beta).matrix().tobytes()
+
     def test_fused_block_is_shared_across_calls(self):
         block = _fixed_stages().steps[0].matrix
         assert block.shape == (4, 2) and not block.flags.writeable

@@ -137,6 +137,40 @@ class TestRebuilt:
         assert pickle.loads(data) is checked[0]
 
 
+class TestValueEquality:
+    PLAIN = ModeBasis((("V", "1"), ("V", "2"), ("H", "1"), ("H", "2")))
+    #: a state or matrix over basis b, equal for equal x
+    MAKERS = [
+        lambda b, x: PureState(b, np.array([0.6, 0.0, 0.0, 0.8j * x])),
+        lambda b, x: DensityMatrix(b, np.diag([0.5, 0.5 * x, 0.5 * (1 - x), 0.0])),
+    ]
+
+    @pytest.mark.parametrize("make", MAKERS, ids=["PureState", "DensityMatrix"])
+    def test_equal_values_compare_and_hash_equal(self, make):
+        lazy = product_basis(ModeBasis(("V", "H")), ModeBasis(("1", "2")))
+        assert lazy.labels == self.PLAIN.labels
+        a, b, plain = make(lazy, 1.0), make(lazy, 1.0), make(self.PLAIN, 1.0)
+        assert a is not b and a == b and hash(a) == hash(b)
+        # a lazy product basis equals a plain basis with the same labels
+        assert a == plain and plain == a and hash(a) == hash(plain)
+        assert len({a, b, plain}) == 1
+
+    @pytest.mark.parametrize("make", MAKERS, ids=["PureState", "DensityMatrix"])
+    def test_unequal_values_compare_unequal(self, make):
+        state = make(self.PLAIN, 1.0)
+        assert state != make(self.PLAIN, 0.0)
+        relabeled = ModeBasis(("a", "b", "c", "d"))
+        assert state != make(relabeled, 1.0)
+        assert state != state.basis and state != 1.0
+
+    def test_batched_states_compare_by_shape_and_values(self):
+        basis = ModeBasis(("V", "H"))
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert PureState(basis, rows) == PureState(basis, rows.copy())
+        assert PureState(basis, rows) != PureState(basis, rows[:1])
+        assert PureState(basis, rows[0]) != PureState(basis, rows[:1])
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         basis = ModeBasis(("V", "H"))
@@ -200,6 +234,19 @@ class TestApplyUnitary:
         assert is_isometry(HADAMARD.astype(complex))
         assert not is_isometry(np.array([[1 + 1e-11]]))
         assert not is_isometry(np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("dtype", [int, np.int8, np.uint8, bool, np.float32, float])
+    def test_is_isometry_answers_for_integer_and_real_input(self, dtype):
+        assert is_isometry(np.eye(2, dtype=dtype))
+        assert is_isometry(np.array([[0, 1], [1, 0], [0, 0]], dtype=dtype))
+        assert not is_isometry(np.array([[1, 1], [0, 1]], dtype=dtype))
+
+    def test_is_isometry_takes_complex_input_as_it_is(self, monkeypatch):
+        seen, vecdot = [], np.vecdot
+        monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: seen.append(a) or vecdot(a, b, **kw))
+        matrix = HADAMARD.astype(complex)
+        assert is_isometry(matrix)
+        assert np.shares_memory(seen[0], matrix)
 
     def test_is_isometry_on_a_stack(self):
         good = np.stack([HADAMARD, np.eye(2)]).astype(complex)

@@ -15,7 +15,8 @@ and of each subcommand at 80 columns.  It also hashes the bits of library
 outputs at fixed random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
 change to a propagation route that no CLI file shows is pinned too: noisy
 single and pair engine rows at those settings, ``ghz_output`` amplitudes at
-1 to 8 photons (see :data:`GHZ_POINTS`), the routes that read each photon's
+1 to 8 photons and ``ghz_sector_probabilities`` at 5 to 8 (see
+:data:`GHZ_POINTS`), the routes that read each photon's
 wave and particle histories (``vh_variant_output``, ``concurrence``,
 ``coherence``, ``sector_projection``, ``mixed_output``), and the shot
 sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
@@ -168,7 +169,8 @@ HELP = [[], ["single-sweep"], ["witness-coherence"], ["two-photon"],
 #: 0, pi/8 or uniform in [0, pi/4) (compared with ``strict=False``)
 LIBRARY_POINTS = 200
 
-#: settings per photon number of the ``ghz_output`` entry, drawn like those above
+#: settings per photon number of the ``ghz_output`` entry, drawn like those above, and
+#: of the ``ghz_sector_probabilities_5to8`` entry (beta 0)
 GHZ_POINTS = LIBRARY_POINTS // 8
 
 #: (entry, table shape, shots, seed) of each sampled table; ``sample_counts``
@@ -243,6 +245,15 @@ def library_checksums() -> dict[str, str]:
             beta = (0.0, np.pi / 8, ghz.uniform(0, np.pi / 4))[ghz.integers(3)]
             state = ghz_output(n, alpha, ToolboxPhases(phi1, phi2), beta)
             bits["ghz_output"].append(state.amplitudes.tobytes().hex())
+    # history sectors at 5 to 8 photons, the sizes whose products run along
+    # the prefix (the entry above draws 1 to 4), at tilted phases
+    sectors = np.random.default_rng(20240606)
+    bits["ghz_sector_probabilities_5to8"] = []
+    for n in range(5, MAX_PHOTONS + 1):
+        for _ in range(GHZ_POINTS):
+            alpha, phi1, phi2 = sectors.uniform(0, np.pi / 2), *sectors.uniform(0, 2 * np.pi, 2)
+            probs = list(ghz_sector_probabilities(n, alpha, ToolboxPhases(phi1, phi2)).values())
+            bits["ghz_sector_probabilities_5to8"].append(np.array(probs).tobytes().hex())
     # the per-photon history routes, both mixers drawn like beta above
     histories = np.random.default_rng(20240605)
     for _ in range(LIBRARY_POINTS):
