@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -93,7 +94,7 @@ def _check_args(args: argparse.Namespace) -> None:
         # the n-photon table is defined for switched-off mixers
         args.beta_deg = 0.0 if args.command == "ghz" else 22.5
     for flag, _, _ in _ANGLE_FLAGS.values():
-        if not np.isfinite(getattr(args, flag.replace("-", "_"))):
+        if not math.isfinite(getattr(args, flag.replace("-", "_"))):
             raise ValueError(f"--{flag} must be finite")
     if args.shots < 0:
         raise ValueError("--shots must be >= 0")
@@ -105,7 +106,7 @@ def _check_args(args: argparse.Namespace) -> None:
         if args.start is None or args.stop is None:
             raise ValueError("--sweep needs explicit --start and --stop")
         for flag in ("start", "stop"):
-            if not np.isfinite(getattr(args, flag)):
+            if not math.isfinite(getattr(args, flag)):
                 raise ValueError(f"--{flag} must be finite")
         if args.sweep.endswith("_prime") and args.command in ("single-sweep", "witness-coherence"):
             sweepable = ", ".join(p for p in SWEEP_PARAMS if not p.endswith("_prime"))
@@ -161,7 +162,11 @@ def _write_table(fh, fmt: str, header: list[str], columns: list) -> None:
     formatted once, into the template.
     """
     cells, values, rows = [], [], 0
-    for col in map(np.asarray, columns):
+    columns = [np.asarray(col) for col in columns]
+    # JSON spells a non-finite float apart: one test over every float column at once
+    floats = [col for col in columns if col.dtype.kind not in "Uiu"] if fmt == "json" else []
+    finite = iter(np.isfinite(floats).all(axis=-1) if floats else ())
+    for col in columns:
         kind, col_values, rows = col.dtype.kind, col.tolist(), len(col)
         if kind == "U":
             cell = "%s"
@@ -171,7 +176,7 @@ def _write_table(fh, fmt: str, header: list[str], columns: list) -> None:
             cell = "%d"
         elif fmt == "csv":
             cell = "%.17g"
-        elif np.isfinite(col).all():
+        elif next(finite):
             cell = "%r"
         else:  # json's NaN and Infinity
             cell, col_values = "%s", [json.dumps(v) for v in col_values]
@@ -474,8 +479,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` parsed by :func:`_parser`.  A known subcommand's flags are parsed once,
+    by its own parser (the full parse hands them to it too); anything left over
+    falls back to the full parse, whose error names the unrecognized arguments."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    if argv and argv[0] in _COMMANDS:
+        (commands,) = parser._subparsers._group_actions
+        args, extras = commands.choices[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     with warnings.catch_warnings():
         # every warning of the command, as one line without the file and line that raised it
         warnings.simplefilter("always")

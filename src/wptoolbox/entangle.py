@@ -43,6 +43,9 @@ from .toolbox import (
 )
 
 MAX_PHOTONS = 8
+#: probabilities a sector sum gathers at once: up to n = 7 the whole output, in
+#: one gather; from n = 8 on, blocks of history rows, with no 4**n array
+_GATHER = 4**7
 
 
 def _photon_basis(k: int) -> ModeBasis:
@@ -417,15 +420,29 @@ def ghz_sector_probabilities(
     Only ``beta = 0`` keeps the wave history on detector pair {1, 3} and the
     particle history on {2, 4}, so only there does a detector pattern map to
     a history pattern.  Returns all 2^n patterns; for the shared-angle
-    source every mixed pattern has probability zero.
+    source every mixed pattern has probability zero.  The result is one
+    dict, so batched settings raise ``ValueError``.
     """
-    if float(beta) != 0.0:
+    try:
+        mixers_on = float(beta) != 0.0
+    except TypeError:  # several mixer angles: the batch is refused below
+        mixers_on = False
+    if mixers_on:
         raise ValueError(
             "history patterns are only detector-resolvable with mixers off (beta=0)"
         )
-    probs = ghz_output(n, alpha, phases, beta).probabilities()
+    state = ghz_output(n, alpha, phases, beta)
+    if state.amplitudes.ndim > 1:  # the result is one dict
+        raise ValueError("ghz_sector_probabilities needs one setting, got a batch of shape"
+                         f" {state.amplitudes.shape[:-1]}")
     # gather each history pattern's row of pair patterns and sum it
     history, pair = _pattern_offsets(n)
-    sectors = probs[history + pair].sum(axis=1)
+    if 4**n <= _GATHER:
+        sectors = state.probabilities()[history + pair].sum(axis=1)
+    else:  # the same rows, a block at a time, each squared as probabilities() squares
+        step = _GATHER >> n
+        blocks = (np.abs(state.amplitudes[history[h:h + step] + pair])
+                  for h in range(0, len(history), step))
+        sectors = np.concatenate([np.multiply(p, p, out=p).sum(axis=1) for p in blocks])
     keys = ("".join(letters) for letters in itertools.product("wp", repeat=n))
     return {key: float(p) for key, p in zip(keys, sectors)}

@@ -55,8 +55,13 @@ _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
 _PHOTON = _SINGLE_NAMES[1:]
 #: the files of this package; an alpha warning points at the first frame outside them
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-#: a product prefix this long or longer is multiplied column by column (:func:`_product_terms`)
+#: a product prefix this long or longer is multiplied column by column (:func:`_product`)
 _LONG_PREFIX = 1024
+#: a last product step or a propagation step on this many rows or more (n = 8) runs
+#: column by column, fused into the sum or the check (:func:`_history_batch`)
+_COLUMN_ROWS = 8192
+#: rows of the fused last propagation step compared with the output at once
+_CHECK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,7 @@ class _Histories(NamedTuple):
     def terms(self):
         """Each term's product state ``S + (4**n,)``, unscaled, rebuilt from the
         histories by the kron chain of :func:`_history_batch`."""
-        return _product_terms((self.waves, self.particles), self.patterns, self.rows)
+        return (_product((self.waves, self.particles), p, self.rows) for p in self.patterns)
 
     def mixture(self, basis: ModeBasis) -> DensityMatrix:
         """``sum_t c_t^2 |term_t><term_t|``."""
@@ -268,6 +273,10 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     failed slot check names the first non-finite setting and its row of
     ``S``.  Each term is scaled in place and summed, not kept: the noise
     baseline rebuilds them (:meth:`_Histories.terms`) and checks them.
+    From ``_COLUMN_ROWS`` rows on (n = 8) a later term's last Kronecker step
+    is fused with its scale and its sum (:func:`_add_term`), and the last
+    propagation step with the comparison (:func:`_tail_deviation`), so the
+    call holds one ``4**n`` array, the output, plus buffers of a fraction of it.
     """
     shape = np.shape(next(iter(settings.values())))
     if 0 in shape:
@@ -281,14 +290,19 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     # raw amplitudes: a PureState would copy and scan what the check below compares
     waves = _wave_amplitudes(phi1, beta).reshape(shape + (-1, 4))
     particles = _particle_amplitudes(phi2, beta).reshape(shape + (-1, 4))
+    histories, n = (waves, particles), len(rows)
     amps = None
-    for c, term in zip(coeffs, _product_terms((waves, particles), patterns, rows)):
+    for c, pattern in zip(coeffs, patterns):
+        if amps is not None and 4 ** (n - 1) >= _COLUMN_ROWS:
+            _add_term(amps, c, histories, pattern, rows)
+            continue
+        term = _product(histories, pattern, rows)
         # one photon's term is a view of its stored history: scale a copy
-        term = c[..., None] * term if len(rows) == 1 else np.multiply(term, c[..., None], out=term)
+        term = c[..., None] * term if n == 1 else np.multiply(term, c[..., None], out=term)
         amps = term if amps is None else np.add(amps, term, out=amps)
     del term  # summed into amps: free it before the propagation allocates
 
-    source = np.zeros(shape + (2,) * len(photons), dtype=np.complex128)  # one axis per photon
+    source = np.zeros(shape + (2,) * n, dtype=np.complex128)  # one axis per photon
     for c, pattern in zip(coeffs, patterns):
         source[(..., *pattern)] = c
     try:
@@ -299,36 +313,92 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
             raise
         raise ValueError("{}; {}={!r} at row {}".format(str(err).split(";")[0], *found)) from None
     mats = mats.reshape(shape + (-1, 4, 2)).swapaxes(-1, -2)
-    for row in rows:
-        # photon k's polarization axis leads; its four paths move to the back,
-        # so after n steps the photons are back in order (a contiguous result)
-        source = source.reshape(shape + (2, -1)).swapaxes(-1, -2) @ mats[..., row, :, :]
-    dev = source.reshape(amps.shape)
-    _check(what, np.abs(np.subtract(amps, dev, out=dev)), settings)
+    # photon k's polarization axis leads; its four paths move to the back,
+    # so after n steps the photons are back in order (a contiguous result)
+    for row in rows[:-1]:
+        source = _step(source.reshape(shape + (2, -1)), mats[..., row, :, :])
+    source, last = source.reshape(shape + (2, -1)), mats[..., rows[-1], :, :]
+    if source.shape[-1] < _COLUMN_ROWS:
+        source = (source.swapaxes(-1, -2) @ last).reshape(amps.shape)
+        dev = np.abs(np.subtract(amps, source, out=source))
+    else:  # the last step fused with the comparison: no 4**n result
+        dev = _tail_deviation(amps, source, last)
+    _check(what, dev, settings)
     return _Histories(amps, tuple(coeffs), patterns, rows, waves, particles, settings)
 
 
-def _product_terms(histories: tuple, patterns, rows: list):
-    """For each pattern, ``(x)_k histories[pattern[k]][..., rows[k], :]``, shape
-    ``S + (4**n,)``: a fresh array, or for one photon a view of its history.
+def _product(histories: tuple, pattern, rows: list) -> np.ndarray:
+    """``(x)_k histories[pattern[k]][..., rows[k], :]``, shape ``S + (4**n,)``: a fresh
+    array, or for one photon a view of its history.
 
     A prefix of ``_LONG_PREFIX`` amplitudes or more is multiplied by one entry
     of the next history at a time, four products along the prefix into strided
     columns; a shorter one by one broadcast product, whose inner loop runs over
     the four entries.  Both put the prefix first, so they round alike."""
-    for pattern in patterns:
-        state = histories[pattern[0]][..., rows[0], :]
-        for h, row in zip(pattern[1:], rows[1:]):
-            b = histories[h][..., row, :]
-            if state.shape[-1] < _LONG_PREFIX:
-                state = state[..., :, None] * b[..., None, :]
-            else:
-                out = np.empty(state.shape + (4,), dtype=np.complex128)
-                for j in range(4):
-                    np.multiply(state, b[..., j, None], out=out[..., j])
-                state = out
-            state = state.reshape(b.shape[:-1] + (-1,))
-        yield state
+    state = histories[pattern[0]][..., rows[0], :]
+    for h, row in zip(pattern[1:], rows[1:]):
+        b = histories[h][..., row, :]
+        if state.shape[-1] < _LONG_PREFIX:
+            state = state[..., :, None] * b[..., None, :]
+        else:
+            out = np.empty(state.shape + (4,), dtype=np.complex128)
+            for j in range(4):
+                np.multiply(state, b[..., j, None], out=out[..., j])
+            state = out
+        state = state.reshape(b.shape[:-1] + (-1,))
+    return state
+
+
+def _add_term(amps: np.ndarray, c, histories: tuple, pattern, rows: list) -> None:
+    """``amps += c * _product(histories, pattern, rows)`` without the product: its
+    last step is fused with the scale and the sum, one column of ``amps`` at a
+    time.  Each element sees the unfused multiplies and add in their order, so
+    the bits are those of the unfused route."""
+    prefix = _product(histories, pattern[:-1], rows[:-1])
+    b = histories[pattern[-1]][..., rows[-1], :]
+    cols, tmp = amps.reshape(prefix.shape + (4,)), np.empty_like(prefix)
+    for j in range(4):
+        np.multiply(prefix, b[..., j, None], out=tmp)
+        tmp *= c[..., None]
+        cols[..., j] += tmp
+
+
+def _step(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """One propagation step ``x^T m``, ``S + (2, R)`` by ``S + (2, 4)`` to ``S + (R, 4)``.
+
+    From ``_COLUMN_ROWS`` rows on it runs column by column (:func:`_step_column`):
+    gemm would wake threaded BLAS, whose threads keep spinning after it."""
+    if x.shape[-1] < _COLUMN_ROWS:
+        return x.swapaxes(-1, -2) @ m
+    out = np.empty(x.shape[:-2] + (x.shape[-1], 4), dtype=np.complex128)
+    tmp = np.empty_like(x[..., 0, :])
+    for j in range(4):
+        _step_column(x, m, j, out[..., j], tmp)
+    return out
+
+
+def _step_column(x: np.ndarray, m: np.ndarray, j: int, out, tmp) -> np.ndarray:
+    """Column ``j`` of the step ``x^T m``, ``X0 m0j + X1 m1j``, into ``out``."""
+    np.multiply(x[..., 0, :], m[..., 0, j, None], out=out)
+    np.multiply(x[..., 1, :], m[..., 1, j, None], out=tmp)
+    return np.add(out, tmp, out=out)
+
+
+def _tail_deviation(amps: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``|amps - x^T m|``'s worst per block of ``_CHECK_ROWS`` rows and per column,
+    ``S + (blocks, 4)``: the last propagation step fused with the comparison, so
+    its ``4**n`` result is never held.  A NaN deviation stays NaN."""
+    cols = amps.reshape(x.shape[:-2] + (x.shape[-1], 4))
+    starts = range(0, x.shape[-1], _CHECK_ROWS)
+    worst = np.empty(x.shape[:-2] + (len(starts), 4))
+    prop, tmp = np.empty((2,) + x.shape[:-2] + (_CHECK_ROWS,), dtype=np.complex128)
+    for i, r in enumerate(starts):
+        block = x[..., r:r + _CHECK_ROWS]
+        for j in range(4):
+            _step_column(block, m, j, prop, tmp)
+            dev = np.subtract(cols[..., r:r + _CHECK_ROWS, j], prop, out=prop)
+            worst[..., i, j] = np.abs(dev).max(axis=-1)
+    return worst
 
 
 def _alpha_source(settings: dict, photons: tuple, what: str) -> _Histories:

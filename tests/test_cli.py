@@ -461,6 +461,24 @@ class TestArgumentErrors:
             main(["no-such-command"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["two-photon", "--al", "3"],
+        ["ghz", "--photons", "5", "--format", "json"],
+        ["verify", "--points", "3", "--seed", "4"],
+        ["single-sweep", "--sweep", "beta", "--start", "0", "--stop", "4", "--mixed"],
+    ])
+    def test_a_subcommand_parses_as_the_full_parser_does(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize("extra", [["stray"], ["--bogus", "1"]])
+    def test_leftover_arguments_fail_at_the_top_level(self, capsys, extra):
+        with pytest.raises(SystemExit) as info:
+            main(["two-photon", *extra])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wptoolbox [-h]")
+        assert err.endswith(f"wptoolbox: error: unrecognized arguments: {' '.join(extra)}\n")
+
     def test_parser_is_built_once(self):
         assert cli._parser() is cli._parser()
         assert build_parser() is not build_parser()
@@ -593,8 +611,11 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_nonfinite_floats_as_the_stdlib_writes_them(self, tmp_path, fmt):
-        header, columns = ["x", "n"], [np.array([np.nan, np.inf, -np.inf, 0.5]),
-                                       np.arange(4)]
+        # finite and non-finite float columns between integer and string ones
+        header = ["x", "n", "y", "s", "z"]
+        columns = [np.array([np.nan, np.inf, -np.inf, 0.5]), np.arange(4),
+                   np.array([0.1, 0.2, 0.3, 0.4]), np.array(list("abcd")),
+                   np.array([1.0, 2.0, np.nan, 3.0])]
         spec = argparse.Namespace(command="single-sweep", format=fmt,
                                   out=str(tmp_path / f"emit.{fmt}"))
         cli._emit(spec, header, columns)

@@ -568,6 +568,19 @@ class TestGhzExtension:
         with pytest.raises(ValueError, match="beta=0"):
             ghz_sector_probabilities(2, PI / 4, beta=BETA_SPLIT)
 
+    @pytest.mark.parametrize("setting", [
+        {"alpha": np.array([0.3, 0.5])},
+        {"phases": ToolboxPhases(np.array([0.3, 0.5]), 0.1)},
+        {"phases": ToolboxPhases(0.3, np.array([0.1, 0.2]))},
+        {"beta": np.array([0.0, 0.0])},
+        {"beta": np.array([0.0, BETA_SPLIT])},
+    ])
+    def test_sector_table_needs_one_setting(self, setting):
+        # the result is one dict, so a batch is refused by name
+        kwargs = {"alpha": 0.4} | setting
+        with pytest.raises(ValueError, match=r"needs one setting, got a batch of shape \(2,\)"):
+            ghz_sector_probabilities(3, **kwargs)
+
     def test_largest_supported_size(self):
         out = ghz_output(8, PI / 4, ToolboxPhases(0.3, 0.8), beta=BETA_SPLIT)
         assert out.basis.dimension == 4**8
@@ -590,6 +603,38 @@ class TestSourceTermEngine:
     def test_perturbed_closed_form_raises_for_ghz(self, perturbed_wave, n):
         with pytest.raises(RuntimeError, match="disagrees with propagation"):
             ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
+
+    @pytest.mark.parametrize("entry", range(8))
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_perturbed_network_entry_raises_for_ghz(self, monkeypatch, n, entry):
+        # every transfer-matrix entry reaches the propagation, n = 8's fused tail too
+        exact = toolbox.network_matrix
+
+        def perturbed(*values):
+            mats = exact(*values).copy()
+            mats[..., entry // 2, entry % 2] += 1e-9
+            return mats
+
+        monkeypatch.setattr(toolbox, "network_matrix", perturbed)
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
+
+    def test_fused_tail_reports_each_blocks_worst(self):
+        # a 16384-row last step in blocks of 4096 rows, two batch rows, one
+        # deviation in the last block's last column and a NaN in the first
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 2, 4**7)) + 1j * rng.normal(size=(2, 2, 4**7))
+        m = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
+        exact = (x.swapaxes(-1, -2) @ m).reshape(2, -1)
+        amps = exact.copy()
+        amps[1, -1] += 1e-6
+        amps[0, 5] = np.nan
+        worst = toolbox._tail_deviation(amps, x, m)
+        blocks = np.abs(amps - exact).reshape(2, 4, toolbox._CHECK_ROWS, 4).max(axis=2)
+        assert worst.shape == blocks.shape == (2, 4, 4)
+        np.testing.assert_allclose(worst, blocks, rtol=0, atol=1e-12)
+        assert np.isnan(worst[0, 0, 1]) and np.count_nonzero(np.isnan(worst)) == 1
+        assert worst[1, 3, 3] == pytest.approx(1e-6, rel=1e-6)
 
     def test_perturbed_closed_form_raises_for_variant_and_concurrence(self, perturbed_wave):
         s = settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2, phi2p=0.1)
@@ -657,6 +702,16 @@ class TestGhzAmplitudeBits:
         got = ghz_output(n, alpha, ToolboxPhases(phi1, phi2), beta).amplitudes
         assert got.shape == expected.shape == (4**n,)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_batch_rows_are_single_calls_bit_for_bit(self, n):
+        alpha, phi1, phi2 = np.array([0.6, 1.1]), np.array([0.3, 2.0]), np.array([1.2, 0.4])
+        beta = np.array([BETA_DIRECT, 0.3])
+        batch = ghz_output(n, alpha, ToolboxPhases(phi1, phi2), beta).amplitudes
+        assert batch.shape == (2, 4**n)
+        for i in range(2):
+            single = ghz_output(n, alpha[i], ToolboxPhases(phi1[i], phi2[i]), beta[i])
+            assert batch[i].tobytes() == single.amplitudes.tobytes()
 
     def test_nan_in_an_eight_photon_history_raises_through_the_cross_check(self, monkeypatch):
         # the output is not scanned again after the check: the check must catch it
@@ -850,9 +905,12 @@ def peak_bytes(call):
 
 
 class TestMemory:
+    # the output alone is 4**8 complex amplitudes, 1 MiB
     def test_eight_photon_sectors_stay_small(self):
-        # the output alone is 4**8 complex amplitudes, 1 MiB
-        assert peak_bytes(lambda: ghz_sector_probabilities(8, 0.6)) <= 3.0 * 2**20
+        assert peak_bytes(lambda: ghz_sector_probabilities(8, 0.6)) <= 2.0 * 2**20
+
+    def test_eight_photon_output_stays_small(self):
+        assert peak_bytes(lambda: ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2))) <= 2.0 * 2**20
 
     def test_cold_eight_photon_output_retains_no_basis_labels(self):
         # 4**8 label tuples would hold about 9 MiB

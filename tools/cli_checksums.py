@@ -16,7 +16,8 @@ outputs at fixed random settings (see :data:`LIBRARY_POINTS`), one entry per fun
 change to a propagation route that no CLI file shows is pinned too: noisy
 single and pair engine rows at those settings, ``ghz_output`` amplitudes at
 1 to 8 photons and ``ghz_sector_probabilities`` at 5 to 8 (see
-:data:`GHZ_POINTS`), the routes that read each photon's
+:data:`GHZ_POINTS`), batched ``ghz_output`` at 6 to 8 (see
+:data:`GHZ_BATCH_ROWS`), the routes that read each photon's
 wave and particle histories (``vh_variant_output``, ``concurrence``,
 ``coherence``, ``sector_projection``, ``mixed_output``), and the shot
 sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
@@ -173,6 +174,9 @@ LIBRARY_POINTS = 200
 #: of the ``ghz_sector_probabilities_5to8`` entry (beta 0)
 GHZ_POINTS = LIBRARY_POINTS // 8
 
+#: rows of the one batch per photon number of the ``ghz_output_batched_6to8`` entry
+GHZ_BATCH_ROWS = 5
+
 #: (entry, table shape, shots, seed) of each sampled table; ``sample_counts``
 #: is also pinned, at LIBRARY_POINTS one-row draws
 SAMPLER_TABLES = [
@@ -254,6 +258,17 @@ def library_checksums() -> dict[str, str]:
             alpha, phi1, phi2 = sectors.uniform(0, np.pi / 2), *sectors.uniform(0, 2 * np.pi, 2)
             probs = list(ghz_sector_probabilities(n, alpha, ToolboxPhases(phi1, phi2)).values())
             bits["ghz_sector_probabilities_5to8"].append(np.array(probs).tobytes().hex())
+    # batched n-photon outputs, every row at its own setting, at the sizes
+    # whose products run along the prefix and, at 8, fuse their last steps
+    batched = np.random.default_rng(20240607)
+    bits["ghz_output_batched_6to8"] = []
+    for n in range(6, MAX_PHOTONS + 1):
+        alpha = batched.uniform(0, np.pi / 2, GHZ_BATCH_ROWS)
+        phi1, phi2 = batched.uniform(0, 2 * np.pi, (2, GHZ_BATCH_ROWS))
+        beta = np.choose(batched.integers(3, size=GHZ_BATCH_ROWS),
+                         [0.0, np.pi / 8, batched.uniform(0, np.pi / 4, GHZ_BATCH_ROWS)])
+        state = ghz_output(n, alpha, ToolboxPhases(phi1, phi2), beta)
+        bits["ghz_output_batched_6to8"] += [row.tobytes().hex() for row in state.amplitudes]
     # the per-photon history routes, both mixers drawn like beta above
     histories = np.random.default_rng(20240605)
     for _ in range(LIBRARY_POINTS):
