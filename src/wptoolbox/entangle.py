@@ -110,11 +110,22 @@ class CoincidenceTable(ByValue):
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float).copy()
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 table, got {m.shape}")
+        _check_shape(m)
         _check_tables(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _wrap(cls, m: np.ndarray) -> "CoincidenceTable":
+        """A table around ``m``, frozen in place, neither copied nor checked again: only
+        for a float64 table that :func:`two_photon_batch` has just made and checked
+        (:func:`_check_tables`) and that nothing else holds.  Only its shape is
+        checked, so a batched setting is still refused."""
+        _check_shape(m)
+        m.flags.writeable = False
+        table = object.__new__(cls)  # skips __post_init__
+        vars(table).update(matrix=m)
+        return table
 
     def prob(self, det_a: int, det_b: int) -> float:
         """Joint probability for detectors ``det_a`` and ``det_b`` (1-based)."""
@@ -129,9 +140,14 @@ class CoincidenceTable(ByValue):
         return self.matrix.sum(axis=0)
 
 
+def _check_shape(m: np.ndarray) -> None:
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 table, got {m.shape}")
+
+
 def _check_tables(m: np.ndarray) -> None:
     """Raise unless every 4x4 table in ``m`` is a probability distribution."""
-    if not (np.min(m) >= -1e-12 and np.max(m) <= 1 + 1e-12):  # NaN fails too
+    if not (m.min() >= -1e-12 and m.max() <= 1 + 1e-12):  # NaN fails too
         raise ValueError("coincidence probabilities outside [0, 1]")
     total = m.sum(axis=(-2, -1))
     bad = ~(np.abs(total - 1.0) <= 1e-9)
@@ -203,9 +219,8 @@ def two_photon_batch(
     histories = _entangled(settings)
 
     amps = histories.amplitudes
-    closed = coincidence_closed_forms(
-        alpha, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p), beta, betap
-    )
+    # the closed form shares the engine's cos, sin of alpha
+    closed = _coincidence_forms(alpha, histories.coeffs, phi1, phi2, phi1p, phi2p, beta, betap)
     probs = histories.born(closed.reshape(amps.shape), "coincidence table", scale)
     probs = probs.reshape(closed.shape)
     _check_tables(probs)
@@ -224,7 +239,7 @@ def two_photon_output(s: TwoPhotonSettings) -> PureState:
     propagating the polarization pair through both network transfer
     matrices.
     """
-    return PureState(_PAIR_BASIS, _pair_batch(s).amplitudes)
+    return PureState._wrap(_PAIR_BASIS, _pair_batch(s).amplitudes)
 
 
 def mixture_two_photon_output(s: TwoPhotonSettings) -> DensityMatrix:
@@ -261,9 +276,20 @@ def coincidence_closed_forms(
     a, phi1, phi2, phi1p, phi2p, beta, betap = broadcast_values(
         alpha, phases_a.phi1, phases_a.phi2, phases_b.phi1, phases_b.phi2, beta_a, beta_b
     )
-    waves, particles, ch, sh = _history_weights(phi1, beta)
-    waves_p, particles_p, chp, shp = _history_weights(phi1p, betap)
-    ca, sa = np.cos(a), np.sin(a)
+    return _coincidence_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, phi1p, phi2p, beta, betap)
+
+
+def _coincidence_forms(a, coeffs, phi1, phi2, phi1p, phi2p, beta, betap) -> np.ndarray:
+    """:func:`coincidence_closed_forms` at float64 settings of one shape, given
+    ``coeffs = (cos a, sin a)``, which the pair engine's source already holds.
+
+    Each photon's ``cos, sin(phi1/2)`` are evaluated here: the engine holds them
+    stacked over the photons, and splitting them costs what it would save."""
+    ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
+    chp, shp = np.cos(phi1p / 2), np.sin(phi1p / 2)
+    waves, particles = _history_weights(ch, sh, beta)
+    waves_p, particles_p = _history_weights(chp, shp, betap)
+    ca, sa = coeffs
     g = np.sin(2 * a) * np.sin(4 * beta) * np.sin(4 * betap) / 8
     sigma = (phi1 + phi1p) / 2
     blocks = np.array([
@@ -288,7 +314,7 @@ def coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
     One setting of :func:`two_photon_batch`: the table is verified against
     :func:`coincidence_closed_forms` at any mixer angles.
     """
-    return CoincidenceTable(_pair_batch(s).probabilities)
+    return CoincidenceTable._wrap(_pair_batch(s).probabilities)
 
 
 def mixture_coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
@@ -296,7 +322,7 @@ def mixture_coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
 
     One setting of :func:`two_photon_batch` at fringe scale 0.
     """
-    return CoincidenceTable(_pair_batch(s, 0.0).probabilities)
+    return CoincidenceTable._wrap(_pair_batch(s, 0.0).probabilities)
 
 
 def entanglement_witness(table: CoincidenceTable) -> float:
@@ -357,7 +383,7 @@ def concurrence(s: TwoPhotonSettings, mixed: bool = False) -> float:
     basis = histories.sector()
     if mixed:
         return wootters_concurrence(_in_sector(histories.mixture(_PAIR_BASIS), basis))
-    state = PureState(_PAIR_BASIS, histories.amplitudes)
+    state = PureState._wrap(_PAIR_BASIS, histories.amplitudes)
     value = wootters_concurrence(_in_sector(state, basis))
     coeffs = basis.conj().T @ state.amplitudes
     direct = 2 * abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2])
@@ -385,7 +411,7 @@ def vh_variant_output(s: TwoPhotonSettings) -> PureState:
     c = np.sqrt(0.5)
     histories = _history_batch((c, c), ((0, 1), (1, 0)), _PAIR_PHOTONS, "variant pair state",
                                settings)
-    return PureState(_PAIR_BASIS, histories.amplitudes)
+    return PureState._wrap(_PAIR_BASIS, histories.amplitudes)
 
 
 def ghz_output(
@@ -400,11 +426,19 @@ def ghz_output(
     form is verified against applying the network transfer matrix to every
     photon of the polarization state ``cos(alpha)|V..V> + sin(alpha)|H..H>``.
     """
+    _check_photon_number(n)
+    return _ghz(n, _single_settings(alpha, phases, beta))
+
+
+def _check_photon_number(n) -> None:
     if not isinstance(n, Integral) or isinstance(n, bool) or not 1 <= n <= MAX_PHOTONS:
         raise ValueError(f"photon number must be an integer in [1, {MAX_PHOTONS}]")
+
+
+def _ghz(n: int, settings: dict) -> PureState:
+    """:func:`ghz_output` at one photon's broadcast ``settings`` by name."""
     # every photon names the same setting, evaluated once
-    histories = _alpha_source(_single_settings(alpha, phases, beta), (_PHOTON,) * n,
-                              "n-photon state")
+    histories = _alpha_source(settings, (_PHOTON,) * n, "n-photon state")
     # the engine's own output, finite once its cross-check passed: frozen, not copied
     return PureState._wrap(_n_photon_basis(n), histories.amplitudes)
 
@@ -421,20 +455,19 @@ def ghz_sector_probabilities(
     particle history on {2, 4}, so only there does a detector pattern map to
     a history pattern.  Returns all 2^n patterns; for the shared-angle
     source every mixed pattern has probability zero.  The result is one
-    dict, so batched settings raise ``ValueError``.
+    dict, so batched settings raise ``ValueError``, before anything is
+    evaluated.
     """
-    try:
-        mixers_on = float(beta) != 0.0
-    except TypeError:  # several mixer angles: the batch is refused below
-        mixers_on = False
-    if mixers_on:
+    settings = _single_settings(alpha, phases, beta)
+    shape = settings["beta"].shape  # every setting's, once broadcast
+    if not shape and settings["beta"] != 0.0:
         raise ValueError(
             "history patterns are only detector-resolvable with mixers off (beta=0)"
         )
-    state = ghz_output(n, alpha, phases, beta)
-    if state.amplitudes.ndim > 1:  # the result is one dict
-        raise ValueError("ghz_sector_probabilities needs one setting, got a batch of shape"
-                         f" {state.amplitudes.shape[:-1]}")
+    _check_photon_number(n)
+    if shape:  # the result is one dict
+        raise ValueError(f"ghz_sector_probabilities needs one setting, got a batch of shape {shape}")
+    state = _ghz(n, settings)
     # gather each history pattern's row of pair patterns and sum it
     history, pair = _pattern_offsets(n)
     if 4**n <= _GATHER:

@@ -75,6 +75,15 @@ RAIL_BASIS = ModeBasis(
 
 DETECTOR_PORTS = (_mode("V", 1), _mode("H", 1), _mode("V", 3), _mode("H", 3))
 _INPUT_INDEX = np.array([RAIL_BASIS.index(_mode(pol, 0)) for pol in ("V", "H")])
+_VALIDATED = np.array(VALIDATED_BETAS)
+
+
+@lru_cache(maxsize=8)
+def _port_index(ports: tuple[str, ...]) -> np.ndarray:
+    """Read-only positions of the detector ``ports`` in ``RAIL_BASIS``."""
+    index = np.array([RAIL_BASIS.index(m) for m in ports])
+    index.flags.writeable = False
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +96,7 @@ def hwp_jones(theta, modes: tuple[str, str] = ("V", "H"), name: str = "HWP") -> 
     ``theta = 0`` is diag(1, -1); 22.5 deg gives the balanced splitter;
     45 deg swaps the polarizations.  An array of angles gives a batched plate.
     """
-    return ElementUnitary(name, tuple(modes), tuple(modes), mirror_matrix(theta))
+    return ElementUnitary(name, tuple(modes), tuple(modes), mirror_matrix(as_values(theta)))
 
 
 def beam_displacer(
@@ -197,7 +206,7 @@ def build_hardware_layout(
     them builds a *different* instrument (useful for sensitivity studies),
     so only the defaults are expected to match the conceptual network.
     """
-    angles = tuple(float(x) for x in hwp_angles)
+    angles = hwp_angles if hwp_angles is DEFAULT_HWP_ANGLES else tuple(map(float, hwp_angles))
     phi1, phi2, beta = broadcast_values(phases.phi1, phases.phi2, beta)
     slots = _slot_matrices("LC cells and beta plates", phi1, phi2, beta, mirror_matrix)
     circuit = _fixed_stages(angles).circuit(*slots)
@@ -219,9 +228,10 @@ def _detector_probabilities(layout: HardwareLayout, qubit: PureState) -> np.ndar
     pol_in = qubit.amplitudes
     amps = np.zeros(pol_in.shape[:-1] + (RAIL_BASIS.dimension,), dtype=np.complex128)
     amps[..., _INPUT_INDEX] = pol_in
-    probs = layout.circuit.propagate(PureState(RAIL_BASIS, amps)).probabilities()
-    ports = probs[..., [RAIL_BASIS.index(m) for m in layout.detector_ports]]
-    leak = np.max(probs.sum(axis=-1) - ports.sum(axis=-1))
+    # the checked qubit's amplitudes on two rails: finite, so wrapped, not scanned
+    probs = layout.circuit.propagate(PureState._wrap(RAIL_BASIS, amps)).probabilities()
+    ports = probs[..., _port_index(layout.detector_ports)]
+    leak = (probs.sum(axis=-1) - ports.sum(axis=-1)).max()
     if not leak <= 1e-12:  # written so that NaN fails too
         raise RuntimeError(f"{leak:.3e} of the light missed the detector ports")
     return ports
@@ -269,12 +279,13 @@ def equivalence_check(
     through both in one batch.  With ``strict`` every beta of the layout
     must be one of the validated settings (0 or pi/8, to 1e-15).
     """
-    alphas = as_values(list(alphas))
+    # an array of alphas is taken as it is; any other iterable is listed first
+    alphas = as_values(alphas if isinstance(alphas, np.ndarray) and alphas.ndim else list(alphas))
     if alphas.size == 0:
         raise ValueError("equivalence_check needs at least one alpha, got none")
     beta = np.ravel(layout.beta)
     # an absolute tolerance only; NaN is not <= it, so it fails too
-    bad = ~(np.abs(beta[:, None] - VALIDATED_BETAS) <= 1e-15).any(axis=-1)
+    bad = ~(np.abs(beta[:, None] - _VALIDATED) <= 1e-15).any(axis=-1)
     if strict and bad.any():
         raise ValueError(
             f"beta={beta[bad][0]:.6g} is not a validated setting; "
@@ -283,7 +294,7 @@ def equivalence_check(
     qubit = prepare_input(alphas)
     conceptual_dist = conceptual.propagate(qubit).probabilities()
     hw_dist = _detector_probabilities(layout, qubit)
-    return float(np.max(np.abs(conceptual_dist - hw_dist)))
+    return float(np.abs(conceptual_dist - hw_dist).max())
 
 
 def equivalence_scan(

@@ -35,6 +35,7 @@ from .qcore import (
     PureState,
     Step,
     as_values,
+    broadcast_values,
     is_isometry,
     route,
     run_steps,
@@ -125,20 +126,24 @@ def balanced_bs(mode_a: Label, mode_b: Label, name: str = "BS") -> ElementUnitar
 
 
 def mirror_matrix(theta) -> np.ndarray:
-    """Rotated mirror [[cos 2t, sin 2t], [sin 2t, -cos 2t]] at angle ``theta``.
+    """Rotated mirror [[cos 2t, sin 2t], [sin 2t, -cos 2t]] at angle ``theta``, a
+    float64 value (:func:`~wptoolbox.qcore.as_values`).
 
     This is both the detection-stage mixer and the Jones matrix of a
     half-wave plate.  An array of angles gives a stack, shape ``(..., 2, 2)``.
     """
-    t = 2 * as_values(theta)
+    t = 2 * theta
     c, s = np.cos(t), np.sin(t)
     return stack_last([c, s, s, -c]).reshape(c.shape + (2, 2))
 
 
 def _mixer_matrix(beta) -> np.ndarray:
-    """The mixer of :func:`output_mixer`, or a stack of them for an array of angles."""
+    """The mixer of :func:`output_mixer`, or a stack of them for an array of angles,
+    at float64 values ``beta``."""
     m = mirror_matrix(beta)
-    m[as_values(beta) == 0.0] = _IDENTITY2  # a 0-d mask selects the one matrix
+    absent = beta == 0.0
+    if absent.any():
+        m[absent] = _IDENTITY2  # a 0-d mask selects the one matrix
     return m
 
 
@@ -148,14 +153,14 @@ def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, ...]
 
     ``diag(e^{i phi1}, e^{i phi2})``, an isometry exactly when both phases
     are, and ``plate(beta)`` go into one ``S + (2, 2, 2)`` stack, ``S`` the
-    broadcast shape of the settings, for one ``is_isometry`` call.  Returns
-    the 1x1 phase stacks and the plate stack twice, as read-only views of
-    the checked stack.
+    shape of the settings, float64 values of one shape
+    (:func:`~wptoolbox.qcore.broadcast_values`), for one ``is_isometry``
+    call.  Returns the 1x1 phase stacks and the plate stack twice, as
+    read-only views of the checked stack.
     """
-    shape = np.broadcast(phi1, phi2, beta).shape
-    stack = np.zeros(shape + (2, 2, 2), dtype=np.complex128)
-    stack[..., 0, 0, 0] = np.exp(1j * as_values(phi1))
-    stack[..., 0, 1, 1] = np.exp(1j * as_values(phi2))
+    stack = np.zeros(beta.shape + (2, 2, 2), dtype=np.complex128)
+    stack[..., 0, 0, 0] = np.exp(1j * phi1)
+    stack[..., 0, 1, 1] = np.exp(1j * phi2)
     stack[..., 1, :, :] = plate(beta)
     _checked(name, stack, phi1=phi1, phi2=phi2, beta=beta)
     mixer = stack[..., 1, :, :]
@@ -178,7 +183,8 @@ def output_mixer(mode_a: Label, mode_b: Label, beta) -> ElementUnitary:
     ``beta = pi/8``.
     """
     modes = (mode_a, mode_b)
-    return ElementUnitary(f"mixer({mode_a},{mode_b})", modes, modes, _mixer_matrix(beta))
+    return ElementUnitary(f"mixer({mode_a},{mode_b})", modes, modes,
+                          _mixer_matrix(as_values(beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +211,16 @@ class Circuit:
         """Run ``state`` through every element in order.
 
         A batched state runs through batched elements setting by setting; the
-        batch shapes must agree.
+        batch shapes must agree.  The result is the runner's fresh array,
+        frozen in place rather than copied.
         """
         if state.basis != self.input_basis:
             raise ValueError("state basis does not match circuit input basis")
-        return PureState(self.output_basis, run_steps(state.amplitudes.copy(), self._steps))
+        amps = run_steps(state.amplitudes.copy(), self._steps)
+        # isometries keep the norm, but a finite input's norm may overflow
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
+        return PureState._wrap(self.output_basis, amps)
 
     def matrix(self) -> np.ndarray:
         """Full transfer matrix (output dim x input dim), columns = basis images.
@@ -258,20 +269,21 @@ class Chain:
     ``items`` are the fixed elements and, as ``(name, modes)`` pairs, the
     slots of the per-setting elements, which act in place on those modes.
     ``steps`` follow the items, with every run of two or more fixed
-    elements fused into one dense block over the whole basis; ``slots`` are
-    the positions of the steps whose matrix is set per call.
+    elements fused into one dense block over the whole basis.  ``slots``
+    hold, per slot in order, the position of its step among ``steps`` and
+    of its pair among ``items``, so a call fills the slots by index.
     """
 
     input_basis: ModeBasis
     output_basis: ModeBasis
     items: tuple
     steps: tuple[Step, ...]
-    slots: tuple[int, ...]
+    slots: tuple[tuple[int, int], ...]
 
     def steps_with(self, *matrices: np.ndarray) -> tuple[Step, ...]:
         """The steps with one checked matrix, or stack, per slot, in order."""
         steps = list(self.steps)
-        for k, m in zip(self.slots, matrices, strict=True):
+        for (k, _), m in zip(self.slots, matrices, strict=True):
             steps[k] = Step(m, steps[k].at, False)
         return tuple(steps)
 
@@ -280,11 +292,12 @@ class Chain:
 
         It lists every element, a slot's under its name and around its matrix
         as given, and runs on the fused steps."""
-        steps, fill = self.steps_with(*matrices), iter(matrices)
-        listed = [item if isinstance(item, ElementUnitary) else _slot_element(*item, next(fill))
-                  for item in self.items]
-        circuit = Circuit(self.input_basis, self.output_basis, tuple(listed))
-        object.__setattr__(circuit, "_steps", steps)  # preset the cached property
+        steps, listed = self.steps_with(*matrices), list(self.items)
+        for (_, i), m in zip(self.slots, matrices):
+            listed[i] = _slot_element(*listed[i], m)
+        circuit = object.__new__(Circuit)  # its fields as the constructor sets them
+        vars(circuit).update(input_basis=self.input_basis, output_basis=self.output_basis,
+                             elements=tuple(listed), _steps=steps)  # and its cached steps
         return circuit
 
 
@@ -302,7 +315,7 @@ def compile_chain(input_basis: ModeBasis, items) -> Chain:
     itself checked by ``is_isometry`` once, here.
     """
     basis, steps, slots, run = input_basis, [], [], []
-    for item in (*items, None):  # None closes the last run
+    for i, item in enumerate((*items, None)):  # None closes the last run
         if isinstance(item, ElementUnitary):
             run.append(item)
             continue
@@ -316,7 +329,7 @@ def compile_chain(input_basis: ModeBasis, items) -> Chain:
             basis, run = after, []
         if item is not None:
             at, _, basis = route(basis, item[1], item[1])
-            slots.append(len(steps))
+            slots.append((len(steps), i))
             steps.append(Step(None, at, False))
     return Chain(input_basis, basis, tuple(items), tuple(steps), tuple(slots))
 
@@ -355,7 +368,8 @@ def interferometer_circuit(phi1: float, phi2: float, beta: float) -> Circuit:
     ``ValueError``), one setting per entry.  The phases and the mixer are
     checked as one stack, and both mixers share one matrix.
     """
-    slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
+    slots = _slot_matrices("arm phases and mixer", *broadcast_values(phi1, phi2, beta),
+                           _mixer_matrix)
     return _fixed_stages().circuit(*slots)
 
 
@@ -366,7 +380,8 @@ def network_matrix(phi1, phi2, beta) -> np.ndarray:
     from one identity block run through the compiled chain, without building
     elements; the phases and mixer are checked as in the circuit, every call.
     """
-    slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
+    slots = _slot_matrices("arm phases and mixer", *broadcast_values(phi1, phi2, beta),
+                           _mixer_matrix)
     head, *steps = _fixed_stages().steps_with(*slots)
     # the identity block's image under the fused PBS·BS1·BS2 block is its columns
     shape = slots[-1].shape[:-2]

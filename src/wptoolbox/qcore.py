@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import chain, product
 from typing import NamedTuple, Union
 
@@ -47,10 +48,19 @@ def is_isometry(matrix: np.ndarray) -> bool:
     if matrix.dtype.kind in "biu":  # the identity is subtracted in place below
         matrix = matrix.astype(np.float64)
     gram = np.vecdot(matrix[..., :, :, None], matrix[..., :, None, :], axis=-3)
-    n = gram.shape[-1]
-    # subtract the identity in place, through a flat view of each matrix
-    gram.reshape(gram.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
+    gram -= _identity(gram.shape[-1])
     return float(np.abs(gram).max()) <= ATOL
+
+
+@cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only ``n x n`` identity that :func:`is_isometry` subtracts."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 def as_values(x):
@@ -58,20 +68,32 @@ def as_values(x):
 
     Numpy scalars keep the array interface (``shape``, ``[..., None]``,
     ``any()``) but do arithmetic several times faster than 0-d arrays,
-    which is most of the cost of a single-setting call.
+    which is most of the cost of a single-setting call.  A float64 numpy
+    scalar or float64 array of at least one axis is already such a value
+    and comes back as the same object, after only a type test, so values
+    normalized once at a public entry cost nothing to pass on.  Anything
+    else (numbers, lists, integer or 0-d arrays) is converted.
     """
+    kind = type(x)
+    if kind is np.float64 or (kind is np.ndarray and x.dtype is _FLOAT64 and x.ndim):
+        return x
+    if kind is float:
+        return np.float64(x)
     return np.asarray(x, dtype=float)[()]
 
 
 def broadcast_values(*values) -> list:
     """:func:`as_values` of every argument, broadcast to one shape.
 
-    When every argument is one number, they stay numpy scalars.
+    When every argument is one number, they stay numpy scalars.  Values of
+    one shape come back as they are, as from :func:`as_values`.
     """
-    xs = [as_values(x) for x in values]
-    shape = np.broadcast(*xs).shape
-    if shape:
-        xs = [x if x.shape == shape else np.broadcast_to(x, shape) for x in xs]
+    xs = list(map(as_values, values))
+    shape = xs[0].shape
+    for x in xs:
+        if x.shape != shape:
+            shape = np.broadcast(*xs).shape
+            return [x if x.shape == shape else np.broadcast_to(x, shape) for x in xs]
     return xs
 
 

@@ -205,7 +205,7 @@ def noisy_coincidence_probabilities(
     One setting of :func:`~wptoolbox.entangle.two_photon_batch` at the
     model's fringe scale.
     """
-    return CoincidenceTable(_pair_batch(settings, model.fringe_scale).probabilities)
+    return CoincidenceTable._wrap(_pair_batch(settings, model.fringe_scale).probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -227,29 +227,34 @@ def witness_rows(counts, n_shots: int, witness: str) -> tuple[np.ndarray, np.nda
     counts are treated as independent Poisson variables (zero counts
     contribute their unit-error convention of :func:`count_errors`).
     """
+    return _witness(np.asarray(counts).reshape(len(counts), -1).T, n_shots, witness)
+
+
+def _witness(cells, n_shots: int, witness: str) -> tuple:
+    """The one witness formula: ``cells[k]`` holds count k, of every row as a
+    column or of one table as a number, and so does each result."""
     if n_shots < 1:
         raise ValueError("witness estimation needs at least one shot")
     if witness not in _WITNESS_CELLS:
         raise ValueError(f"unknown witness {witness!r}")
     table, size, a, b = _WITNESS_CELLS[witness]
-    flat = np.asarray(counts).reshape(len(counts), -1)
-    if flat.shape[1] != size:
+    if len(cells) != size:
         raise ValueError(f"{witness} witness needs {table}")
     # an integer difference: equal to the float one, as counts stay below 2**53
-    diff = flat[:, a] - flat[:, b]
-    errors = count_errors(flat)
-    value = (np.abs(diff) if witness == "coherence" else diff) / n_shots
-    return value, np.hypot(errors[:, a], errors[:, b]) / n_shots
+    diff = cells[a] - cells[b]
+    errors = count_errors(cells)
+    value = (abs(diff) if witness == "coherence" else diff) / n_shots
+    return value, np.hypot(errors[a], errors[b]) / n_shots
 
 
 def estimate_witness(table: CountTable, witness: str) -> WitnessEstimate:
-    """Plug-in witness estimate with quadrature-propagated Poisson error:
-    :func:`witness_rows` of one table.
+    """Plug-in witness estimate with quadrature-propagated Poisson error: the
+    formula of :func:`witness_rows` on one table, whose counts are numbers.
 
     The coherence estimate is biased upward near zero: ``|n1 - n2|`` folds
     the counting noise of ``n1 - n2`` onto one side, so where ``P1 = P2``
     (the classical mixture) it reads about ``sqrt(2/pi) * sqrt(n1 + n2) / N``
     instead of 0, which is ``sqrt(2/pi)`` times the reported error.
     """
-    value, error = witness_rows(table.counts[None], table.total_shots, witness)
-    return WitnessEstimate(float(value[0]), float(error[0]))
+    value, error = _witness(table.counts.reshape(-1), table.total_shots, witness)
+    return WitnessEstimate(float(value), float(error))

@@ -21,6 +21,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,7 @@ BETA_DIRECT = 0.0
 CROSSCHECK_ATOL = 1e-12
 
 _RT2 = np.sqrt(2.0)
+_ONE = np.float64(1.0)
 _POL_BASIS = ModeBasis(POLS)
 _PATH_BASIS = ModeBasis(PATHS)
 #: one photon's settings, in the argument order of :func:`single_photon_batch`
@@ -140,7 +142,7 @@ def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
     form agree on this state: both pass the recombined pair (1, 3) through.
     Arrays of settings give a batched state.
     """
-    return PureState(_PATH_BASIS, _wave_amplitudes(phi1, beta))
+    return PureState(_PATH_BASIS, _wave_amplitudes(as_values(phi1), as_values(beta)))
 
 
 def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
@@ -148,28 +150,42 @@ def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
 
     Arrays of settings give a batched state.
     """
-    return PureState(_PATH_BASIS, _particle_amplitudes(phi2, beta))
+    return PureState(_PATH_BASIS, _particle_amplitudes(as_values(phi2), as_values(beta)))
 
 
-def _wave_amplitudes(phi1, beta) -> np.ndarray:
-    """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``."""
-    phi1, beta = as_values(phi1), as_values(beta)
-    g = np.exp(0.5j * phi1)[..., None]
-    cos_h, sin_h = np.cos(phi1 / 2), np.sin(phi1 / 2)
+def _photon_factors(phi1, beta) -> tuple:
+    """``cos, sin`` of ``phi1/2`` and of ``2 beta``, which a photon's wave and particle
+    amplitudes and its detector weights (:func:`_history_weights`) share."""
+    h = phi1 / 2
+    return (np.cos(h), np.sin(h), *_mixer_factors(beta))
+
+
+def _mixer_factors(beta) -> tuple:
+    """``cos, sin`` of ``2 beta``."""
     t = 2 * beta
-    c, s = np.cos(t), np.sin(t)
+    return np.cos(t), np.sin(t)
+
+
+def _wave_amplitudes(phi1, beta, factors=None) -> np.ndarray:
+    """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``, at float64
+    values, from their :func:`_photon_factors` when given."""
+    cos_h, sin_h, c, s = factors or _photon_factors(phi1, beta)
+    g = np.exp(0.5j * phi1)[..., None]
     return g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
 
 
-def _particle_amplitudes(phi2, beta) -> np.ndarray:
-    """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``."""
-    phi2, beta = as_values(phi2), as_values(beta)
+def _particle_amplitudes(phi2, beta, factors=None) -> np.ndarray:
+    """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``, at float64
+    values, from the :func:`_photon_factors` of ``beta`` when given."""
+    c, s = factors[2:] if factors else _mixer_factors(beta)
     e2 = np.exp(1j * phi2)
-    t = 2 * beta
-    s = np.sin(t)
     # absent mixers pass the open-arm pair (2, 4) straight through; the
     # beta -> 0 limit of the coupled form would flip its sign
-    lower = np.where(beta == 0.0, 1.0, -np.cos(t))[()]
+    lower = -c
+    if isinstance(lower, np.ndarray):
+        lower = np.where(beta == 0.0, 1.0, lower)
+    elif beta == 0.0:
+        lower = _ONE
     return stack_last([s, lower, s * e2, lower * e2]) / _RT2
 
 
@@ -193,15 +209,17 @@ class _Histories(NamedTuple):
     """The checked output ``S + (4**n,)`` of :func:`_history_batch`, its source
     terms (coefficients, patterns and each photon's row of the histories), the
     histories ``S + (m, 4)`` of its ``m`` distinct photon settings (one row per
-    photon for a single or a pair), and the caller's settings by name, which a
-    failed check names."""
+    photon for a single or a pair), their :func:`_photon_factors` (of shape
+    ``S`` for one distinct setting, else ``S + (m,)``), and the caller's
+    settings by name, which a failed check names."""
 
     amplitudes: np.ndarray
     coeffs: tuple
     patterns: tuple
-    rows: list
+    rows: tuple
     waves: np.ndarray
     particles: np.ndarray
+    factors: tuple
     settings: dict
 
     def terms(self):
@@ -278,18 +296,18 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     propagation step with the comparison (:func:`_tail_deviation`), so the
     call holds one ``4**n`` array, the output, plus buffers of a fraction of it.
     """
-    shape = np.shape(next(iter(settings.values())))
+    shape = next(iter(settings.values())).shape
     if 0 in shape:
         raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
-    distinct = list(dict.fromkeys(photons))
-    rows = [distinct.index(names) for names in photons]
+    columns, rows = _photon_rows(photons)
     # photon k's values are row rows[k] of S + (m,), m distinct; one keeps shape S
-    phi1, phi2, beta = (settings[names[0]] if len(distinct) == 1
+    phi1, phi2, beta = (settings[names[0]] if len(names) == 1
                         else stack_last([settings[name] for name in names])
-                        for names in zip(*distinct))
+                        for names in columns)
     # raw amplitudes: a PureState would copy and scan what the check below compares
-    waves = _wave_amplitudes(phi1, beta).reshape(shape + (-1, 4))
-    particles = _particle_amplitudes(phi2, beta).reshape(shape + (-1, 4))
+    factors = _photon_factors(phi1, beta)
+    waves = _wave_amplitudes(phi1, beta, factors).reshape(shape + (-1, 4))
+    particles = _particle_amplitudes(phi2, beta, factors).reshape(shape + (-1, 4))
     histories, n = (waves, particles), len(rows)
     amps = None
     for c, pattern in zip(coeffs, patterns):
@@ -324,10 +342,19 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     else:  # the last step fused with the comparison: no 4**n result
         dev = _tail_deviation(amps, source, last)
     _check(what, dev, settings)
-    return _Histories(amps, tuple(coeffs), patterns, rows, waves, particles, settings)
+    return _Histories(amps, tuple(coeffs), patterns, rows, waves, particles, factors, settings)
 
 
-def _product(histories: tuple, pattern, rows: list) -> np.ndarray:
+@cache
+def _photon_rows(photons: tuple) -> tuple[tuple, tuple]:
+    """For :func:`_history_batch`: the names of the distinct photon settings among
+    ``photons``, as ``(phi1 names, phi2 names, beta names)``, and each photon's
+    row among them."""
+    distinct = list(dict.fromkeys(photons))
+    return tuple(zip(*distinct)), tuple(distinct.index(names) for names in photons)
+
+
+def _product(histories: tuple, pattern, rows: tuple) -> np.ndarray:
     """``(x)_k histories[pattern[k]][..., rows[k], :]``, shape ``S + (4**n,)``: a fresh
     array, or for one photon a view of its history.
 
@@ -349,7 +376,7 @@ def _product(histories: tuple, pattern, rows: list) -> np.ndarray:
     return state
 
 
-def _add_term(amps: np.ndarray, c, histories: tuple, pattern, rows: list) -> None:
+def _add_term(amps: np.ndarray, c, histories: tuple, pattern, rows: tuple) -> None:
     """``amps += c * _product(histories, pattern, rows)`` without the product: its
     last step is fused with the scale and the sum, one column of ``amps`` at a
     time.  Each element sees the unfused multiplies and add in their order, so
@@ -419,9 +446,9 @@ def _single_settings(alpha, phases: ToolboxPhases, beta) -> dict:
     return dict(zip(_SINGLE_NAMES, values))
 
 
-def _history_weights(phi1, beta) -> tuple:
+def _history_weights(ch, sh, beta) -> tuple:
     """One photon's detector weights ``|w|^2, |p|^2``, detector axis first
-    (``(4,) + S``), and ``cos, sin`` of ``phi1/2``, for settings of one
+    (``(4,) + S``), from ``ch, sh = cos, sin(phi1/2)`` and ``beta`` of one
     shape ``S``.
 
     With ``c^2 = cos^2(2 beta)`` and ``s^2 = 1 - c^2`` they are
@@ -433,11 +460,10 @@ def _history_weights(phi1, beta) -> tuple:
     """
     c2 = (1 + np.cos(4 * beta)) / 2
     s2 = 1 - c2
-    ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
     ch2, sh2 = ch * ch, sh * sh
     waves = np.array([c2 * ch2, s2 * ch2, c2 * sh2, s2 * sh2])
     particles = np.array([s2, c2, s2, c2]) / 2
-    return waves, particles, ch, sh
+    return waves, particles
 
 
 def detection_closed_forms(
@@ -455,8 +481,16 @@ def detection_closed_forms(
     ``S``; the result has shape ``S + (4,)``.
     """
     a, phi1, phi2, beta = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
-    waves, particles, ch, sh = _history_weights(phi1, beta)
-    ca, sa = np.cos(a), np.sin(a)
+    h = phi1 / 2
+    return _detection_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, beta, np.cos(h), np.sin(h))
+
+
+def _detection_forms(a, coeffs, phi1, phi2, beta, ch, sh) -> np.ndarray:
+    """:func:`detection_closed_forms` at float64 settings of one shape, given
+    ``coeffs = (cos a, sin a)`` and ``ch, sh = cos, sin(phi1/2)``: a caller that
+    holds these factors already passes them on."""
+    waves, particles = _history_weights(ch, sh, beta)
+    ca, sa = coeffs
     x = np.sin(2 * a) * np.sin(4 * beta) / (2 * _RT2)
     ic = x * (ch * ch)
     is_ = x * sh * np.sin(phi1 / 2 - phi2)
@@ -503,7 +537,9 @@ def single_photon_batch(
     """
     alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
     histories = _single_photon(dict(zip(_SINGLE_NAMES, (alpha, phi1, phi2, beta))))
-    forms = detection_closed_forms(alpha, ToolboxPhases(phi1, phi2), beta)
+    # the closed form shares the engine's cos, sin of alpha and of phi1/2
+    ch, sh, _, _ = histories.factors
+    forms = _detection_forms(alpha, histories.coeffs, phi1, phi2, beta, ch, sh)
     return SingleBatch(histories.amplitudes, histories.born(forms, "probabilities", scale))
 
 

@@ -124,6 +124,28 @@ class TestCoincidenceTable:
         twin = clone(table)
         assert twin == table and not twin.matrix.flags.writeable
 
+    @pytest.mark.parametrize("kind", ["ideal", "mixture", "noisy"])
+    def test_tables_are_the_read_only_engine_row_bit_for_bit(self, kind):
+        # the engine's checked table is wrapped, not copied and checked again
+        s = TwoPhotonSettings(0.4, ToolboxPhases(0.3, 1.1), ToolboxPhases(2.0, 0.7), BETA_SPLIT, 0.3)
+        model = NoiseModel(0.8, 0.25)
+        table, scale = {
+            "ideal": lambda: (coincidence_probabilities(s), 1.0),
+            "mixture": lambda: (mixture_coincidence_probabilities(s), 0.0),
+            "noisy": lambda: (noisy_coincidence_probabilities(s, model), model.fringe_scale),
+        }[kind]()
+        row = two_photon_batch(0.4, 0.3, 1.1, 2.0, 0.7, BETA_SPLIT, 0.3, scale).probabilities
+        assert type(table) is CoincidenceTable and not table.matrix.flags.writeable
+        assert table.matrix.dtype == np.float64 and table.matrix.tobytes() == row.tobytes()
+        assert table == CoincidenceTable(row)
+
+    @pytest.mark.parametrize("table", [coincidence_probabilities, mixture_coincidence_probabilities,
+                                       lambda s: noisy_coincidence_probabilities(s, NoiseModel(0.9))])
+    def test_tables_still_refuse_a_batched_setting(self, table):
+        s = TwoPhotonSettings(np.array([0.3, 0.5]))
+        with pytest.raises(ValueError, match=r"expected a 4x4 table, got \(2, 4, 4\)"):
+            table(s)
+
     def test_prob_is_one_based(self):
         m = np.zeros((4, 4))
         m[1, 0] = 1.0
@@ -319,8 +341,8 @@ class TestPairEngine:
     def test_cross_check_names_the_failing_row(self, monkeypatch, beta):
         exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta):
-            amps = exact(phi1, beta).copy()
+        def perturbed(phi1, beta, *factors):
+            amps = exact(phi1, beta, *factors).copy()
             amps[2] += 1e-9  # one row of the batch
             return amps
 
@@ -333,14 +355,14 @@ class TestPairEngine:
             two_photon_batch(alpha, phi1, 1.9, 0.6, 2.4, beta, beta)
 
     def test_closed_form_table_check_names_the_failing_row(self, monkeypatch):
-        exact = entangle.coincidence_closed_forms
+        exact = entangle._coincidence_forms
 
         def perturbed(*args):
             forms = exact(*args).copy()
             forms[3, 1, 2] += 1e-9
             return forms
 
-        monkeypatch.setattr(entangle, "coincidence_closed_forms", perturbed)
+        monkeypatch.setattr(entangle, "_coincidence_forms", perturbed)
         phi1 = np.linspace(0.3, 5.0, 5)
         with pytest.raises(
             RuntimeError, match=r"coincidence table disagrees with propagation .* at row 3 \("
@@ -352,14 +374,14 @@ class TestPairEngine:
 
     @pytest.mark.parametrize("beta, beta_prime", [(0.3, 0.3), (0.3, BETA_DIRECT), (-0.4, 0.3)])
     def test_tables_are_checked_off_pi_8(self, monkeypatch, beta, beta_prime):
-        exact = entangle.coincidence_closed_forms
+        exact = entangle._coincidence_forms
 
         def perturbed(*args):
             forms = exact(*args).copy()
             forms[2, 0, 3] += 1e-9  # one row of the batch
             return forms
 
-        monkeypatch.setattr(entangle, "coincidence_closed_forms", perturbed)
+        monkeypatch.setattr(entangle, "_coincidence_forms", perturbed)
         phi1 = np.linspace(0.3, 5.0, 5)
         with pytest.raises(
             RuntimeError, match=r"coincidence table disagrees with propagation .* at row 2 \("
@@ -594,8 +616,8 @@ class TestSourceTermEngine:
     def perturbed_wave(self, monkeypatch):
         exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta):
-            return exact(phi1, beta) + 1e-9
+        def perturbed(phi1, beta, *factors):
+            return exact(phi1, beta, *factors) + 1e-9
 
         monkeypatch.setattr(toolbox, "_wave_amplitudes", perturbed)
 
@@ -717,8 +739,8 @@ class TestGhzAmplitudeBits:
         # the output is not scanned again after the check: the check must catch it
         exact = toolbox._wave_amplitudes
 
-        def poisoned(phi1, beta):
-            amps = exact(phi1, beta).copy()
+        def poisoned(phi1, beta, *factors):
+            amps = exact(phi1, beta, *factors).copy()
             amps[..., 2] = np.nan
             return amps
 
@@ -762,7 +784,7 @@ class TestGhzSectors:
         rng = np.random.default_rng(n)
         amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
         state = PureState(ModeBasis(tuple(range(4**n))), amps / np.linalg.norm(amps))
-        monkeypatch.setattr(entangle, "ghz_output", lambda *args: state)
+        monkeypatch.setattr(entangle, "_ghz", lambda *args: state)
         got = ghz_sector_probabilities(n, 0.3)
         expected = brute_force_sectors(state.probabilities(), n)
         order = ["".join("wp"[(k >> (n - 1 - j)) & 1] for j in range(n))
@@ -780,7 +802,7 @@ class TestGhzSectors:
         rng = np.random.default_rng(10 + n)
         amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
         state = PureState(ModeBasis(tuple(range(4**n))), amps / np.linalg.norm(amps))
-        monkeypatch.setattr(entangle, "ghz_output", lambda *args: state)
+        monkeypatch.setattr(entangle, "_ghz", lambda *args: state)
         order = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
         table = state.probabilities().reshape((2, 2) * n).transpose(order)
         expected = table.reshape(2**n, 2**n).sum(axis=1)
@@ -911,6 +933,18 @@ class TestMemory:
 
     def test_eight_photon_output_stays_small(self):
         assert peak_bytes(lambda: ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2))) <= 2.0 * 2**20
+
+    def test_batched_sector_table_is_refused_before_it_is_evaluated(self):
+        # 64 rows of 4**8 amplitudes would be 64 MiB before the refusal
+        alpha = np.linspace(0.1, 1.4, 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"needs one setting, got a batch of shape \(64,\)"):
+                ghz_sector_probabilities(8, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * 2**20
 
     def test_cold_eight_photon_output_retains_no_basis_labels(self):
         # 4**8 label tuples would hold about 9 MiB

@@ -21,7 +21,7 @@ from wptoolbox.optics import (
 )
 from wptoolbox.hardware import build_hardware_layout, equivalence_scan
 from wptoolbox.qcore import ModeBasis, PureState, is_isometry, route
-from wptoolbox.toolbox import ToolboxPhases, detection_probabilities
+from wptoolbox.toolbox import ToolboxPhases, detection_probabilities, prepare_input
 
 RT2 = np.sqrt(2.0)
 BALANCED = np.pi / 8
@@ -74,6 +74,24 @@ class TestElements:
 
 
 class TestCircuit:
+    @pytest.mark.parametrize("beta", [0.3, np.array([0.0, BALANCED, 0.3])])
+    def test_propagate_returns_read_only_amplitudes(self, beta):
+        circuit = interferometer_circuit(0.1, 0.2, beta)
+        state = prepare_input(np.array([0.3, 0.6, 0.9]) if np.ndim(beta) else 0.3)
+        out = circuit.propagate(state)
+        assert not out.amplitudes.flags.writeable
+        assert out.amplitudes.flags.c_contiguous and out.amplitudes.dtype == np.complex128
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        np.testing.assert_allclose(out.amplitudes, np.matvec(circuit.matrix(), state.amplitudes),
+                                   rtol=0, atol=1e-15)
+
+    def test_propagate_still_refuses_amplitudes_that_overflow(self):
+        basis = ModeBasis(("V", "H"))
+        huge = PureState(basis, np.array([1.5e308, 1.5e308]))  # finite, its norm is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                Circuit(basis, basis, (balanced_bs("V", "H"),)).propagate(huge)
+
     def test_propagate_rejects_wrong_basis(self):
         circ = interferometer_circuit(0.0, 0.0, 0.0)
         bad = PureState(ModeBasis(("a", "b")), np.array([1.0, 0.0]))
@@ -371,6 +389,11 @@ class TestCompiledRoute:
         phases = ToolboxPhases(settings["phi1"], settings["phi2"])
         named = f"not an isometry; {bad}={value!r} at row 0"
         with np.errstate(invalid="ignore"):
+            # settings are normalized once at each entry; the slot check still sees them
+            with pytest.raises(ValueError, match=named):
+                network_matrix(**settings)
+            with pytest.raises(ValueError, match=named):
+                equivalence_scan([(0.3, settings["phi1"], settings["phi2"])], (settings["beta"],))
             with pytest.raises(ValueError, match=named):
                 detection_probabilities(0.3, phases, settings["beta"])
             pair = TwoPhotonSettings(0.3, ToolboxPhases(), phases, BALANCED, settings["beta"])
@@ -390,7 +413,8 @@ class TestCompiledRoute:
 
     def test_finite_settings_add_nothing_to_a_failed_check(self):
         with pytest.raises(ValueError, match="isometry$"):
-            optics._slot_matrices("gain", 0.1, 0.2, 0.3, lambda beta: 1.5 * np.eye(2))
+            optics._slot_matrices("gain", *qcore.broadcast_values(0.1, 0.2, 0.3),
+                                  lambda beta: 1.5 * np.eye(2))
 
     def test_finite_settings_keep_the_engine_check_message(self, monkeypatch):
         def gain(beta):

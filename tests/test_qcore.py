@@ -11,6 +11,8 @@ from wptoolbox.qcore import (
     ModeBasis,
     PureState,
     apply_unitary,
+    as_values,
+    broadcast_values,
     is_isometry,
     measure_distribution,
     mix,
@@ -434,3 +436,41 @@ class TestBatches:
         np.testing.assert_allclose(
             measure_distribution(psi, [("1", "2"), ("3",)]), [[1.0, 0.0], [0.36, 0.64]]
         )
+
+
+class TestValues:
+    """Settings are normalized once: float64 values pass on as they are."""
+
+    def test_float64_values_come_back_as_the_same_object(self):
+        x, a = np.float64(0.3), np.linspace(0.0, 1.0, 5)
+        strided, frozen = a[::2], np.ones(3)
+        frozen.flags.writeable = False
+        for value in (x, a, strided, frozen):
+            assert as_values(value) is value
+        for given in ((x, np.float64(-0.0)), (a, 2 * a, frozen[:1] + a)):
+            assert all(got is value for got, value in zip(broadcast_values(*given), given))
+        spread, *rest = broadcast_values(x, a, a)  # only the number is broadcast
+        assert spread.shape == a.shape and all(got is a for got in rest)
+
+    @pytest.mark.parametrize("value, expected", [
+        (3, 3.0), (True, 1.0), (0.25, 0.25), (np.float32(0.5), 0.5), (np.array(0.75), 0.75),
+        ([1, 2], [1.0, 2.0]), ((0.5, 1.5), [0.5, 1.5]), (np.arange(3), [0.0, 1.0, 2.0]),
+        (np.arange(3.0).astype(">f8"), [0.0, 1.0, 2.0])])
+    def test_other_values_are_converted(self, value, expected):
+        got = as_values(value)
+        assert got.dtype == np.float64 and got is not value
+        # one number becomes a numpy scalar, 0-d arrays included
+        assert type(got) is (np.float64 if np.ndim(value) == 0 else np.ndarray)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("value", [-0.0, np.float64(-0.0), np.array(-0.0), np.array([-0.0]),
+                                       [-0.0, 0.0]])
+    def test_negative_zero_keeps_its_sign(self, value):
+        assert np.signbit(as_values(value)).tolist() == np.signbit(value).tolist()
+
+    def test_values_of_several_shapes_still_broadcast(self):
+        a, b = broadcast_values(0.5, np.arange(3.0))
+        assert a.shape == b.shape == (3,)
+        np.testing.assert_array_equal(a, 0.5)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            broadcast_values(np.zeros(2), np.zeros(3))

@@ -463,6 +463,13 @@ class TestWitnessEstimation:
         assert abs(np.mean(estimates) - expected) < 4 * stderr
         assert np.mean(estimates) > 10 * stderr  # far from the true value 0
 
+    def test_zero_shots_rejected(self):
+        empty = CountTable(np.zeros(4, dtype=np.int64), 0, seed=0)
+        with pytest.raises(ValueError, match="needs at least one shot"):
+            estimate_witness(empty, "coherence")
+        with pytest.raises(ValueError, match="needs at least one shot"):
+            witness_rows(empty.counts[None], 0, "coherence")
+
     def test_shape_mismatches_rejected(self):
         four = CountTable(np.array([5, 5, 5, 5]), 20, seed=0)
         sixteen = sample_counts(coincidence_probabilities(TwoPhotonSettings()), 100, seed=0)

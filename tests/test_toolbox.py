@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 import wptoolbox.toolbox as toolbox
 from wptoolbox.entangle import (
     TwoPhotonSettings,
+    coincidence_closed_forms,
     coincidence_probabilities,
     concurrence,
     ghz_output,
     two_photon_batch,
 )
-from wptoolbox.hardware import build_hardware_layout, hardware_output
-from wptoolbox.optics import interferometer_circuit
+from wptoolbox.hardware import build_hardware_layout, equivalence_check, hardware_output
+from wptoolbox.optics import interferometer_circuit, network_matrix
 from wptoolbox.qcore import ModeBasis, PureState, measure_distribution
 from wptoolbox.shots import NoiseModel, noisy_single_probabilities
 from wptoolbox.toolbox import (
@@ -267,8 +268,8 @@ class TestCrossCheck:
     def perturbed_wave(self, monkeypatch):
         exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta):
-            amps = exact(phi1, beta).copy()
+        def perturbed(phi1, beta, *factors):
+            amps = exact(phi1, beta, *factors).copy()
             amps[0] += 1e-9
             return amps
 
@@ -352,8 +353,8 @@ class TestBatchEngine:
     def test_cross_check_names_the_failing_row(self, monkeypatch, beta):
         exact = toolbox._wave_amplitudes
 
-        def perturbed(phi1, beta):
-            amps = exact(phi1, beta).copy()
+        def perturbed(phi1, beta, *factors):
+            amps = exact(phi1, beta, *factors).copy()
             amps[2] += 1e-9  # one row of the batch
             return amps
 
@@ -366,14 +367,14 @@ class TestBatchEngine:
     @pytest.mark.parametrize("beta, error", [(BETA_DIRECT, 1e-9), (-0.4, 1e-9), (0.3, 1e-9),
                                              (0.3, np.nan)])
     def test_probabilities_are_checked_off_pi_8(self, monkeypatch, beta, error):
-        exact = toolbox.detection_closed_forms
+        exact = toolbox._detection_forms
 
         def perturbed(*args):
             forms = exact(*args).copy()
             forms[2, 1] += error  # one row of the batch
             return forms
 
-        monkeypatch.setattr(toolbox, "detection_closed_forms", perturbed)
+        monkeypatch.setattr(toolbox, "_detection_forms", perturbed)
         alpha = np.linspace(0.1, 1.4, 5)
         phi1 = np.linspace(0.3, 5.0, 5)
         with pytest.raises(
@@ -384,3 +385,28 @@ class TestBatchEngine:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="needs at least one setting"):
             single_photon_batch(np.array([]), 0.0, 0.0)
+
+
+class TestCallerValues:
+    """Float64 settings are passed on uncopied, so no call may write into them."""
+
+    def test_caller_arrays_are_neither_written_nor_frozen(self):
+        rng = np.random.default_rng(3)
+        alpha, phi1, phi2, phi1p, phi2p = rng.uniform(0.0, 1.5, (5, 6))
+        beta, scale = np.array([0.0, BETA_SPLIT, 0.3] * 2), np.linspace(0.0, 1.0, 6)
+        given = (alpha, phi1, phi2, phi1p, phi2p, beta, scale)
+        before = [x.copy() for x in given]
+        phases, phases_p = ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p)
+        single_photon_batch(alpha, phi1, phi2, beta, scale)
+        two_photon_batch(alpha, phi1, phi2, phi1p, phi2p, beta, beta, scale)
+        detection_closed_forms(alpha, phases, beta)
+        coincidence_closed_forms(alpha, phases, phases_p, beta, beta)
+        mixed_output(alpha, phases, beta)
+        ghz_output(3, alpha, phases, beta)
+        wave_state(phi1, beta), particle_state(phi2, beta), prepare_input(alpha)
+        network_matrix(phi1, phi2, beta)
+        circuit, layout = interferometer_circuit(phi1, phi2, beta), build_hardware_layout(phases, beta)
+        circuit.matrix(), layout.matrix(), hardware_output(layout, alpha)
+        equivalence_check(circuit, layout, alpha, strict=False)
+        for x, y in zip(given, before):
+            assert x.flags.writeable and x.tobytes() == y.tobytes()
