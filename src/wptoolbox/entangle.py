@@ -39,6 +39,7 @@ from .toolbox import (
     _history_batch,
     _history_weights,
     _in_sector,
+    _one_setting,
     _single_settings,
 )
 
@@ -110,7 +111,8 @@ class CoincidenceTable(ByValue):
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float).copy()
-        _check_shape(m)
+        if m.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 table, got {m.shape}")
         _check_tables(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -118,10 +120,9 @@ class CoincidenceTable(ByValue):
     @classmethod
     def _wrap(cls, m: np.ndarray) -> "CoincidenceTable":
         """A table around ``m``, frozen in place, neither copied nor checked again: only
-        for a float64 table that :func:`two_photon_batch` has just made and checked
-        (:func:`_check_tables`) and that nothing else holds.  Only its shape is
-        checked, so a batched setting is still refused."""
-        _check_shape(m)
+        for a float64 4x4 table that :func:`two_photon_batch` has just made and checked
+        (:func:`_check_tables`) at one setting (:func:`_pair_table`) and that nothing
+        else holds."""
         m.flags.writeable = False
         table = object.__new__(cls)  # skips __post_init__
         vars(table).update(matrix=m)
@@ -140,11 +141,6 @@ class CoincidenceTable(ByValue):
         return self.matrix.sum(axis=0)
 
 
-def _check_shape(m: np.ndarray) -> None:
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 table, got {m.shape}")
-
-
 def _check_tables(m: np.ndarray) -> None:
     """Raise unless every 4x4 table in ``m`` is a probability distribution."""
     if not (m.min() >= -1e-12 and m.max() <= 1 + 1e-12):  # NaN fails too
@@ -159,11 +155,16 @@ def _check_tables(m: np.ndarray) -> None:
 # states
 # ---------------------------------------------------------------------------
 
+def _pair_values(s: TwoPhotonSettings, *scale) -> list:
+    """The settings ``s``, then any fringe ``scale``, as broadcast values in the
+    argument order of :func:`two_photon_batch`."""
+    return broadcast_values(s.alpha, s.phases_a.phi1, s.phases_a.phi2, s.phases_b.phi1,
+                            s.phases_b.phi2, s.beta_a, s.beta_b, *scale)
+
+
 def _pair_settings(s: TwoPhotonSettings) -> dict:
     """The settings ``s`` by name, as broadcast values."""
-    values = (s.alpha, s.phases_a.phi1, s.phases_a.phi2, s.phases_b.phi1, s.phases_b.phi2,
-              s.beta_a, s.beta_b)
-    return dict(zip(_PAIR_NAMES, broadcast_values(*values)))
+    return dict(zip(_PAIR_NAMES, _pair_values(s)))
 
 
 def _entangled(settings: dict) -> _Histories:
@@ -227,9 +228,12 @@ def two_photon_batch(
     return PairBatch(amps, probs)
 
 
-def _pair_batch(s: TwoPhotonSettings, fringe_scale=1.0) -> PairBatch:
-    """:func:`two_photon_batch` at the settings ``s``."""
-    return two_photon_batch(*_pair_settings(s).values(), fringe_scale)
+def _pair_table(what: str, s: TwoPhotonSettings, scale) -> CoincidenceTable:
+    """One setting of :func:`two_photon_batch` at fringe ``scale``, as a table; a
+    batch, in ``s`` or in ``scale``, is refused first."""
+    values = _pair_values(s, scale)
+    _one_setting(what, values)
+    return CoincidenceTable._wrap(two_photon_batch(*values).probabilities)
 
 
 def two_photon_output(s: TwoPhotonSettings) -> PureState:
@@ -239,7 +243,7 @@ def two_photon_output(s: TwoPhotonSettings) -> PureState:
     propagating the polarization pair through both network transfer
     matrices.
     """
-    return PureState._wrap(_PAIR_BASIS, _pair_batch(s).amplitudes)
+    return PureState._wrap(_PAIR_BASIS, two_photon_batch(*_pair_values(s)).amplitudes)
 
 
 def mixture_two_photon_output(s: TwoPhotonSettings) -> DensityMatrix:
@@ -314,7 +318,7 @@ def coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
     One setting of :func:`two_photon_batch`: the table is verified against
     :func:`coincidence_closed_forms` at any mixer angles.
     """
-    return CoincidenceTable._wrap(_pair_batch(s).probabilities)
+    return _pair_table("coincidence_probabilities", s, 1.0)
 
 
 def mixture_coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
@@ -322,7 +326,7 @@ def mixture_coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
 
     One setting of :func:`two_photon_batch` at fringe scale 0.
     """
-    return CoincidenceTable._wrap(_pair_batch(s, 0.0).probabilities)
+    return _pair_table("mixture_coincidence_probabilities", s, 0.0)
 
 
 def entanglement_witness(table: CoincidenceTable) -> float:
@@ -349,7 +353,9 @@ def sector_projection(
     settings.  Raises if the state has weight outside this sector, since a
     two-qubit description would then be lossy.
     """
-    return _in_sector(state, _entangled(_pair_settings(s)).sector())
+    settings = _pair_settings(s)
+    _one_setting("sector_projection", settings.values())
+    return _in_sector(state, _entangled(settings).sector())
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -379,7 +385,9 @@ def concurrence(s: TwoPhotonSettings, mixed: bool = False) -> float:
     For the pure output the spin-flip value is verified against the direct
     pure-state formula ``2 |c_ww c_pp - c_wp c_pw|``.
     """
-    histories = _entangled(_pair_settings(s))
+    settings = _pair_settings(s)
+    _one_setting("concurrence", settings.values())
+    histories = _entangled(settings)
     basis = histories.sector()
     if mixed:
         return wootters_concurrence(_in_sector(histories.mixture(_PAIR_BASIS), basis))
@@ -459,14 +467,12 @@ def ghz_sector_probabilities(
     evaluated.
     """
     settings = _single_settings(alpha, phases, beta)
-    shape = settings["beta"].shape  # every setting's, once broadcast
-    if not shape and settings["beta"] != 0.0:
+    if not settings["beta"].shape and settings["beta"] != 0.0:  # a batch is refused below
         raise ValueError(
             "history patterns are only detector-resolvable with mixers off (beta=0)"
         )
     _check_photon_number(n)
-    if shape:  # the result is one dict
-        raise ValueError(f"ghz_sector_probabilities needs one setting, got a batch of shape {shape}")
+    _one_setting("ghz_sector_probabilities", settings.values())
     state = _ghz(n, settings)
     # gather each history pattern's row of pair patterns and sum it
     history, pair = _pattern_offsets(n)

@@ -52,7 +52,7 @@ from .optics import (
     mirror_matrix,
 )
 from .qcore import ModeBasis, PureState, as_values, broadcast_values
-from .toolbox import BETA_SPLIT, ToolboxPhases, prepare_input
+from .toolbox import BETA_SPLIT, ToolboxPhases, _one_setting, prepare_input
 
 N_SLOTS = 4
 
@@ -242,10 +242,7 @@ def describe(layout: HardwareLayout) -> str:
 
     A batched layout raises ``ValueError``.
     """
-    if np.ndim(layout.beta):  # the phases share its shape
-        raise ValueError(
-            f"describe needs a layout of one setting, got a batch of shape {np.shape(layout.beta)}"
-        )
+    _one_setting("describe", (layout.beta,))  # a built layout's phases share its shape
     lines = ["element chain:"]
     for el in layout.circuit.elements:
         lines.append(f"  {el.name}  on {', '.join(map(str, el.modes_in))}")

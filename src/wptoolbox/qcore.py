@@ -329,13 +329,6 @@ class DensityMatrix(ByValue):
 # operations
 # ---------------------------------------------------------------------------
 
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product; amplitude of (i, j) is a_i * b_j."""
-    return PureState(
-        product_basis(a.basis, b.basis), np.kron(a.amplitudes, b.amplitudes)
-    )
-
-
 def apply_unitary(
     state: PureState,
     matrix: np.ndarray,

@@ -22,14 +22,9 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .entangle import CoincidenceTable, TwoPhotonSettings, _pair_batch
+from .entangle import CoincidenceTable, TwoPhotonSettings, _pair_table
 from .qcore import ByValue
-from .toolbox import (
-    BETA_SPLIT,
-    SingleProbabilities,
-    ToolboxPhases,
-    single_photon_batch,
-)
+from .toolbox import BETA_SPLIT, SingleProbabilities, ToolboxPhases, _single_row
 
 Distribution = Union[SingleProbabilities, CoincidenceTable, np.ndarray]
 #: the fields of :class:`NoiseModel`, in the order its errors name them
@@ -190,11 +185,9 @@ def noisy_single_probabilities(
     """Noisy detector signal via explicit interpolation to the mixture.
 
     One setting of :func:`~wptoolbox.toolbox.single_photon_batch` at the
-    model's fringe scale.
+    model's fringe scale; a model of array knobs is a batch.
     """
-    return single_photon_batch(
-        alpha, phases.phi1, phases.phi2, beta, model.fringe_scale
-    ).single()
+    return _single_row("noisy_single_probabilities", alpha, phases, beta, model.fringe_scale)
 
 
 def noisy_coincidence_probabilities(
@@ -203,9 +196,9 @@ def noisy_coincidence_probabilities(
     """Coincidence table with fringe terms reduced by the noise model.
 
     One setting of :func:`~wptoolbox.entangle.two_photon_batch` at the
-    model's fringe scale.
+    model's fringe scale; a model of array knobs is a batch.
     """
-    return CoincidenceTable._wrap(_pair_batch(settings, model.fringe_scale).probabilities)
+    return _pair_table("noisy_coincidence_probabilities", settings, model.fringe_scale)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ expressions and by propagating the state through the element-by-element
 circuit.  A disagreement beyond ``CROSSCHECK_ATOL`` raises, so a regression
 in either route cannot go unnoticed.  :func:`single_photon_batch` does both
 for a whole sweep of settings in one call; the single-setting functions are
-its N=1 case.  It is the one-photon case of :func:`_history_batch`, the
-engine behind the pair and n-photon sources of :mod:`wptoolbox.entangle`.
+its N=1 case, and refuse a batch before evaluating it (:func:`_one_setting`).
+It is the one-photon case of :func:`_history_batch`, the engine behind the
+pair and n-photon sources of :mod:`wptoolbox.entangle`.
 """
 from __future__ import annotations
 
@@ -142,7 +143,8 @@ def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
     form agree on this state: both pass the recombined pair (1, 3) through.
     Arrays of settings give a batched state.
     """
-    return PureState(_PATH_BASIS, _wave_amplitudes(as_values(phi1), as_values(beta)))
+    phi1, beta = as_values(phi1), as_values(beta)
+    return PureState(_PATH_BASIS, _wave_amplitudes(phi1, beta, _photon_factors(phi1, beta)))
 
 
 def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
@@ -150,34 +152,30 @@ def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
 
     Arrays of settings give a batched state.
     """
-    return PureState(_PATH_BASIS, _particle_amplitudes(as_values(phi2), as_values(beta)))
+    phi2, beta = as_values(phi2), as_values(beta)
+    factors = _photon_factors(0.0, beta)  # the open arm reads no phi1 factor
+    return PureState(_PATH_BASIS, _particle_amplitudes(phi2, beta, factors))
 
 
 def _photon_factors(phi1, beta) -> tuple:
     """``cos, sin`` of ``phi1/2`` and of ``2 beta``, which a photon's wave and particle
     amplitudes and its detector weights (:func:`_history_weights`) share."""
-    h = phi1 / 2
-    return (np.cos(h), np.sin(h), *_mixer_factors(beta))
+    h, t = phi1 / 2, 2 * beta
+    return np.cos(h), np.sin(h), np.cos(t), np.sin(t)
 
 
-def _mixer_factors(beta) -> tuple:
-    """``cos, sin`` of ``2 beta``."""
-    t = 2 * beta
-    return np.cos(t), np.sin(t)
-
-
-def _wave_amplitudes(phi1, beta, factors=None) -> np.ndarray:
+def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``, at float64
-    values, from their :func:`_photon_factors` when given."""
-    cos_h, sin_h, c, s = factors or _photon_factors(phi1, beta)
+    values, from their :func:`_photon_factors`, which hold all that ``beta`` gives."""
+    cos_h, sin_h, c, s = factors
     g = np.exp(0.5j * phi1)[..., None]
     return g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
 
 
-def _particle_amplitudes(phi2, beta, factors=None) -> np.ndarray:
+def _particle_amplitudes(phi2, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``, at float64
-    values, from the :func:`_photon_factors` of ``beta`` when given."""
-    c, s = factors[2:] if factors else _mixer_factors(beta)
+    values, from the :func:`_photon_factors` of ``beta``."""
+    c, s = factors[2:]
     e2 = np.exp(1j * phi2)
     # absent mixers pass the open-arm pair (2, 4) straight through; the
     # beta -> 0 limit of the coupled form would flip its sign
@@ -502,18 +500,12 @@ class SingleBatch(NamedTuple):
     """Cross-checked single-photon statistics, one row per setting.
 
     ``amplitudes`` are the closed-form output states and ``probabilities``
-    the detector probabilities P1..P4, both of shape ``(..., 4)``.
+    the detector probabilities P1..P4, both of shape ``(..., 4)``; an entry
+    of one setting splits its one row (:func:`_single_row`).
     """
 
     amplitudes: np.ndarray
     probabilities: np.ndarray
-
-    def single(self) -> SingleProbabilities:
-        """The statistics of an unbatched result, with the pair split."""
-        p1, p2, p3, p4 = map(float, self.probabilities)
-        return SingleProbabilities(
-            p1, p2, p3, p4, (p1 + p2) / 2, (p3 + p4) / 2, (p1 - p2) / 2, (p3 - p4) / 2
-        )
 
 
 def single_photon_batch(
@@ -567,6 +559,24 @@ def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
 # single settings
 # ---------------------------------------------------------------------------
 
+def _one_setting(what: str, values) -> None:
+    """Raise unless ``values``, broadcast to one shape, hold one setting: an entry
+    that returns one result refuses a batch before anything is evaluated."""
+    shape = np.shape(next(iter(values)))  # every value's
+    if shape:
+        raise ValueError(f"{what} needs one setting, got a batch of shape {shape}")
+
+
+def _single_row(what: str, alpha, phases: ToolboxPhases, beta, scale) -> SingleProbabilities:
+    """One setting of :func:`single_photon_batch` at fringe ``scale``, with the pair
+    split; a batch, in the settings or in ``scale``, is refused first."""
+    values = broadcast_values(alpha, phases.phi1, phases.phi2, beta, scale)
+    _one_setting(what, values)
+    p1, p2, p3, p4 = map(float, single_photon_batch(*values).probabilities)
+    return SingleProbabilities(p1, p2, p3, p4,
+                               (p1 + p2) / 2, (p3 + p4) / 2, (p1 - p2) / 2, (p3 - p4) / 2)
+
+
 def output_state(
     alpha: float, phases: ToolboxPhases = ToolboxPhases(), beta: float = BETA_SPLIT
 ) -> PureState:
@@ -590,9 +600,9 @@ def detection_probabilities(
     against the closed forms of :func:`detection_closed_forms` at every
     mixer angle.  ``pc, ps`` and ``ic, is_`` are the half-sums and
     half-differences of the detector pairs.  This is one setting of
-    :func:`single_photon_batch`.
+    :func:`single_photon_batch`; a batch raises ``ValueError``.
     """
-    return single_photon_batch(alpha, phases.phi1, phases.phi2, beta).single()
+    return _single_row("detection_probabilities", alpha, phases, beta, 1.0)
 
 
 def coherence_witness(probs: SingleProbabilities) -> float:
@@ -626,7 +636,9 @@ def coherence(
     2x2 matrix are summed.  For the pure output this equals ``|sin(2 alpha)|``;
     for the mixture it is zero.
     """
-    histories = _single_photon(_single_settings(alpha, phases, beta))
+    settings = _single_settings(alpha, phases, beta)
+    _one_setting("coherence", settings.values())
+    histories = _single_photon(settings)
     amps = histories.amplitudes
     state = histories.mixture(_PATH_BASIS) if mixed else PureState(_PATH_BASIS, amps)
     sector = _in_sector(state, histories.sector())

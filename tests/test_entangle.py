@@ -143,7 +143,7 @@ class TestCoincidenceTable:
                                        lambda s: noisy_coincidence_probabilities(s, NoiseModel(0.9))])
     def test_tables_still_refuse_a_batched_setting(self, table):
         s = TwoPhotonSettings(np.array([0.3, 0.5]))
-        with pytest.raises(ValueError, match=r"expected a 4x4 table, got \(2, 4, 4\)"):
+        with pytest.raises(ValueError, match=r"needs one setting, got a batch of shape \(2,\)$"):
             table(s)
 
     def test_prob_is_one_based(self):
@@ -714,8 +714,9 @@ class TestGhzAmplitudeBits:
         rng = np.random.default_rng([n, seed])
         alpha, phi1, phi2 = rng.uniform(0, PI / 2), *rng.uniform(0, 2 * PI, 2)
         beta = rng.uniform(0, PI / 4) if beta == "random" else beta
-        w = toolbox._wave_amplitudes(phi1, beta)
-        p = toolbox._particle_amplitudes(phi2, beta)
+        factors = toolbox._photon_factors(phi1, beta)
+        w = toolbox._wave_amplitudes(phi1, beta, factors)
+        p = toolbox._particle_amplitudes(phi2, beta, factors)
         if n == 1:
             expected = np.cos(alpha) * w + np.sin(alpha) * p
         else:

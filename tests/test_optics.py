@@ -21,7 +21,12 @@ from wptoolbox.optics import (
 )
 from wptoolbox.hardware import build_hardware_layout, equivalence_scan
 from wptoolbox.qcore import ModeBasis, PureState, is_isometry, route
-from wptoolbox.toolbox import ToolboxPhases, detection_probabilities, prepare_input
+from wptoolbox.toolbox import (
+    ToolboxPhases,
+    detection_probabilities,
+    prepare_input,
+    single_photon_batch,
+)
 
 RT2 = np.sqrt(2.0)
 BALANCED = np.pi / 8
@@ -439,8 +444,7 @@ class TestCompiledRoute:
                 two_photon_batch(0.3, 0.1, np.array([0.2, 0.2, np.inf]),
                                  np.array([np.nan, 0.1, 0.1]), 0.2)
             with pytest.raises(ValueError, match="; phi1=nan at row 1$"):
-                detection_probabilities(0.3, ToolboxPhases(np.array([0.1, np.nan]),
-                                                           np.array([0.2, np.inf])))
+                single_photon_batch(0.3, np.array([0.1, np.nan]), np.array([0.2, np.inf]))
 
     def test_positions_resolve_to_slices_when_evenly_spaced(self):
         basis = ModeBasis(("a", "b", "c", "d"))

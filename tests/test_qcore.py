@@ -19,7 +19,6 @@ from wptoolbox.qcore import (
     partial_trace,
     product_basis,
     pure_density,
-    tensor,
 )
 
 RT2 = np.sqrt(2.0)
@@ -354,7 +353,8 @@ class TestMixAndTrace:
     def test_partial_trace_product_state(self):
         a = PureState(ModeBasis(("V", "H")), np.array([0.6, 0.8]))
         b = PureState(ModeBasis(("1'", "2'")), np.array([1.0, 1.0]) / RT2)
-        rho = pure_density(tensor(a, b))
+        rho = pure_density(PureState(product_basis(a.basis, b.basis),
+                                     np.kron(a.amplitudes, b.amplitudes)))
         ra = partial_trace(rho, keep=0)
         rb = partial_trace(rho, keep=1)
         np.testing.assert_allclose(
@@ -378,7 +378,10 @@ class TestMixAndTrace:
             parts.append(
                 PureState(ModeBasis((f"a{k}", f"b{k}")), amps / np.linalg.norm(amps))
             )
-        full = tensor(tensor(parts[0], parts[1]), parts[2])
+        full = PureState(product_basis(product_basis(parts[0].basis, parts[1].basis),
+                                       parts[2].basis),
+                         np.kron(np.kron(parts[0].amplitudes, parts[1].amplitudes),
+                                 parts[2].amplitudes))
         rho = pure_density(full)
         for k in range(3):
             reduced = partial_trace(rho, keep=k)

@@ -13,12 +13,25 @@ from wptoolbox.entangle import (
     coincidence_probabilities,
     concurrence,
     ghz_output,
+    ghz_sector_probabilities,
+    mixture_coincidence_probabilities,
+    sector_projection,
     two_photon_batch,
+    two_photon_output,
 )
-from wptoolbox.hardware import build_hardware_layout, equivalence_check, hardware_output
+from wptoolbox.hardware import (
+    build_hardware_layout,
+    describe,
+    equivalence_check,
+    hardware_output,
+)
 from wptoolbox.optics import interferometer_circuit, network_matrix
 from wptoolbox.qcore import ModeBasis, PureState, measure_distribution
-from wptoolbox.shots import NoiseModel, noisy_single_probabilities
+from wptoolbox.shots import (
+    NoiseModel,
+    noisy_coincidence_probabilities,
+    noisy_single_probabilities,
+)
 from wptoolbox.toolbox import (
     BETA_DIRECT,
     BETA_SPLIT,
@@ -410,3 +423,64 @@ class TestCallerValues:
         equivalence_check(circuit, layout, alpha, strict=False)
         for x, y in zip(given, before):
             assert x.flags.writeable and x.tobytes() == y.tobytes()
+
+
+def _pair(alpha, phi1, beta):
+    return TwoPhotonSettings(alpha, ToolboxPhases(phi1, 0.2), ToolboxPhases(1.1, 0.3), beta)
+
+
+#: one setting (beta = 0, as the sector table needs), and each way to make it a batch of 2
+ONE = {"a": 0.4, "p": 0.7, "b": 0.0, "m": NoiseModel(0.9, 0.1)}
+BATCHES = {
+    "alpha": {"a": np.array([0.4, 0.6])},
+    "phi1": {"p": np.array([0.7, 1.3])},
+    "beta": {"b": np.array([0.0, BETA_SPLIT])},
+    "knob": {"m": NoiseModel(np.array([0.9, 0.8]), 0.1)},
+}
+PAIR_STATE = two_photon_output(TwoPhotonSettings())  # never read: the batch is refused first
+#: every entry that returns one result, called at alpha, one phi1, one beta and a noise model
+ONE_SETTING_ENTRIES = {
+    "detection_probabilities":
+        lambda a, p, b, m: detection_probabilities(a, ToolboxPhases(p, 0.2), b),
+    "noisy_single_probabilities":
+        lambda a, p, b, m: noisy_single_probabilities(a, ToolboxPhases(p, 0.2), b, m),
+    "coherence": lambda a, p, b, m: coherence(a, ToolboxPhases(p, 0.2), b),
+    "coincidence_probabilities": lambda a, p, b, m: coincidence_probabilities(_pair(a, p, b)),
+    "mixture_coincidence_probabilities":
+        lambda a, p, b, m: mixture_coincidence_probabilities(_pair(a, p, b)),
+    "noisy_coincidence_probabilities":
+        lambda a, p, b, m: noisy_coincidence_probabilities(_pair(a, p, b), m),
+    "concurrence": lambda a, p, b, m: concurrence(_pair(a, p, b)),
+    "sector_projection": lambda a, p, b, m: sector_projection(PAIR_STATE, _pair(a, p, b)),
+    "ghz_sector_probabilities":
+        lambda a, p, b, m: ghz_sector_probabilities(3, a, ToolboxPhases(p, 0.2), b),
+    "describe": lambda a, p, b, m: describe(build_hardware_layout(ToolboxPhases(p, 0.2), b)),
+}
+BATCHED_CALLS = [
+    (entry, axis) for entry in ONE_SETTING_ENTRIES for axis in BATCHES
+    if not (axis == "alpha" and entry == "describe")  # a layout has no alpha
+    and (axis != "knob" or entry.startswith("noisy"))
+]
+
+
+class TestOneSetting:
+    """Every entry that returns one result refuses a batch by one rule, before the engine runs."""
+
+    @pytest.mark.parametrize("entry, axis", BATCHED_CALLS)
+    def test_a_batch_is_refused_before_the_engine_runs(self, monkeypatch, entry, axis):
+        def engine(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(toolbox, "_history_batch", engine)
+        with pytest.raises(ValueError) as raised:
+            ONE_SETTING_ENTRIES[entry](**ONE | BATCHES[axis])
+        assert str(raised.value) == f"{entry} needs one setting, got a batch of shape (2,)"
+
+    def test_the_sector_table_checks_mixers_then_photon_number_then_batch(self):
+        batch = np.array([0.4, 0.6])
+        with pytest.raises(ValueError, match="beta=0"):
+            ghz_sector_probabilities(9, 0.4, beta=BETA_SPLIT)
+        with pytest.raises(ValueError, match="photon number"):
+            ghz_sector_probabilities(9, batch)
+        with pytest.raises(ValueError, match="needs one setting"):
+            ghz_sector_probabilities(3, batch, beta=np.array([0.0, BETA_SPLIT]))

@@ -1,0 +1,74 @@
+"""Line counts of the ``wptoolbox`` package, by kind, and its public names.
+
+For each module under ``src/wptoolbox`` it prints the code, docstring,
+comment and blank lines and their total (the ``wc -l`` count), then the
+package totals and the number of names in ``__all__``.  A docstring line
+belongs to a string that stands as a statement of its own; a comment line
+holds a comment and no code; a blank line holds only white space, inside a
+docstring too; every other line is code.
+
+Usage::
+
+    python3 tools/src_lines.py
+"""
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wptoolbox"
+KINDS = ("code", "docstring", "comment", "blank")
+#: tokens that are neither code nor a comment
+_LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def count(text: str) -> dict[str, int]:
+    """The lines of one module's ``text`` by kind; their sum is its line count."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            docstrings.update(range(node.lineno, node.end_lineno + 1))
+    code, comments = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            comments.add(tok.start[0])
+        elif tok.type not in _LAYOUT:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    kinds = dict.fromkeys(KINDS, 0)
+    for line, source in enumerate(text.splitlines(), 1):
+        if not source.strip():
+            kinds["blank"] += 1
+        elif line in docstrings:
+            kinds["docstring"] += 1
+        elif line in comments and line not in code:
+            kinds["comment"] += 1
+        else:
+            kinds["code"] += 1
+    return kinds
+
+
+def public_names(init_text: str) -> int:
+    """The number of names listed in ``__all__``."""
+    for node in ast.parse(init_text).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return len(node.value.elts)
+    raise SystemExit("__init__.py has no __all__ list")
+
+
+def main() -> None:
+    rows = {path.name: count(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    rows["total"] = {k: sum(row[k] for row in rows.values()) for k in KINDS}
+    print(f"{'module':<14}" + "".join(f"{k:>11}" for k in (*KINDS, "lines")))
+    for name, row in rows.items():
+        values = (*row.values(), sum(row.values()))
+        print(f"{name:<14}" + "".join(f"{v:>11}" for v in values))
+    print(f"__all__: {public_names((PACKAGE / '__init__.py').read_text())} names")
+
+
+if __name__ == "__main__":
+    main()
