@@ -21,15 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import PATHS
-from .qcore import (
-    ByValue,
-    DensityMatrix,
-    ModeBasis,
-    PureState,
-    broadcast_values,
-    product_basis,
-)
+from .qcore import ByValue, DensityMatrix, PureState, broadcast_values
 from .toolbox import (
     BETA_SPLIT,
     ToolboxPhases,
@@ -49,20 +41,6 @@ MAX_PHOTONS = 8
 _GATHER = 4**7
 
 
-def _photon_basis(k: int) -> ModeBasis:
-    return ModeBasis(tuple(path + "'" * k for path in PATHS))
-
-
-@lru_cache(maxsize=MAX_PHOTONS)
-def _n_photon_basis(n: int) -> ModeBasis:
-    """Path basis of n photons, photon k's labels primed k times, as nested
-    :func:`product_basis` calls, which keep the n factors and no ``4**n``
-    labels; one photon keeps its plain basis."""
-    if n == 1:
-        return _photon_basis(0)
-    return product_basis(_n_photon_basis(n - 1), _photon_basis(n - 1))
-
-
 @lru_cache(maxsize=MAX_PHOTONS)
 def _pattern_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only path-index offsets of the 2**n history patterns, a column, and
@@ -79,7 +57,6 @@ def _pattern_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     return history, pair
 
 
-_PAIR_BASIS = _n_photon_basis(2)
 #: detectors (1, 2) and (3, 4) of each photon share one block of a 2x2 array
 _DETECTOR_BLOCKS = np.ix_((0, 0, 1, 1), (0, 0, 1, 1))
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -239,16 +216,18 @@ def _pair_table(what: str, s: TwoPhotonSettings, scale) -> CoincidenceTable:
 def two_photon_output(s: TwoPhotonSettings) -> PureState:
     """Joint path state ``cos(alpha)|w w'> + sin(alpha)|p p'>``.
 
-    One setting of :func:`two_photon_batch`: cross-checked against
+    The state of :func:`two_photon_batch`'s source: cross-checked against
     propagating the polarization pair through both network transfer
-    matrices.
+    matrices on every call.  No coincidence table is evaluated.  Batched
+    settings give a batched state.
     """
-    return PureState._wrap(_PAIR_BASIS, two_photon_batch(*_pair_values(s)).amplitudes)
+    return _entangled(_pair_settings(s)).state()
 
 
 def mixture_two_photon_output(s: TwoPhotonSettings) -> DensityMatrix:
-    """Classical mixture ``cos^2 |ww'><ww'| + sin^2 |pp'><pp'|``."""
-    return _entangled(_pair_settings(s)).mixture(_PAIR_BASIS)
+    """Classical mixture ``cos^2 |ww'><ww'| + sin^2 |pp'><pp'|``, from the
+    cross-checked pair source's terms."""
+    return _entangled(_pair_settings(s)).mixture()
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +369,8 @@ def concurrence(s: TwoPhotonSettings, mixed: bool = False) -> float:
     histories = _entangled(settings)
     basis = histories.sector()
     if mixed:
-        return wootters_concurrence(_in_sector(histories.mixture(_PAIR_BASIS), basis))
-    state = PureState._wrap(_PAIR_BASIS, histories.amplitudes)
+        return wootters_concurrence(_in_sector(histories.mixture(), basis))
+    state = histories.state()
     value = wootters_concurrence(_in_sector(state, basis))
     coeffs = basis.conj().T @ state.amplitudes
     direct = 2 * abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2])
@@ -417,9 +396,8 @@ def vh_variant_output(s: TwoPhotonSettings) -> PureState:
     settings = _pair_settings(s)
     del settings["alpha"]
     c = np.sqrt(0.5)
-    histories = _history_batch((c, c), ((0, 1), (1, 0)), _PAIR_PHOTONS, "variant pair state",
-                               settings)
-    return PureState._wrap(_PAIR_BASIS, histories.amplitudes)
+    return _history_batch((c, c), ((0, 1), (1, 0)), _PAIR_PHOTONS, "variant pair state",
+                          settings).state()
 
 
 def ghz_output(
@@ -446,9 +424,7 @@ def _check_photon_number(n) -> None:
 def _ghz(n: int, settings: dict) -> PureState:
     """:func:`ghz_output` at one photon's broadcast ``settings`` by name."""
     # every photon names the same setting, evaluated once
-    histories = _alpha_source(settings, (_PHOTON,) * n, "n-photon state")
-    # the engine's own output, finite once its cross-check passed: frozen, not copied
-    return PureState._wrap(_n_photon_basis(n), histories.amplitudes)
+    return _alpha_source(settings, (_PHOTON,) * n, "n-photon state").state()
 
 
 def ghz_sector_probabilities(

@@ -242,7 +242,7 @@ def describe(layout: HardwareLayout) -> str:
 
     A batched layout raises ``ValueError``.
     """
-    _one_setting("describe", (layout.beta,))  # a built layout's phases share its shape
+    _one_setting("describe", broadcast_values(layout.beta, *layout.lc_phases))
     lines = ["element chain:"]
     for el in layout.circuit.elements:
         lines.append(f"  {el.name}  on {', '.join(map(str, el.modes_in))}")

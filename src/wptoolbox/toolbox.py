@@ -37,6 +37,7 @@ from .qcore import (
     check_distribution,
     is_isometry,
     mix,
+    product_basis,
     stack_last,
 )
 
@@ -51,7 +52,6 @@ CROSSCHECK_ATOL = 1e-12
 _RT2 = np.sqrt(2.0)
 _ONE = np.float64(1.0)
 _POL_BASIS = ModeBasis(POLS)
-_PATH_BASIS = ModeBasis(PATHS)
 #: one photon's settings, in the argument order of :func:`single_photon_batch`
 _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
 #: the names of one photon's phi1, phi2 and beta among them
@@ -141,20 +141,30 @@ def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
 
     Absent mixers (``beta = 0``) and the ``beta -> 0`` limit of the coupled
     form agree on this state: both pass the recombined pair (1, 3) through.
-    Arrays of settings give a batched state.
+    It is the engine's one-term source ``|V>`` with the open-arm phase at 0,
+    which this history never reaches, cross-checked against propagation on
+    every call.  Arrays of settings give a batched state.
     """
-    phi1, beta = as_values(phi1), as_values(beta)
-    return PureState(_PATH_BASIS, _wave_amplitudes(phi1, beta, _photon_factors(phi1, beta)))
+    return _history_state(0, broadcast_values(phi1, 0.0, beta), "wave state")
 
 
 def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
     """Network output for a pure-H input (the open-arm history).
 
-    Arrays of settings give a batched state.
+    It is the engine's one-term source ``|H>`` with the recombined-arm phase
+    at 0, which this history never reaches, cross-checked against
+    propagation on every call.  Arrays of settings give a batched state.
     """
-    phi2, beta = as_values(phi2), as_values(beta)
-    factors = _photon_factors(0.0, beta)  # the open arm reads no phi1 factor
-    return PureState(_PATH_BASIS, _particle_amplitudes(phi2, beta, factors))
+    return _history_state(1, broadcast_values(0.0, phi2, beta), "particle state")
+
+
+def _history_state(h: int, values: list, what: str) -> PureState:
+    """History ``h`` (0 wave, 1 particle) of one photon at broadcast ``values`` of
+    ``phi1, phi2, beta``, from the one-term source of :func:`_history_batch`."""
+    histories = _history_batch((_ONE,), ((h,),), (_PHOTON,), what, dict(zip(_PHOTON, values)))
+    # the unscaled history: its product with the coefficient 1 can flip a signed zero
+    history = (histories.waves, histories.particles)[h][..., 0, :]
+    return histories._replace(amplitudes=history).state()
 
 
 def _photon_factors(phi1, beta) -> tuple:
@@ -166,7 +176,8 @@ def _photon_factors(phi1, beta) -> tuple:
 
 def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``, at float64
-    values, from their :func:`_photon_factors`, which hold all that ``beta`` gives."""
+    values, from their :func:`_photon_factors`, which hold all that ``beta`` gives;
+    only :func:`_history_batch` calls it."""
     cos_h, sin_h, c, s = factors
     g = np.exp(0.5j * phi1)[..., None]
     return g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
@@ -174,7 +185,8 @@ def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
 
 def _particle_amplitudes(phi2, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``, at float64
-    values, from the :func:`_photon_factors` of ``beta``."""
+    values, from the :func:`_photon_factors` of ``beta``; only :func:`_history_batch`
+    calls it."""
     c, s = factors[2:]
     e2 = np.exp(1j * phi2)
     # absent mixers pass the open-arm pair (2, 4) straight through; the
@@ -196,12 +208,28 @@ def mixed_output(
     histories: ``cos^2(alpha) |w><w| + sin^2(alpha) |p><p|``, from the
     cross-checked engine.  Array settings give a batch of density matrices.
     """
-    return _single_photon(_single_settings(alpha, phases, beta)).mixture(_PATH_BASIS)
+    return _single_photon(_single_settings(alpha, phases, beta)).mixture()
 
 
 # ---------------------------------------------------------------------------
 # the source-term engine
 # ---------------------------------------------------------------------------
+
+def _photon_basis(k: int) -> ModeBasis:
+    """Path basis of photon k, its labels primed k times."""
+    return ModeBasis(tuple(path + "'" * k for path in PATHS))
+
+
+@cache
+def _n_photon_basis(n: int) -> ModeBasis:
+    """Path basis of n photons, photon k's labels primed k times, as nested
+    :func:`product_basis` calls, which keep the n factors and no ``4**n``
+    labels; one photon keeps its plain basis.  Cached per n, which the
+    sources hold to at most ``entangle.MAX_PHOTONS``."""
+    if n == 1:
+        return _photon_basis(0)
+    return product_basis(_n_photon_basis(n - 1), _photon_basis(n - 1))
+
 
 class _Histories(NamedTuple):
     """The checked output ``S + (4**n,)`` of :func:`_history_batch`, its source
@@ -225,9 +253,16 @@ class _Histories(NamedTuple):
         histories by the kron chain of :func:`_history_batch`."""
         return (_product((self.waves, self.particles), p, self.rows) for p in self.patterns)
 
-    def mixture(self, basis: ModeBasis) -> DensityMatrix:
-        """``sum_t c_t^2 |term_t><term_t|``."""
-        pairs = zip(self.coeffs, self.terms())
+    def state(self) -> PureState:
+        """The checked amplitudes as a state over the path basis of the photon count
+        (:func:`_n_photon_basis`), C-ordered.  The engine's own output, finite once
+        its cross-check passed: frozen, copied only when a batch is not C-ordered."""
+        basis = _n_photon_basis(len(self.rows))
+        return PureState._wrap(basis, np.ascontiguousarray(self.amplitudes))
+
+    def mixture(self) -> DensityMatrix:
+        """``sum_t c_t^2 |term_t><term_t|`` over the basis of :meth:`state`."""
+        basis, pairs = _n_photon_basis(len(self.rows)), zip(self.coeffs, self.terms())
         return mix((PureState(basis, t), c * c) for c, t in pairs)
 
     def born(self, closed: np.ndarray, what: str, scale) -> np.ndarray:
@@ -582,13 +617,12 @@ def output_state(
 ) -> PureState:
     """Full network output ``cos(alpha)|wave> + sin(alpha)|particle>``.
 
-    One setting of :func:`single_photon_batch`: the closed form is
+    The state of :func:`single_photon_batch`'s source: the closed form is
     cross-checked against element-by-element propagation on every call; a
-    mismatch raises ``RuntimeError``.
+    mismatch raises ``RuntimeError``.  No Born table is evaluated.  Arrays of
+    settings give a batched state.
     """
-    return PureState(
-        _PATH_BASIS, single_photon_batch(alpha, phases.phi1, phases.phi2, beta).amplitudes
-    )
+    return _single_photon(_single_settings(alpha, phases, beta)).state()
 
 
 def detection_probabilities(
@@ -639,7 +673,6 @@ def coherence(
     settings = _single_settings(alpha, phases, beta)
     _one_setting("coherence", settings.values())
     histories = _single_photon(settings)
-    amps = histories.amplitudes
-    state = histories.mixture(_PATH_BASIS) if mixed else PureState(_PATH_BASIS, amps)
+    state = histories.mixture() if mixed else histories.state()
     sector = _in_sector(state, histories.sector())
     return float(abs(sector[0, 1]) + abs(sector[1, 0]))

@@ -510,11 +510,11 @@ class TestConcurrence:
 class TestGhzExtension:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_basis_matches_nested_products(self, n):
-        nested = entangle._photon_basis(0)
+        nested = toolbox._photon_basis(0)
         # the materialized labels, built as nested products of flat label tuples
         labels = nested.labels
         for k in range(1, n):
-            photon = entangle._photon_basis(k)
+            photon = toolbox._photon_basis(k)
             nested = product_basis(nested, photon)
             labels = tuple((head if k > 1 else (head,)) + (tail,)
                            for head in labels for tail in photon.labels)
@@ -830,14 +830,13 @@ def random_histories(kind, rows=40, seed=5):
         *np.where(np.arange(rows) % 4 == 0, 0.0, rng.uniform(0, PI / 4, (2, rows))))))
     if kind == "single":
         single = {name: values[name] for name in toolbox._SINGLE_NAMES}
-        return toolbox._single_photon(single), toolbox._PATH_BASIS
+        return toolbox._single_photon(single)
     if kind == "pair":
-        return entangle._entangled(values), entangle._PAIR_BASIS
+        return entangle._entangled(values)
     del values["alpha"]
     c = np.sqrt(0.5)
-    histories = toolbox._history_batch((c, c), ((0, 1), (1, 0)), entangle._PAIR_PHOTONS,
-                                       "variant", values)
-    return histories, entangle._PAIR_BASIS
+    return toolbox._history_batch((c, c), ((0, 1), (1, 0)), entangle._PAIR_PHOTONS,
+                                  "variant", values)
 
 
 def baseline(histories):
@@ -851,21 +850,21 @@ class TestNoiseBaseline:
 
     @pytest.mark.parametrize("kind", ["single", "pair", "variant"])
     def test_is_the_mixture_diagonal_bit_for_bit(self, kind):
-        histories, basis = random_histories(kind)
-        expected = histories.mixture(basis).probabilities()
+        histories = random_histories(kind)
+        expected = histories.mixture().probabilities()
         assert baseline(histories).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("kind", ["single", "pair"])
     def test_overlapping_terms_raise(self, kind):
         # the particle histories replaced by the wave ones: both rebuilt terms are
         # the same unit vector, and weights and row sums still pass
-        histories, _ = random_histories(kind)
+        histories = random_histories(kind)
         patched = histories._replace(particles=histories.waves)
         with pytest.raises(ValueError, match="orthonormal"):
             baseline(patched)
 
     def test_nan_term_raises(self):
-        histories, _ = random_histories("pair")
+        histories = random_histories("pair")
         particles = histories.particles.copy()
         particles[7, 1, 3] = np.nan  # photon B's particle history, row 7
         with pytest.raises(ValueError, match="finite and orthonormal"):
@@ -883,7 +882,7 @@ class TestNoiseBaseline:
         assert engine(*settings, fringe_scale=np.array([0.0, 1.0])).probabilities.shape[0] == 2
 
     def test_weights_off_one_raise(self):
-        histories, _ = random_histories("single")
+        histories = random_histories("single")
         cos, sin = histories.coeffs
         with pytest.raises(ValueError, match="weights must sum to 1"):
             baseline(histories._replace(coeffs=(cos * 1.001, sin)))
@@ -949,7 +948,7 @@ class TestMemory:
 
     def test_cold_eight_photon_output_retains_no_basis_labels(self):
         # 4**8 label tuples would hold about 9 MiB
-        entangle._n_photon_basis.cache_clear()
+        toolbox._n_photon_basis.cache_clear()
         tracemalloc.start()
         try:
             ghz_output(8, 0.6)  # the result is dropped at once

@@ -117,13 +117,17 @@ class TestLayout:
         with pytest.raises(ValueError, match="one setting, got a batch of shape \\(2,\\)"):
             describe(layout)
 
-    @pytest.mark.parametrize("beta", [BETA_SPLIT, [0.0, BETA_SPLIT]], ids=["float", "list"])
-    def test_describe_reads_a_hand_built_layout(self, beta):
-        # a layout built by hand may hold a Python float or a list as its beta
+    @pytest.mark.parametrize("beta, phases", [
+        (BETA_SPLIT, (0.5, 1.5)), ([0.0, BETA_SPLIT], (0.5, 1.5)),
+        (BETA_SPLIT, (np.array([0.5, 0.6]), 1.5)),
+    ], ids=["float", "list", "array_phase"])
+    def test_describe_reads_a_hand_built_layout(self, beta, phases):
+        # a layout built by hand may hold a Python float or a list as its beta,
+        # and arm phases of a batch beside a beta of one setting
         built = build_hardware_layout(ToolboxPhases(0.5, 1.5), BETA_SPLIT)
         layout = HardwareLayout(built.circuit, built.detector_ports,
-                                (*built.hwp_angles[:-1], beta), (0.5, 1.5))
-        if isinstance(beta, list):
+                                (*built.hwp_angles[:-1], beta), phases)
+        if np.shape(beta) or np.shape(phases[0]):
             with pytest.raises(ValueError, match=r"^describe needs one setting, got a batch"
                                                  r" of shape \(2,\)$"):
                 describe(layout)

@@ -18,6 +18,7 @@ from wptoolbox.entangle import (
     sector_projection,
     two_photon_batch,
     two_photon_output,
+    vh_variant_output,
 )
 from wptoolbox.hardware import (
     build_hardware_layout,
@@ -122,6 +123,86 @@ class TestComponentStates:
             alpha
         ) * particle_state(phases.phi2).amplitudes
         np.testing.assert_allclose(out.amplitudes, combo, atol=1e-15)
+
+
+class TestHistoryStates:
+    """The wave and particle states are the engine's one-term sources, checked on every call."""
+
+    def test_states_are_the_unscaled_histories_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        phi = np.concatenate([[0.0, -0.0, np.pi, 2 * np.pi], rng.uniform(-7, 7, 60)])
+        beta = np.resize([0.0, -0.0, BETA_SPLIT, 0.3, np.pi / 4], phi.size)
+        beta[-20:] = rng.uniform(0, np.pi / 4, 20)
+        factors = toolbox._photon_factors(phi, beta)
+        wave = toolbox._wave_amplitudes(phi, beta, factors)
+        particle = toolbox._particle_amplitudes(phi, beta, toolbox._photon_factors(0 * phi, beta))
+        assert wave_state(phi, beta).amplitudes.tobytes() == wave.tobytes()
+        assert particle_state(phi, beta).amplitudes.tobytes() == particle.tobytes()
+        for i in (0, 1, 7, 50):  # a single setting is its row
+            assert wave_state(phi[i], beta[i]).amplitudes.tobytes() == wave[i].tobytes()
+            assert particle_state(phi[i], beta[i]).amplitudes.tobytes() == particle[i].tobytes()
+
+    @pytest.mark.parametrize("state", [wave_state, particle_state])
+    def test_settings_broadcast(self, state):
+        batch = state(np.array([0.1, 0.2]), 0.3)
+        assert batch.amplitudes.shape == (2, 4)
+        for row, phi in zip(batch.amplitudes, (0.1, 0.2)):
+            assert row.tobytes() == state(phi, 0.3).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("state, helper, names", [
+        (wave_state, "_wave_amplitudes", "phi1=0.7, phi2=0.0, beta=0.3"),
+        (particle_state, "_particle_amplitudes", "phi1=0.0, phi2=0.7, beta=0.3"),
+    ])
+    def test_perturbed_history_raises_naming_the_setting(self, monkeypatch, state, helper,
+                                                         names):
+        exact = getattr(toolbox, helper)
+        monkeypatch.setattr(toolbox, helper, lambda *args: exact(*args) * (1 + 1e-10))
+        what = state.__name__.replace("_", " ")
+        with pytest.raises(RuntimeError, match=rf"^closed-form {what} disagrees with"
+                                               rf" propagation by .* at row 0 \({names}\)$"):
+            state(0.7, 0.3)
+
+    @pytest.mark.parametrize("state", [wave_state, particle_state])
+    def test_empty_batch_rejected(self, state):
+        with pytest.raises(ValueError, match="needs at least one setting, got an empty batch"):
+            state(np.array([]))
+
+    @pytest.mark.parametrize("state, name", [(wave_state, "phi1"), (particle_state, "phi2")])
+    def test_non_finite_setting_is_named(self, state, name):
+        with pytest.raises(ValueError, match=rf"; {name}=nan at row 0$"):
+            state(np.nan)
+
+
+ROWS = np.linspace(0.1, 1.4, 5)
+#: every public entry that returns a state, on a batch of 5 settings
+STATE_ENTRIES = {
+    "prepare_input": lambda: prepare_input(ROWS),
+    "Circuit.propagate":
+        lambda: interferometer_circuit(0.7, ROWS, 0.3).propagate(prepare_input(ROWS)),
+    "wave_state": lambda: wave_state(ROWS, 0.3),
+    "particle_state": lambda: particle_state(ROWS, 0.3),
+    "output_state": lambda: output_state(ROWS, ToolboxPhases(0.7, ROWS), 0.3),
+    "two_photon_output": lambda: two_photon_output(TwoPhotonSettings(ROWS)),
+    "vh_variant_output": lambda: vh_variant_output(TwoPhotonSettings(0.4, ToolboxPhases(ROWS))),
+    **{f"ghz_output_{n}": lambda n=n: ghz_output(n, ROWS, ToolboxPhases(0.7, 1.9), 0.3)
+       for n in range(1, 9)},
+}
+
+
+class TestStateViews:
+    @pytest.mark.parametrize("entry", STATE_ENTRIES)
+    def test_a_batch_gives_c_ordered_read_only_amplitudes(self, entry):
+        amps = STATE_ENTRIES[entry]().amplitudes
+        assert amps.shape[0] == 5
+        assert amps.flags.c_contiguous and not amps.flags.writeable
+
+    def test_the_basis_follows_the_photon_count(self):
+        assert output_state(0.4).basis == wave_state(0.4).basis == toolbox._n_photon_basis(1)
+        pair = TwoPhotonSettings()
+        assert two_photon_output(pair).basis == toolbox._n_photon_basis(2)
+        assert vh_variant_output(pair).basis == toolbox._n_photon_basis(2)
+        assert mixed_output(0.4).basis == toolbox._n_photon_basis(1)
+        assert ghz_output(3, 0.4).basis == toolbox._n_photon_basis(3)
 
 
 class TestDetectionProbabilities:

@@ -19,7 +19,10 @@ single and pair engine rows at those settings, ``ghz_output`` amplitudes at
 :data:`GHZ_POINTS`), batched ``ghz_output`` at 6 to 8 (see
 :data:`GHZ_BATCH_ROWS`), the routes that read each photon's
 wave and particle histories (``vh_variant_output``, ``concurrence``,
-``coherence``, ``sector_projection``, ``mixed_output``), and the shot
+``coherence``, ``sector_projection``, ``mixed_output``), the states
+``wave_state``, ``particle_state``, ``output_state`` and
+``two_photon_output`` and the matrices of ``mixture_two_photon_output``,
+some settings as batches (see :data:`STATE_BATCH_ROWS`), and the shot
 sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
 Usage::
 
@@ -177,6 +180,9 @@ GHZ_POINTS = LIBRARY_POINTS // 8
 #: rows of the one batch per photon number of the ``ghz_output_batched_6to8`` entry
 GHZ_BATCH_ROWS = 5
 
+#: rows of every third setting of the five state entries, which run as one batch
+STATE_BATCH_ROWS = 5
+
 #: (entry, table shape, shots, seed) of each sampled table; ``sample_counts``
 #: is also pinned, at LIBRARY_POINTS one-row draws
 SAMPLER_TABLES = [
@@ -195,13 +201,15 @@ def library_checksums() -> dict[str, str]:
 
     from wptoolbox.entangle import (MAX_PHOTONS, TwoPhotonSettings,
                                     coincidence_probabilities, concurrence, ghz_output,
-                                    ghz_sector_probabilities, sector_projection,
-                                    two_photon_batch, two_photon_output, vh_variant_output)
+                                    ghz_sector_probabilities, mixture_two_photon_output,
+                                    sector_projection, two_photon_batch, two_photon_output,
+                                    vh_variant_output)
     from wptoolbox.hardware import build_hardware_layout, equivalence_scan
     from wptoolbox.optics import interferometer_circuit, network_matrix
     from wptoolbox.shots import sample_counts, sample_rows
     from wptoolbox.toolbox import (ToolboxPhases, coherence, detection_probabilities,
-                                   mixed_output, single_photon_batch)
+                                   mixed_output, output_state, particle_state,
+                                   single_photon_batch, wave_state)
 
     rng = np.random.default_rng(20240601)
     bits: dict[str, list[str]] = {}
@@ -284,6 +292,26 @@ def library_checksums() -> dict[str, str]:
             "coherence": [coherence(alpha, phases, beta), coherence(alpha, phases, beta, True)],
             "sector_projection": sector_projection(two_photon_output(pair), pair),
             "mixed_output": mixed_output(alpha, phases, beta).matrix,
+        }
+        for name, value in values.items():
+            bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
+    # the public states and the pair mixture, both mixers drawn like beta above
+    states = np.random.default_rng(20240608)
+    for k in range(LIBRARY_POINTS):
+        size = STATE_BATCH_ROWS if k % 3 == 0 else None
+        alpha = states.uniform(0, np.pi / 2, size)
+        phi1, phi2, phi1p, phi2p = (states.uniform(0, 2 * np.pi, size) for _ in range(4))
+        beta, betap = (np.choose(states.integers(3, size=size),
+                                 [0.0, np.pi / 8, states.uniform(0, np.pi / 4, size)])
+                       for _ in range(2))
+        phases = ToolboxPhases(phi1, phi2)
+        pair = TwoPhotonSettings(alpha, phases, ToolboxPhases(phi1p, phi2p), beta, betap)
+        values = {
+            "wave_state": wave_state(phi1, beta).amplitudes,
+            "particle_state": particle_state(phi2, beta).amplitudes,
+            "output_state": output_state(alpha, phases, beta).amplitudes,
+            "two_photon_output": two_photon_output(pair).amplitudes,
+            "mixture_two_photon_output": mixture_two_photon_output(pair).matrix,
         }
         for name, value in values.items():
             bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
