@@ -283,12 +283,12 @@ def cmd_two_photon(args: argparse.Namespace) -> int:
         beta, phi1, phi1p = np.array(list(corners)).T
         settings = {key: np.repeat(col, len(beta)) for key, col in settings.items()}
         settings.update(phi1=phi1, phi1_prime=phi1p, beta=beta, beta_prime=beta)
-    tables = _distributions(args, settings, pair=True).reshape(-1, 16)
+    tables = _distributions(args, settings, pair=True)
     header = ["phi1", "phi1p", "beta", "betap"] + _PAIR_COLUMNS
     columns = [settings[key] for key in ("phi1", "phi1_prime", "beta", "beta_prime")]
-    columns += list(tables.T)
+    columns += list(tables.reshape(-1, 16).T)
     if args.shots > 0:
-        counts = sample_rows(tables, args.shots, args.seed)
+        counts = sample_rows(tables, args.shots, args.seed).reshape(-1, 16)
         header += [c.replace("p_", "c_") for c in _PAIR_COLUMNS]
         header += [c.replace("p_", "e_") for c in _PAIR_COLUMNS]
         columns += [*counts.T, *count_errors(counts).T]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import ByValue, DensityMatrix, PureState, broadcast_values
+from .qcore import ByValue, DensityMatrix, PureState, _trusted, broadcast_values, check_distribution
 from .toolbox import (
     BETA_SPLIT,
     ToolboxPhases,
@@ -90,25 +90,14 @@ class CoincidenceTable(ByValue):
         m = np.asarray(self.matrix, dtype=float).copy()
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 table, got {m.shape}")
-        _check_tables(m)
+        check_distribution(m, "coincidence probabilities", axis=(-2, -1))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def _wrap(cls, m: np.ndarray) -> "CoincidenceTable":
-        """A table around ``m``, frozen in place, neither copied nor checked again: only
-        for a float64 4x4 table that :func:`two_photon_batch` has just made and checked
-        (:func:`_check_tables`) at one setting (:func:`_pair_table`) and that nothing
-        else holds."""
-        m.flags.writeable = False
-        table = object.__new__(cls)  # skips __post_init__
-        vars(table).update(matrix=m)
-        return table
-
     def prob(self, det_a: int, det_b: int) -> float:
-        """Joint probability for detectors ``det_a`` and ``det_b`` (1-based)."""
-        if not (1 <= det_a <= 4 and 1 <= det_b <= 4):
-            raise ValueError("detector indices run from 1 to 4")
+        """Joint probability for detectors ``det_a`` and ``det_b``, integers from 1 to 4."""
+        if not (_one_to(det_a, 4) and _one_to(det_b, 4)):
+            raise ValueError("detector indices must be integers from 1 to 4")
         return float(self.matrix[det_a - 1, det_b - 1])
 
     def marginal_a(self) -> np.ndarray:
@@ -116,16 +105,6 @@ class CoincidenceTable(ByValue):
 
     def marginal_b(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
-
-
-def _check_tables(m: np.ndarray) -> None:
-    """Raise unless every 4x4 table in ``m`` is a probability distribution."""
-    if not (m.min() >= -1e-12 and m.max() <= 1 + 1e-12):  # NaN fails too
-        raise ValueError("coincidence probabilities outside [0, 1]")
-    total = m.sum(axis=(-2, -1))
-    bad = ~(np.abs(total - 1.0) <= 1e-9)
-    if bad.any():
-        raise ValueError(f"coincidence table sums to {total[bad][0]}, not 1")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +162,8 @@ def two_photon_batch(
     and the Born table, which is the result, against
     :func:`coincidence_closed_forms`.  A mismatch raises ``RuntimeError``
     naming the first failing row and its settings; every table must then be
-    a probability distribution.  An empty batch raises ``ValueError``.
+    a probability distribution (:func:`~wptoolbox.qcore.check_distribution`).
+    An empty batch raises ``ValueError``.
 
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
@@ -200,8 +180,8 @@ def two_photon_batch(
     # the closed form shares the engine's cos, sin of alpha
     closed = _coincidence_forms(alpha, histories.coeffs, phi1, phi2, phi1p, phi2p, beta, betap)
     probs = histories.born(closed.reshape(amps.shape), "coincidence table", scale)
-    probs = probs.reshape(closed.shape)
-    _check_tables(probs)
+    probs = check_distribution(probs.reshape(closed.shape), "coincidence probabilities",
+                               axis=(-2, -1))
     return PairBatch(amps, probs)
 
 
@@ -210,7 +190,8 @@ def _pair_table(what: str, s: TwoPhotonSettings, scale) -> CoincidenceTable:
     batch, in ``s`` or in ``scale``, is refused first."""
     values = _pair_values(s, scale)
     _one_setting(what, values)
-    return CoincidenceTable._wrap(two_photon_batch(*values).probabilities)
+    # one table that two_photon_batch has just made and checked (check_distribution)
+    return _trusted(CoincidenceTable, matrix=two_photon_batch(*values).probabilities)
 
 
 def two_photon_output(s: TwoPhotonSettings) -> PureState:
@@ -416,8 +397,13 @@ def ghz_output(
     return _ghz(n, _single_settings(alpha, phases, beta))
 
 
+def _one_to(k, high: int) -> bool:
+    """True for an integer ``k`` (not a bool) from 1 to ``high``."""
+    return isinstance(k, Integral) and not isinstance(k, bool) and 1 <= k <= high
+
+
 def _check_photon_number(n) -> None:
-    if not isinstance(n, Integral) or isinstance(n, bool) or not 1 <= n <= MAX_PHOTONS:
+    if not _one_to(n, MAX_PHOTONS):
         raise ValueError(f"photon number must be an integer in [1, {MAX_PHOTONS}]")
 
 

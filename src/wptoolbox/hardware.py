@@ -51,7 +51,7 @@ from .optics import (
     interferometer_circuit,
     mirror_matrix,
 )
-from .qcore import ModeBasis, PureState, as_values, broadcast_values
+from .qcore import ModeBasis, PureState, _trusted, as_values, broadcast_values
 from .toolbox import BETA_SPLIT, ToolboxPhases, _one_setting, prepare_input
 
 N_SLOTS = 4
@@ -224,12 +224,16 @@ def hardware_output(layout: HardwareLayout, alpha) -> np.ndarray:
 
 
 def _detector_probabilities(layout: HardwareLayout, qubit: PureState) -> np.ndarray:
-    """:func:`hardware_output` for an already prepared input ``qubit``."""
+    """:func:`hardware_output` for an already prepared input ``qubit``; an empty
+    batch of them raises ``ValueError``."""
     pol_in = qubit.amplitudes
+    if not pol_in.size:
+        raise ValueError("the detector probabilities need at least one alpha, got none")
     amps = np.zeros(pol_in.shape[:-1] + (RAIL_BASIS.dimension,), dtype=np.complex128)
     amps[..., _INPUT_INDEX] = pol_in
-    # the checked qubit's amplitudes on two rails: finite, so wrapped, not scanned
-    probs = layout.circuit.propagate(PureState._wrap(RAIL_BASIS, amps)).probabilities()
+    # the qubit's amplitudes, finite as its PureState checked, on two rails
+    probs = layout.circuit.propagate(
+        _trusted(PureState, basis=RAIL_BASIS, amplitudes=amps)).probabilities()
     ports = probs[..., _port_index(layout.detector_ports)]
     leak = (probs.sum(axis=-1) - ports.sum(axis=-1)).max()
     if not leak <= 1e-12:  # written so that NaN fails too
@@ -278,8 +282,6 @@ def equivalence_check(
     """
     # an array of alphas is taken as it is; any other iterable is listed first
     alphas = as_values(alphas if isinstance(alphas, np.ndarray) and alphas.ndim else list(alphas))
-    if alphas.size == 0:
-        raise ValueError("equivalence_check needs at least one alpha, got none")
     beta = np.ravel(layout.beta)
     # an absolute tolerance only; NaN is not <= it, so it fails too
     bad = ~(np.abs(beta[:, None] - _VALIDATED) <= 1e-15).any(axis=-1)
@@ -289,8 +291,8 @@ def equivalence_check(
             "pass strict=False to compare anyway"
         )
     qubit = prepare_input(alphas)
+    hw_dist = _detector_probabilities(layout, qubit)  # refuses an empty batch first
     conceptual_dist = conceptual.propagate(qubit).probabilities()
-    hw_dist = _detector_probabilities(layout, qubit)
     return float(np.abs(conceptual_dist - hw_dist).max())
 
 

@@ -34,6 +34,7 @@ from .qcore import (
     ModeBasis,
     PureState,
     Step,
+    _trusted,
     as_values,
     broadcast_values,
     is_isometry,
@@ -156,8 +157,10 @@ def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, ...]
     shape of the settings, float64 values of one shape
     (:func:`~wptoolbox.qcore.broadcast_values`), for one ``is_isometry``
     call.  Returns the 1x1 phase stacks and the plate stack twice, as
-    read-only views of the checked stack.
+    read-only views of the checked stack.  An empty batch raises ``ValueError``.
     """
+    if not beta.size:
+        raise ValueError(f"{name} need at least one setting, got an empty batch")
     stack = np.zeros(beta.shape + (2, 2, 2), dtype=np.complex128)
     stack[..., 0, 0, 0] = np.exp(1j * phi1)
     stack[..., 0, 1, 1] = np.exp(1j * phi2)
@@ -220,7 +223,8 @@ class Circuit:
         # isometries keep the norm, but a finite input's norm may overflow
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        return PureState._wrap(self.output_basis, amps)
+        # the runner's fresh C-ordered result, which passed the finite scan above
+        return _trusted(PureState, basis=self.output_basis, amplitudes=amps)
 
     def matrix(self) -> np.ndarray:
         """Full transfer matrix (output dim x input dim), columns = basis images.
@@ -294,18 +298,12 @@ class Chain:
         as given, and runs on the fused steps."""
         steps, listed = self.steps_with(*matrices), list(self.items)
         for (_, i), m in zip(self.slots, matrices):
-            listed[i] = _slot_element(*listed[i], m)
-        circuit = object.__new__(Circuit)  # its fields as the constructor sets them
-        vars(circuit).update(input_basis=self.input_basis, output_basis=self.output_basis,
-                             elements=tuple(listed), _steps=steps)  # and its cached steps
-        return circuit
-
-
-def _slot_element(name: str, modes: tuple[Label, ...], matrix: np.ndarray) -> ElementUnitary:
-    """An in-place element sharing an already checked, frozen ``matrix``."""
-    el = object.__new__(ElementUnitary)  # skips __post_init__: no second check
-    vars(el).update(name=name, modes_in=modes, modes_out=modes, matrix=matrix)
-    return el
+            name, modes = listed[i]  # in place, around m, which passed _checked as a stack
+            listed[i] = _trusted(ElementUnitary, name=name, modes_in=modes, modes_out=modes,
+                                 matrix=m)
+        # compile_chain routed the steps and checked the routing; the circuit caches them
+        return _trusted(Circuit, input_basis=self.input_basis, output_basis=self.output_basis,
+                        elements=tuple(listed), _steps=steps)
 
 
 def compile_chain(input_basis: ModeBasis, items) -> Chain:

@@ -60,6 +60,19 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+def _trusted(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` as given, each ndarray frozen in place,
+    without ``__init__``: nothing is copied or checked again.  Only for the fields its
+    constructor would set, of their types, held by nothing else, which a check has just
+    passed; each call site names that check."""
+    obj = object.__new__(cls)
+    for value in fields.values():
+        if type(value) is np.ndarray:
+            value.setflags(write=False)
+    obj.__dict__.update(fields)
+    return obj
+
+
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -153,16 +166,6 @@ class ModeBasis:
             raise ValueError("mode labels must be unique")
         vars(self).update(_labels=labels, _radix=None, factors=factors, dimension=len(labels))
 
-    @classmethod
-    def _product(cls, factors: tuple, radix: tuple) -> "ModeBasis":
-        """The product of ``factors``; ``radix`` holds each factor's flat labels, as a
-        dict to their positions, and their common length.  Such labels are unique and
-        of one length per factor, so the product's are unique: nothing is checked here."""
-        basis = object.__new__(cls)
-        dimension = math.prod(len(lookup) for lookup, _ in radix)
-        vars(basis).update(_labels=None, _radix=radix, factors=factors, dimension=dimension)
-        return basis
-
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a ModeBasis")
 
@@ -235,7 +238,11 @@ def product_basis(a: ModeBasis, b: ModeBasis) -> ModeBasis:
         if len(widths) > 1 or len(lookup) < len(flat):  # ragged or colliding flat labels
             return ModeBasis(_product_labels(flats), factors)
         radix.append((lookup, widths.pop()))
-    return ModeBasis._product(factors, tuple(radix))
+    # each factor's flat labels passed the loop above: unique, of one length, so the
+    # product's are unique; ``radix`` holds each factor's lookup and width
+    dimension = math.prod(len(lookup) for lookup, _ in radix)
+    return _trusted(ModeBasis, _labels=None, _radix=tuple(radix), factors=factors,
+                    dimension=dimension)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,16 +266,6 @@ class PureState(ByValue):
             raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def _wrap(cls, basis: ModeBasis, amps: np.ndarray) -> "PureState":
-        """A state around ``amps``, frozen in place, neither copied nor scanned:
-        only for C-ordered complex128 amplitudes of ``basis``'s dimension that
-        the caller owns and knows finite, as the engine's checked output."""
-        amps.flags.writeable = False
-        state = object.__new__(cls)
-        vars(state).update(basis=basis, amplitudes=amps)
-        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes, axis=-1))  # raises for a batch
@@ -448,17 +445,31 @@ def pure_density(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.basis, _projector(state.amplitudes))
 
 
-def check_distribution(values, what: str) -> np.ndarray:
-    """``values`` as floats; raises, naming them ``what``, unless they are
-    non-negative and sum to 1 within tolerance along the first axis."""
-    values = np.array(values, dtype=float)
-    if (values < -ATOL).any():
-        raise ValueError(f"{what} must be non-negative")
-    total = values.sum(axis=0)
-    bad = ~(np.abs(total - 1.0) <= 1e-9)  # NaN fails too
-    if bad.any():
-        raise ValueError(f"{what} must sum to 1, got {total[bad][0]}")
-    return values
+def check_distribution(values, what: str, axis=0) -> np.ndarray:
+    """``values`` as float64 (not copied when they are), once they are probability rows.
+
+    The outcome ``axis`` (an int or a tuple of ints) holds each row's
+    outcomes; the other axes index the rows, in flat order.  Raises
+    ``ValueError``, naming ``what`` and the first bad row, unless there is at
+    least one row, every entry lies in [0, 1] to ``ATOL`` and every row sums
+    to 1 within 1e-9; NaN fails.  Valid values cost one sum, min and max.
+    """
+    values = np.asarray(values, dtype=float)
+    total = values.sum(axis=axis)
+    if not total.size:
+        raise ValueError(f"{what} needs at least one row, got shape {values.shape}")
+    # written as "<=" so that NaN fails; sums of 1 imply at least one outcome
+    if (np.abs(total - 1.0).max() <= 1e-9 and values.min() >= -ATOL
+            and values.max() <= 1.0 + ATOL):
+        return values
+    low = values.min(axis=axis, initial=np.inf)
+    high = values.max(axis=axis, initial=-np.inf)
+    inside = (low >= -ATOL) & (high <= 1.0 + ATOL)
+    k = int(np.argmax(~(inside & (np.abs(total - 1.0) <= 1e-9)).reshape(-1)))
+    if not inside.flat[k]:
+        value = low.flat[k] if not low.flat[k] >= -ATOL else high.flat[k]
+        raise ValueError(f"{what} must lie in [0, 1], got {value} at row {k}")
+    raise ValueError(f"{what} must sum to 1, got {total.flat[k]} at row {k}")
 
 
 def mix(pairs: Iterable[tuple[PureState, float]]) -> DensityMatrix:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .entangle import CoincidenceTable, TwoPhotonSettings, _pair_table
-from .qcore import ByValue
+from .qcore import ByValue, _trusted, check_distribution
 from .toolbox import BETA_SPLIT, SingleProbabilities, ToolboxPhases, _single_row
 
 Distribution = Union[SingleProbabilities, CoincidenceTable, np.ndarray]
@@ -86,17 +86,6 @@ class CountTable(ByValue):
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
-    @classmethod
-    def _drawn(cls, counts: np.ndarray, total_shots: int, seed: int) -> "CountTable":
-        """A table of counts :func:`sample_rows` has just drawn, kept without a copy:
-        they are int64, non-negative, sum to ``total_shots`` and are held by nothing
-        else, so only their number of outcomes is checked."""
-        _check_outcomes(counts)
-        table = object.__new__(cls)  # skips __post_init__
-        counts.flags.writeable = False
-        vars(table).update(counts=counts, total_shots=total_shots, seed=seed)
-        return table
-
     def frequencies(self) -> np.ndarray:
         return self.counts / self.total_shots
 
@@ -119,27 +108,21 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
     """Multinomial draws of ``n_shots`` events for every row of ``dists``.
 
     ``dists`` holds one distribution per leading index, shape ``(rows, 4)``
-    or ``(rows, 4, 4)``; the counts come back in that shape as int64.  Every
-    row is checked before any draw, and an error names the first bad row.
-    A table draws all rows, in row order, from one ``default_rng(seed)``
-    stream, so equal (table values, shots, seed) give equal counts in any
-    memory layout; row 0 equals :func:`sample_counts` of that row at that seed.
+    or ``(rows, 4, 4)`` with at least one row, else ``ValueError``; the
+    counts come back in that shape as int64.  Every row is checked before
+    any draw (:func:`~wptoolbox.qcore.check_distribution`), an error names
+    the first bad row, and round-off negatives are drawn as zero.  A table
+    draws all rows, in row order, from one ``default_rng(seed)`` stream, so
+    equal (table values, shots, seed) give equal counts in any memory
+    layout; row 0 equals :func:`sample_counts` of that row at that seed.
     """
     if n_shots < 1:
         raise ValueError("need at least one shot")
     p = np.asarray(dists, dtype=float)
-    flat = np.ascontiguousarray(p.reshape(len(p), -1))  # a row's sum rounds by layout
-    sums, low = flat.sum(axis=1), flat.min(initial=0.0)
-    # all rows at once; only a failure looks row by row (NaN fails too)
-    if not (low >= -1e-12 and np.abs(sums - 1.0).max(initial=0.0) <= 1e-9):
-        lows = flat.min(axis=1)
-        k = int(np.argmax(~((lows >= -1e-12) & (np.abs(sums - 1.0) <= 1e-9))))
-        if not lows[k] >= -1e-12:
-            raise ValueError(f"row {k}: distribution has a negative or NaN probability")
-        raise ValueError(f"row {k}: distribution sums to {sums[k]}, not 1")
-    if low < 0:
-        flat = np.clip(flat, 0.0, None)
-    pvals = flat / flat.sum(axis=1, keepdims=True)
+    flat = np.ascontiguousarray(_rows(p))  # a row's sum rounds by layout
+    check_distribution(flat, "probabilities", axis=1)
+    pvals = np.maximum(flat, 0.0)  # a round-off negative is drawn as zero
+    pvals /= pvals.sum(axis=1, keepdims=True)
     # one row as a vector: the same draw, without the 2-D call's overhead
     counts = np.random.default_rng(seed).multinomial(
         int(n_shots), pvals[0] if len(pvals) == 1 else pvals)
@@ -147,14 +130,19 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
 
 
 def sample_counts(dist: Distribution, n_shots: int, seed: int) -> CountTable:
-    """Multinomial draw of ``n_shots`` detection events: one row of :func:`sample_rows`,
+    """Multinomial draw of ``n_shots`` detection events from a distribution of 4 or 16
+    outcomes, whose shape the counts keep: one row of :func:`sample_rows`,
     deterministic for a fixed (distribution, shots, seed) triple."""
     if isinstance(dist, SingleProbabilities):
         dist = dist.as_array()
     elif isinstance(dist, CoincidenceTable):
         dist = dist.matrix
-    counts = sample_rows(np.asarray(dist, dtype=float)[None], n_shots, seed)[0]
-    return CountTable._drawn(counts, int(n_shots), int(seed))
+    dist = np.asarray(dist, dtype=float)
+    _check_outcomes(dist)
+    row = dist.reshape((1, 4) if dist.size == 4 else (1, 4, 4))
+    counts = sample_rows(row, n_shots, seed).reshape(dist.shape)
+    # sample_rows drew them: int64, non-negative, summing to n_shots, held by nothing else
+    return _trusted(CountTable, counts=counts, total_shots=int(n_shots), seed=int(seed))
 
 
 def count_errors(counts: np.ndarray) -> np.ndarray:
@@ -218,9 +206,19 @@ def witness_rows(counts, n_shots: int, witness: str) -> tuple[np.ndarray, np.nda
     ``(rows, 4, 4)`` for ``witness='entanglement'``, which reads
     (n_22' - n_21') / N.  The error is sqrt(n_a + n_b) / N: the two entering
     counts are treated as independent Poisson variables (zero counts
-    contribute their unit-error convention of :func:`count_errors`).
+    contribute their unit-error convention of :func:`count_errors`).  Any
+    other shape, or no row, raises ``ValueError``.
     """
-    return _witness(np.asarray(counts).reshape(len(counts), -1).T, n_shots, witness)
+    return _witness(_rows(np.asarray(counts)).T, n_shots, witness)
+
+
+def _rows(table: np.ndarray) -> np.ndarray:
+    """``table`` as ``(rows, outcomes)``; raises unless its shape is ``(rows, 4)`` or
+    ``(rows, 4, 4)`` with at least one row."""
+    if table.shape[1:] not in ((4,), (4, 4)) or not len(table):
+        raise ValueError("expected a table of shape (rows, 4) or (rows, 4, 4) with at"
+                         f" least one row, got shape {table.shape}")
+    return table.reshape(len(table), -1)
 
 
 def _witness(cells, n_shots: int, witness: str) -> tuple:

@@ -32,6 +32,7 @@ from .qcore import (
     DensityMatrix,
     ModeBasis,
     PureState,
+    _trusted,
     as_values,
     broadcast_values,
     check_distribution,
@@ -258,7 +259,8 @@ class _Histories(NamedTuple):
         (:func:`_n_photon_basis`), C-ordered.  The engine's own output, finite once
         its cross-check passed: frozen, copied only when a batch is not C-ordered."""
         basis = _n_photon_basis(len(self.rows))
-        return PureState._wrap(basis, np.ascontiguousarray(self.amplitudes))
+        # amplitudes the cross-check (_check) has compared, so finite
+        return _trusted(PureState, basis=basis, amplitudes=np.ascontiguousarray(self.amplitudes))
 
     def mixture(self) -> DensityMatrix:
         """``sum_t c_t^2 |term_t><term_t|`` over the basis of :meth:`state`."""
@@ -290,7 +292,7 @@ class _Histories(NamedTuple):
         if not is_isometry(stack_last(terms)):
             raise ValueError("history terms must be finite and orthonormal")
         baseline = sum(w[..., None] * (t * t.conj()).real for w, t in zip(weights, terms))
-        check_distribution(np.moveaxis(baseline, -1, 0), "mixture baseline rows")
+        check_distribution(baseline, "mixture baseline", axis=-1)
         return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
 
     def sector(self) -> np.ndarray:

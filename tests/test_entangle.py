@@ -34,6 +34,7 @@ from wptoolbox.qcore import (
     DensityMatrix,
     ModeBasis,
     PureState,
+    check_distribution,
     measure_distribution,
     product_basis,
 )
@@ -82,33 +83,41 @@ class TestCoincidenceTable:
             CoincidenceTable(np.full((2, 2), 0.25))
 
     def test_normalization_checked(self):
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match="must sum to 1, got 1.6"):
             CoincidenceTable(np.full((4, 4), 0.1))
 
     def test_range_checked(self):
         m = np.zeros((4, 4))
         m[0, 0] = 1.5
         m[0, 1] = -0.5
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             CoincidenceTable(m)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
             CoincidenceTable(np.full((4, 4), np.nan))
         stack = np.full((3, 4, 4), 1 / 16)
         stack[1, 2, 3] = np.nan
-        with pytest.raises(ValueError, match="outside"):
-            entangle._check_tables(stack)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan at row 1"):
+            check_distribution(stack, "coincidence probabilities", axis=(-2, -1))
 
     def test_engine_checks_every_table_of_a_stack(self):
         stack = np.full((3, 4, 4), 1 / 16)
-        entangle._check_tables(stack)
+        check_distribution(stack, "coincidence probabilities", axis=(-2, -1))
         stack[2, 0, 0] += 0.01
-        with pytest.raises(ValueError, match="sums to 1.01"):
-            entangle._check_tables(stack)
+        with pytest.raises(ValueError, match="sum to 1, got 1.01 at row 2"):
+            check_distribution(stack, "coincidence probabilities", axis=(-2, -1))
         stack[2, 0, 0] = -0.5
-        with pytest.raises(ValueError, match="outside"):
-            entangle._check_tables(stack)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -0.5 at row 2"):
+            check_distribution(stack, "coincidence probabilities", axis=(-2, -1))
+
+    @pytest.mark.parametrize("det", [0, 5, 1.5, 2.0, True, "2", None])
+    def test_detector_indices_are_integers_from_one_to_four(self, det):
+        table = coincidence_probabilities(TwoPhotonSettings())
+        for args in ((det, 1), (1, det)):
+            with pytest.raises(ValueError, match="detector indices must be integers from 1 to 4"):
+                table.prob(*args)
+        assert table.prob(np.int64(2), 4) == table.prob(2, 4) == table.matrix[1, 3]
 
     def test_tables_compare_and_hash_by_value(self):
         m = np.arange(16.0).reshape(4, 4) / 120

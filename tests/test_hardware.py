@@ -19,7 +19,7 @@ from wptoolbox.hardware import (
     hwp_jones,
     _fixed_stages,
 )
-from wptoolbox.optics import interferometer_circuit
+from wptoolbox.optics import interferometer_circuit, network_matrix
 from wptoolbox.toolbox import BETA_SPLIT, ToolboxPhases, detection_probabilities
 
 RT2 = np.sqrt(2.0)
@@ -279,6 +279,17 @@ class TestBatchedRoute:
         layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta, angles)
         with pytest.raises(RuntimeError, match="missed the detector ports"):
             hardware_output(layout, alpha)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda none: network_matrix(none, 0.3, BETA_SPLIT),
+    lambda none: interferometer_circuit(0.2, none, BETA_SPLIT),
+    lambda none: build_hardware_layout(ToolboxPhases(0.2, 0.9), none),
+    lambda none: hardware_output(build_hardware_layout(ToolboxPhases(0.2, 0.9), 0.0), none),
+], ids=["network_matrix", "interferometer_circuit", "build_hardware_layout", "hardware_output"])
+def test_an_empty_batch_raises_a_clear_error(entry):
+    with pytest.raises(ValueError, match="need at least one (setting, got an empty batch|alpha)"):
+        entry(np.zeros(0))
 
 
 class TestScanInputs:

@@ -1,11 +1,14 @@
 """Tests for the labeled-basis state algebra."""
 import copy
+import inspect
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wptoolbox.qcore as qcore
+from wptoolbox import entangle, optics, shots
 from wptoolbox.qcore import (
     DensityMatrix,
     ModeBasis,
@@ -13,6 +16,7 @@ from wptoolbox.qcore import (
     apply_unitary,
     as_values,
     broadcast_values,
+    check_distribution,
     is_isometry,
     measure_distribution,
     mix,
@@ -340,7 +344,7 @@ class TestMixAndTrace:
         b = PureState(basis, np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="sum to 1"):
             mix([(a, 0.5), (b, 0.6)])
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -0.5 at row 0"):
             mix([(a, 1.5), (b, -0.5)])
 
     def test_mix_kills_coherence(self):
@@ -477,3 +481,47 @@ class TestValues:
         np.testing.assert_array_equal(a, 0.5)
         with pytest.raises(ValueError, match="shape mismatch"):
             broadcast_values(np.zeros(2), np.zeros(3))
+
+
+class TestCertification:
+    """One trusted constructor and one probability-table rule, in qcore."""
+
+    def test_only_the_trusted_constructor_bypasses_a_constructor(self):
+        lines, start = inspect.getsourcelines(qcore._trusted)
+        inside = range(start, start + len(lines))
+        found = [(path.name, n) for path in sorted(Path(qcore.__file__).parent.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "object.__new__" in line]
+        assert len(found) == 1 and found[0][0] == "qcore.py" and found[0][1] in inside
+        gone = [(PureState, "_wrap"), (entangle.CoincidenceTable, "_wrap"),
+                (shots.CountTable, "_drawn"), (optics, "_slot_element"), (ModeBasis, "_product"),
+                (entangle, "_check_tables")]
+        assert [name for owner, name in gone if hasattr(owner, name)] == []
+
+    def test_trusted_instances_skip_init_and_freeze_their_arrays(self, monkeypatch):
+        monkeypatch.setattr(PureState, "__init__", lambda *args: pytest.fail("__init__ ran"))
+        amps = np.array([0.6, 0.8j])
+        state = qcore._trusted(PureState, basis=ModeBasis(("V", "H")), amplitudes=amps)
+        assert state.amplitudes is amps and not amps.flags.writeable
+        assert vars(state) == {"basis": ModeBasis(("V", "H")), "amplitudes": amps}
+
+    def test_valid_rows_pass_uncopied(self):
+        rows = np.full((3, 4, 4), 1 / 16)
+        assert check_distribution(rows, "t", axis=(-2, -1)) is rows
+        assert check_distribution([[0.25, 1.0], [0.75, 0.0]], "w").tolist() == [
+            [0.25, 1.0], [0.75, 0.0]]  # outcomes on the first axis by default
+        check_distribution(np.array([1 + 1e-12, -1e-12]), "w")  # round-off passes
+
+    @pytest.mark.parametrize("values, axis, message", [
+        ([[0.5, 0.5], [0.5, 0.6]], -1, "must sum to 1, got 1.1 at row 1"),
+        ([[0.5, 0.5], [1.5, -0.5]], -1, r"must lie in \[0, 1\], got -0.5 at row 1"),
+        ([[1.5, 0.5], [-0.5, 0.5]], 0, r"must lie in \[0, 1\], got -0.5 at row 0"),
+        ([[0.5, 0.5], [0.5, np.nan]], -1, r"must lie in \[0, 1\], got nan at row 1"),
+        ([[0.5, 0.5], [1 + 1e-11, -1e-11]], -1, r"must lie in \[0, 1\], got -1e-11 at row 1"),
+        (np.full((2, 3, 2, 2), 0.25), (1, 3), r"must sum to 1, got 1.5 at row 0"),
+        (np.zeros((0, 4)), -1, r"needs at least one row, got shape \(0, 4\)"),
+        (np.zeros((2, 0)), -1, "must sum to 1, got 0.0 at row 0"),
+    ])
+    def test_an_error_names_the_first_bad_row(self, values, axis, message):
+        with pytest.raises(ValueError, match="^table " + message):
+            check_distribution(values, "table", axis=axis)

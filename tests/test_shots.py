@@ -163,13 +163,13 @@ class TestSampling:
         np.testing.assert_array_equal(t.counts, [500, 0, 0, 0])
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match="must sum to 1, got 1.2"):
             sample_counts(np.array([0.3, 0.3, 0.3, 0.3]), 10, seed=0)
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="negative or NaN probability"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
             sample_counts(np.full(4, np.nan), 10, seed=0)
-        with pytest.raises(ValueError, match="negative or NaN probability"):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got nan"):
             sample_counts(np.array([0.5, np.nan, 0.25, 0.25]), 10, seed=0)
 
     def test_rejects_zero_shots(self):
@@ -263,9 +263,9 @@ class TestSampleRows:
 
     @pytest.mark.parametrize("outcomes", [4, 16])
     @pytest.mark.parametrize("bad, message", [
-        (-1e-3, "row 3: distribution has a negative or NaN probability"),
-        (np.nan, "row 3: distribution has a negative or NaN probability"),
-        (0.05, "row 3: distribution sums to 1.0"),
+        (-1e-3, "probabilities must lie in [0, 1], got -0.001"),
+        (np.nan, "probabilities must lie in [0, 1], got nan"),
+        (0.05, "probabilities must sum to 1, got 1.0"),
     ])
     def test_bad_row_is_named(self, outcomes, bad, message):
         dists = _random_rows(6, outcomes, seed=5)
@@ -274,8 +274,9 @@ class TestSampleRows:
             row[0] += bad
         else:
             row[0], row[1] = bad, row[1] + row[0] - bad
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
             sample_rows(dists, 100, seed=0)
+        assert str(err.value).endswith(" at row 3")
 
     def test_round_off_negatives_are_drawn_as_zero(self):
         dists = np.array([[0.5, 0.5 + 1e-13, -1e-13, 0.0], [0.25, 0.25, 0.25, 0.25]])
@@ -290,12 +291,23 @@ class TestSampleRows:
         dists = np.full((5, 4), 0.25)
         dists[4, 0] = np.nan
         dists[2] *= 2
-        with pytest.raises(ValueError, match="row 2: distribution sums to 2"):
+        with pytest.raises(ValueError, match="probabilities must sum to 1, got 2.0 at row 2"):
             sample_rows(dists, 100, seed=0)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError, match="at least one"):
             sample_rows(np.full((2, 4), 0.25), 0, seed=0)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 5), (2, 16), (2, 2, 2), (2, 4, 4, 1), (0, 4),
+                                       (0, 4, 4), ()])
+    def test_only_rows_of_four_or_four_by_four_outcomes(self, shape):
+        # a 1-D table is not four one-outcome rows, and no table has zero rows
+        message = re.escape(f"(rows, 4) or (rows, 4, 4) with at least one row, got shape {shape}")
+        dists = np.full(shape, 1 / np.prod(shape[1:], dtype=int))
+        with pytest.raises(ValueError, match=message):
+            sample_rows(dists, 10, seed=0)
+        with pytest.raises(ValueError, match=message):
+            witness_rows(dists.astype(np.int64), 10, "coherence")
 
     @pytest.mark.parametrize("witness, outcomes", [("coherence", 4), ("entanglement", 16)])
     def test_witness_rows_are_estimate_witness(self, witness, outcomes):

@@ -19,6 +19,12 @@ baseline and the change, points/s (the workload's points over the summed
 call times), the p50 and p90 call time, each operation kind's median and
 paired difference (see :func:`report`), and the share of pairs the change
 won.  Nothing under ``bench/`` is changed; its modules are only imported.
+
+The ``--aa`` control is not flat for every kind: on a 2-core Xeon VM it
+read ``equivalence_scan`` 5-9% faster on the change side in four runs
+(-6.1%, -8.6%, -7.5%, -7.1%), though both sides run the same code and the
+alternation of which side runs first does not cancel it.  So that row
+cannot resolve a change below about 9%; the other kinds read within 2-3%.
 """
 from __future__ import annotations
 
