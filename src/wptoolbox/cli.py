@@ -35,6 +35,7 @@ from .entangle import (
 from .hardware import equivalence_scan
 from .optics import interferometer_circuit
 from .shots import (
+    MAX_SHOTS,
     NoiseModel,
     count_errors,
     noisy_coincidence_probabilities,
@@ -98,6 +99,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ValueError(f"--{flag} must be finite")
     if args.shots < 0:
         raise ValueError("--shots must be >= 0")
+    if args.shots > MAX_SHOTS:
+        raise ValueError(f"--shots must be <= {MAX_SHOTS}")
     for knob in ("visibility", "dephase"):
         if not 0.0 <= getattr(args, knob) <= 1.0:
             raise ValueError(f"--{knob} must lie in [0, 1]")
@@ -479,19 +482,55 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _flag_table(command: str) -> tuple[dict[str, argparse.Action], dict[str, object]]:
+    """The option strings of ``command`` that store one value or switch one on, and
+    the subcommand's defaults, both read from its parser in :func:`_parser`."""
+    (commands,) = _parser()._subparsers._group_actions
+    sub = commands.choices[command]
+    flags = {option: action for option, action in sub._option_string_actions.items()
+             if type(action) is argparse._StoreTrueAction
+             or type(action) is argparse._StoreAction and action.nargs is None}
+    return flags, vars(sub.parse_args([]))
+
+
+def _read_flags(argv: list[str]) -> argparse.Namespace | None:
+    """``argv`` read through :func:`_flag_table`: a subcommand, then exact ``--flag
+    value`` pairs and switches, typed and checked against their choices as the full
+    parse does.  Anything else gives None: a value that starts with ``-``, an
+    abbreviation or ``--flag=value``, ``-h`` or ``--``, a missing, mistyped or
+    unlisted value, an unknown flag or a stray positional."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags, defaults = _flag_table(argv[0])
+    values = dict(defaults, command=argv[0])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """``argv`` parsed by :func:`_parser`.  A known subcommand's flags are parsed once,
-    by its own parser (the full parse hands them to it too); anything left over
-    falls back to the full parse, whose error names the unrecognized arguments."""
+    """``argv`` as :func:`_parser` parses it: read by :func:`_read_flags` when it can,
+    else parsed in full, so help, errors and abbreviations are argparse's own."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser()
-    if argv and argv[0] in _COMMANDS:
-        (commands,) = parser._subparsers._group_actions
-        args, extras = commands.choices[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    args = _read_flags(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

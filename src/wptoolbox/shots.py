@@ -29,6 +29,8 @@ from .toolbox import BETA_SPLIT, SingleProbabilities, ToolboxPhases, _single_row
 Distribution = Union[SingleProbabilities, CoincidenceTable, np.ndarray]
 #: the fields of :class:`NoiseModel`, in the order its errors name them
 _KNOBS = ("visibility", "dephase_wp")
+#: the most shots one draw takes: numpy's multinomial counts in int64
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +69,9 @@ class NoiseModel(ByValue):
 
 @dataclass(frozen=True, eq=False)
 class CountTable(ByValue):
-    """Multinomial detector counts; shape (4,) or (4, 4) for coincidences.  Tables
-    compare and hash by their counts' shape and values, shots and seed."""
+    """Multinomial detector counts; shape (4,), or (4, 4) or flat (16,) for
+    coincidences.  Tables compare and hash by their counts' shape and values, shots
+    and seed."""
 
     counts: np.ndarray
     total_shots: int
@@ -91,8 +94,9 @@ class CountTable(ByValue):
 
 
 def _check_outcomes(counts: np.ndarray) -> None:
-    if counts.size not in (4, 16):
-        raise ValueError(f"expected 4 or 16 outcomes, got {counts.size}")
+    if counts.shape not in ((4,), (4, 4), (16,)):
+        raise ValueError(f"expected 4 or 16 outcomes, got {counts.size} in shape"
+                         f" {counts.shape}; the shapes are (4,), (4, 4) and (16,)")
 
 
 class WitnessEstimate(NamedTuple):
@@ -108,16 +112,19 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
     """Multinomial draws of ``n_shots`` events for every row of ``dists``.
 
     ``dists`` holds one distribution per leading index, shape ``(rows, 4)``
-    or ``(rows, 4, 4)`` with at least one row, else ``ValueError``; the
-    counts come back in that shape as int64.  Every row is checked before
-    any draw (:func:`~wptoolbox.qcore.check_distribution`), an error names
-    the first bad row, and round-off negatives are drawn as zero.  A table
+    or ``(rows, 4, 4)`` with at least one row, and ``n_shots`` lies in
+    [1, :data:`MAX_SHOTS`], else ``ValueError``; the counts come back in
+    that shape as int64.  Every row is checked before any draw
+    (:func:`~wptoolbox.qcore.check_distribution`), an error names the first
+    bad row, and round-off negatives are drawn as zero.  A table
     draws all rows, in row order, from one ``default_rng(seed)`` stream, so
     equal (table values, shots, seed) give equal counts in any memory
     layout; row 0 equals :func:`sample_counts` of that row at that seed.
     """
     if n_shots < 1:
         raise ValueError("need at least one shot")
+    if n_shots > MAX_SHOTS:
+        raise ValueError(f"at most {MAX_SHOTS} shots can be drawn, got {n_shots}")
     p = np.asarray(dists, dtype=float)
     flat = np.ascontiguousarray(_rows(p))  # a row's sum rounds by layout
     check_distribution(flat, "probabilities", axis=1)
@@ -130,8 +137,8 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
 
 
 def sample_counts(dist: Distribution, n_shots: int, seed: int) -> CountTable:
-    """Multinomial draw of ``n_shots`` detection events from a distribution of 4 or 16
-    outcomes, whose shape the counts keep: one row of :func:`sample_rows`,
+    """Multinomial draw of ``n_shots`` detection events from a distribution of shape
+    (4,), (4, 4) or (16,), which the counts keep: one row of :func:`sample_rows`,
     deterministic for a fixed (distribution, shots, seed) triple."""
     if isinstance(dist, SingleProbabilities):
         dist = dist.as_array()

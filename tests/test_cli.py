@@ -341,6 +341,62 @@ class TestVerify:
 # argument validation
 # ---------------------------------------------------------------------------
 
+def _subparser(command):
+    (commands,) = cli._parser()._subparsers._group_actions
+    return commands.choices[command]
+
+
+def _flag_actions(command):
+    return [action for action in _subparser(command)._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def _value_flags(command):
+    return [action.option_strings[-1] for action in _flag_actions(command) if action.nargs != 0]
+
+
+def _values(action):
+    """Text of values the flag takes, none of them starting with "-"."""
+    if action.choices is not None:
+        return st.sampled_from([str(c) for c in action.choices])
+    if action.type is float:
+        return st.floats(min_value=0.0).map(repr) | st.sampled_from(["nan", "inf", "1e3"])
+    if action.type is int:
+        return st.integers(min_value=0, max_value=10**25).map(str)
+    return st.text(max_size=6).filter(lambda text: not text.startswith("-"))
+
+
+def _plain(action):
+    """The flag's tokens: the switch alone, or the flag and one value it takes."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return st.just((flag,))
+    return _values(action).map(lambda value: (flag, value))
+
+
+def _odd_items(command):
+    """Tokens of a form the flag reader leaves to argparse."""
+    flag = st.sampled_from(_value_flags(command))
+    typed = [action for action in _flag_actions(command)
+             if action.choices or action.type in (int, float)]
+    return st.one_of(
+        st.tuples(flag, st.sampled_from(["-5", "-1.5", "-inf", "-x", "--mixed", "-"])),
+        st.tuples(flag.map(lambda f: f[:-2]), st.just("5")),  # an abbreviation
+        st.tuples(flag, st.just("5")).map(lambda pair: ("=".join(pair),)),
+        st.sampled_from([("-h",), ("--help",), ("--",), ("stray",), ("--bogus", "1")]),
+        st.sampled_from(typed).flatmap(lambda action: st.tuples(  # a mistyped or unlisted value
+            st.just(action.option_strings[-1]),
+            st.sampled_from(["xml", "gamma"] if action.choices else ["abc", "0x10", ""]
+                            + ["1.5"] * (action.type is int)))),
+    )
+
+
+def _same_values(a, b):
+    """Equal dicts, NaN equal to NaN."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (isinstance(a[k], float) and a[k] != a[k] and b[k] != b[k]) for k in a)
+
+
 class TestArgumentErrors:
     def test_unwritable_output_path(self):
         assert main(["single-sweep", "--out", "/nonexistent-dir/x.csv"]) == 2
@@ -390,6 +446,18 @@ class TestArgumentErrors:
             "error: the n-photon table is analytic and takes no --shots\n")
         assert list(tmp_path.iterdir()) == []
         assert main(["ghz", "--shots", "0", "--out", out]) == 0
+
+    @pytest.mark.parametrize("shots, code", [("99999999999999999999", 2),
+                                             (str(2**63), 2), (str(2**63 - 1), 0)])
+    def test_shots_beyond_int64_named(self, tmp_path, capsys, shots, code):
+        out = tmp_path / "x.csv"
+        assert main(["single-sweep", "--shots", shots, "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err == "error: --shots must be <= 9223372036854775807\n"
+            assert list(tmp_path.iterdir()) == []
+        else:
+            rows = read_csv(out)[1:]
+            assert {sum(map(int, row[8:12])) for row in rows} == {2**63 - 1}
 
     @pytest.mark.parametrize("argv", [["single-sweep", "--shots", "10"],
                                       ["two-photon"], ["verify", "--points", "1"]])
@@ -469,6 +537,44 @@ class TestArgumentErrors:
     ])
     def test_a_subcommand_parses_as_the_full_parser_does(self, argv):
         assert vars(cli._parse(argv)) == vars(cli._parser().parse_args(argv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_flag_reader_reads_as_the_full_parser_does(self, data):
+        command = data.draw(st.sampled_from(list(cli._COMMANDS)))
+        plain = st.sampled_from(_flag_actions(command)).flatmap(_plain)
+        odd = data.draw(st.lists(_odd_items(command), max_size=2))
+        items = data.draw(st.permutations(data.draw(st.lists(plain, max_size=8)) + odd))
+        argv = [command] + [token for tokens in items for token in tokens]
+        missing = data.draw(st.booleans())
+        if missing:  # a last flag without its value
+            argv.append(data.draw(st.sampled_from(_value_flags(command))))
+        args = cli._read_flags(argv)
+        if not (odd or missing):
+            assert args is not None, argv
+        if args is not None:
+            try:
+                full = cli._parser().parse_args(argv)
+            except SystemExit:  # which hypothesis would not report
+                pytest.fail(f"the flag reader took {argv}, which argparse refuses")
+            assert _same_values(vars(args), vars(full)), argv
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_workload_argv_is_read_without_argparse(self, command):
+        argv = [command, "--seed", "77"]
+        if command == "verify":
+            argv += ["--points", "40"]
+        else:
+            for flag in ("alpha-deg", "phi1-deg", "phi2-deg", "phi1p-deg", "phi2p-deg",
+                         "beta-deg", "betap-deg", "visibility", "dephase", "start", "stop"):
+                argv += [f"--{flag}", "0.375"]
+            argv += ["--sweep", "phi1", "--steps", "40", "--shots", "5000", "--mixed",
+                     "--format", "json", "--out", "table.json"]
+        if command == "ghz":
+            argv += ["--photons", "5"]
+        args = cli._read_flags(argv)
+        assert args is not None
+        assert vars(args) == vars(cli._parser().parse_args(argv))
 
     @pytest.mark.parametrize("extra", [["stray"], ["--bogus", "1"]])
     def test_leftover_arguments_fail_at_the_top_level(self, capsys, extra):

@@ -14,6 +14,7 @@ from wptoolbox.entangle import (
     two_photon_batch,
 )
 from wptoolbox.shots import (
+    MAX_SHOTS,
     CountTable,
     NoiseModel,
     WitnessEstimate,
@@ -94,6 +95,23 @@ class TestCountTable:
     def test_outcome_count_checked(self):
         with pytest.raises(ValueError, match="4 or 16"):
             CountTable(np.array([5, 5]), 10, seed=0)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (8, 2), (2, 2), (1, 4), (4, 1), (4, 4, 1),
+                                       (1, 16), (2, 2, 2, 2)])
+    def test_only_shapes_of_four_or_sixteen_outcomes(self, shape):
+        # entries 4 and 5 of a (2, 8) table are no n_21' and n_22' counts
+        counts = np.arange(np.prod(shape)).reshape(shape)
+        message = re.escape(f"got {counts.size} in shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            CountTable(counts, int(counts.sum()), seed=0)
+        with pytest.raises(ValueError, match=message):
+            sample_counts(np.full(shape, 1 / counts.size), 10, seed=0)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4), (16,)])
+    def test_outcome_shapes_kept(self, shape):
+        counts = np.arange(np.prod(shape)).reshape(shape)
+        assert CountTable(counts, int(counts.sum()), seed=0).counts.shape == shape
+        assert sample_counts(np.full(shape, 1 / counts.size), 10, seed=0).counts.shape == shape
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -297,6 +315,18 @@ class TestSampleRows:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError, match="at least one"):
             sample_rows(np.full((2, 4), 0.25), 0, seed=0)
+
+    def test_shots_beyond_int64_raise_a_value_error(self):
+        # numpy's multinomial counts in int64 and raises OverflowError beyond it
+        most = np.iinfo(np.int64).max
+        assert MAX_SHOTS == most
+        counts = sample_rows(np.full((2, 4), 0.25), most, seed=0)
+        assert (counts.sum(axis=1) == most).all()
+        for shots in (most + 1, 10**20):
+            with pytest.raises(ValueError, match=f"at most {most} shots can be drawn, got {shots}"):
+                sample_rows(np.full((2, 4), 0.25), shots, seed=0)
+            with pytest.raises(ValueError, match=f"at most {most} shots"):
+                sample_counts(np.full(4, 0.25), shots, seed=0)
 
     @pytest.mark.parametrize("shape", [(4,), (3, 5), (2, 16), (2, 2, 2), (2, 4, 4, 1), (0, 4),
                                        (0, 4, 4), ()])

@@ -162,6 +162,7 @@ ERRORS = [
     ("error_seed", ["two-photon", "--seed", "-1"]),
     ("error_verify_seed", ["verify", "--seed", "-1"]),
     ("error_phi2_nan", ["two-photon", "--phi2-deg", "nan"]),
+    ("error_shots_overflow", ["single-sweep", "--shots", "99999999999999999999"]),
 ]
 
 #: argv prefixes whose ``--help`` text is pinned, at COLUMNS=80

@@ -1,17 +1,23 @@
-"""Interleaved in-process timing of the interactive workload's library calls.
+"""Interleaved in-process timing of one workload's operations, parent against change.
 
 Two copies of ``wptoolbox`` run in one interpreter: the ``src`` next to this
 script, and a baseline copied from ``--base`` under another package name
 (``--aa`` copies this checkout's own ``src`` instead, an A/A control that
-should read no difference).  Both draw the same operations from the
-interactive stream of ``bench/workloads.py`` at ``--seed``, one call at a
-time, so drift of the machine's speed falls on both sides alike.  The first
+should read no difference).  Both draw the same operations from the stream
+of ``--workload`` in ``bench/workloads.py`` at ``--seed``, one operation at a
+time, so drift of the machine's speed falls on both sides alike: library
+calls for ``interactive`` (the default), ``cli.main`` table commands for
+``sweep-single`` and ``sweep-entangled``.  A command writes to a fresh
+output target, and it is read back and removed outside the timed call, as
+``bench/worker.py`` does; both sides write the same path in turn.  The first
 call of a pair runs on colder caches, so which side runs first alternates
-within each operation kind.  Every pair of results must be equal bit for bit.
+within each operation kind.  Every pair of results (for a command: exit
+code, stdout and output file) must be equal bit for bit.
 
 Usage::
 
     python3 tools/percall.py --base OLD/src --calls 6000 --runs 3
+    python3 tools/percall.py --base OLD/src --workload sweep-single --calls 600 --runs 2
     python3 tools/percall.py --aa --calls 6000
 
 Run ``r`` draws from seed ``--seed + r``.  Per run it prints, for the
@@ -29,8 +35,11 @@ cannot resolve a change below about 9%; the other kinds read within 2-3%.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import gc
 import importlib
+import io
 import shutil
 import statistics
 import sys
@@ -68,6 +77,8 @@ def _load(src: Path, tmp: Path):
     sys.path.insert(0, str(tmp))
     change = importlib.import_module("wptoolbox")
     base = importlib.import_module(BASE_NAME)
+    for package in (change, base):
+        importlib.import_module(package.__name__ + ".cli")
     if not Path(change.__file__).resolve().is_relative_to(ROOT / "src"):
         raise SystemExit(f"wptoolbox imported from {change.__file__}, not this checkout")
     return base, change
@@ -77,14 +88,46 @@ def _percentile(xs: list[float], q: float) -> float:
     return float(np.percentile(xs, q))
 
 
-def run(base, change, calls: int, seed: int) -> dict:
-    """``calls`` operations on each side, alternating which side runs first;
-    the stream's warm-up operation runs untimed on both."""
+def _cli(main, argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one ``cli.main`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return main(argv), out.getvalue()
+
+
+def _read_back(path: Path, raw: tuple[int, str]) -> tuple[int, str, bytes]:
+    """``raw`` and the bytes of the command's output file, which is then removed."""
+    data = path.read_bytes() if raw[0] == 0 else b""
+    path.unlink(missing_ok=True)
+    return (*raw, data)
+
+
+def _ops(workload: str, seed: int, wp, out: Path):
+    """The stream's operations on package ``wp``, each with a ``call`` and a
+    ``collect`` run on its result outside the timed call."""
     import workloads
 
-    pairs = zip(*(workloads.stream("interactive", seed, False, wp) for wp in (base, change)))
+    for op in workloads.stream(workload, seed, False, wp):
+        if "argv" in op:
+            path = out / f"out.{op['fmt']}"
+            op = {**op, "kind": op["command"],
+                  "call": functools.partial(_cli, wp.cli.main, op["argv"] + ["--out", str(path)]),
+                  "collect": functools.partial(_read_back, path)}
+        yield op
+
+
+def _result(op: dict, raw):
+    """What a pair compares: a command's exit code, stdout and output file, or
+    a library call's return value."""
+    return op["collect"](raw) if "collect" in op else raw
+
+
+def run(base, change, workload: str, calls: int, seed: int, out: Path) -> dict:
+    """``calls`` operations on each side, alternating which side runs first;
+    the stream's warm-up operation runs untimed on both."""
+    pairs = zip(*(_ops(workload, seed, wp, out) for wp in (base, change)))
     for op in next(pairs):
-        op["call"]()
+        _result(op, op["call"]())
     times, kinds, firsts, points, won, seen = ([], []), [], [], 0, 0, Counter()
     clock = time.perf_counter_ns
     gc.collect()
@@ -96,8 +139,9 @@ def run(base, change, calls: int, seed: int) -> dict:
         for side in (first, 1 - first):
             call = pair[side]["call"]
             t0 = clock()
-            results[side] = call()
+            raw = call()
             spent[side] = clock() - t0
+            results[side] = _result(pair[side], raw)
         if _bits(results[0]) != _bits(results[1]):
             raise SystemExit(f"call {k} ({pair[0]['kind']}): results differ")
         for side in (0, 1):
@@ -141,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
     which.add_argument("--base", metavar="SRC", help="src directory of the baseline checkout")
     which.add_argument("--aa", action="store_true",
                        help="time this checkout against a copy of itself")
+    parser.add_argument("--workload", choices=("interactive", "sweep-single", "sweep-entangled"),
+                        default="interactive")
     parser.add_argument("--calls", type=int, default=6000, help="timed calls per side and run")
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
@@ -149,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base, change = _load(src, Path(tmp))
         for r in range(args.runs):
-            report(run(base, change, args.calls, args.seed + r), f"run {r + 1} (seed {args.seed + r})")
+            result = run(base, change, args.workload, args.calls, args.seed + r, Path(tmp))
+            report(result, f"{args.workload} run {r + 1} (seed {args.seed + r})")
     return 0
 
 
