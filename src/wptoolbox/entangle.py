@@ -9,13 +9,14 @@ steered by the same angle ``alpha`` that steers single-photon coherence.
 
 As in :mod:`wptoolbox.toolbox`, every state is computed by two independent
 routes (closed-form expressions and tensor propagation) and the routes are
-compared on every call, by the engine :func:`wptoolbox.toolbox._history_batch`.
+compared on every call, by the engine :func:`wptoolbox.toolbox._history_batch`;
+the n-photon sector table contracts one photon's two routes instead
+(:func:`ghz_sector_probabilities`).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from numbers import Integral
 from typing import NamedTuple
 
@@ -27,34 +28,21 @@ from .toolbox import (
     ToolboxPhases,
     _PHOTON,
     _alpha_source,
+    _check,
+    _check_alpha,
     _Histories,
     _history_batch,
     _history_weights,
     _in_sector,
     _one_setting,
+    _photon_histories,
     _single_settings,
 )
 
 MAX_PHOTONS = 8
-#: probabilities a sector sum gathers at once: up to n = 7 the whole output, in
-#: one gather; from n = 8 on, blocks of history rows, with no 4**n array
-_GATHER = 4**7
-
-
-@lru_cache(maxsize=MAX_PHOTONS)
-def _pattern_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only path-index offsets of the 2**n history patterns, a column, and
-    of the 2**n detector-pair patterns, a row, photon 0 first in both.
-
-    A path index has one base-4 digit ``2 * pair + history`` per photon
-    (paths 1, 3 carry the wave history, 2, 4 the particle one), so entry
-    ``[h, q]`` of their sum indexes history pattern h at pair pattern q."""
-    spread = np.zeros(1, dtype=np.intp)  # pattern bits on the digits' low bit
-    for _ in range(n):
-        spread = (4 * spread[:, None] + (0, 1)).reshape(-1)
-    history, pair = spread[:, None], 2 * spread
-    history.flags.writeable = pair.flags.writeable = False
-    return history, pair
+#: the 2**n history patterns of n photons, 'w' or 'p' per photon, photon 0 first
+_SECTOR_KEYS = {n: tuple(map("".join, itertools.product("wp", repeat=n)))
+                for n in range(1, MAX_PHOTONS + 1)}
 
 
 #: detectors (1, 2) and (3, 4) of each photon share one block of a 2x2 array
@@ -394,7 +382,9 @@ def ghz_output(
     photon of the polarization state ``cos(alpha)|V..V> + sin(alpha)|H..H>``.
     """
     _check_photon_number(n)
-    return _ghz(n, _single_settings(alpha, phases, beta))
+    settings = _single_settings(alpha, phases, beta)
+    # every photon names the same setting, evaluated once
+    return _alpha_source(settings, (_PHOTON,) * n, "n-photon state").state()
 
 
 def _one_to(k, high: int) -> bool:
@@ -405,12 +395,6 @@ def _one_to(k, high: int) -> bool:
 def _check_photon_number(n) -> None:
     if not _one_to(n, MAX_PHOTONS):
         raise ValueError(f"photon number must be an integer in [1, {MAX_PHOTONS}]")
-
-
-def _ghz(n: int, settings: dict) -> PureState:
-    """:func:`ghz_output` at one photon's broadcast ``settings`` by name."""
-    # every photon names the same setting, evaluated once
-    return _alpha_source(settings, (_PHOTON,) * n, "n-photon state").state()
 
 
 def ghz_sector_probabilities(
@@ -427,23 +411,26 @@ def ghz_sector_probabilities(
     source every mixed pattern has probability zero.  The result is one
     dict, so batched settings raise ``ValueError``, before anything is
     evaluated.
+
+    No n-photon state is built: with one photon's histories ``h_t`` and their
+    Gram matrices ``G_x[t, t'] = sum_{d in x} conj(h_t(d)) h_t'(d)`` over the
+    detectors of letter x, ``P(s) = sum_{t,t'} c_t c_t' prod_k G_{s_k}[t, t']``,
+    contracted from the closed-form and from the propagated histories alike.
     """
     settings = _single_settings(alpha, phases, beta)
     if not settings["beta"].shape and settings["beta"] != 0.0:  # a batch is refused below
-        raise ValueError(
-            "history patterns are only detector-resolvable with mixers off (beta=0)"
-        )
+        raise ValueError("history patterns are only detector-resolvable with mixers off (beta=0)")
     _check_photon_number(n)
     _one_setting("ghz_sector_probabilities", settings.values())
-    state = _ghz(n, settings)
-    # gather each history pattern's row of pair patterns and sum it
-    history, pair = _pattern_offsets(n)
-    if 4**n <= _GATHER:
-        sectors = state.probabilities()[history + pair].sum(axis=1)
-    else:  # the same rows, a block at a time, each squared as probabilities() squares
-        step = _GATHER >> n
-        blocks = (np.abs(state.amplitudes[history[h:h + step] + pair])
-                  for h in range(0, len(history), step))
-        sectors = np.concatenate([np.multiply(p, p, out=p).sum(axis=1) for p in blocks])
-    keys = ("".join(letters) for letters in itertools.product("wp", repeat=n))
-    return {key: float(p) for key, p in zip(keys, sectors)}
+    a = _check_alpha(settings["alpha"])
+    routes = _photon_histories(settings, "photon history")
+    # path 2 * pair + letter: paths 1, 3 read 'w' and 2, 4 read 'p'
+    pairs = (routes.conj()[:, :, None] * routes[:, None]).reshape(2, 4, 2, 2)
+    gram = pairs[..., 0, :] + pairs[..., 1, :]  # (route, (t, t'), letter)
+    table = gram
+    for _ in range(n - 1):  # one more photon, its letter last
+        table = (table[..., None] * gram[:, :, None]).reshape(2, 4, -1)
+    c = np.array([np.cos(a), np.sin(a)])
+    sectors = (table * (c[:, None] * c).reshape(4, 1)).sum(axis=1).real
+    _check("n-photon sector table", np.abs(sectors[0] - sectors[1]), settings)
+    return dict(zip(_SECTOR_KEYS[n], sectors[0].tolist()))

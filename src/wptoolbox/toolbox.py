@@ -178,7 +178,7 @@ def _photon_factors(phi1, beta) -> tuple:
 def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``, at float64
     values, from their :func:`_photon_factors`, which hold all that ``beta`` gives;
-    only :func:`_history_batch` calls it."""
+    only the engines (:func:`_history_batch`, :func:`_photon_histories`) call it."""
     cos_h, sin_h, c, s = factors
     g = np.exp(0.5j * phi1)[..., None]
     return g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
@@ -186,8 +186,8 @@ def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
 
 def _particle_amplitudes(phi2, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``, at float64
-    values, from the :func:`_photon_factors` of ``beta``; only :func:`_history_batch`
-    calls it."""
+    values, from the :func:`_photon_factors` of ``beta``; only the engines
+    (:func:`_history_batch`, :func:`_photon_histories`) call it."""
     c, s = factors[2:]
     e2 = np.exp(1j * phi2)
     # absent mixers pass the open-arm pair (2, 4) straight through; the
@@ -378,6 +378,19 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
         dev = _tail_deviation(amps, source, last)
     _check(what, dev, settings)
     return _Histories(amps, tuple(coeffs), patterns, rows, waves, particles, factors, settings)
+
+
+def _photon_histories(settings: dict, what: str) -> np.ndarray:
+    """One photon's wave and particle histories at one setting of ``settings`` (by
+    name, ``phi1, phi2, beta`` among them) by both routes, ``(route, history, path)``:
+    the closed forms, then the V and H columns of :func:`network_matrix`, which must
+    agree (:func:`_check`, naming ``what``)."""
+    phi1, phi2, beta = (settings[name] for name in _PHOTON)
+    factors = _photon_factors(phi1, beta)
+    closed = (_wave_amplitudes(phi1, beta, factors), _particle_amplitudes(phi2, beta, factors))
+    routes = np.array([closed, network_matrix(phi1, phi2, beta).T])
+    _check(what, np.abs(routes[0] - routes[1]), settings)
+    return routes
 
 
 @cache

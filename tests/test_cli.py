@@ -308,6 +308,16 @@ class TestGhz:
         assert main(["ghz", "--photons", "9", "--out", str(out)]) == 2
         assert main(["ghz", "--photons", "0", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("photons", ["9", "0", "-3", "99999999999999999999"])
+    def test_out_of_range_photons_named(self, tmp_path, capsys, monkeypatch, photons):
+        def engine(*args, **kwargs):
+            raise AssertionError("the sector table was evaluated")
+
+        monkeypatch.setattr(cli, "ghz_sector_probabilities", engine)
+        assert main(["ghz", "--photons", photons, "--out", str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err == f"error: --photons must lie in [1, 8], got {photons}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonzero_mixer_rejected(self, tmp_path):
         out = tmp_path / "g.csv"
         assert main(["ghz", "--beta-deg", "22.5", "--out", str(out)]) == 2
@@ -320,6 +330,18 @@ class TestVerify:
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
         assert all("max deviation" in l for l in lines)
+
+    @pytest.mark.parametrize("points", ["100001", "1000000000", "99999999999999999999"])
+    def test_points_beyond_the_row_limit_named(self, capsys, monkeypatch, points):
+        monkeypatch.setattr(cli, "equivalence_scan", None)  # no grid is drawn
+        assert main(["verify", "--points", points]) == 2
+        assert capsys.readouterr() == ("", f"error: --points must be <= 100000, got {points}\n")
+
+    @pytest.mark.parametrize("points, code", [("4", 0), ("5", 2)])
+    def test_the_row_limit_itself_is_allowed(self, capsys, monkeypatch, points, code):
+        monkeypatch.setattr(cli, "MAX_ROWS", 4)
+        assert main(["verify", "--points", points]) == code
+        assert capsys.readouterr().out.count("PASS") == (5 if code == 0 else 0)
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_empty_hardware_grid_is_spec_error(self, capsys, points):
@@ -459,6 +481,28 @@ class TestArgumentErrors:
             rows = read_csv(out)[1:]
             assert {sum(map(int, row[8:12])) for row in rows} == {2**63 - 1}
 
+    @pytest.mark.parametrize("command", ["single-sweep", "witness-coherence", "two-photon",
+                                         "witness-entanglement"])
+    @pytest.mark.parametrize("steps", ["100001", "1000000000", "99999999999999999999"])
+    def test_steps_beyond_the_row_limit_named(self, tmp_path, capsys, monkeypatch, command,
+                                              steps):
+        monkeypatch.setattr(cli, "_columns", None)  # no settings column is built
+        assert main([command, "--sweep", "alpha", "--start", "0", "--stop", "90", "--steps",
+                     steps, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: --steps must be <= 100000, got {steps}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("steps, code", [("4", 0), ("5", 2)])
+    def test_the_step_limit_itself_is_allowed(self, tmp_path, monkeypatch, steps, code):
+        monkeypatch.setattr(cli, "MAX_ROWS", 4)
+        out = tmp_path / "x.csv"
+        assert main(["two-photon", "--sweep", "phi1", "--start", "0", "--stop", "90",
+                     "--steps", steps, "--out", str(out)]) == code
+        if code == 0:
+            assert len(read_csv(out)) == 5
+        else:
+            assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["single-sweep", "--shots", "10"],
                                       ["two-photon"], ["verify", "--points", "1"]])
     def test_negative_seed_named(self, tmp_path, capsys, argv):
@@ -555,9 +599,23 @@ class TestArgumentErrors:
         if args is not None:
             try:
                 full = cli._parser().parse_args(argv)
-            except SystemExit:  # which hypothesis would not report
+            except SystemExit:  # named as the reader's fault, not as argparse's exit
                 pytest.fail(f"the flag reader took {argv}, which argparse refuses")
             assert _same_values(vars(args), vars(full)), argv
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_the_flag_reader_leaves_every_refused_value_to_argparse(self, command):
+        # the property test above draws such an argv alone in only some runs
+        typed = [action for action in _flag_actions(command)
+                 if action.choices or action.type in (int, float)]
+        assert typed
+        for action in typed:
+            values = ["xml", "gamma"] if action.choices else ["abc", "0x10", ""]
+            for value in values + ["1.5"] * (action.type is int):
+                argv = [command, action.option_strings[-1], value]
+                assert cli._read_flags(argv) is None, argv
+                with pytest.raises(SystemExit):
+                    cli._parser().parse_args(argv)
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_workload_argv_is_read_without_argparse(self, command):

@@ -789,35 +789,76 @@ def brute_force_sectors(probs, n):
 
 class TestGhzSectors:
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_matches_brute_force_on_random_states(self, monkeypatch, n):
-        # a random state puts weight on every pattern, unlike the GHZ output
+    def test_contraction_matches_brute_force_on_random_histories(self, monkeypatch, n):
+        # random complex histories put weight on every path, so on every pattern,
+        # unlike the GHZ histories; both routes get them, so both checks pass
         rng = np.random.default_rng(n)
-        amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
-        state = PureState(ModeBasis(tuple(range(4**n))), amps / np.linalg.norm(amps))
-        monkeypatch.setattr(entangle, "_ghz", lambda *args: state)
-        got = ghz_sector_probabilities(n, 0.3)
-        expected = brute_force_sectors(state.probabilities(), n)
+        h = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        h /= np.linalg.norm(h, axis=-1, keepdims=True)
+        monkeypatch.setattr(entangle, "_photon_histories", lambda *args: np.array([h, h]))
+        alpha = 0.3
+        got = ghz_sector_probabilities(n, alpha)
+        amps = (np.cos(alpha) * reduce(np.kron, [h[0]] * n)
+                + np.sin(alpha) * reduce(np.kron, [h[1]] * n))
+        expected = brute_force_sectors(np.abs(amps) ** 2, n)
         order = ["".join("wp"[(k >> (n - 1 - j)) & 1] for j in range(n))
                  for k in range(2**n)]
         assert list(got) == order
+        assert min(expected.values()) > 1e-6  # no pattern is empty
         np.testing.assert_allclose(
             [got[key] for key in order], [expected[key] for key in order],
             rtol=0, atol=sector_atol(n),
         )
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_sums_the_transposed_pattern_table_bit_for_bit(self, monkeypatch, n):
-        # the sums run over each history pattern's row of pair patterns, in
-        # pair order, as over the rows of the transposed (2,) * 2n table
-        rng = np.random.default_rng(10 + n)
-        amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
-        state = PureState(ModeBasis(tuple(range(4**n))), amps / np.linalg.norm(amps))
-        monkeypatch.setattr(entangle, "_ghz", lambda *args: state)
-        order = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2))
-        table = state.probabilities().reshape((2, 2) * n).transpose(order)
-        expected = table.reshape(2**n, 2**n).sum(axis=1)
-        got = np.array(list(ghz_sector_probabilities(n, 0.3).values()))
-        assert got.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("route", ["closed form", "propagation"])
+    def test_perturbed_history_raises_naming_the_settings(self, monkeypatch, n, route):
+        if route == "closed form":
+            exact = toolbox._wave_amplitudes
+            monkeypatch.setattr(toolbox, "_wave_amplitudes",
+                                lambda *args: exact(*args) + 1e-10)
+        else:
+            exact = toolbox.network_matrix
+            monkeypatch.setattr(toolbox, "network_matrix", lambda *args: exact(*args) + 1e-10)
+        message = (r"closed-form photon history disagrees with propagation by 1\.0\d\de-10"
+                   r" at row 0 \(alpha=0\.6, phi1=0\.3, phi2=1\.2, beta=0\.0\)$")
+        with pytest.raises(RuntimeError, match=message):
+            ghz_sector_probabilities(n, 0.6, ToolboxPhases(0.3, 1.2))
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_perturbed_route_after_the_history_check_raises(self, monkeypatch, n):
+        # the propagated histories moved by 1e-10 once they passed their check:
+        # only the comparison of the two contracted tables can catch it
+        exact = entangle._photon_histories
+
+        def perturbed(*args):
+            routes = exact(*args).copy()
+            routes[1] += 1e-10
+            return routes
+
+        monkeypatch.setattr(entangle, "_photon_histories", perturbed)
+        message = (r"closed-form n-photon sector table disagrees with propagation by"
+                   r" \S+ at row 0 \(alpha=0\.6, phi1=0\.3, phi2=1\.2, beta=0\.0\)$")
+        with pytest.raises(RuntimeError, match=message):
+            ghz_sector_probabilities(n, 0.6, ToolboxPhases(0.3, 1.2))
+
+    @pytest.mark.parametrize("phases, named", [(ToolboxPhases(np.nan, 0.2), "phi1=nan"),
+                                               (ToolboxPhases(0.3, -np.inf), "phi2=-inf")])
+    def test_non_finite_phase_named(self, phases, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # exp of a non-finite phase
+            with pytest.raises(ValueError, match=rf"not an isometry; {named} at row 0$"):
+                ghz_sector_probabilities(4, 0.6, phases)
+
+    @pytest.mark.parametrize("n", range(2, 9))  # one photon has no crossed sector
+    def test_crossed_sectors_are_positive_zero(self, n):
+        rng = np.random.default_rng(20 + n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # alpha outside [0, pi/2] flips signs
+            for alpha, phi1, phi2 in rng.uniform(-4, 4, (25, 3)) * (1, 3, 3):
+                got = ghz_sector_probabilities(n, alpha, ToolboxPhases(phi1, phi2))
+                crossed = np.array([v for k, v in got.items() if len(set(k)) > 1])
+                assert not crossed.any() and not np.signbit(crossed).any()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force_on_ghz_output(self, n):
@@ -936,10 +977,11 @@ def peak_bytes(call):
 
 
 class TestMemory:
-    # the output alone is 4**8 complex amplitudes, 1 MiB
     def test_eight_photon_sectors_stay_small(self):
-        assert peak_bytes(lambda: ghz_sector_probabilities(8, 0.6)) <= 2.0 * 2**20
+        # no n-photon state: 2**8 sectors of a few 2x2 Gram products
+        assert peak_bytes(lambda: ghz_sector_probabilities(8, 0.6)) <= 0.125 * 2**20
 
+    # the output alone is 4**8 complex amplitudes, 1 MiB
     def test_eight_photon_output_stays_small(self):
         assert peak_bytes(lambda: ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2))) <= 2.0 * 2**20
 

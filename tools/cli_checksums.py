@@ -163,6 +163,9 @@ ERRORS = [
     ("error_verify_seed", ["verify", "--seed", "-1"]),
     ("error_phi2_nan", ["two-photon", "--phi2-deg", "nan"]),
     ("error_shots_overflow", ["single-sweep", "--shots", "99999999999999999999"]),
+    ("error_steps_overflow", ["single-sweep", "--sweep", "alpha", "--start", "0", "--stop", "90",
+                              "--steps", "99999999999999999999"]),
+    ("error_points_overflow", ["verify", "--points", "99999999999999999999"]),
 ]
 
 #: argv prefixes whose ``--help`` text is pinned, at COLUMNS=80
