@@ -46,13 +46,15 @@ from .optics import (
     Chain,
     Circuit,
     ElementUnitary,
+    _fixed_stages as _network_stages,
+    _mixer_matrix,
+    _propagated,
     _slot_matrices,
     compile_chain,
-    interferometer_circuit,
     mirror_matrix,
 )
-from .qcore import ModeBasis, PureState, _trusted, as_values, broadcast_values
-from .toolbox import BETA_SPLIT, ToolboxPhases, _one_setting, prepare_input
+from .qcore import ModeBasis, as_values, broadcast_values
+from .toolbox import _POL_BASIS, BETA_SPLIT, ToolboxPhases, _input_amplitudes, _one_setting
 
 N_SLOTS = 4
 
@@ -208,7 +210,7 @@ def build_hardware_layout(
     """
     angles = hwp_angles if hwp_angles is DEFAULT_HWP_ANGLES else tuple(map(float, hwp_angles))
     phi1, phi2, beta = broadcast_values(phases.phi1, phases.phi2, beta)
-    slots = _slot_matrices("LC cells and beta plates", phi1, phi2, beta, mirror_matrix)
+    _, slots = _slot_matrices("LC cells and beta plates", phi1, phi2, beta, mirror_matrix)
     circuit = _fixed_stages(angles).circuit(*slots)
     return HardwareLayout(circuit, DETECTOR_PORTS, (*angles, beta), (phi1, phi2))
 
@@ -220,21 +222,19 @@ def hardware_output(layout: HardwareLayout, alpha) -> np.ndarray:
     ``S + (4,)``.  Raises if, on any row, light ends up outside the four
     detector ports, which would mean the chain misroutes it.
     """
-    return _detector_probabilities(layout, prepare_input(alpha))
+    return _detector_probabilities(_input_amplitudes(alpha),
+                                   layout.circuit._steps_from(RAIL_BASIS), layout.detector_ports)
 
 
-def _detector_probabilities(layout: HardwareLayout, qubit: PureState) -> np.ndarray:
-    """:func:`hardware_output` for an already prepared input ``qubit``; an empty
-    batch of them raises ``ValueError``."""
-    pol_in = qubit.amplitudes
+def _detector_probabilities(pol_in: np.ndarray, steps, ports) -> np.ndarray:
+    """:func:`hardware_output` for input amplitudes ``pol_in`` on a layout's routed
+    ``steps``; an empty batch of them raises ``ValueError``."""
     if not pol_in.size:
         raise ValueError("the detector probabilities need at least one alpha, got none")
     amps = np.zeros(pol_in.shape[:-1] + (RAIL_BASIS.dimension,), dtype=np.complex128)
     amps[..., _INPUT_INDEX] = pol_in
-    # the qubit's amplitudes, finite as its PureState checked, on two rails
-    probs = layout.circuit.propagate(
-        _trusted(PureState, basis=RAIL_BASIS, amplitudes=amps)).probabilities()
-    ports = probs[..., _port_index(layout.detector_ports)]
+    probs = np.abs(_propagated(amps, steps)) ** 2
+    ports = probs[..., _port_index(ports)]
     leak = (probs.sum(axis=-1) - ports.sum(axis=-1)).max()
     if not leak <= 1e-12:  # written so that NaN fails too
         raise RuntimeError(f"{leak:.3e} of the light missed the detector ports")
@@ -282,7 +282,13 @@ def equivalence_check(
     """
     # an array of alphas is taken as it is; any other iterable is listed first
     alphas = as_values(alphas if isinstance(alphas, np.ndarray) and alphas.ndim else list(alphas))
-    beta = np.ravel(layout.beta)
+    return _deviation(conceptual._steps_from(_POL_BASIS), layout.circuit._steps_from(RAIL_BASIS),
+                      layout.detector_ports, layout.beta, alphas, strict)
+
+
+def _deviation(conceptual, hardware, ports, beta, alphas, strict: bool) -> float:
+    """:func:`equivalence_check` on routed ``conceptual`` and ``hardware`` steps at ``beta``."""
+    beta = np.ravel(beta)
     # an absolute tolerance only; NaN is not <= it, so it fails too
     bad = ~(np.abs(beta[:, None] - _VALIDATED) <= 1e-15).any(axis=-1)
     if strict and bad.any():
@@ -290,9 +296,9 @@ def equivalence_check(
             f"beta={beta[bad][0]:.6g} is not a validated setting; "
             "pass strict=False to compare anyway"
         )
-    qubit = prepare_input(alphas)
-    hw_dist = _detector_probabilities(layout, qubit)  # refuses an empty batch first
-    conceptual_dist = conceptual.propagate(qubit).probabilities()
+    pol_in = _input_amplitudes(alphas)
+    hw_dist = _detector_probabilities(pol_in, hardware, ports)  # refuses an empty batch first
+    conceptual_dist = np.abs(_propagated(pol_in.copy(), conceptual)) ** 2
     return float(np.abs(conceptual_dist - hw_dist).max())
 
 
@@ -303,18 +309,23 @@ def equivalence_scan(
 ) -> float:
     """Max deviation over (alpha, phi1, phi2) points at each ``beta``.
 
-    The points x betas grid is one batch of one conceptual circuit and one
-    hardware layout, whose elements are built and checked per setting, so
-    the comparison covers construction as well as propagation.  No points
-    or no betas raise ``ValueError``.
+    The points x betas grid is one batch through both compiled chains' steps:
+    the per-setting matrices are built and checked on every call, the fixed
+    blocks once per compile, so the comparison covers construction as well as
+    propagation.  No points, no betas or points not of shape ``(n, 3)`` raise.
     """
     grid, betas = as_values(list(points)), as_values(list(betas))
     if grid.size == 0 or betas.size == 0:
         raise ValueError(f"equivalence_scan needs at least one point and one beta,"
                          f" got {len(grid)} points and {betas.size} betas")
+    if grid.shape[1:] != (3,):
+        raise ValueError(f"equivalence_scan needs (alpha, phi1, phi2) points,"
+                         f" got shape {grid.shape}")
     # row p * len(betas) + b holds point p at betas[b]
     alpha, phi1, phi2 = np.repeat(grid.T, betas.size, axis=-1)
     beta = np.tile(betas, len(grid))
-    conceptual = interferometer_circuit(phi1, phi2, beta)
-    layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta)
-    return equivalence_check(conceptual, layout, alpha, strict=strict)
+    _, slots = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix)
+    conceptual = _network_stages().steps_with(*slots)
+    _, slots = _slot_matrices("LC cells and beta plates", phi1, phi2, beta, mirror_matrix)
+    hardware = _fixed_stages(DEFAULT_HWP_ANGLES).steps_with(*slots)
+    return _deviation(conceptual, hardware, DETECTOR_PORTS, beta, alpha, strict)

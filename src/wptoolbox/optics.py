@@ -148,7 +148,7 @@ def _mixer_matrix(beta) -> np.ndarray:
     return m
 
 
-def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, ...]:
+def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, tuple]:
     """The slot matrices of either compiled chain (two arm phases, one plate on
     two mode pairs), checked as one stack.
 
@@ -156,8 +156,8 @@ def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, ...]
     are, and ``plate(beta)`` go into one ``S + (2, 2, 2)`` stack, ``S`` the
     shape of the settings, float64 values of one shape
     (:func:`~wptoolbox.qcore.broadcast_values`), for one ``is_isometry``
-    call.  Returns the 1x1 phase stacks and the plate stack twice, as
-    read-only views of the checked stack.  An empty batch raises ``ValueError``.
+    call.  Returns the checked stack and, as its read-only views, the 1x1
+    phase stacks and the plate stack twice.  An empty batch raises ``ValueError``.
     """
     if not beta.size:
         raise ValueError(f"{name} need at least one setting, got an empty batch")
@@ -167,7 +167,7 @@ def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, ...]
     stack[..., 1, :, :] = plate(beta)
     _checked(name, stack, phi1=phi1, phi2=phi2, beta=beta)
     mixer = stack[..., 1, :, :]
-    return stack[..., 0, :1, :1], stack[..., 0, 1:, 1:], mixer, mixer
+    return stack, (stack[..., 0, :1, :1], stack[..., 0, 1:, 1:], mixer, mixer)
 
 
 def phase_shifter(mode: Label, phi, name: str | None = None) -> ElementUnitary:
@@ -217,13 +217,8 @@ class Circuit:
         batch shapes must agree.  The result is the runner's fresh array,
         frozen in place rather than copied.
         """
-        if state.basis != self.input_basis:
-            raise ValueError("state basis does not match circuit input basis")
-        amps = run_steps(state.amplitudes.copy(), self._steps)
-        # isometries keep the norm, but a finite input's norm may overflow
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        # the runner's fresh C-ordered result, which passed the finite scan above
+        amps = _propagated(state.amplitudes.copy(), self._steps_from(state.basis))
+        # the runner's fresh C-ordered result, which passed its finite scan
         return _trusted(PureState, basis=self.output_basis, amplitudes=amps)
 
     def matrix(self) -> np.ndarray:
@@ -233,6 +228,12 @@ class Circuit:
         """
         shape = np.broadcast_shapes(*(el.matrix.shape[:-2] for el in self.elements))
         return _transfer_matrix(self._steps, self.input_basis.dimension, shape)
+
+    def _steps_from(self, basis: ModeBasis) -> tuple[Step, ...]:
+        """The routed steps, once ``basis`` is checked to be the input basis."""
+        if basis != self.input_basis:
+            raise ValueError("state basis does not match circuit input basis")
+        return self._steps
 
     @cached_property
     def _steps(self) -> tuple[Step, ...]:
@@ -245,6 +246,15 @@ class Circuit:
         if basis != self.output_basis:
             raise ValueError("circuit did not land in its declared output basis")
         return tuple(steps)
+
+
+def _propagated(amps: np.ndarray, steps) -> np.ndarray:
+    """``amps`` run through routed ``steps``; raises unless the result is finite."""
+    amps = run_steps(amps, steps)
+    # isometries keep the norm, but a finite input's norm may overflow
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    return amps
 
 
 def _transfer_matrix(steps, dim: int, shape: tuple = ()) -> np.ndarray:
@@ -366,24 +376,26 @@ def interferometer_circuit(phi1: float, phi2: float, beta: float) -> Circuit:
     ``ValueError``), one setting per entry.  The phases and the mixer are
     checked as one stack, and both mixers share one matrix.
     """
-    slots = _slot_matrices("arm phases and mixer", *broadcast_values(phi1, phi2, beta),
-                           _mixer_matrix)
+    _, slots = _slot_matrices("arm phases and mixer", *broadcast_values(phi1, phi2, beta),
+                              _mixer_matrix)
     return _fixed_stages().circuit(*slots)
 
 
 def network_matrix(phi1, phi2, beta) -> np.ndarray:
     """Transfer matrix of :func:`interferometer_circuit` (paths x polarizations).
 
-    Settings of broadcast shape ``S`` give a stack of shape ``S + (4, 2)``
-    from one identity block run through the compiled chain, without building
-    elements; the phases and mixer are checked as in the circuit, every call.
+    Settings of broadcast shape ``S`` give a stack of shape ``S + (4, 2)``, without
+    building elements, checked as in the circuit: from the fused PBS·BS1·BS2 block's
+    columns, both arm phases in one product, BS3, then both mixers (one shared
+    matrix) in one ``np.matvec`` over the path pairs.  Bits equal :meth:`Circuit.matrix`'s.
     """
-    slots = _slot_matrices("arm phases and mixer", *broadcast_values(phi1, phi2, beta),
-                           _mixer_matrix)
-    head, *steps = _fixed_stages().steps_with(*slots)
-    # the identity block's image under the fused PBS·BS1·BS2 block is its columns
-    shape = slots[-1].shape[:-2]
+    stack, _ = _slot_matrices("arm phases and mixer", *broadcast_values(phi1, phi2, beta),
+                              _mixer_matrix)
+    head, _, _, bs3, _, _ = _fixed_stages().steps
+    shape = stack.shape[:-3]
     block = np.empty((2,) + shape + (4,), dtype=np.complex128)
     block[...] = head.matrix.T.reshape((2,) + (1,) * len(shape) + (4,))
-    images = run_steps(block, steps)
-    return images.transpose(*range(1, images.ndim), 0)
+    block[..., 2:] *= np.diagonal(stack[..., 0, :, :], axis1=-2, axis2=-1)
+    block[..., bs3.at] = np.matvec(bs3.matrix, block[..., bs3.at])
+    images = np.matvec(stack[..., None, 1, :, :], block.reshape(block.shape[:-1] + (2, 2)))
+    return images.reshape(block.shape).transpose(*range(1, block.ndim), 0)

@@ -111,8 +111,13 @@ def prepare_input(alpha) -> PureState:
     warning is emitted rather than silently folding the angle.  An array of
     angles gives a batched state.
     """
+    return PureState(_POL_BASIS, _input_amplitudes(alpha))
+
+
+def _input_amplitudes(alpha) -> np.ndarray:
+    """The amplitudes of :func:`prepare_input`, a fresh C-ordered array."""
     a = _check_alpha(alpha)
-    return PureState(_POL_BASIS, stack_last([np.cos(a), np.sin(a)]))
+    return np.array(stack_last([np.cos(a), np.sin(a)]), dtype=np.complex128, order="C")
 
 
 def _check_alpha(alpha):

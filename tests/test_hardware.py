@@ -1,4 +1,5 @@
 """Tests for the displacer/wave-plate realization and its equivalence."""
+import re
 import warnings
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wptoolbox import hardware, optics, qcore
 from wptoolbox.hardware import (
     DEFAULT_HWP_ANGLES,
     DETECTOR_PORTS,
+    VALIDATED_BETAS,
     HardwareLayout,
     beam_displacer,
     build_hardware_layout,
@@ -322,6 +325,84 @@ class TestScanInputs:
     @pytest.mark.parametrize("beta", [0.0, BETA_SPLIT, np.radians(22.5)])
     def test_validated_betas_pass(self, beta):
         assert equivalence_scan(self.POINTS, betas=(beta,)) < 1e-12
+
+    @pytest.mark.parametrize("points, shape", [
+        ([(0.1, 0.2)], (1, 2)),
+        ([0.1, 0.2, 0.3], (3,)),
+        ([(0.1, 0.2, 0.3, 0.4)], (1, 4)),
+        (np.zeros((2, 3, 1)), (2, 3, 1)),
+    ])
+    def test_malformed_grid_is_named(self, points, shape):
+        named = re.escape(f"equivalence_scan needs (alpha, phi1, phi2) points, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            equivalence_scan(points)
+
+    # each input, alone and together with a later fault, raises the first check's message:
+    # the empty grid, the network's slot stack, the strict beta refusal, then alpha
+    @pytest.mark.parametrize("points, betas, message", [
+        ([(0.3, np.nan, 0.2)], (0.0,), r"^arm phases and mixer: .* phi1=nan at row 0$"),
+        ([(0.3, 0.1, 0.2)], (np.nan,), r"^arm phases and mixer: .* beta=nan at row 0$"),
+        ([(np.nan, 0.1, 0.2)], (0.0,), r"^alpha must be finite$"),
+        ([], (0.0,), r"^equivalence_scan needs at least one point .* got 0 points and 1 betas$"),
+        (POINTS, (), r"^equivalence_scan needs at least one point .* got 2 points and 0 betas$"),
+        (POINTS, (0.3,), r"^beta=0.3 is not a validated setting; pass strict=False"),
+        ([], (np.nan,), r"^equivalence_scan needs at least one point"),
+        ([(0.3, np.nan, 0.2)], (0.3,), r"^arm phases and mixer: .* phi1=nan at row 0$"),
+        ([(np.nan, np.nan, 0.2)], (0.0,), r"^arm phases and mixer: .* phi1=nan at row 0$"),
+        ([(np.nan, 0.1, 0.2)], (0.3,), r"^beta=0.3 is not a validated setting"),
+    ], ids=["nan-phase", "nan-beta", "nan-alpha", "no-points", "no-betas", "unvalidated",
+            "no-points-nan-beta", "nan-phase-unvalidated", "nan-phase-nan-alpha",
+            "nan-alpha-unvalidated"])
+    def test_refusals_keep_their_messages_and_order(self, points, betas, message):
+        with pytest.raises(ValueError, match=message):
+            equivalence_scan(points, betas)
+
+
+class TestScanRoute:
+    """A scan runs both compiled chains' steps: no circuit, layout or state is built."""
+
+    @staticmethod
+    def grid(seed, n):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([rng.uniform(0, np.pi / 2, n), rng.uniform(-7, 7, (n, 2))])
+
+    def test_builds_no_circuit_layout_or_state(self, monkeypatch):
+        points = self.grid(51, 6)
+        equivalence_scan(points)  # the fixed stages are compiled before anything is patched
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan built an object it throws away")
+        monkeypatch.setattr(optics.Chain, "circuit", refuse)
+        monkeypatch.setattr(hardware, "HardwareLayout", refuse)
+        monkeypatch.setattr(qcore.PureState, "__post_init__", refuse)
+        monkeypatch.setattr(optics.Circuit, "propagate", refuse)
+        assert equivalence_scan(points) < 1e-12
+        assert equivalence_scan(points, (0.3, -0.0), strict=False) < 1e-12
+
+    @pytest.mark.parametrize("n, betas, strict", [
+        (1, VALIDATED_BETAS, True), (7, VALIDATED_BETAS, True), (12, (BETA_SPLIT,), True),
+        (9, (0.0, 0.3, BETA_SPLIT, -0.4), False),
+    ])
+    def test_equals_the_check_on_built_objects_bit_for_bit(self, n, betas, strict):
+        points = self.grid(n, n)
+        # row p * len(betas) + b holds point p at betas[b], as in the scan
+        alpha, phi1, phi2 = np.repeat(points.T, len(betas), axis=-1)
+        beta = np.tile(betas, n)
+        built = equivalence_check(interferometer_circuit(phi1, phi2, beta),
+                                  build_hardware_layout(ToolboxPhases(phi1, phi2), beta),
+                                  alpha, strict=strict)
+        scanned = equivalence_scan(points, betas, strict=strict)
+        assert np.float64(scanned).tobytes() == np.float64(built).tobytes()
+
+    def test_built_circuits_must_start_on_their_inputs(self):
+        # the built-object entries run the circuits' steps, after the same basis check
+        conceptual = interferometer_circuit(0.2, 0.9, BETA_SPLIT)
+        layout = build_hardware_layout(ToolboxPhases(0.2, 0.9), BETA_SPLIT)
+        swapped = HardwareLayout(conceptual, DETECTOR_PORTS, layout.hwp_angles, layout.lc_phases)
+        with pytest.raises(ValueError, match="^state basis does not match circuit input basis$"):
+            hardware_output(swapped, 0.3)
+        with pytest.raises(ValueError, match="^state basis does not match circuit input basis$"):
+            equivalence_check(layout.circuit, layout, [0.3])
 
 
 #: (name, modes) of every listed element, in order; every element acts in

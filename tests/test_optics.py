@@ -305,20 +305,25 @@ class TestCompiledRoute:
                 layout.matrix(), embedded_product(layout.circuit), rtol=0, atol=1e-15
             )
 
-    @pytest.mark.parametrize("shape", [(), (22,), (22, 2)])
-    @pytest.mark.parametrize("beta", [BALANCED, 0.0, -0.0, "random"])
+    @pytest.mark.parametrize("shape", [(), (22,), (22, 2), (1,), (4, 7)])
+    @pytest.mark.parametrize("beta", [BALANCED, 0.0, -0.0, "random", np.pi / 4, np.pi,
+                                      2 * np.pi])
     def test_network_matrix_is_the_circuit_matrix_bit_for_bit(self, shape, beta):
-        # network_matrix starts from the fused block's columns; Circuit.matrix
-        # runs the identity block through every step, that block included
+        # network_matrix starts from the fused block's columns and groups the
+        # slots (both phases, then both mixers); Circuit.matrix runs the
+        # identity block through every step, that block included
         rng = np.random.default_rng(len(shape))
-        phi1, phi2 = rng.uniform(-7, 7, (2,) + shape)
-        phi1.flat[::3] = -0.0  # signed zeros in the phases too
         beta = rng.uniform(-1, 1, shape) if beta == "random" else np.full(shape, beta)
-        if not shape:
-            phi1, phi2, beta = float(phi1), float(phi2), float(beta)
-        stack = network_matrix(phi1, phi2, beta)
-        assert stack.shape == np.shape(beta) + (4, 2)
-        assert stack.tobytes() == interferometer_circuit(phi1, phi2, beta).matrix().tobytes()
+        for phase in (None, -0.0, np.pi, 2 * np.pi):
+            phi1, phi2 = map(np.array, rng.uniform(-7, 7, (2,) + shape))  # 0-d arrays at ()
+            phi1.flat[::3] = -0.0  # signed zeros in the phases too
+            if phase is not None:  # both phases special on even rows, phi2 on all
+                phi1.flat[::2] = phase
+                phi2[...] = phase
+            args = (phi1, phi2, beta) if shape else (float(phi1), float(phi2), float(beta))
+            stack = network_matrix(*args)
+            assert stack.shape == shape + (4, 2)
+            assert stack.tobytes() == interferometer_circuit(*args).matrix().tobytes()
 
     def test_fused_block_is_shared_across_calls(self):
         block = _fixed_stages().steps[0].matrix

@@ -13,7 +13,8 @@ stderr of a fixed list of invalid invocations (see :data:`ERRORS`; each
 must exit 2 and write no file) and the ``--help`` text of the top level
 and of each subcommand at 80 columns.  It also hashes the bits of library
 outputs at fixed random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
-change to a propagation route that no CLI file shows is pinned too: noisy
+change to a propagation route that no CLI file shows is pinned too: multi-point
+``equivalence_scan`` grids (see :data:`SCAN_GRIDS`), noisy
 single and pair engine rows at those settings, ``ghz_output`` amplitudes at
 1 to 8 photons and ``ghz_sector_probabilities`` at 5 to 8 (see
 :data:`GHZ_POINTS`), batched ``ghz_output`` at 6 to 8 (see
@@ -187,6 +188,10 @@ GHZ_BATCH_ROWS = 5
 #: rows of every third setting of the five state entries, which run as one batch
 STATE_BATCH_ROWS = 5
 
+#: grids of the ``equivalence_scan_grid`` entry: 1 to 12 points each, at both
+#: validated betas, then one grid at drawn betas compared with ``strict=False``
+SCAN_GRIDS = 40
+
 #: (entry, table shape, shots, seed) of each sampled table; ``sample_counts``
 #: is also pinned, at LIBRARY_POINTS one-row draws
 SAMPLER_TABLES = [
@@ -208,7 +213,7 @@ def library_checksums() -> dict[str, str]:
                                     ghz_sector_probabilities, mixture_two_photon_output,
                                     sector_projection, two_photon_batch, two_photon_output,
                                     vh_variant_output)
-    from wptoolbox.hardware import build_hardware_layout, equivalence_scan
+    from wptoolbox.hardware import VALIDATED_BETAS, build_hardware_layout, equivalence_scan
     from wptoolbox.optics import interferometer_circuit, network_matrix
     from wptoolbox.shots import sample_counts, sample_rows
     from wptoolbox.toolbox import (ToolboxPhases, coherence, detection_probabilities,
@@ -319,6 +324,16 @@ def library_checksums() -> dict[str, str]:
         }
         for name, value in values.items():
             bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
+    # multi-point scans; the entry above scans one point at one beta
+    scans = np.random.default_rng(20240609)
+    bits["equivalence_scan_grid"] = []
+    for k in range(SCAN_GRIDS + 1):
+        n = int(scans.integers(1, 13))
+        grid = np.column_stack([scans.uniform(0, np.pi / 2, n),
+                                scans.uniform(0, 2 * np.pi, (n, 2))])
+        betas = VALIDATED_BETAS if k < SCAN_GRIDS else scans.uniform(0, np.pi / 4, 3)
+        deviation = equivalence_scan(grid, betas, strict=k < SCAN_GRIDS)
+        bits["equivalence_scan_grid"].append(np.float64(deviation).tobytes().hex())
     # the sampler on fixed tables, independent of the engine's bits
     tables = np.random.default_rng(20240602)
     for name, shape, shots, seed in SAMPLER_TABLES:

@@ -29,8 +29,12 @@ won.  Nothing under ``bench/`` is changed; its modules are only imported.
 The ``--aa`` control is not flat for every kind: on a 2-core Xeon VM it
 read ``equivalence_scan`` 5-9% faster on the change side in four runs
 (-6.1%, -8.6%, -7.5%, -7.1%), though both sides run the same code and the
-alternation of which side runs first does not cancel it.  So that row
-cannot resolve a change below about 9%; the other kinds read within 2-3%.
+alternation of which side runs first does not cancel it.  Importing the
+baseline's package first, not the change's, leaves the bias in place: its
+paired difference read -15.2, -14.0 and -13.1 us with the order swapped,
+against -10.8, -13.8 and -13.7 us as written (3 runs of 4000 calls each).
+So that row cannot resolve a change below about 9%, or about 15 us on a
+one-point scan; the other kinds read within 2-3%.
 """
 from __future__ import annotations
 
