@@ -7,164 +7,40 @@ birefringent hardware layout, Monte Carlo counting statistics, and a
 CSV/JSON command-line front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .entangle import (
-    CoincidenceTable,
-    PairBatch,
-    TwoPhotonSettings,
-    coincidence_closed_forms,
-    coincidence_probabilities,
-    concurrence,
-    entanglement_witness,
-    ghz_output,
-    ghz_sector_probabilities,
-    mixture_coincidence_probabilities,
-    mixture_two_photon_output,
-    sector_projection,
-    two_photon_batch,
-    two_photon_output,
-    vh_variant_output,
+    CoincidenceTable, PairBatch, TwoPhotonSettings, coincidence_closed_forms,
+    coincidence_probabilities, concurrence, entanglement_witness, ghz_output,
+    ghz_sector_probabilities, mixture_coincidence_probabilities, mixture_two_photon_output,
+    sector_projection, two_photon_batch, two_photon_output, vh_variant_output,
     wootters_concurrence,
 )
 from .hardware import (
-    DEFAULT_HWP_ANGLES,
-    VALIDATED_BETAS,
-    HardwareLayout,
-    beam_displacer,
-    build_hardware_layout,
-    describe,
-    equivalence_check,
-    equivalence_scan,
-    hardware_output,
-    hwp_jones,
+    DEFAULT_HWP_ANGLES, VALIDATED_BETAS, HardwareLayout, beam_displacer, build_hardware_layout,
+    describe, equivalence_check, equivalence_scan, hardware_output, hwp_jones,
 )
 from .optics import (
-    PATHS,
-    POLS,
-    Circuit,
-    ElementUnitary,
-    balanced_bs,
-    interferometer_circuit,
-    network_matrix,
-    output_mixer,
-    phase_shifter,
-    polarizing_bs,
+    PATHS, POLS, Circuit, ElementUnitary, balanced_bs, interferometer_circuit, network_matrix,
+    output_mixer, phase_shifter, polarizing_bs,
 )
 from .qcore import (
-    DensityMatrix,
-    ModeBasis,
-    PureState,
-    apply_unitary,
-    measure_distribution,
-    mix,
-    partial_trace,
-    product_basis,
-    pure_density,
+    DensityMatrix, ModeBasis, PureState, apply_unitary, measure_distribution, mix,
+    partial_trace, product_basis, pure_density,
 )
 from .shots import (
-    CountTable,
-    NoiseModel,
-    WitnessEstimate,
-    count_errors,
-    estimate_probabilities,
-    estimate_witness,
-    noisy_coincidence_probabilities,
-    noisy_single_probabilities,
-    poisson_error,
-    sample_counts,
-    sample_rows,
-    witness_rows,
+    CountTable, NoiseModel, WitnessEstimate, count_errors, estimate_probabilities,
+    estimate_witness, noisy_coincidence_probabilities, noisy_single_probabilities,
+    poisson_error, sample_counts, sample_rows, witness_rows,
 )
 from .toolbox import (
-    BETA_DIRECT,
-    BETA_SPLIT,
-    SingleBatch,
-    SingleProbabilities,
-    ToolboxPhases,
-    coherence,
-    coherence_witness,
-    detection_closed_forms,
-    detection_probabilities,
-    mixed_output,
-    output_state,
-    particle_state,
-    prepare_input,
-    single_photon_batch,
-    wave_state,
+    BETA_DIRECT, BETA_SPLIT, SingleBatch, SingleProbabilities, ToolboxPhases, coherence,
+    coherence_witness, detection_closed_forms, detection_probabilities, mixed_output,
+    output_state, particle_state, prepare_input, single_photon_batch, wave_state,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BETA_DIRECT",
-    "BETA_SPLIT",
-    "Circuit",
-    "CoincidenceTable",
-    "CountTable",
-    "DEFAULT_HWP_ANGLES",
-    "DensityMatrix",
-    "ElementUnitary",
-    "HardwareLayout",
-    "ModeBasis",
-    "NoiseModel",
-    "PATHS",
-    "PairBatch",
-    "POLS",
-    "PureState",
-    "SingleBatch",
-    "SingleProbabilities",
-    "ToolboxPhases",
-    "TwoPhotonSettings",
-    "VALIDATED_BETAS",
-    "WitnessEstimate",
-    "apply_unitary",
-    "balanced_bs",
-    "beam_displacer",
-    "build_hardware_layout",
-    "coherence",
-    "coherence_witness",
-    "coincidence_closed_forms",
-    "coincidence_probabilities",
-    "concurrence",
-    "describe",
-    "detection_closed_forms",
-    "detection_probabilities",
-    "entanglement_witness",
-    "equivalence_check",
-    "equivalence_scan",
-    "count_errors",
-    "estimate_probabilities",
-    "estimate_witness",
-    "ghz_output",
-    "ghz_sector_probabilities",
-    "hardware_output",
-    "hwp_jones",
-    "interferometer_circuit",
-    "measure_distribution",
-    "mix",
-    "mixed_output",
-    "mixture_coincidence_probabilities",
-    "mixture_two_photon_output",
-    "network_matrix",
-    "noisy_coincidence_probabilities",
-    "noisy_single_probabilities",
-    "output_mixer",
-    "output_state",
-    "partial_trace",
-    "particle_state",
-    "phase_shifter",
-    "poisson_error",
-    "polarizing_bs",
-    "prepare_input",
-    "product_basis",
-    "pure_density",
-    "sample_counts",
-    "sample_rows",
-    "sector_projection",
-    "single_photon_batch",
-    "two_photon_batch",
-    "two_photon_output",
-    "vh_variant_output",
-    "wave_state",
-    "witness_rows",
-    "wootters_concurrence",
-]
+#: every name imported above, each written once: the submodules are not public names
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

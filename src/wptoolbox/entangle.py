@@ -7,11 +7,11 @@ four-path network.  Feeding the polarization-entangled pair
 the two photons is perfectly correlated, and the degree of entanglement is
 steered by the same angle ``alpha`` that steers single-photon coherence.
 
-As in :mod:`wptoolbox.toolbox`, every state is computed by two independent
-routes (closed-form expressions and tensor propagation) and the routes are
-compared on every call, by the engine :func:`wptoolbox.toolbox._history_batch`;
-the n-photon sector table contracts one photon's two routes instead
-(:func:`ghz_sector_probabilities`).
+As in :mod:`wptoolbox.toolbox`, every state is checked on every call by the
+engine :func:`wptoolbox.toolbox._history_batch`: each photon's closed-form
+histories against its network transfer matrix, and the assembled state
+against them on a product probe.  The n-photon sector table contracts one
+photon's two routes instead (:func:`ghz_sector_probabilities`).
 """
 from __future__ import annotations
 
@@ -142,11 +142,10 @@ def two_photon_batch(
 
     The arguments are numbers or arrays that broadcast to one batch shape;
     unprimed settings belong to photon A, primed ones to photon B.  Every
-    row is computed two ways by :func:`~wptoolbox.toolbox._history_batch`:
-    the closed form ``cos(alpha)|w w'> + sin(alpha)|p p'>`` from both
-    photons' wave and particle states, and the polarization pair propagated
-    through each photon's batched network matrix.  The two are compared
-    at ``CROSSCHECK_ATOL`` on every row at any mixer angles: the amplitudes,
+    row is checked by :func:`~wptoolbox.toolbox._history_batch` at
+    ``CROSSCHECK_ATOL``, at any mixer angles: each photon's closed-form wave
+    and particle states against its batched network matrix, the closed form
+    ``cos(alpha)|w w'> + sin(alpha)|p p'>`` against them on a product probe,
     and the Born table, which is the result, against
     :func:`coincidence_closed_forms`.  A mismatch raises ``RuntimeError``
     naming the first failing row and its settings; every table must then be
@@ -185,9 +184,10 @@ def _pair_table(what: str, s: TwoPhotonSettings, scale) -> CoincidenceTable:
 def two_photon_output(s: TwoPhotonSettings) -> PureState:
     """Joint path state ``cos(alpha)|w w'> + sin(alpha)|p p'>``.
 
-    The state of :func:`two_photon_batch`'s source: cross-checked against
-    propagating the polarization pair through both network transfer
-    matrices on every call.  No coincidence table is evaluated.  Batched
+    The state of :func:`two_photon_batch`'s source: each photon's histories
+    are checked against its network transfer matrix, and the state against
+    them on a product probe, on every call.  No coincidence table is
+    evaluated.  Batched
     settings give a batched state.
     """
     return _entangled(_pair_settings(s)).state()
@@ -261,7 +261,7 @@ def _coincidence_forms(a, coeffs, phi1, phi2, phi1p, phi2p, beta, betap) -> np.n
 
 
 def coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:
-    """Joint detector table from the propagated pair state.
+    """Joint detector table from the engine's checked pair state.
 
     One setting of :func:`two_photon_batch`: the table is verified against
     :func:`coincidence_closed_forms` at any mixer angles.
@@ -377,9 +377,10 @@ def ghz_output(
 ) -> PureState:
     """n-photon output ``cos(alpha)|w>^n + sin(alpha)|p>^n`` (n <= 8).
 
-    All photons share one set of phases and one mixer angle.  The closed
-    form is verified against applying the network transfer matrix to every
-    photon of the polarization state ``cos(alpha)|V..V> + sin(alpha)|H..H>``.
+    All photons share one set of phases and one mixer angle.  The shared
+    wave and particle histories are verified against the network transfer
+    matrix, and the assembled state against them on a product probe: no
+    ``4**n`` propagation runs.
     """
     _check_photon_number(n)
     settings = _single_settings(alpha, phases, beta)

@@ -211,6 +211,9 @@ def build_hardware_layout(
     angles = hwp_angles if hwp_angles is DEFAULT_HWP_ANGLES else tuple(map(float, hwp_angles))
     phi1, phi2, beta = broadcast_values(phases.phi1, phases.phi2, beta)
     _, slots = _slot_matrices("LC cells and beta plates", phi1, phi2, beta, mirror_matrix)
+    if len(angles) != len(DEFAULT_HWP_ANGLES):
+        raise ValueError(f"build_hardware_layout needs {len(DEFAULT_HWP_ANGLES)} hwp_angles,"
+                         f" got {len(angles)}")
     circuit = _fixed_stages(angles).circuit(*slots)
     return HardwareLayout(circuit, DETECTOR_PORTS, (*angles, beta), (phi1, phi2))
 
@@ -312,15 +315,19 @@ def equivalence_scan(
     The points x betas grid is one batch through both compiled chains' steps:
     the per-setting matrices are built and checked on every call, the fixed
     blocks once per compile, so the comparison covers construction as well as
-    propagation.  No points, no betas or points not of shape ``(n, 3)`` raise.
+    propagation.  No points, no betas, points not of shape ``(n, 3)`` or betas
+    not of shape ``(n,)`` raise, naming the shape, or the count of ragged entries.
     """
-    grid, betas = as_values(list(points)), as_values(list(betas))
+    grid = _scan_values(points, "(alpha, phi1, phi2) points", "points")
+    betas = _scan_values(betas, "betas of shape (n,)", "betas")
     if grid.size == 0 or betas.size == 0:
         raise ValueError(f"equivalence_scan needs at least one point and one beta,"
-                         f" got {len(grid)} points and {betas.size} betas")
+                         f" got {len(np.atleast_1d(grid))} points and {betas.size} betas")
     if grid.shape[1:] != (3,):
         raise ValueError(f"equivalence_scan needs (alpha, phi1, phi2) points,"
                          f" got shape {grid.shape}")
+    if betas.ndim != 1:
+        raise ValueError(f"equivalence_scan needs betas of shape (n,), got shape {betas.shape}")
     # row p * len(betas) + b holds point p at betas[b]
     alpha, phi1, phi2 = np.repeat(grid.T, betas.size, axis=-1)
     beta = np.tile(betas, len(grid))
@@ -329,3 +336,16 @@ def equivalence_scan(
     _, slots = _slot_matrices("LC cells and beta plates", phi1, phi2, beta, mirror_matrix)
     hardware = _fixed_stages(DEFAULT_HWP_ANGLES).steps_with(*slots)
     return _deviation(conceptual, hardware, DETECTOR_PORTS, beta, alpha, strict)
+
+
+def _scan_values(values, needs: str, name: str) -> np.ndarray:
+    """An argument of :func:`equivalence_scan` as float64 values: an iterable is listed
+    first, a number taken as it is; ragged entries raise, naming what the scan ``needs``."""
+    values = list(values) if np.iterable(values) else values
+    try:
+        return as_values(values)
+    except ValueError as err:
+        if "inhomogeneous" not in str(err):  # numpy's word for entries of unequal shapes
+            raise
+        raise ValueError(
+            f"equivalence_scan needs {needs}, got {len(values)} ragged {name}") from None

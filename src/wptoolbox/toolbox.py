@@ -8,9 +8,11 @@ detection probabilities oscillate in ``phi1``), while the *particle*
 component took the open arm and carries no ``phi1`` dependence on its own.
 
 Every probability in this module is computed twice: from closed-form
-expressions and by propagating the state through the element-by-element
-circuit.  A disagreement beyond ``CROSSCHECK_ATOL`` raises, so a regression
-in either route cannot go unnoticed.  :func:`single_photon_batch` does both
+expressions and from the element-by-element circuit, whose transfer matrix
+each photon's closed-form histories are checked against, entry by entry; a
+projection on a fixed product probe checks how the histories are assembled.
+A disagreement beyond ``CROSSCHECK_ATOL`` raises, so a regression in either
+route cannot go unnoticed.  :func:`single_photon_batch` does both
 for a whole sweep of settings in one call; the single-setting functions are
 its N=1 case, and refuse a batch before evaluating it (:func:`_one_setting`).
 It is the one-photon case of :func:`_history_batch`, the engine behind the
@@ -59,13 +61,9 @@ _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
 _PHOTON = _SINGLE_NAMES[1:]
 #: the files of this package; an alpha warning points at the first frame outside them
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-#: a product prefix this long or longer is multiplied column by column (:func:`_product`)
+#: a product prefix this long or longer is multiplied column by column (:func:`_product`),
+#: and a later term's last step on it is fused with its sum (:func:`_add_term`)
 _LONG_PREFIX = 1024
-#: a last product step or a propagation step on this many rows or more (n = 8) runs
-#: column by column, fused into the sum or the check (:func:`_history_batch`)
-_COLUMN_ROWS = 8192
-#: rows of the fused last propagation step compared with the output at once
-_CHECK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,7 @@ def _photon_factors(phi1, beta) -> tuple:
 def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``, at float64
     values, from their :func:`_photon_factors`, which hold all that ``beta`` gives;
-    only the engines (:func:`_history_batch`, :func:`_photon_histories`) call it."""
+    only the engines' shared evaluation (:func:`_photon_routes`) calls it."""
     cos_h, sin_h, c, s = factors
     g = np.exp(0.5j * phi1)[..., None]
     return g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
@@ -191,8 +189,8 @@ def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
 
 def _particle_amplitudes(phi2, beta, factors) -> np.ndarray:
     """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``, at float64
-    values, from the :func:`_photon_factors` of ``beta``; only the engines
-    (:func:`_history_batch`, :func:`_photon_histories`) call it."""
+    values, from the :func:`_photon_factors` of ``beta``; only the engines' shared
+    evaluation (:func:`_photon_routes`) calls it."""
     c, s = factors[2:]
     e2 = np.exp(1j * phi2)
     # absent mixers pass the open-arm pair (2, 4) straight through; the
@@ -325,16 +323,20 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     evaluated once, for the histories and for the network matrix.  The
     distinct patterns hold 0 (V) or 1 (H) per photon; V leaves as the
     photon's wave history and H as its particle history, so the closed form
-    is ``sum_t c_t (x)_k history_{t,k}``.  Row by row (:func:`_check`,
-    naming ``what``) it must match photon k's transfer matrix applied to
-    axis k of the polarization source.  Coefficients broadcast to ``S``.  A
-    failed slot check names the first non-finite setting and its row of
-    ``S``.  Each term is scaled in place and summed, not kept: the noise
-    baseline rebuilds them (:meth:`_Histories.terms`) and checks them.
-    From ``_COLUMN_ROWS`` rows on (n = 8) a later term's last Kronecker step
-    is fused with its scale and its sum (:func:`_add_term`), and the last
-    propagation step with the comparison (:func:`_tail_deviation`), so the
-    call holds one ``4**n`` array, the output, plus buffers of a fraction of it.
+    is ``sum_t c_t (x)_k history_{t,k}``.  Two comparisons check it, row by
+    row and in one :func:`_check` naming ``what``.  Each distinct setting's
+    closed-form histories must match the V and H columns of its transfer
+    matrix, entry by entry (:func:`_photon_routes`).  The assembled output,
+    contracted axis by axis with the product probe ``x_1 (x) ... (x) x_n`` of
+    :func:`_probe`, must match ``sum_t c_t prod_k <x_k|history_{t,k}>`` from
+    those histories.  Coefficients of one shape broadcast to ``S``.  A failed
+    slot check names the first non-finite setting and its row of ``S``.
+    Each term is scaled in place and summed, not kept: the noise baseline
+    rebuilds them (:meth:`_Histories.terms`) and checks them.  Once a term's
+    last product step has a prefix of ``_LONG_PREFIX`` amplitudes or more
+    (n >= 6), a later term's last step is fused with its scale and its sum
+    (:func:`_add_term`), so the call holds one ``4**n`` array, the output,
+    plus buffers of a fraction of it.
     """
     shape = next(iter(settings.values())).shape
     if 0 in shape:
@@ -344,25 +346,41 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     phi1, phi2, beta = (settings[names[0]] if len(names) == 1
                         else stack_last([settings[name] for name in names])
                         for names in columns)
-    # raw amplitudes: a PureState would copy and scan what the check below compares
-    factors = _photon_factors(phi1, beta)
-    waves = _wave_amplitudes(phi1, beta, factors).reshape(shape + (-1, 4))
-    particles = _particle_amplitudes(phi2, beta, factors).reshape(shape + (-1, 4))
-    histories, n = (waves, particles), len(rows)
+    factors, closed, propagated = _photon_routes(phi1, phi2, beta, settings)
+    deviation = (closed - propagated).reshape(shape + (-1,))
+    closed = closed.reshape(shape + (-1, 2, 4))
+    histories, n = (closed[..., 0, :], closed[..., 1, :]), len(rows)
     amps = None
     for c, pattern in zip(coeffs, patterns):
-        if amps is not None and 4 ** (n - 1) >= _COLUMN_ROWS:
+        if amps is not None and 4 ** (n - 1) >= _LONG_PREFIX:
             _add_term(amps, c, histories, pattern, rows)
             continue
         term = _product(histories, pattern, rows)
         # one photon's term is a view of its stored history: scale a copy
         term = c[..., None] * term if n == 1 else np.multiply(term, c[..., None], out=term)
         amps = term if amps is None else np.add(amps, term, out=amps)
-    del term  # summed into amps: free it before the propagation allocates
+    del term  # summed into amps: free it before the projection allocates
 
-    source = np.zeros(shape + (2,) * n, dtype=np.complex128)  # one axis per photon
-    for c, pattern in zip(coeffs, patterns):
-        source[(..., *pattern)] = c
+    probe, backward, index = _probe(patterns, rows)
+    dense = amps
+    for x in backward:  # vecdot never wakes threaded BLAS
+        dense = np.vecdot(x, dense.reshape(shape + (-1, 4)))
+    projections = np.vecdot(probe, closed[..., None, :]).reshape(shape + (-1,))
+    factored = np.vecdot(stack_last(coeffs), projections[..., index].prod(-1))
+    deviation = np.concatenate((deviation, dense - factored[..., None]), -1)  # dense is S + (1,)
+    _check(what, np.abs(deviation), settings)
+    return _Histories(amps, tuple(coeffs), patterns, rows, *histories, factors, settings)
+
+
+def _photon_routes(phi1, phi2, beta, settings: dict) -> tuple:
+    """Photon settings ``phi1, phi2, beta``, float64 values of one shape ``R``, by both
+    routes, each evaluated once: their :func:`_photon_factors`, the closed-form wave and
+    particle histories, ``R + (2, 4)``, and the V and H columns of :func:`network_matrix`
+    in that layout, which every caller compares entry by entry (:func:`_check`).  A failed
+    slot check names the first non-finite entry of ``settings`` and its row."""
+    factors = _photon_factors(phi1, beta)
+    waves = _wave_amplitudes(phi1, beta, factors)
+    closed = np.concatenate((waves, _particle_amplitudes(phi2, beta, factors)), axis=-1)
     try:
         mats = network_matrix(phi1, phi2, beta)
     except ValueError as err:
@@ -370,19 +388,7 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
         if found is None:
             raise
         raise ValueError("{}; {}={!r} at row {}".format(str(err).split(";")[0], *found)) from None
-    mats = mats.reshape(shape + (-1, 4, 2)).swapaxes(-1, -2)
-    # photon k's polarization axis leads; its four paths move to the back,
-    # so after n steps the photons are back in order (a contiguous result)
-    for row in rows[:-1]:
-        source = _step(source.reshape(shape + (2, -1)), mats[..., row, :, :])
-    source, last = source.reshape(shape + (2, -1)), mats[..., rows[-1], :, :]
-    if source.shape[-1] < _COLUMN_ROWS:
-        source = (source.swapaxes(-1, -2) @ last).reshape(amps.shape)
-        dev = np.abs(np.subtract(amps, source, out=source))
-    else:  # the last step fused with the comparison: no 4**n result
-        dev = _tail_deviation(amps, source, last)
-    _check(what, dev, settings)
-    return _Histories(amps, tuple(coeffs), patterns, rows, waves, particles, factors, settings)
+    return factors, closed.reshape(waves.shape[:-1] + (2, 4)), mats.swapaxes(-1, -2)
 
 
 def _photon_histories(settings: dict, what: str) -> np.ndarray:
@@ -390,10 +396,8 @@ def _photon_histories(settings: dict, what: str) -> np.ndarray:
     name, ``phi1, phi2, beta`` among them) by both routes, ``(route, history, path)``:
     the closed forms, then the V and H columns of :func:`network_matrix`, which must
     agree (:func:`_check`, naming ``what``)."""
-    phi1, phi2, beta = (settings[name] for name in _PHOTON)
-    factors = _photon_factors(phi1, beta)
-    closed = (_wave_amplitudes(phi1, beta, factors), _particle_amplitudes(phi2, beta, factors))
-    routes = np.array([closed, network_matrix(phi1, phi2, beta).T])
+    _, closed, propagated = _photon_routes(*(settings[name] for name in _PHOTON), settings)
+    routes = np.array((closed, propagated))
     _check(what, np.abs(routes[0] - routes[1]), settings)
     return routes
 
@@ -405,6 +409,29 @@ def _photon_rows(photons: tuple) -> tuple[tuple, tuple]:
     row among them."""
     distinct = list(dict.fromkeys(photons))
     return tuple(zip(*distinct)), tuple(distinct.index(names) for names in photons)
+
+
+@cache
+def _probe(patterns: tuple, rows: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The assembly check of :func:`_history_batch` for the source ``patterns`` on
+    photons of setting ``rows``: the probe ``x_1 (x) ... (x) x_n`` as its rows,
+    ``(n, 4)``, the same rows from ``x_n`` back, which contract an output's axes from
+    the last, and the flat index, ``(T, n)``, of each term's factor
+    ``<x_k|history_{t,k}>`` among the projections ``(m, 2, n)``.
+
+    Photon k's row ``x_k`` holds the phases ``exp(2 pi i frac(pi (4k + j + 1)**2))``.
+    The squares keep each row from being a multiple of another, as the rows of a
+    linear phase would be, so a swapped photon order shows.  Every entry has modulus
+    1, so an error of one amplitude moves the projection by its full size at any n
+    (unit-norm rows would shrink it by ``2**-n``).  An error spread over a term moves
+    it in proportion to the term's projection, which a fixed probe can make small."""
+    n = len(rows)
+    phases = np.arange(1, 4 * n + 1).reshape(n, 4) ** 2 * np.pi % 1
+    index = np.array([[(2 * row + h) * n + k for k, (h, row) in enumerate(zip(p, rows))]
+                      for p in patterns])
+    probe = np.exp(2j * np.pi * phases)
+    probe.flags.writeable = index.flags.writeable = False  # shared by every call
+    return probe, tuple(probe[::-1]), index
 
 
 def _product(histories: tuple, pattern, rows: tuple) -> np.ndarray:
@@ -441,44 +468,6 @@ def _add_term(amps: np.ndarray, c, histories: tuple, pattern, rows: tuple) -> No
         np.multiply(prefix, b[..., j, None], out=tmp)
         tmp *= c[..., None]
         cols[..., j] += tmp
-
-
-def _step(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """One propagation step ``x^T m``, ``S + (2, R)`` by ``S + (2, 4)`` to ``S + (R, 4)``.
-
-    From ``_COLUMN_ROWS`` rows on it runs column by column (:func:`_step_column`):
-    gemm would wake threaded BLAS, whose threads keep spinning after it."""
-    if x.shape[-1] < _COLUMN_ROWS:
-        return x.swapaxes(-1, -2) @ m
-    out = np.empty(x.shape[:-2] + (x.shape[-1], 4), dtype=np.complex128)
-    tmp = np.empty_like(x[..., 0, :])
-    for j in range(4):
-        _step_column(x, m, j, out[..., j], tmp)
-    return out
-
-
-def _step_column(x: np.ndarray, m: np.ndarray, j: int, out, tmp) -> np.ndarray:
-    """Column ``j`` of the step ``x^T m``, ``X0 m0j + X1 m1j``, into ``out``."""
-    np.multiply(x[..., 0, :], m[..., 0, j, None], out=out)
-    np.multiply(x[..., 1, :], m[..., 1, j, None], out=tmp)
-    return np.add(out, tmp, out=out)
-
-
-def _tail_deviation(amps: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``|amps - x^T m|``'s worst per block of ``_CHECK_ROWS`` rows and per column,
-    ``S + (blocks, 4)``: the last propagation step fused with the comparison, so
-    its ``4**n`` result is never held.  A NaN deviation stays NaN."""
-    cols = amps.reshape(x.shape[:-2] + (x.shape[-1], 4))
-    starts = range(0, x.shape[-1], _CHECK_ROWS)
-    worst = np.empty(x.shape[:-2] + (len(starts), 4))
-    prop, tmp = np.empty((2,) + x.shape[:-2] + (_CHECK_ROWS,), dtype=np.complex128)
-    for i, r in enumerate(starts):
-        block = x[..., r:r + _CHECK_ROWS]
-        for j in range(4):
-            _step_column(block, m, j, prop, tmp)
-            dev = np.subtract(cols[..., r:r + _CHECK_ROWS, j], prop, out=prop)
-            worst[..., i, j] = np.abs(dev).max(axis=-1)
-    return worst
 
 
 def _alpha_source(settings: dict, photons: tuple, what: str) -> _Histories:
@@ -569,10 +558,10 @@ def single_photon_batch(
     """Evaluate and cross-check a batch of single-photon settings in one call.
 
     The arguments are numbers or arrays that broadcast to one batch shape.
-    Every row is computed two ways by :func:`_history_batch`, as a closed
-    form and by propagating the input through the batched network matrix,
-    and the two are compared at ``CROSSCHECK_ATOL``: the amplitudes, and the
-    Born probabilities, which are the result, against
+    Every row is checked by :func:`_history_batch` at ``CROSSCHECK_ATOL``:
+    the closed-form wave and particle histories against the batched network
+    matrix, the output against them on a product probe, and the Born
+    probabilities, which are the result, against
     :func:`detection_closed_forms`, on every row at any ``beta``.  A
     mismatch raises ``RuntimeError`` naming the first failing row and its
     settings; an empty batch raises ``ValueError``.
@@ -638,8 +627,9 @@ def output_state(
     """Full network output ``cos(alpha)|wave> + sin(alpha)|particle>``.
 
     The state of :func:`single_photon_batch`'s source: the closed form is
-    cross-checked against element-by-element propagation on every call; a
-    mismatch raises ``RuntimeError``.  No Born table is evaluated.  Arrays of
+    cross-checked on every call, its histories against the element-by-element
+    transfer matrix and their sum on a product probe; a mismatch raises
+    ``RuntimeError``.  No Born table is evaluated.  Arrays of
     settings give a batched state.
     """
     return _single_photon(_single_settings(alpha, phases, beta)).state()

@@ -636,9 +636,9 @@ class TestSourceTermEngine:
             ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
 
     @pytest.mark.parametrize("entry", range(8))
-    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 8])
     def test_perturbed_network_entry_raises_for_ghz(self, monkeypatch, n, entry):
-        # every transfer-matrix entry reaches the propagation, n = 8's fused tail too
+        # every transfer-matrix entry reaches the per-photon check, at every n
         exact = toolbox.network_matrix
 
         def perturbed(*values):
@@ -650,22 +650,52 @@ class TestSourceTermEngine:
         with pytest.raises(RuntimeError, match="disagrees with propagation"):
             ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
 
-    def test_fused_tail_reports_each_blocks_worst(self):
-        # a 16384-row last step in blocks of 4096 rows, two batch rows, one
-        # deviation in the last block's last column and a NaN in the first
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(2, 2, 4**7)) + 1j * rng.normal(size=(2, 2, 4**7))
-        m = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
-        exact = (x.swapaxes(-1, -2) @ m).reshape(2, -1)
-        amps = exact.copy()
-        amps[1, -1] += 1e-6
-        amps[0, 5] = np.nan
-        worst = toolbox._tail_deviation(amps, x, m)
-        blocks = np.abs(amps - exact).reshape(2, 4, toolbox._CHECK_ROWS, 4).max(axis=2)
-        assert worst.shape == blocks.shape == (2, 4, 4)
-        np.testing.assert_allclose(worst, blocks, rtol=0, atol=1e-12)
-        assert np.isnan(worst[0, 0, 1]) and np.count_nonzero(np.isnan(worst)) == 1
-        assert worst[1, 3, 3] == pytest.approx(1e-6, rel=1e-6)
+    @staticmethod
+    def fault_first_product(monkeypatch, fault):
+        """Patch the engine's first Kronecker product, the first term's, with
+        ``fault(exact, histories, pattern, rows)``; later products stay exact."""
+        exact, calls = toolbox._product, itertools.count()
+
+        def faulty(*args):
+            return fault(exact, *args) if next(calls) == 0 else exact(*args)
+
+        monkeypatch.setattr(toolbox, "_product", faulty)
+
+    @staticmethod
+    def engine_output(n):
+        """The engine's checked state at n photons; the pair's photons have distinct settings."""
+        if n == 2:
+            return two_photon_output(
+                settings(alpha=0.6, phi1=0.3, phi2=1.2, phi1p=2.2, phi2p=0.1))
+        return ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
+
+    @staticmethod
+    def one_amplitude(exact, *args):
+        term = exact(*args).copy()
+        term[..., 1] += 1e-10
+        return term
+
+    @staticmethod
+    def scaled_term(exact, *args):
+        return exact(*args) * (1 + 1e-10)
+
+    # the histories are exact, so the per-photon check passes: only the
+    # projection of the assembled output on the product probe can see these
+    @pytest.mark.parametrize("fault", ["one_amplitude", "scaled_term"])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_faulty_assembly_raises(self, monkeypatch, n, fault):
+        self.fault_first_product(monkeypatch, getattr(self, fault))
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            self.engine_output(n)
+
+    def test_swapped_photon_rows_raise(self, monkeypatch):
+        # the first term's two photons in the wrong order: each history is right
+        def swapped(exact, histories, pattern, rows):
+            return exact(histories, pattern, rows[::-1])
+
+        self.fault_first_product(monkeypatch, swapped)
+        with pytest.raises(RuntimeError, match="disagrees with propagation"):
+            self.engine_output(2)
 
     def test_perturbed_closed_form_raises_for_variant_and_concurrence(self, perturbed_wave):
         s = settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2, phi2p=0.1)

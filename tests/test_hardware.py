@@ -337,6 +337,33 @@ class TestScanInputs:
         with pytest.raises(ValueError, match=f"^{named}$"):
             equivalence_scan(points)
 
+    @pytest.mark.parametrize("betas, shape", [
+        (0.0, ()),
+        ([[0.0, BETA_SPLIT]], (1, 2)),
+        ([[0.0], [BETA_SPLIT]], (2, 1)),
+        (np.zeros((1, 1, 2)), (1, 1, 2)),
+    ])
+    def test_malformed_betas_are_named(self, betas, shape):
+        named = re.escape(f"equivalence_scan needs betas of shape (n,), got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            equivalence_scan(self.POINTS, betas)
+
+    @pytest.mark.parametrize("points, betas, message", [
+        ([(0.3, 0.1, 0.2), (0.5, 1.0)], (0.0,), "(alpha, phi1, phi2) points, got 2 ragged points"),
+        ([(0.3, 0.1, 0.2), (0.5, 1.0, (2.0, 3.0))], (0.0,),
+         "(alpha, phi1, phi2) points, got 2 ragged points"),
+        (POINTS, [[0.0], [0.1, 0.2], []], "betas of shape (n,), got 3 ragged betas"),
+    ])
+    def test_ragged_inputs_are_named(self, points, betas, message):
+        with pytest.raises(ValueError, match=f"^{re.escape('equivalence_scan needs ' + message)}$"):
+            equivalence_scan(points, betas)
+
+    @pytest.mark.parametrize("count", [0, 6, 8])
+    def test_hwp_angle_count_is_named(self, count):
+        message = f"^build_hardware_layout needs 7 hwp_angles, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            build_hardware_layout(ToolboxPhases(0.2, 0.9), BETA_SPLIT, hwp_angles=[0.1] * count)
+
     # each input, alone and together with a later fault, raises the first check's message:
     # the empty grid, the network's slot stack, the strict beta refusal, then alpha
     @pytest.mark.parametrize("points, betas, message", [

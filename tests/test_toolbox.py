@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wptoolbox
 import wptoolbox.toolbox as toolbox
 from wptoolbox.entangle import (
     TwoPhotonSettings,
@@ -565,3 +566,34 @@ class TestOneSetting:
             ghz_sector_probabilities(9, batch)
         with pytest.raises(ValueError, match="needs one setting"):
             ghz_sector_probabilities(3, batch, beta=np.array([0.0, BETA_SPLIT]))
+
+
+class TestPublicNames:
+    """``__init__.py`` names each export once, in its imports; ``__all__`` is built from them."""
+
+    NAMES = [
+        "BETA_DIRECT", "BETA_SPLIT", "Circuit", "CoincidenceTable", "CountTable",
+        "DEFAULT_HWP_ANGLES", "DensityMatrix", "ElementUnitary", "HardwareLayout", "ModeBasis",
+        "NoiseModel", "PATHS", "POLS", "PairBatch", "PureState", "SingleBatch",
+        "SingleProbabilities", "ToolboxPhases", "TwoPhotonSettings", "VALIDATED_BETAS",
+        "WitnessEstimate", "apply_unitary", "balanced_bs", "beam_displacer",
+        "build_hardware_layout", "coherence", "coherence_witness", "coincidence_closed_forms",
+        "coincidence_probabilities", "concurrence", "count_errors", "describe",
+        "detection_closed_forms", "detection_probabilities", "entanglement_witness",
+        "equivalence_check", "equivalence_scan", "estimate_probabilities", "estimate_witness",
+        "ghz_output", "ghz_sector_probabilities", "hardware_output", "hwp_jones",
+        "interferometer_circuit", "measure_distribution", "mix", "mixed_output",
+        "mixture_coincidence_probabilities", "mixture_two_photon_output", "network_matrix",
+        "noisy_coincidence_probabilities", "noisy_single_probabilities", "output_mixer",
+        "output_state", "partial_trace", "particle_state", "phase_shifter", "poisson_error",
+        "polarizing_bs", "prepare_input", "product_basis", "pure_density", "sample_counts",
+        "sample_rows", "sector_projection", "single_photon_batch", "two_photon_batch",
+        "two_photon_output", "vh_variant_output", "wave_state", "witness_rows",
+        "wootters_concurrence",
+    ]
+
+    def test_all_is_the_pinned_72_names(self):
+        assert len(self.NAMES) == 72
+        assert sorted(wptoolbox.__all__) == self.NAMES
+        assert all(hasattr(wptoolbox, name) for name in wptoolbox.__all__)
+

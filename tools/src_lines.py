@@ -2,10 +2,10 @@
 
 For each module under ``src/wptoolbox`` it prints the code, docstring,
 comment and blank lines and their total (the ``wc -l`` count), then the
-package totals and the number of names in ``__all__``.  A docstring line
-belongs to a string that stands as a statement of its own; a comment line
-holds a comment and no code; a blank line holds only white space, inside a
-docstring too; every other line is code.
+package totals and the number of names in the package's ``__all__``.  A
+docstring line belongs to a string that stands as a statement of its own; a
+comment line holds a comment and no code; a blank line holds only white
+space, inside a docstring too; every other line is code.
 
 Usage::
 
@@ -14,7 +14,9 @@ Usage::
 from __future__ import annotations
 
 import ast
+import importlib
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -51,13 +53,11 @@ def count(text: str) -> dict[str, int]:
     return kinds
 
 
-def public_names(init_text: str) -> int:
-    """The number of names listed in ``__all__``."""
-    for node in ast.parse(init_text).body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return len(node.value.elts)
-    raise SystemExit("__init__.py has no __all__ list")
+def public_names() -> int:
+    """The number of names in ``__all__``, read from the package imported from this
+    checkout: ``__init__.py`` builds the list from its imports, not as a literal."""
+    sys.path.insert(0, str(PACKAGE.parent))
+    return len(importlib.import_module(PACKAGE.name).__all__)
 
 
 def main() -> None:
@@ -67,7 +67,7 @@ def main() -> None:
     for name, row in rows.items():
         values = (*row.values(), sum(row.values()))
         print(f"{name:<14}" + "".join(f"{v:>11}" for v in values))
-    print(f"__all__: {public_names((PACKAGE / '__init__.py').read_text())} names")
+    print(f"__all__: {public_names()} names")
 
 
 if __name__ == "__main__":
