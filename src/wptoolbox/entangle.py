@@ -35,7 +35,7 @@ from .toolbox import (
     _history_weights,
     _in_sector,
     _one_setting,
-    _photon_histories,
+    _photon_routes,
     _single_settings,
 )
 
@@ -416,7 +416,8 @@ def ghz_sector_probabilities(
     No n-photon state is built: with one photon's histories ``h_t`` and their
     Gram matrices ``G_x[t, t'] = sum_{d in x} conj(h_t(d)) h_t'(d)`` over the
     detectors of letter x, ``P(s) = sum_{t,t'} c_t c_t' prod_k G_{s_k}[t, t']``,
-    contracted from the closed-form and from the propagated histories alike.
+    contracted from the closed-form and from the propagated histories alike, which
+    :func:`~wptoolbox.toolbox._photon_routes` compared; the two tables must agree.
     """
     settings = _single_settings(alpha, phases, beta)
     if not settings["beta"].shape and settings["beta"] != 0.0:  # a batch is refused below
@@ -424,7 +425,8 @@ def ghz_sector_probabilities(
     _check_photon_number(n)
     _one_setting("ghz_sector_probabilities", settings.values())
     a = _check_alpha(settings["alpha"])
-    routes = _photon_histories(settings, "photon history")
+    _, *routes = _photon_routes(*map(settings.get, _PHOTON), settings, "photon history")
+    routes = np.array(routes)  # (route, history, path)
     # path 2 * pair + letter: paths 1, 3 read 'w' and 2, 4 read 'p'
     pairs = (routes.conj()[:, :, None] * routes[:, None]).reshape(2, 4, 2, 2)
     gram = pairs[..., 0, :] + pairs[..., 1, :]  # (route, (t, t'), letter)

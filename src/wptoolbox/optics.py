@@ -214,8 +214,8 @@ class Circuit:
         """Run ``state`` through every element in order.
 
         A batched state runs through batched elements setting by setting; the
-        batch shapes must agree.  The result is the runner's fresh array,
-        frozen in place rather than copied.
+        batch shapes broadcast, so one state may run through a batch of them.
+        The result is the runner's fresh array, frozen in place, not copied.
         """
         amps = _propagated(state.amplitudes.copy(), self._steps_from(state.basis))
         # the runner's fresh C-ordered result, which passed its finite scan
@@ -259,10 +259,9 @@ def _propagated(amps: np.ndarray, steps) -> np.ndarray:
 
 def _transfer_matrix(steps, dim: int, shape: tuple = ()) -> np.ndarray:
     """Transfer matrices ``shape + (out, in)`` of routed ``steps`` on ``dim`` input
-    modes: one pass of the ``(dim,) + shape + (dim,)`` identity block."""
-    block = np.zeros((dim,) + shape + (dim,), dtype=np.complex128)
-    for k in range(dim):
-        block[k, ..., k] = 1.0
+    modes: one pass of the identity, its columns along a leading axis, which the
+    runner broadcasts to the steps' batch ``shape`` once a step has it."""
+    block = np.eye(dim, dtype=np.complex128).reshape((dim,) + (1,) * len(shape) + (dim,))
     images = run_steps(block, steps)
     return images.transpose(*range(1, images.ndim), 0)
 

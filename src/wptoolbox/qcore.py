@@ -395,16 +395,19 @@ def route(
 def run_steps(amps: np.ndarray, steps: Iterable[Step]) -> np.ndarray:
     """Run ``amps``, shape ``(..., dim)``, through routed and checked steps.
 
-    Each matrix is one matrix or a stack matching the leading axes of
-    ``amps``.  This is the one propagation route: circuits, transfer
+    Each matrix is one matrix or a stack whose leading axes broadcast against
+    those of ``amps``.  This is the one propagation route: circuits, transfer
     matrices and :func:`apply_unitary` all run here.  ``amps`` is updated in
-    place unless a step replaces the basis; the result is returned.
+    place unless a step replaces the basis or has a larger batch, to which a
+    copy of ``amps`` is broadcast once; the result is returned.
     """
     for matrix, at, replaces in steps:
         out = np.matvec(matrix, amps[..., at])
         if replaces:
             amps = out
         else:
+            if out.shape[:-1] != amps.shape[:-1]:  # a larger batch than amps
+                amps = np.broadcast_to(amps, out.shape[:-1] + amps.shape[-1:]).copy()
             amps[..., at] = out
     return amps
 

@@ -17,6 +17,7 @@ detector signal are untouched.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -70,18 +71,23 @@ class NoiseModel(ByValue):
 @dataclass(frozen=True, eq=False)
 class CountTable(ByValue):
     """Multinomial detector counts; shape (4,), or (4, 4) or flat (16,) for
-    coincidences.  Tables compare and hash by their counts' shape and values, shots
-    and seed."""
+    coincidences, whole numbers summing to ``total_shots``, an integer of at least 1.
+    Tables compare and hash by their counts' shape and values, shots and seed."""
 
     counts: np.ndarray
     total_shots: int
     seed: int
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64).copy()
+        given = np.asarray(self.counts)
+        with np.errstate(invalid="ignore"):  # a non-finite count is no whole number below
+            c = given.astype(np.int64)
         _check_outcomes(c)
+        if (c != given).any():
+            raise ValueError(f"counts must be whole numbers, got {given[c != given][0]}")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
+        _check_shots("a count table", "total_shots", self.total_shots)
         if c.sum() != self.total_shots:
             raise ValueError(
                 f"counts sum to {c.sum()}, declared total is {self.total_shots}"
@@ -91,6 +97,17 @@ class CountTable(ByValue):
 
     def frequencies(self) -> np.ndarray:
         return self.counts / self.total_shots
+
+
+def _check_shots(what: str, name: str, value) -> None:
+    """Raise unless the shot count ``value`` is a Python or numpy integer of at least
+    1, naming it: a float would be truncated or divided by as given."""
+    try:
+        fewer = operator.index(value) < 1
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value}") from None
+    if fewer:
+        raise ValueError(f"{what} needs at least one shot, got {name}={value}")
 
 
 def _check_outcomes(counts: np.ndarray) -> None:
@@ -112,8 +129,8 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
     """Multinomial draws of ``n_shots`` events for every row of ``dists``.
 
     ``dists`` holds one distribution per leading index, shape ``(rows, 4)``
-    or ``(rows, 4, 4)`` with at least one row, and ``n_shots`` lies in
-    [1, :data:`MAX_SHOTS`], else ``ValueError``; the counts come back in
+    or ``(rows, 4, 4)`` with at least one row, and ``n_shots`` is an integer
+    in [1, :data:`MAX_SHOTS`], else ``ValueError``; the counts come back in
     that shape as int64.  Every row is checked before any draw
     (:func:`~wptoolbox.qcore.check_distribution`), an error names the first
     bad row, and round-off negatives are drawn as zero.  A table
@@ -121,8 +138,7 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
     equal (table values, shots, seed) give equal counts in any memory
     layout; row 0 equals :func:`sample_counts` of that row at that seed.
     """
-    if n_shots < 1:
-        raise ValueError("need at least one shot")
+    _check_shots("sampling", "n_shots", n_shots)
     if n_shots > MAX_SHOTS:
         raise ValueError(f"at most {MAX_SHOTS} shots can be drawn, got {n_shots}")
     p = np.asarray(dists, dtype=float)
@@ -214,7 +230,7 @@ def witness_rows(counts, n_shots: int, witness: str) -> tuple[np.ndarray, np.nda
     (n_22' - n_21') / N.  The error is sqrt(n_a + n_b) / N: the two entering
     counts are treated as independent Poisson variables (zero counts
     contribute their unit-error convention of :func:`count_errors`).  Any
-    other shape, or no row, raises ``ValueError``.
+    other shape, no row, or ``n_shots`` not an integer >= 1 raises ``ValueError``.
     """
     return _witness(_rows(np.asarray(counts)).T, n_shots, witness)
 
@@ -231,8 +247,7 @@ def _rows(table: np.ndarray) -> np.ndarray:
 def _witness(cells, n_shots: int, witness: str) -> tuple:
     """The one witness formula: ``cells[k]`` holds count k, of every row as a
     column or of one table as a number, and so does each result."""
-    if n_shots < 1:
-        raise ValueError("witness estimation needs at least one shot")
+    _check_shots("witness estimation", "n_shots", n_shots)
     if witness not in _WITNESS_CELLS:
         raise ValueError(f"unknown witness {witness!r}")
     table, size, a, b = _WITNESS_CELLS[witness]

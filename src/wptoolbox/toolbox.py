@@ -16,7 +16,8 @@ route cannot go unnoticed.  :func:`single_photon_batch` does both
 for a whole sweep of settings in one call; the single-setting functions are
 its N=1 case, and refuse a batch before evaluating it (:func:`_one_setting`).
 It is the one-photon case of :func:`_history_batch`, the engine behind the
-pair and n-photon sources of :mod:`wptoolbox.entangle`.
+pair and n-photon sources of :mod:`wptoolbox.entangle`.  Every photon
+setting is evaluated and checked in one place, :func:`_photon_routes`.
 """
 from __future__ import annotations
 
@@ -61,8 +62,8 @@ _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
 _PHOTON = _SINGLE_NAMES[1:]
 #: the files of this package; an alpha warning points at the first frame outside them
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-#: a product prefix this long or longer is multiplied column by column (:func:`_product`),
-#: and a later term's last step on it is fused with its sum (:func:`_add_term`)
+#: a later term's last product step on a prefix this long or longer is fused with its
+#: scale and its sum (:func:`_add_term`)
 _LONG_PREFIX = 1024
 
 
@@ -145,9 +146,9 @@ def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
 
     Absent mixers (``beta = 0``) and the ``beta -> 0`` limit of the coupled
     form agree on this state: both pass the recombined pair (1, 3) through.
-    It is the engine's one-term source ``|V>`` with the open-arm phase at 0,
-    which this history never reaches, cross-checked against propagation on
-    every call.  Arrays of settings give a batched state.
+    Checked against the V column of the transfer matrix on every call, the
+    open-arm phase, which it never reaches, at 0 (:func:`_photon_routes`).
+    Arrays of settings give a batched state.
     """
     return _history_state(0, broadcast_values(phi1, 0.0, beta), "wave state")
 
@@ -155,20 +156,19 @@ def wave_state(phi1, beta=BETA_SPLIT) -> PureState:
 def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
     """Network output for a pure-H input (the open-arm history).
 
-    It is the engine's one-term source ``|H>`` with the recombined-arm phase
-    at 0, which this history never reaches, cross-checked against
-    propagation on every call.  Arrays of settings give a batched state.
+    Checked against the H column of the transfer matrix on every call, the
+    recombined-arm phase, which it never reaches, at 0 (:func:`_photon_routes`).
+    Arrays of settings give a batched state.
     """
     return _history_state(1, broadcast_values(0.0, phi2, beta), "particle state")
 
 
 def _history_state(h: int, values: list, what: str) -> PureState:
     """History ``h`` (0 wave, 1 particle) of one photon at broadcast ``values`` of
-    ``phi1, phi2, beta``, from the one-term source of :func:`_history_batch`."""
-    histories = _history_batch((_ONE,), ((h,),), (_PHOTON,), what, dict(zip(_PHOTON, values)))
-    # the unscaled history: its product with the coefficient 1 can flip a signed zero
-    history = (histories.waves, histories.particles)[h][..., 0, :]
-    return histories._replace(amplitudes=history).state()
+    ``phi1, phi2, beta``: its closed form, once checked (:func:`_photon_routes`)."""
+    history = _photon_routes(*values, dict(zip(_PHOTON, values)), what)[1][..., h, :]
+    # the closed history the check has compared, so finite
+    return _trusted(PureState, basis=_n_photon_basis(1), amplitudes=np.ascontiguousarray(history))
 
 
 def _photon_factors(phi1, beta) -> tuple:
@@ -324,30 +324,27 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     distinct patterns hold 0 (V) or 1 (H) per photon; V leaves as the
     photon's wave history and H as its particle history, so the closed form
     is ``sum_t c_t (x)_k history_{t,k}``.  Two comparisons check it, row by
-    row and in one :func:`_check` naming ``what``.  Each distinct setting's
-    closed-form histories must match the V and H columns of its transfer
-    matrix, entry by entry (:func:`_photon_routes`).  The assembled output,
-    contracted axis by axis with the product probe ``x_1 (x) ... (x) x_n`` of
-    :func:`_probe`, must match ``sum_t c_t prod_k <x_k|history_{t,k}>`` from
-    those histories.  Coefficients of one shape broadcast to ``S``.  A failed
-    slot check names the first non-finite setting and its row of ``S``.
-    Each term is scaled in place and summed, not kept: the noise baseline
-    rebuilds them (:meth:`_Histories.terms`) and checks them.  Once a term's
-    last product step has a prefix of ``_LONG_PREFIX`` amplitudes or more
-    (n >= 6), a later term's last step is fused with its scale and its sum
+    row, each in a :func:`_check` naming ``what``.  First each distinct
+    setting's closed-form histories must match the V and H columns of its
+    transfer matrix, entry by entry (:func:`_photon_routes`, which also
+    refuses an empty batch).  Then the assembled output, contracted axis by
+    axis with the product probe ``x_1 (x) ... (x) x_n`` of :func:`_probe`,
+    must match ``sum_t c_t prod_k <x_k|history_{t,k}>`` from those
+    histories.  Coefficients of one shape broadcast to ``S``.  Each term is
+    scaled in place and summed, not kept: the noise baseline rebuilds them
+    (:meth:`_Histories.terms`) and checks them.  Once a term's last product
+    step has a prefix of ``_LONG_PREFIX`` amplitudes or more (n >= 6), a
+    later term's last step is fused with its scale and its sum
     (:func:`_add_term`), so the call holds one ``4**n`` array, the output,
     plus buffers of a fraction of it.
     """
-    shape = next(iter(settings.values())).shape
-    if 0 in shape:
-        raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
     columns, rows = _photon_rows(photons)
     # photon k's values are row rows[k] of S + (m,), m distinct; one keeps shape S
     phi1, phi2, beta = (settings[names[0]] if len(names) == 1
                         else stack_last([settings[name] for name in names])
                         for names in columns)
-    factors, closed, propagated = _photon_routes(phi1, phi2, beta, settings)
-    deviation = (closed - propagated).reshape(shape + (-1,))
+    factors, closed, _ = _photon_routes(phi1, phi2, beta, settings, what)
+    shape = next(iter(settings.values())).shape
     closed = closed.reshape(shape + (-1, 2, 4))
     histories, n = (closed[..., 0, :], closed[..., 1, :]), len(rows)
     amps = None
@@ -367,17 +364,19 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
         dense = np.vecdot(x, dense.reshape(shape + (-1, 4)))
     projections = np.vecdot(probe, closed[..., None, :]).reshape(shape + (-1,))
     factored = np.vecdot(stack_last(coeffs), projections[..., index].prod(-1))
-    deviation = np.concatenate((deviation, dense - factored[..., None]), -1)  # dense is S + (1,)
-    _check(what, np.abs(deviation), settings)
+    _check(what, np.abs(dense - factored[..., None]), settings)  # dense is S + (1,)
     return _Histories(amps, tuple(coeffs), patterns, rows, *histories, factors, settings)
 
 
-def _photon_routes(phi1, phi2, beta, settings: dict) -> tuple:
+def _photon_routes(phi1, phi2, beta, settings: dict, what: str) -> tuple:
     """Photon settings ``phi1, phi2, beta``, float64 values of one shape ``R``, by both
     routes, each evaluated once: their :func:`_photon_factors`, the closed-form wave and
     particle histories, ``R + (2, 4)``, and the V and H columns of :func:`network_matrix`
-    in that layout, which every caller compares entry by entry (:func:`_check`).  A failed
-    slot check names the first non-finite entry of ``settings`` and its row."""
+    in that layout, once they agree entry by entry (:func:`_check`, naming ``what``).  An
+    empty batch raises first; a failed slot check names the first non-finite entry of
+    ``settings`` and its row."""
+    if not phi1.size:
+        raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
     factors = _photon_factors(phi1, beta)
     waves = _wave_amplitudes(phi1, beta, factors)
     closed = np.concatenate((waves, _particle_amplitudes(phi2, beta, factors)), axis=-1)
@@ -388,18 +387,9 @@ def _photon_routes(phi1, phi2, beta, settings: dict) -> tuple:
         if found is None:
             raise
         raise ValueError("{}; {}={!r} at row {}".format(str(err).split(";")[0], *found)) from None
-    return factors, closed.reshape(waves.shape[:-1] + (2, 4)), mats.swapaxes(-1, -2)
-
-
-def _photon_histories(settings: dict, what: str) -> np.ndarray:
-    """One photon's wave and particle histories at one setting of ``settings`` (by
-    name, ``phi1, phi2, beta`` among them) by both routes, ``(route, history, path)``:
-    the closed forms, then the V and H columns of :func:`network_matrix`, which must
-    agree (:func:`_check`, naming ``what``)."""
-    _, closed, propagated = _photon_routes(*(settings[name] for name in _PHOTON), settings)
-    routes = np.array((closed, propagated))
-    _check(what, np.abs(routes[0] - routes[1]), settings)
-    return routes
+    closed, propagated = closed.reshape(waves.shape[:-1] + (2, 4)), mats.swapaxes(-1, -2)
+    _check(what, np.abs(closed - propagated), settings)
+    return factors, closed, propagated
 
 
 @cache
@@ -436,23 +426,12 @@ def _probe(patterns: tuple, rows: tuple) -> tuple[np.ndarray, tuple, np.ndarray]
 
 def _product(histories: tuple, pattern, rows: tuple) -> np.ndarray:
     """``(x)_k histories[pattern[k]][..., rows[k], :]``, shape ``S + (4**n,)``: a fresh
-    array, or for one photon a view of its history.
-
-    A prefix of ``_LONG_PREFIX`` amplitudes or more is multiplied by one entry
-    of the next history at a time, four products along the prefix into strided
-    columns; a shorter one by one broadcast product, whose inner loop runs over
-    the four entries.  Both put the prefix first, so they round alike."""
+    array, or for one photon a view of its history.  Each photon's step is one
+    broadcast product, the prefix first."""
     state = histories[pattern[0]][..., rows[0], :]
     for h, row in zip(pattern[1:], rows[1:]):
         b = histories[h][..., row, :]
-        if state.shape[-1] < _LONG_PREFIX:
-            state = state[..., :, None] * b[..., None, :]
-        else:
-            out = np.empty(state.shape + (4,), dtype=np.complex128)
-            for j in range(4):
-                np.multiply(state, b[..., j, None], out=out[..., j])
-            state = out
-        state = state.reshape(b.shape[:-1] + (-1,))
+        state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
     return state
 
 

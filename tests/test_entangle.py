@@ -825,7 +825,7 @@ class TestGhzSectors:
         rng = np.random.default_rng(n)
         h = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
         h /= np.linalg.norm(h, axis=-1, keepdims=True)
-        monkeypatch.setattr(entangle, "_photon_histories", lambda *args: np.array([h, h]))
+        monkeypatch.setattr(entangle, "_photon_routes", lambda *args: (None, h, h))
         alpha = 0.3
         got = ghz_sector_probabilities(n, alpha)
         amps = (np.cos(alpha) * reduce(np.kron, [h[0]] * n)
@@ -859,14 +859,13 @@ class TestGhzSectors:
     def test_perturbed_route_after_the_history_check_raises(self, monkeypatch, n):
         # the propagated histories moved by 1e-10 once they passed their check:
         # only the comparison of the two contracted tables can catch it
-        exact = entangle._photon_histories
+        exact = entangle._photon_routes
 
         def perturbed(*args):
-            routes = exact(*args).copy()
-            routes[1] += 1e-10
-            return routes
+            factors, closed, propagated = exact(*args)
+            return factors, closed, propagated + 1e-10
 
-        monkeypatch.setattr(entangle, "_photon_histories", perturbed)
+        monkeypatch.setattr(entangle, "_photon_routes", perturbed)
         message = (r"closed-form n-photon sector table disagrees with propagation by"
                    r" \S+ at row 0 \(alpha=0\.6, phi1=0\.3, phi2=1\.2, beta=0\.0\)$")
         with pytest.raises(RuntimeError, match=message):

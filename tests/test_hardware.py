@@ -223,6 +223,22 @@ class TestBatchedRoute:
         layout = build_hardware_layout(ToolboxPhases(phi1[k], phi2[k]), beta[k])
         assert probs[k].tobytes() == hardware_output(layout, alpha[k]).tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.3, [0.3], [[0.3], [0.5]], [0.3, 0.4, 0.5]])
+    def test_a_smaller_alpha_batch_broadcasts_to_the_layout(self, alpha):
+        # the layout's batch is (2, 3): alpha's rows are broadcast against it
+        rng = np.random.default_rng(46)
+        phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 2, 3))
+        beta = np.array([0.0, BETA_SPLIT, 0.0])
+        layout = build_hardware_layout(ToolboxPhases(phi1, phi2), beta)
+        conceptual = interferometer_circuit(phi1, phi2, beta)
+        full = np.broadcast_to(np.asarray(alpha), (2, 3))
+        probs = hardware_output(layout, alpha)
+        assert probs.shape == (2, 3, 4)
+        assert probs.tobytes() == hardware_output(layout, full).tobytes()
+        alphas = [alpha] if np.isscalar(alpha) else alpha  # an iterable, as listed
+        assert equivalence_check(conceptual, layout, alphas) == equivalence_check(
+            conceptual, layout, full)
+
     def test_scan_is_max_of_one_point_scans(self):
         alpha, phi1, phi2, _ = random_batch(41)
         points = list(zip(alpha, phi1, phi2))

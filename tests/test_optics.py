@@ -191,6 +191,14 @@ class TestBatchedCircuits:
             one = interferometer_circuit(phi1[k], phi2[k], beta[k]).propagate(pol_state(alpha[k]))
             np.testing.assert_array_equal(out.amplitudes[k], one.amplitudes)
 
+    def test_one_state_runs_through_a_batch_of_settings(self):
+        circuit = interferometer_circuit(np.array([0.1, 0.2]), 0.0, 0.0)
+        out = circuit.propagate(prepare_input(0.3))
+        assert out.amplitudes.shape == (2, 4)
+        broadcast = circuit.propagate(prepare_input(np.full(2, 0.3)))
+        assert out.amplitudes.tobytes() == broadcast.amplitudes.tobytes()
+        assert out.amplitudes.flags.c_contiguous and not out.amplitudes.flags.writeable
+
     def test_network_matrix_stacks_each_setting(self):
         rng = np.random.default_rng(22)
         phi1, phi2 = rng.uniform(0, 2 * np.pi, (2, 2, 3))

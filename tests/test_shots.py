@@ -113,6 +113,24 @@ class TestCountTable:
         assert CountTable(counts, int(counts.sum()), seed=0).counts.shape == shape
         assert sample_counts(np.full(shape, 1 / counts.size), 10, seed=0).counts.shape == shape
 
+    @pytest.mark.parametrize("counts, named", [([1.7, 0.2, 0, 0], "1.7"),
+                                               (np.array([1.0, np.nan, 0.0, 0.0]), "nan"),
+                                               (np.array([2.0, 0.0, np.inf, 0.0]), "inf")])
+    def test_fractional_counts_rejected(self, counts, named):
+        with pytest.raises(ValueError, match=f"^counts must be whole numbers, got {named}$"):
+            CountTable(counts, 1, seed=0)
+
+    @pytest.mark.parametrize("total", [2.0, 2.5, np.float64(2.0)])
+    def test_non_integer_total_rejected(self, total):
+        with pytest.raises(ValueError, match=f"^total_shots must be an integer, got {total}$"):
+            CountTable(np.array([1, 1, 0, 0]), total, seed=0)
+
+    def test_whole_numbers_of_any_type_pass(self):
+        a = CountTable(np.array([1.0, 1.0, 0.0, 0.0]), np.int32(2), seed=0)
+        b = CountTable([1, 1, 0, 0], 2, seed=0)
+        assert a == b and a.counts.dtype == np.int64
+        assert a.frequencies().tolist() == [0.5, 0.5, 0.0, 0.0]
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             CountTable(np.array([-1, 1, 0, 0]), 0, seed=0)
@@ -316,6 +334,20 @@ class TestSampleRows:
         with pytest.raises(ValueError, match="at least one"):
             sample_rows(np.full((2, 4), 0.25), 0, seed=0)
 
+    @pytest.mark.parametrize("n_shots", [2.9, 2.5, 3.0, np.float64(3.0)])
+    def test_rejects_non_integer_shots(self, n_shots):
+        message = f"^n_shots must be an integer, got {n_shots}$"
+        with pytest.raises(ValueError, match=message):
+            sample_rows(np.full((2, 4), 0.25), n_shots, seed=3)
+        with pytest.raises(ValueError, match=message):
+            sample_counts(FLAT4, n_shots, seed=3)
+
+    @pytest.mark.parametrize("n_shots", [np.int64(40), np.int8(40), np.uint16(40)])
+    def test_numpy_integer_shots_draw_like_an_int(self, n_shots):
+        dists = np.full((2, 4), 0.25)
+        assert sample_rows(dists, n_shots, 3).tobytes() == sample_rows(dists, 40, 3).tobytes()
+        assert sample_counts(FLAT4, n_shots, 3) == sample_counts(FLAT4, 40, 3)
+
     def test_shots_beyond_int64_raise_a_value_error(self):
         # numpy's multinomial counts in int64 and raises OverflowError beyond it
         most = np.iinfo(np.int64).max
@@ -506,11 +538,24 @@ class TestWitnessEstimation:
         assert np.mean(estimates) > 10 * stderr  # far from the true value 0
 
     def test_zero_shots_rejected(self):
-        empty = CountTable(np.zeros(4, dtype=np.int64), 0, seed=0)
+        # a table of no shots is refused where it is built, so no estimate divides by 0
+        with pytest.raises(ValueError, match="needs at least one shot, got total_shots=0$"):
+            CountTable(np.zeros(4, dtype=np.int64), 0, seed=0)
         with pytest.raises(ValueError, match="needs at least one shot"):
-            estimate_witness(empty, "coherence")
-        with pytest.raises(ValueError, match="needs at least one shot"):
-            witness_rows(empty.counts[None], 0, "coherence")
+            witness_rows(np.zeros((1, 4), dtype=np.int64), 0, "coherence")
+
+    @pytest.mark.parametrize("n_shots", [4.0, 2.5, np.float64(3.0), "4"])
+    def test_non_integer_shots_rejected(self, n_shots):
+        counts = np.array([[1, 1, 1, 1], [2, 0, 1, 1]])
+        with pytest.raises(ValueError, match=f"^n_shots must be an integer, got {n_shots}$"):
+            witness_rows(counts, n_shots, "coherence")
+
+    @pytest.mark.parametrize("n_shots", [4, np.int64(4), np.uint8(4)])
+    def test_integer_shots_of_any_type_pass(self, n_shots):
+        counts = np.array([[1, 1, 1, 1], [2, 0, 1, 1]])
+        value, error = witness_rows(counts, n_shots, "coherence")
+        assert value.tolist() == [0.0, 0.5]
+        assert error.tolist() == [np.hypot(1, 1) / 4, np.hypot(np.sqrt(2), 1) / 4]
 
     def test_shape_mismatches_rejected(self):
         four = CountTable(np.array([5, 5, 5, 5]), 20, seed=0)

@@ -126,8 +126,54 @@ class TestComponentStates:
         np.testing.assert_allclose(out.amplitudes, combo, atol=1e-15)
 
 
+#: each caller of the per-photon check, by the name its failure gives
+PHOTON_CALLERS = {
+    "wave state": lambda: wave_state(0.7, 0.3),
+    "particle state": lambda: particle_state(np.array([0.7, 1.1]), 0.3),
+    "output": lambda: output_state(0.6, ToolboxPhases(0.3, 1.2), 0.3),
+    "photon history": lambda: ghz_sector_probabilities(3, 0.6, ToolboxPhases(0.3, 1.2)),
+}
+
+
 class TestHistoryStates:
-    """The wave and particle states are the engine's one-term sources, checked on every call."""
+    """The wave and particle states are each photon's closed histories, checked on every call."""
+
+    @pytest.mark.parametrize("state, index", [(wave_state, 0), (particle_state, 1)])
+    def test_states_never_run_the_engine(self, monkeypatch, state, index):
+        def engine(*args):
+            raise AssertionError("the engine ran")
+
+        phi, beta = np.array([0.0, -0.0, 0.7, 2.9]), np.array([0.0, -0.0, BETA_SPLIT, 0.3])
+        zero = np.zeros_like(phi)  # the arm phase the history never reaches
+        phi1, phi2 = (phi, zero) if index == 0 else (zero, phi)
+        closed = toolbox._photon_routes(phi1, phi2, beta, {"phi": phi}, "history")[1]
+        monkeypatch.setattr(toolbox, "_history_batch", engine)
+        assert state(phi, beta).amplitudes.tobytes() == closed[:, index].tobytes()
+        for k in range(len(phi)):
+            assert state(phi[k], beta[k]).amplitudes.tobytes() == closed[k, index].tobytes()
+
+    @pytest.mark.parametrize("entry", range(8))
+    @pytest.mark.parametrize("what", PHOTON_CALLERS)
+    def test_a_perturbed_network_entry_raises_for_each_caller(self, monkeypatch, what, entry):
+        exact = toolbox.network_matrix
+
+        def perturbed(*values):
+            mats = exact(*values).copy()
+            mats[..., entry // 2, entry % 2] += 1e-9
+            return mats
+
+        monkeypatch.setattr(toolbox, "network_matrix", perturbed)
+        with pytest.raises(RuntimeError, match=rf"^closed-form {what} disagrees with"
+                                               r" propagation by 1\.0\d\de-09 at row 0 "):
+            PHOTON_CALLERS[what]()
+
+    @pytest.mark.parametrize("state, what", [(wave_state, "wave state"),
+                                             (particle_state, "particle state"),
+                                             (output_state, "output")])
+    def test_an_empty_batch_raises_the_engine_message(self, state, what):
+        message = f"evaluating the {what} needs at least one setting, got an empty batch"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            state(np.zeros((3, 0)))
 
     def test_states_are_the_unscaled_histories_bit_for_bit(self):
         rng = np.random.default_rng(8)

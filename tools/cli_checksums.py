@@ -23,7 +23,8 @@ wave and particle histories (``vh_variant_output``, ``concurrence``,
 ``coherence``, ``sector_projection``, ``mixed_output``), the states
 ``wave_state``, ``particle_state``, ``output_state`` and
 ``two_photon_output`` and the matrices of ``mixture_two_photon_output``,
-some settings as batches (see :data:`STATE_BATCH_ROWS`), and the shot
+some settings as batches (see :data:`STATE_BATCH_ROWS`), the first three at
+settings whose outputs hold signed zeros (see :data:`SPECIAL_SETTINGS`), and the shot
 sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
 Usage::
 
@@ -41,6 +42,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -188,6 +190,12 @@ GHZ_BATCH_ROWS = 5
 #: rows of every third setting of the five state entries, which run as one batch
 STATE_BATCH_ROWS = 5
 
+#: (alphas, phis, betas) of the ``single_states_special`` entry: ``wave_state``,
+#: ``particle_state`` and ``output_state`` (both arm phases phi) at each setting of
+#: the grid, then as one batch of it; their outputs hold signed zeros
+SPECIAL_SETTINGS = ((0.0, math.pi / 2), (0.0, -0.0, math.pi, -math.pi, 2 * math.pi),
+                    (0.0, -0.0, math.pi / 8, math.pi / 4, math.pi / 2))
+
 #: grids of the ``equivalence_scan_grid`` entry: 1 to 12 points each, at both
 #: validated betas, then one grid at drawn betas compared with ``strict=False``
 SCAN_GRIDS = 40
@@ -324,6 +332,13 @@ def library_checksums() -> dict[str, str]:
         }
         for name, value in values.items():
             bits.setdefault(name, []).append(np.asarray(value).tobytes().hex())
+    # the single-photon states at special settings, one at a time, then as one batch
+    grid = np.meshgrid(*SPECIAL_SETTINGS, indexing="ij")
+    bits["single_states_special"] = [
+        np.asarray(value).tobytes().hex()
+        for alpha, phi, beta in [*zip(*(np.ravel(x).tolist() for x in grid)), grid]
+        for value in (wave_state(phi, beta).amplitudes, particle_state(phi, beta).amplitudes,
+                      output_state(alpha, ToolboxPhases(phi, phi), beta).amplitudes)]
     # multi-point scans; the entry above scans one point at one beta
     scans = np.random.default_rng(20240609)
     bits["equivalence_scan_grid"] = []
