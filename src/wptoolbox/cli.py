@@ -8,6 +8,11 @@ in row order, from one ``default_rng(seed)`` stream, and its row 0 equals
 ``sample_counts`` at that seed.  Numeric columns are printed with 17
 significant digits so a fixed seed reproduces files byte-for-byte.
 
+The four table commands share one runner, :func:`_run_table`: it builds the
+settings columns, makes one engine call, one draw with ``--shots`` and one
+write; each command adds only its column builder, which turns the settings,
+distributions and counts into the file's header and columns.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments/spec.
 """
 from __future__ import annotations
@@ -242,89 +247,69 @@ def _emit(args: argparse.Namespace, header: list[str], columns: list) -> str:
     return path
 
 
-def _distributions(args: argparse.Namespace, settings: dict[str, np.ndarray],
-                   pair: bool) -> np.ndarray:
-    """Detector probabilities (or coincidence tables, for a ``pair``) of every
-    row, from one engine call, honoring --mixed/noise."""
-    model = NoiseModel(settings["visibility"], settings["dephase"])
-    # the classical mixture carries no fringe, so noise leaves it alone
-    scales = np.zeros_like(settings["visibility"]) if args.mixed else model.fringe_scale
-    engine, keys = ((two_photon_batch, _PAIR_NAMES) if pair
-                    else (single_photon_batch, _SINGLE_NAMES))
-    return engine(*(settings[key] for key in keys), scales).probabilities
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_single_sweep(args: argparse.Namespace) -> int:
+def _run_table(pair: bool, columns_of, args: argparse.Namespace) -> int:
+    """The pipeline of every table command: the settings, one engine call (the pair
+    engine for a ``pair``) honoring --mixed/noise, one draw with --shots, one write.
+    ``columns_of(settings, dists, counts, shots)`` gives the file's header and
+    columns; ``counts`` is None without --shots."""
     settings = _columns(args)
-    probs = _distributions(args, settings, pair=False)
-    header = ["alpha", "phi1", "phi2", "beta", "p1", "p2", "p3", "p4"]
-    columns = [*(settings[key] for key in _SINGLE_NAMES), *probs.T]
-    if args.shots > 0:
-        counts = sample_rows(probs, args.shots, args.seed)
-        header += [f"c{i}" for i in range(1, 5)] + [f"e{i}" for i in range(1, 5)]
-        columns += [*counts.T, *count_errors(counts).T]
-    print(f"wrote {_emit(args, header, columns)}")
-    return EXIT_OK
-
-
-def cmd_witness_coherence(args: argparse.Namespace) -> int:
-    settings = _columns(args)
-    probs = _distributions(args, settings, pair=False)
-    header = ["alpha", "phi1", "wc"]
-    columns = [settings["alpha"], settings["phi1"]]
-    if args.shots > 0:
-        header.append("wc_err")
-        columns += witness_rows(sample_rows(probs, args.shots, args.seed), args.shots,
-                                "coherence")
-    else:
-        columns.append(np.abs(probs[:, 0] - probs[:, 1]))
-    print(f"wrote {_emit(args, header, columns)}")
-    return EXIT_OK
-
-
-_PAIR_COLUMNS = [f"p_{a}{b}p" for a in range(1, 5) for b in range(1, 5)]
-
-
-def cmd_two_photon(args: argparse.Namespace) -> int:
-    settings = _columns(args)
-    if args.sweep is None:
+    if args.sweep is None:  # two-photon, the one table without a default sweep
         # default grid: the four fringe corners at both validated mixers
         corners = itertools.product((0.0, BETA_SPLIT), (0.0, np.pi), (0.0, np.pi))
         beta, phi1, phi1p = np.array(list(corners)).T
         settings = {key: np.repeat(col, len(beta)) for key, col in settings.items()}
         settings.update(phi1=phi1, phi1_prime=phi1p, beta=beta, beta_prime=beta)
-    tables = _distributions(args, settings, pair=True)
-    header = ["phi1", "phi1p", "beta", "betap"] + _PAIR_COLUMNS
-    columns = [settings[key] for key in ("phi1", "phi1_prime", "beta", "beta_prime")]
-    columns += list(tables.reshape(-1, 16).T)
-    if args.shots > 0:
-        counts = sample_rows(tables, args.shots, args.seed).reshape(-1, 16)
-        header += [c.replace("p_", "c_") for c in _PAIR_COLUMNS]
-        header += [c.replace("p_", "e_") for c in _PAIR_COLUMNS]
-        columns += [*counts.T, *count_errors(counts).T]
-    print(f"wrote {_emit(args, header, columns)}")
+    model = NoiseModel(settings["visibility"], settings["dephase"])
+    # the classical mixture carries no fringe, so noise leaves it alone
+    scales = np.zeros_like(settings["visibility"]) if args.mixed else model.fringe_scale
+    engine, keys = ((two_photon_batch, _PAIR_NAMES) if pair
+                    else (single_photon_batch, _SINGLE_NAMES))
+    dists = engine(*(settings[key] for key in keys), scales).probabilities
+    counts = sample_rows(dists, args.shots, args.seed) if args.shots > 0 else None
+    print(f"wrote {_emit(args, *columns_of(settings, dists, counts, args.shots))}")
     return EXIT_OK
 
 
-def cmd_witness_entanglement(args: argparse.Namespace) -> int:
-    settings = _columns(args)
-    tables = _distributions(args, settings, pair=True)
-    header = ["phi1", "p_22p", "p_21p", "we"]
-    if args.shots > 0:
-        counts = sample_rows(tables, args.shots, args.seed)
-        header.append("we_err")
-        columns = [settings["phi1"], counts[:, 1, 1] / args.shots,
-                   counts[:, 1, 0] / args.shots,
-                   *witness_rows(counts, args.shots, "entanglement")]
-    else:
+def _outcome_columns(keys: tuple[str, ...], outcomes):
+    """The column builder of a table of whole distributions: the settings ``keys``
+    (``_prime`` written ``p``), ``p<outcome>``, and with counts ``c<outcome>`` and
+    ``e<outcome>``, for each of the ``outcomes`` in table order."""
+    def columns_of(settings, dists, counts, shots):
+        header = [key.replace("_prime", "p") for key in keys] + [f"p{o}" for o in outcomes]
+        columns = [settings[key] for key in keys] + list(dists.reshape(len(dists), -1).T)
+        if counts is not None:
+            counts = counts.reshape(len(counts), -1)
+            header += [f"{kind}{o}" for kind in "ce" for o in outcomes]
+            columns += [*counts.T, *count_errors(counts).T]
+        return header, columns
+    return columns_of
+
+
+_single_columns = _outcome_columns(_SINGLE_NAMES, "1234")
+_pair_columns = _outcome_columns(("phi1", "phi1_prime", "beta", "beta_prime"),
+                                 [f"_{a}{b}p" for a in range(1, 5) for b in range(1, 5)])
+
+
+def _coherence_columns(settings: dict[str, np.ndarray], probs: np.ndarray,
+                       counts: np.ndarray | None, shots: int) -> tuple[list[str], list]:
+    columns = [settings["alpha"], settings["phi1"]]
+    if counts is None:
+        return ["alpha", "phi1", "wc"], columns + [np.abs(probs[:, 0] - probs[:, 1])]
+    return ["alpha", "phi1", "wc", "wc_err"], [*columns, *witness_rows(counts, shots, "coherence")]
+
+
+def _entanglement_columns(settings: dict[str, np.ndarray], tables: np.ndarray,
+                          counts: np.ndarray | None, shots: int) -> tuple[list[str], list]:
+    if counts is None:
         p22, p21 = tables[:, 1, 1], tables[:, 1, 0]
-        columns = [settings["phi1"], p22, p21, p22 - p21]
-    print(f"wrote {_emit(args, header, columns)}")
-    return EXIT_OK
+        return ["phi1", "p_22p", "p_21p", "we"], [settings["phi1"], p22, p21, p22 - p21]
+    return ["phi1", "p_22p", "p_21p", "we", "we_err"], [
+        settings["phi1"], counts[:, 1, 1] / shots, counts[:, 1, 0] / shots,
+        *witness_rows(counts, shots, "entanglement")]
 
 
 def cmd_ghz(args: argparse.Namespace) -> int:
@@ -418,13 +403,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 #: each subcommand's function and help, in help order
 _COMMANDS = {
-    "single-sweep": (cmd_single_sweep,
+    "single-sweep": (functools.partial(_run_table, False, _single_columns),
                      "four detector probabilities (default: phi1 sweep, 25 points)"),
-    "witness-coherence": (cmd_witness_coherence,
+    "witness-coherence": (functools.partial(_run_table, False, _coherence_columns),
                           "|P1 - P2| witness (default: alpha sweep, 13 points)"),
-    "two-photon": (cmd_two_photon,
+    "two-photon": (functools.partial(_run_table, True, _pair_columns),
                    "4x4 coincidence tables (default: fringe corners at both mixers)"),
-    "witness-entanglement": (cmd_witness_entanglement,
+    "witness-entanglement": (functools.partial(_run_table, True, _entanglement_columns),
                              "P22' - P21' witness (default: phi1 sweep at phi1' = 0)"),
     "ghz": (cmd_ghz, "n-photon history-sector table (mixers off)"),
     "verify": (cmd_verify, "run the built-in consistency grids and report deviations"),

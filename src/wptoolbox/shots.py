@@ -71,8 +71,9 @@ class NoiseModel(ByValue):
 @dataclass(frozen=True, eq=False)
 class CountTable(ByValue):
     """Multinomial detector counts; shape (4,), or (4, 4) or flat (16,) for
-    coincidences, whole numbers summing to ``total_shots``, an integer of at least 1.
-    Tables compare and hash by their counts' shape and values, shots and seed."""
+    coincidences, whole numbers summing to ``total_shots``, an integer of at least 1,
+    drawn at ``seed``, an integer of at least 0.  Tables compare and hash by their
+    counts' shape and values, shots and seed."""
 
     counts: np.ndarray
     total_shots: int
@@ -88,6 +89,7 @@ class CountTable(ByValue):
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
         _check_shots("a count table", "total_shots", self.total_shots)
+        _check_seed(self.seed)
         if c.sum() != self.total_shots:
             raise ValueError(
                 f"counts sum to {c.sum()}, declared total is {self.total_shots}"
@@ -110,6 +112,16 @@ def _check_shots(what: str, name: str, value) -> None:
         raise ValueError(f"{what} needs at least one shot, got {name}={value}")
 
 
+def _check_seed(seed) -> None:
+    """Raise unless ``seed`` is a Python or numpy integer of at least 0, naming it."""
+    try:
+        negative = operator.index(seed) < 0
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if negative:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _check_outcomes(counts: np.ndarray) -> None:
     if counts.shape not in ((4,), (4, 4), (16,)):
         raise ValueError(f"expected 4 or 16 outcomes, got {counts.size} in shape"
@@ -130,8 +142,9 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
 
     ``dists`` holds one distribution per leading index, shape ``(rows, 4)``
     or ``(rows, 4, 4)`` with at least one row, and ``n_shots`` is an integer
-    in [1, :data:`MAX_SHOTS`], else ``ValueError``; the counts come back in
-    that shape as int64.  Every row is checked before any draw
+    in [1, :data:`MAX_SHOTS`] and ``seed`` an integer of at least 0, else
+    ``ValueError``; the counts come back in that shape as int64.  Every row
+    is checked before any draw
     (:func:`~wptoolbox.qcore.check_distribution`), an error names the first
     bad row, and round-off negatives are drawn as zero.  A table
     draws all rows, in row order, from one ``default_rng(seed)`` stream, so
@@ -141,6 +154,7 @@ def sample_rows(dists, n_shots: int, seed: int) -> np.ndarray:
     _check_shots("sampling", "n_shots", n_shots)
     if n_shots > MAX_SHOTS:
         raise ValueError(f"at most {MAX_SHOTS} shots can be drawn, got {n_shots}")
+    _check_seed(seed)
     p = np.asarray(dists, dtype=float)
     flat = np.ascontiguousarray(_rows(p))  # a row's sum rounds by layout
     check_distribution(flat, "probabilities", axis=1)

@@ -35,6 +35,7 @@ from .qcore import (
     DensityMatrix,
     ModeBasis,
     PureState,
+    _projector,
     _trusted,
     as_values,
     broadcast_values,
@@ -635,10 +636,7 @@ def coherence_witness(probs: SingleProbabilities) -> float:
 
 def _in_sector(state: PureState | DensityMatrix, basis: np.ndarray) -> np.ndarray:
     """``state`` in the sector ``basis``; raises if weight lies outside it."""
-    if isinstance(state, PureState):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        rho = state.matrix
+    rho = _projector(state.amplitudes) if isinstance(state, PureState) else state.matrix
     sector = basis.conj().T @ rho @ basis
     if abs(np.trace(sector).real - 1.0) > 1e-10:
         raise ValueError("state is not expressible in the wave/particle sector")

@@ -654,6 +654,31 @@ class TestArgumentErrors:
 
 
 # ---------------------------------------------------------------------------
+# the table runner
+# ---------------------------------------------------------------------------
+
+class TestTableRunner:
+    @pytest.mark.parametrize("command, pair", [("single-sweep", False),
+                                               ("witness-coherence", False),
+                                               ("two-photon", True),
+                                               ("witness-entanglement", True)])
+    @pytest.mark.parametrize("shots", [0, 500])
+    def test_one_engine_call_draw_and_write(self, tmp_path, monkeypatch, command, pair,
+                                            shots):
+        calls = {}
+        for name in ("single_photon_batch", "two_photon_batch", "sample_rows", "_emit"):
+            def counted(*args, _name=name, _real=getattr(cli, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(cli, name, counted)
+        argv = [command, "--shots", str(shots), "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+        engine = "two_photon_batch" if pair else "single_photon_batch"
+        expected = {engine: 1, "_emit": 1} | ({"sample_rows": 1} if shots else {})
+        assert calls == expected
+
+
+# ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
 

@@ -390,6 +390,37 @@ class TestSampleRows:
                                               np.hypot(np.sqrt(30), 1.0) / 100])
 
 
+class TestSeeds:
+    """One seed rule for the table sampler, the one-table sampler and a count table."""
+
+    @staticmethod
+    def _uses(seed):
+        return [lambda: sample_rows(np.full((2, 4), 0.25), 10, seed),
+                lambda: sample_counts(FLAT4, 10, seed),
+                lambda: CountTable([1, 0, 0, 0], 1, seed=seed)]
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, np.float64(3.0), "x", None])
+    def test_non_integer_seed_named(self, seed):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        for use in self._uses(seed):
+            with pytest.raises(ValueError, match=message):
+                use()
+
+    @pytest.mark.parametrize("seed", [-1, -4, np.int64(-2)])
+    def test_negative_seed_named(self, seed):
+        for use in self._uses(seed):
+            with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+                use()
+
+    @pytest.mark.parametrize("seed, same", [(np.int64(7), 7), (np.uint8(7), 7), (2**64, 2**64),
+                                            (True, 1)])
+    def test_integer_seeds_draw_like_an_int(self, seed, same):
+        dists = np.full((3, 4), 0.25)
+        assert sample_rows(dists, 50, seed).tobytes() == sample_rows(dists, 50, same).tobytes()
+        assert sample_counts(FLAT4, 50, seed) == sample_counts(FLAT4, 50, same)
+        assert CountTable([1, 0, 0, 0], 1, seed=seed).seed == seed
+
+
 class TestPoissonError:
     def test_sqrt_counts(self):
         t = CountTable(np.array([10_000, 100, 1, 0]), 10_101, seed=0)

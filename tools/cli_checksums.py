@@ -5,7 +5,9 @@ Runs a fixed set of ``wptoolbox`` commands (sweeps with shots and noise,
 tables and sweeps with and without noise, sweeps with the mixers off
 ``pi/8``, JSON tables with counts and witness columns, swept
 ``visibility`` and ``dephase`` with shots, tables whose every column holds
-one value, ``ghz`` at 1 to 8 photons) plus
+one value, ``--mixed`` pair witnesses with and without shots, both noise
+knobs at once on each one-photon table and the pair witness, the analytic
+``--mixed`` pair table, ``ghz`` at 1 to 8 photons) plus
 ``verify`` at four grid sizes, and hashes every output file and every
 command's stdout; each of these runs must exit 0 and write nothing to
 stderr, so a stray warning fails the check.  It hashes the exit code and
@@ -131,6 +133,17 @@ COMMANDS = [
     ("coherence_mixed_dephase.csv", ["witness-coherence", "--mixed", "--phi1-deg", "-0",
                                      "--sweep", "dephase", "--start", "0", "--stop", "0.8",
                                      "--steps", "5"]),
+    # the table runner's remaining branches: --mixed without and with shots on
+    # the pair witness, both noise knobs at once, and the analytic pair mixture
+    ("entanglement_mixed.csv", ["witness-entanglement", "--mixed"]),
+    ("entanglement_mixed_shots.csv", ["witness-entanglement", "--mixed", "--shots", "3000",
+                                      "--seed", "8"]),
+    ("entanglement_visibility_dephase.csv", ["witness-entanglement", "--visibility", "0.8",
+                                             "--dephase", "0.1"]),
+    ("coherence_dephase.csv", ["witness-coherence", "--dephase", "0.3"]),
+    ("single_visibility_dephase.csv", ["single-sweep", "--visibility", "0.7",
+                                       "--dephase", "0.1"]),
+    ("pair_mixed_analytic.csv", ["two-photon", "--mixed"]),
 ]
 
 #: ``verify`` runs, stdout only: the default hardware grid, one point, 250 and
