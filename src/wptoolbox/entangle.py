@@ -27,6 +27,7 @@ from .toolbox import (
     BETA_SPLIT,
     ToolboxPhases,
     _PHOTON,
+    _agreeing,
     _alpha_source,
     _check,
     _check_alpha,
@@ -330,25 +331,22 @@ def wootters_concurrence(rho: np.ndarray) -> float:
 def concurrence(s: TwoPhotonSettings, mixed: bool = False) -> float:
     """Concurrence of the pair output (``|sin 2 alpha|``) or its mixture (0).
 
-    For the pure output the spin-flip value is verified against the direct
-    pure-state formula ``2 |c_ww c_pp - c_wp c_pw|``.
+    The spin-flip value is verified at 1e-10: for the pure output against the
+    direct pure-state formula ``2 |c_ww c_pp - c_wp c_pw|``, for the mixture
+    against its closed form 0; a mismatch raises ``RuntimeError``.
     """
     settings = _pair_settings(s)
     _one_setting("concurrence", settings.values())
     histories = _entangled(settings)
     basis = histories.sector()
     if mixed:
-        return wootters_concurrence(_in_sector(histories.mixture(), basis))
+        value = wootters_concurrence(_in_sector(histories.mixture(), basis))
+        return _agreeing("spin-flip concurrence", value, 0.0, "mixture's closed form")
     state = histories.state()
     value = wootters_concurrence(_in_sector(state, basis))
     coeffs = basis.conj().T @ state.amplitudes
     direct = 2 * abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2])
-    if abs(value - direct) > 1e-10:
-        raise RuntimeError(
-            f"spin-flip concurrence {value:.12f} disagrees with the pure-state"
-            f" formula {direct:.12f}"
-        )
-    return value
+    return _agreeing("spin-flip concurrence", value, direct, "pure-state formula")
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,8 @@ def _mixer_matrix(beta) -> np.ndarray:
     return m
 
 
-def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, tuple]:
+def _slot_matrices(name: str, phi1, phi2, beta, plate,
+                   settings: dict | None = None) -> tuple[np.ndarray, tuple]:
     """The slot matrices of either compiled chain (two arm phases, one plate on
     two mode pairs), checked as one stack.
 
@@ -156,8 +157,10 @@ def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, tupl
     are, and ``plate(beta)`` go into one ``S + (2, 2, 2)`` stack, ``S`` the
     shape of the settings, float64 values of one shape
     (:func:`~wptoolbox.qcore.broadcast_values`), for one ``is_isometry``
-    call.  Returns the checked stack and, as its read-only views, the 1x1
-    phase stacks and the plate stack twice.  An empty batch raises ``ValueError``.
+    call.  A failed check names the first non-finite of the caller's
+    ``settings`` by name, or of ``phi1, phi2, beta`` without them.  Returns the
+    checked stack and, as its read-only views, the 1x1 phase stacks and the
+    plate stack twice.  An empty batch raises ``ValueError``.
     """
     if not beta.size:
         raise ValueError(f"{name} need at least one setting, got an empty batch")
@@ -165,7 +168,7 @@ def _slot_matrices(name: str, phi1, phi2, beta, plate) -> tuple[np.ndarray, tupl
     stack[..., 0, 0, 0] = np.exp(1j * phi1)
     stack[..., 0, 1, 1] = np.exp(1j * phi2)
     stack[..., 1, :, :] = plate(beta)
-    _checked(name, stack, phi1=phi1, phi2=phi2, beta=beta)
+    _checked(name, stack, **(settings or {"phi1": phi1, "phi2": phi2, "beta": beta}))
     mixer = stack[..., 1, :, :]
     return stack, (stack[..., 0, :1, :1], stack[..., 0, 1:, 1:], mixer, mixer)
 
@@ -387,9 +390,16 @@ def network_matrix(phi1, phi2, beta) -> np.ndarray:
     building elements, checked as in the circuit: from the fused PBS·BS1·BS2 block's
     columns, both arm phases in one product, BS3, then both mixers (one shared
     matrix) in one ``np.matvec`` over the path pairs.  Bits equal :meth:`Circuit.matrix`'s.
+    A failed slot check names the first non-finite of ``phi1, phi2, beta`` and its row;
+    the photon engine calls :func:`_network_matrix`, which names its caller's settings.
     """
-    stack, _ = _slot_matrices("arm phases and mixer", *broadcast_values(phi1, phi2, beta),
-                              _mixer_matrix)
+    return _network_matrix(*broadcast_values(phi1, phi2, beta))
+
+
+def _network_matrix(phi1, phi2, beta, settings: dict | None = None) -> np.ndarray:
+    """:func:`network_matrix` at float64 values of one shape; a failed slot check
+    names the first non-finite of the caller's ``settings`` (:func:`_slot_matrices`)."""
+    stack, _ = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix, settings)
     head, _, _, bs3, _, _ = _fixed_stages().steps
     shape = stack.shape[:-3]
     block = np.empty((2,) + shape + (4,), dtype=np.complex128)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import PATHS, POLS, _first_non_finite, network_matrix
+from .optics import PATHS, POLS, _network_matrix
 from .qcore import (
     DensityMatrix,
     ModeBasis,
@@ -238,16 +238,14 @@ def _n_photon_basis(n: int) -> ModeBasis:
 
 class _Histories(NamedTuple):
     """The checked output ``S + (4**n,)`` of :func:`_history_batch`, its source
-    terms (coefficients, patterns and each photon's row of the histories), the
-    histories ``S + (m, 4)`` of its ``m`` distinct photon settings (one row per
-    photon for a single or a pair), their :func:`_photon_factors` (of shape
-    ``S`` for one distinct setting, else ``S + (m,)``), and the caller's
+    terms (coefficients and patterns), the histories ``S + (n, 4)`` of its n
+    photons, photon k's in row k, their :func:`_photon_factors` (of shape ``S``
+    when every photon names one setting, else ``S + (n,)``), and the caller's
     settings by name, which a failed check names."""
 
     amplitudes: np.ndarray
     coeffs: tuple
     patterns: tuple
-    rows: tuple
     waves: np.ndarray
     particles: np.ndarray
     factors: tuple
@@ -256,19 +254,19 @@ class _Histories(NamedTuple):
     def terms(self):
         """Each term's product state ``S + (4**n,)``, unscaled, rebuilt from the
         histories by the kron chain of :func:`_history_batch`."""
-        return (_product((self.waves, self.particles), p, self.rows) for p in self.patterns)
+        return (_product((self.waves, self.particles), p) for p in self.patterns)
 
     def state(self) -> PureState:
         """The checked amplitudes as a state over the path basis of the photon count
         (:func:`_n_photon_basis`), C-ordered.  The engine's own output, finite once
         its cross-check passed: frozen, copied only when a batch is not C-ordered."""
-        basis = _n_photon_basis(len(self.rows))
+        basis = _n_photon_basis(self.waves.shape[-2])
         # amplitudes the cross-check (_check) has compared, so finite
         return _trusted(PureState, basis=basis, amplitudes=np.ascontiguousarray(self.amplitudes))
 
     def mixture(self) -> DensityMatrix:
         """``sum_t c_t^2 |term_t><term_t|`` over the basis of :meth:`state`."""
-        basis, pairs = _n_photon_basis(len(self.rows)), zip(self.coeffs, self.terms())
+        basis, pairs = _n_photon_basis(self.waves.shape[-2]), zip(self.coeffs, self.terms())
         return mix((PureState(basis, t), c * c) for c, t in pairs)
 
     def born(self, closed: np.ndarray, what: str, scale) -> np.ndarray:
@@ -300,8 +298,8 @@ class _Histories(NamedTuple):
         return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
 
     def sector(self) -> np.ndarray:
-        """The wave/particle sector of an unbatched output, ``(4**m, 2**m)``: its
-        columns are the kron products of the m photons' (wave, particle) states, in
+        """The wave/particle sector of an unbatched output, ``(4**n, 2**n)``: its
+        columns are the kron products of the n photons' (wave, particle) states, in
         pattern order.  Raises unless each photon's two states are orthogonal."""
         basis = None
         for w, p in zip(self.waves, self.particles):
@@ -320,53 +318,55 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
 
     The caller's ``settings``, by name and broadcast to one batch shape
     ``S``, are the only settings; ``photons[k]`` names photon k's ``phi1``,
-    ``phi2`` and ``beta`` among them.  Each distinct name triple is
-    evaluated once, for the histories and for the network matrix.  The
-    distinct patterns hold 0 (V) or 1 (H) per photon; V leaves as the
-    photon's wave history and H as its particle history, so the closed form
-    is ``sum_t c_t (x)_k history_{t,k}``.  Two comparisons check it, row by
-    row, each in a :func:`_check` naming ``what``.  First each distinct
-    setting's closed-form histories must match the V and H columns of its
-    transfer matrix, entry by entry (:func:`_photon_routes`, which also
-    refuses an empty batch).  Then the assembled output, contracted axis by
-    axis with the product probe ``x_1 (x) ... (x) x_n`` of :func:`_probe`,
-    must match ``sum_t c_t prod_k <x_k|history_{t,k}>`` from those
-    histories.  Coefficients of one shape broadcast to ``S``.  Each term is
-    scaled in place and summed, not kept: the noise baseline rebuilds them
+    ``phi2`` and ``beta`` among them, and its histories are row k of
+    ``S + (n, 2, 4)``.  When every photon names one setting (one photon, the
+    n-photon source) that setting is evaluated once, for the histories and
+    for the network matrix, and its row taken n times.  The distinct patterns
+    hold 0 (V) or 1 (H) per photon; V leaves as the photon's wave history and
+    H as its particle history, so the closed form is
+    ``sum_t c_t (x)_k history_{t,k}``.  Two comparisons check it, row by row,
+    each in a :func:`_check` naming ``what``.  First each photon's closed-form
+    histories must match the V and H columns of its transfer matrix, entry by
+    entry (:func:`_photon_routes`, which also refuses an empty batch).  Then
+    the assembled output, contracted axis by axis with the product probe
+    ``x_1 (x) ... (x) x_n`` of :func:`_probe`, must match
+    ``sum_t c_t prod_k <x_k|history_{t,k}>`` from those histories.
+    Coefficients of one shape broadcast to ``S``.  Each term is scaled in
+    place and summed, not kept: the noise baseline rebuilds them
     (:meth:`_Histories.terms`) and checks them.  Once a term's last product
     step has a prefix of ``_LONG_PREFIX`` amplitudes or more (n >= 6), a
     later term's last step is fused with its scale and its sum
     (:func:`_add_term`), so the call holds one ``4**n`` array, the output,
     plus buffers of a fraction of it.
     """
-    columns, rows = _photon_rows(photons)
-    # photon k's values are row rows[k] of S + (m,), m distinct; one keeps shape S
-    phi1, phi2, beta = (settings[names[0]] if len(names) == 1
-                        else stack_last([settings[name] for name in names])
-                        for names in columns)
-    factors, closed, _ = _photon_routes(phi1, phi2, beta, settings, what)
-    shape = next(iter(settings.values())).shape
-    closed = closed.reshape(shape + (-1, 2, 4))
-    histories, n = (closed[..., 0, :], closed[..., 1, :]), len(rows)
+    n, shape = len(photons), next(iter(settings.values())).shape
+    shared = photons.count(photons[0]) == n
+    values = ((settings[name] for name in photons[0]) if shared
+              else (stack_last([settings[name] for name in names]) for names in zip(*photons)))
+    factors, closed, _ = _photon_routes(*values, settings, what)
+    closed = closed.reshape(shape + (-1, 2, 4))  # one shared row, or photon k's in row k
+    if shared and n > 1:
+        closed = closed.take(np.zeros(n, np.intp), axis=-3)
+    histories = closed[..., 0, :], closed[..., 1, :]
     amps = None
     for c, pattern in zip(coeffs, patterns):
         if amps is not None and 4 ** (n - 1) >= _LONG_PREFIX:
-            _add_term(amps, c, histories, pattern, rows)
+            _add_term(amps, c, histories, pattern)
             continue
-        term = _product(histories, pattern, rows)
+        term = _product(histories, pattern)
         # one photon's term is a view of its stored history: scale a copy
         term = c[..., None] * term if n == 1 else np.multiply(term, c[..., None], out=term)
         amps = term if amps is None else np.add(amps, term, out=amps)
     del term  # summed into amps: free it before the projection allocates
 
-    probe, backward, index = _probe(patterns, rows)
+    probe, backward, index = _probe(patterns)
     dense = amps
     for x in backward:  # vecdot never wakes threaded BLAS
         dense = np.vecdot(x, dense.reshape(shape + (-1, 4)))
-    projections = np.vecdot(probe, closed[..., None, :]).reshape(shape + (-1,))
+    projections = np.vecdot(probe, closed).reshape(shape + (-1,))
     factored = np.vecdot(stack_last(coeffs), projections[..., index].prod(-1))
     _check(what, np.abs(dense - factored[..., None]), settings)  # dense is S + (1,)
-    return _Histories(amps, tuple(coeffs), patterns, rows, *histories, factors, settings)
+    return _Histories(amps, tuple(coeffs), patterns, *histories, factors, settings)
 
 
 def _photon_routes(phi1, phi2, beta, settings: dict, what: str) -> tuple:
@@ -375,40 +375,26 @@ def _photon_routes(phi1, phi2, beta, settings: dict, what: str) -> tuple:
     particle histories, ``R + (2, 4)``, and the V and H columns of :func:`network_matrix`
     in that layout, once they agree entry by entry (:func:`_check`, naming ``what``).  An
     empty batch raises first; a failed slot check names the first non-finite entry of
-    ``settings`` and its row."""
+    the caller's ``settings`` and its row (:func:`~wptoolbox.optics._slot_matrices`)."""
     if not phi1.size:
         raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
     factors = _photon_factors(phi1, beta)
     waves = _wave_amplitudes(phi1, beta, factors)
     closed = np.concatenate((waves, _particle_amplitudes(phi2, beta, factors)), axis=-1)
-    try:
-        mats = network_matrix(phi1, phi2, beta)
-    except ValueError as err:
-        found = _first_non_finite(settings)
-        if found is None:
-            raise
-        raise ValueError("{}; {}={!r} at row {}".format(str(err).split(";")[0], *found)) from None
+    mats = _network_matrix(phi1, phi2, beta, settings)
     closed, propagated = closed.reshape(waves.shape[:-1] + (2, 4)), mats.swapaxes(-1, -2)
     _check(what, np.abs(closed - propagated), settings)
     return factors, closed, propagated
 
 
 @cache
-def _photon_rows(photons: tuple) -> tuple[tuple, tuple]:
-    """For :func:`_history_batch`: the names of the distinct photon settings among
-    ``photons``, as ``(phi1 names, phi2 names, beta names)``, and each photon's
-    row among them."""
-    distinct = list(dict.fromkeys(photons))
-    return tuple(zip(*distinct)), tuple(distinct.index(names) for names in photons)
-
-
-@cache
-def _probe(patterns: tuple, rows: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """The assembly check of :func:`_history_batch` for the source ``patterns`` on
-    photons of setting ``rows``: the probe ``x_1 (x) ... (x) x_n`` as its rows,
-    ``(n, 4)``, the same rows from ``x_n`` back, which contract an output's axes from
-    the last, and the flat index, ``(T, n)``, of each term's factor
-    ``<x_k|history_{t,k}>`` among the projections ``(m, 2, n)``.
+def _probe(patterns: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """The assembly check of :func:`_history_batch` for the source ``patterns``: the
+    probe ``x_1 (x) ... (x) x_n`` as its rows, ``(n, 1, 4)``, which project each
+    photon's two histories ``S + (n, 2, 4)`` on its own row, the same rows from ``x_n``
+    back, which contract an output's axes from the last, and the flat index, ``(T, n)``,
+    ``2k + h`` of each term's factor ``<x_k|history_{t,k}>`` among the projections
+    ``S + (n, 2)``.
 
     Photon k's row ``x_k`` holds the phases ``exp(2 pi i frac(pi (4k + j + 1)**2))``.
     The squares keep each row from being a multiple of another, as the rows of a
@@ -416,33 +402,32 @@ def _probe(patterns: tuple, rows: tuple) -> tuple[np.ndarray, tuple, np.ndarray]
     1, so an error of one amplitude moves the projection by its full size at any n
     (unit-norm rows would shrink it by ``2**-n``).  An error spread over a term moves
     it in proportion to the term's projection, which a fixed probe can make small."""
-    n = len(rows)
-    phases = np.arange(1, 4 * n + 1).reshape(n, 4) ** 2 * np.pi % 1
-    index = np.array([[(2 * row + h) * n + k for k, (h, row) in enumerate(zip(p, rows))]
-                      for p in patterns])
+    n = len(patterns[0])
+    phases = np.arange(1, 4 * n + 1).reshape(n, 1, 4) ** 2 * np.pi % 1
+    index = np.array([[2 * k + h for k, h in enumerate(p)] for p in patterns])
     probe = np.exp(2j * np.pi * phases)
     probe.flags.writeable = index.flags.writeable = False  # shared by every call
-    return probe, tuple(probe[::-1]), index
+    return probe, tuple(probe[::-1, 0]), index
 
 
-def _product(histories: tuple, pattern, rows: tuple) -> np.ndarray:
-    """``(x)_k histories[pattern[k]][..., rows[k], :]``, shape ``S + (4**n,)``: a fresh
+def _product(histories: tuple, pattern) -> np.ndarray:
+    """``(x)_k histories[pattern[k]][..., k, :]``, shape ``S + (4**n,)``: a fresh
     array, or for one photon a view of its history.  Each photon's step is one
     broadcast product, the prefix first."""
-    state = histories[pattern[0]][..., rows[0], :]
-    for h, row in zip(pattern[1:], rows[1:]):
-        b = histories[h][..., row, :]
+    state = histories[pattern[0]][..., 0, :]
+    for k, h in enumerate(pattern[1:], 1):
+        b = histories[h][..., k, :]
         state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
     return state
 
 
-def _add_term(amps: np.ndarray, c, histories: tuple, pattern, rows: tuple) -> None:
-    """``amps += c * _product(histories, pattern, rows)`` without the product: its
-    last step is fused with the scale and the sum, one column of ``amps`` at a
-    time.  Each element sees the unfused multiplies and add in their order, so
-    the bits are those of the unfused route."""
-    prefix = _product(histories, pattern[:-1], rows[:-1])
-    b = histories[pattern[-1]][..., rows[-1], :]
+def _add_term(amps: np.ndarray, c, histories: tuple, pattern) -> None:
+    """``amps += c * _product(histories, pattern)`` without the product: its last
+    step is fused with the scale and the sum, one column of ``amps`` at a time.
+    Each element sees the unfused multiplies and add in their order, so the bits
+    are those of the unfused route."""
+    prefix = _product(histories, pattern[:-1])
+    b = histories[pattern[-1]][..., len(pattern) - 1, :]
     cols, tmp = amps.reshape(prefix.shape + (4,)), np.empty_like(prefix)
     for j in range(4):
         np.multiply(prefix, b[..., j, None], out=tmp)
@@ -643,6 +628,14 @@ def _in_sector(state: PureState | DensityMatrix, basis: np.ndarray) -> np.ndarra
     return sector
 
 
+def _agreeing(what: str, value: float, closed: float, form: str) -> float:
+    """``value`` once it lies within 1e-10 of ``closed``, named ``form``; else raise
+    ``RuntimeError`` naming ``what`` and both values."""
+    if abs(value - closed) > 1e-10:
+        raise RuntimeError(f"{what} {value:.12f} disagrees with the {form} {closed:.12f}")
+    return value
+
+
 def coherence(
     alpha: float,
     phases: ToolboxPhases = ToolboxPhases(),
@@ -654,12 +647,15 @@ def coherence(
     The output (pure superposition, or its classical mixture when
     ``mixed=True``) is projected onto the two-dimensional subspace spanned
     by the wave and particle states and the off-diagonal magnitudes of that
-    2x2 matrix are summed.  For the pure output this equals ``|sin(2 alpha)|``;
-    for the mixture it is zero.
+    2x2 matrix are summed.  The sum is verified against its closed form,
+    ``|sin(2 alpha)|`` for the pure output and zero for the mixture, at 1e-10;
+    a mismatch raises ``RuntimeError``.
     """
     settings = _single_settings(alpha, phases, beta)
     _one_setting("coherence", settings.values())
     histories = _single_photon(settings)
     state = histories.mixture() if mixed else histories.state()
     sector = _in_sector(state, histories.sector())
-    return float(abs(sector[0, 1]) + abs(sector[1, 0]))
+    value = float(abs(sector[0, 1]) + abs(sector[1, 0]))
+    closed = 0.0 if mixed else float(abs(np.sin(2 * settings["alpha"])))
+    return _agreeing("l1 coherence", value, closed, "closed form")

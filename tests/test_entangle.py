@@ -455,6 +455,18 @@ class TestConcurrence:
                 0.0, abs=1e-10
             )
 
+    @pytest.mark.parametrize("mixed, form", [(False, "pure-state formula"),
+                                             (True, "mixture's closed form")])
+    def test_a_perturbed_sector_raises_against_the_closed_form(self, monkeypatch, mixed, form):
+        # the off-diagonal entries move by 1e-9; the trace stays, so only the
+        # comparison with the closed form can see it
+        exact = entangle._in_sector
+        monkeypatch.setattr(entangle, "_in_sector",
+                            lambda *args: exact(*args) + 1e-9 * (1 - np.eye(4)))
+        with pytest.raises(RuntimeError, match=rf"^spin-flip concurrence \S+ disagrees"
+                                               rf" with the {form} "):
+            concurrence(settings(alpha=0.6, phi1=0.9, phi2=0.2, phi1p=1.7), mixed=mixed)
+
     def test_variant_pair_maximal(self):
         s = settings(phi1=0.8, phi2=1.9, phi1p=2.2, phi2p=0.1)
         rho = sector_projection(vh_variant_output(s), s)
@@ -639,21 +651,21 @@ class TestSourceTermEngine:
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 8])
     def test_perturbed_network_entry_raises_for_ghz(self, monkeypatch, n, entry):
         # every transfer-matrix entry reaches the per-photon check, at every n
-        exact = toolbox.network_matrix
+        exact = toolbox._network_matrix
 
         def perturbed(*values):
             mats = exact(*values).copy()
             mats[..., entry // 2, entry % 2] += 1e-9
             return mats
 
-        monkeypatch.setattr(toolbox, "network_matrix", perturbed)
+        monkeypatch.setattr(toolbox, "_network_matrix", perturbed)
         with pytest.raises(RuntimeError, match="disagrees with propagation"):
             ghz_output(n, 0.6, ToolboxPhases(0.3, 1.2))
 
     @staticmethod
     def fault_first_product(monkeypatch, fault):
         """Patch the engine's first Kronecker product, the first term's, with
-        ``fault(exact, histories, pattern, rows)``; later products stay exact."""
+        ``fault(exact, histories, pattern)``; later products stay exact."""
         exact, calls = toolbox._product, itertools.count()
 
         def faulty(*args):
@@ -690,8 +702,8 @@ class TestSourceTermEngine:
 
     def test_swapped_photon_rows_raise(self, monkeypatch):
         # the first term's two photons in the wrong order: each history is right
-        def swapped(exact, histories, pattern, rows):
-            return exact(histories, pattern, rows[::-1])
+        def swapped(exact, histories, pattern):
+            return exact(tuple(h[..., ::-1, :] for h in histories), pattern)
 
         self.fault_first_product(monkeypatch, swapped)
         with pytest.raises(RuntimeError, match="disagrees with propagation"):
@@ -723,15 +735,51 @@ class TestSourceTermEngine:
 
     def test_ghz_evaluates_the_shared_setting_once(self, monkeypatch):
         shapes = []
-        exact = toolbox.network_matrix
+        exact = toolbox._network_matrix
 
         def recorded(*values):
-            shapes.append(tuple(np.shape(v) for v in values))
+            shapes.append(tuple(np.shape(v) for v in values[:3]))
             return exact(*values)
 
-        monkeypatch.setattr(toolbox, "network_matrix", recorded)
+        monkeypatch.setattr(toolbox, "_network_matrix", recorded)
         ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2), BETA_SPLIT)
         assert shapes == [((), (), ())]
+
+    def test_shared_and_stacked_rows_agree_bit_for_bit(self):
+        # ghz_output takes one setting's row twice, the pair stacks two rows
+        rng = np.random.default_rng(30)
+        rows = 300
+        alpha, phi1, phi2 = rng.uniform(0, PI / 2, rows), *rng.uniform(-7, 7, (2, rows))
+        beta = np.choose(rng.integers(0, 3, rows),
+                         [np.zeros(rows), np.full(rows, BETA_SPLIT), rng.uniform(-1, 1, rows)])
+        ghz = ghz_output(2, alpha, ToolboxPhases(phi1, phi2), beta)
+        pair = two_photon_output(settings(alpha, phi1, phi2, phi1, phi2, beta, beta))
+        assert ghz.basis == pair.basis and ghz.amplitudes.shape == (rows, 16)
+        assert ghz.amplitudes.tobytes() == pair.amplitudes.tobytes()
+        for i in range(0, rows, 50):  # and one setting at a time
+            ghz = ghz_output(2, alpha[i], ToolboxPhases(phi1[i], phi2[i]), beta[i])
+            pair = two_photon_output(
+                settings(alpha[i], phi1[i], phi2[i], phi1[i], phi2[i], beta[i], beta[i]))
+            assert ghz.amplitudes.tobytes() == pair.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_three_photon_sector_is_per_photon(self, shared):
+        # one column per history pattern, each the kron of every photon's history
+        photons = tuple((f"phi1_{k}", f"phi2_{k}", f"beta_{k}") for k in range(3))
+        values = [(0.3, 1.2, 0.2), (2.1, 0.4, 0.0), (-1.3, 2.8, BETA_SPLIT)]
+        if shared:
+            photons, values = (photons[0],) * 3, [values[0]] * 3
+        by_name = {"alpha": np.float64(0.6)}
+        for names, triple in zip(photons, values):
+            by_name |= dict(zip(names, map(np.float64, triple)))
+        cols = []
+        for phi1, phi2, beta in values:
+            factors = toolbox._photon_factors(phi1, beta)
+            cols.append(np.stack([toolbox._wave_amplitudes(phi1, beta, factors),
+                                  toolbox._particle_amplitudes(phi2, beta, factors)], axis=1))
+        sector = toolbox._alpha_source(by_name, photons, "three-photon state").sector()
+        assert sector.shape == (64, 8)
+        assert sector.tobytes() == reduce(np.kron, cols).tobytes()
 
     @pytest.mark.parametrize("beta", [BETA_DIRECT, BETA_SPLIT, 0.3])
     def test_two_photon_ghz_is_the_pair_bit_for_bit(self, beta):
@@ -848,8 +896,8 @@ class TestGhzSectors:
             monkeypatch.setattr(toolbox, "_wave_amplitudes",
                                 lambda *args: exact(*args) + 1e-10)
         else:
-            exact = toolbox.network_matrix
-            monkeypatch.setattr(toolbox, "network_matrix", lambda *args: exact(*args) + 1e-10)
+            exact = toolbox._network_matrix
+            monkeypatch.setattr(toolbox, "_network_matrix", lambda *args: exact(*args) + 1e-10)
         message = (r"closed-form photon history disagrees with propagation by 1\.0\d\de-10"
                    r" at row 0 \(alpha=0\.6, phi1=0\.3, phi2=1\.2, beta=0\.0\)$")
         with pytest.raises(RuntimeError, match=message):

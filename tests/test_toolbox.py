@@ -155,14 +155,14 @@ class TestHistoryStates:
     @pytest.mark.parametrize("entry", range(8))
     @pytest.mark.parametrize("what", PHOTON_CALLERS)
     def test_a_perturbed_network_entry_raises_for_each_caller(self, monkeypatch, what, entry):
-        exact = toolbox.network_matrix
+        exact = toolbox._network_matrix
 
         def perturbed(*values):
             mats = exact(*values).copy()
             mats[..., entry // 2, entry % 2] += 1e-9
             return mats
 
-        monkeypatch.setattr(toolbox, "network_matrix", perturbed)
+        monkeypatch.setattr(toolbox, "_network_matrix", perturbed)
         with pytest.raises(RuntimeError, match=rf"^closed-form {what} disagrees with"
                                                r" propagation by 1\.0\d\de-09 at row 0 "):
             PHOTON_CALLERS[what]()
@@ -357,6 +357,17 @@ class TestCoherence:
         for alpha in (0.2, np.pi / 4, 1.3):
             c = coherence(alpha, ToolboxPhases(0.7, 1.9), mixed=True)
             assert c == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_perturbed_sector_raises_against_the_closed_form(self, monkeypatch, mixed):
+        # the off-diagonal entries move by 1e-9, the l1 sum by 2e-9; the trace stays
+        exact = toolbox._in_sector
+        monkeypatch.setattr(toolbox, "_in_sector",
+                            lambda *args: exact(*args) + 1e-9 * (1 - np.eye(2)))
+        closed = "0.000000000000" if mixed else f"{abs(np.sin(1.2)):.12f}"
+        with pytest.raises(RuntimeError, match=rf"^l1 coherence \S+ disagrees with the"
+                                               rf" closed form {closed}$"):
+            coherence(0.6, ToolboxPhases(0.7, 1.9), 0.3, mixed=mixed)
 
     def test_weight_outside_the_sector_raises(self):
         w, p = wave_state(0.7).amplitudes, particle_state(1.9).amplitudes
