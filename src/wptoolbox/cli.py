@@ -141,6 +141,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ValueError(f"--photons must lie in [1, {MAX_PHOTONS}], got {args.photons}")
         if args.sweep is not None:
             raise ValueError("the n-photon table does not support sweeps")
+        if args.beta_deg != 0.0:
+            raise ValueError(f"--beta-deg must be 0 for the n-photon table, got {args.beta_deg}")
         if args.mixed or NoiseModel(args.visibility, args.dephase).fringe_scale != 1.0:
             raise ValueError("the n-photon table supports neither --mixed nor noise")
         if args.shots > 0:

@@ -156,7 +156,8 @@ def two_photon_batch(
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
     mixture baseline: ``baseline + scale * (ideal - baseline)``; such a scale
-    must lie in [0, 1], or ``ValueError`` names its first row.
+    must lie in [0, 1], or ``ValueError`` names its first row.  The baseline
+    of those rows is checked against the mean part of the closed forms.
     """
     alpha, phi1, phi2, phi1p, phi2p, beta, betap, scale = broadcast_values(
         alpha, phi1, phi2, phi1_prime, phi2_prime, beta, beta_prime, fringe_scale
@@ -166,9 +167,9 @@ def two_photon_batch(
 
     amps = histories.amplitudes
     # the closed form shares the engine's cos, sin of alpha
-    closed = _coincidence_forms(alpha, histories.coeffs, phi1, phi2, phi1p, phi2p, beta, betap)
-    probs = histories.born(closed.reshape(amps.shape), "coincidence table", scale)
-    probs = check_distribution(probs.reshape(closed.shape), "coincidence probabilities",
+    forms = _coincidence_forms(alpha, histories.coeffs, phi1, phi2, phi1p, phi2p, beta, betap)
+    probs = histories.born(forms, "coincidence table", scale)
+    probs = check_distribution(probs.reshape(forms[0].shape), "coincidence probabilities",
                                axis=(-2, -1))
     return PairBatch(amps, probs)
 
@@ -229,12 +230,15 @@ def coincidence_closed_forms(
     a, phi1, phi2, phi1p, phi2p, beta, betap = broadcast_values(
         alpha, phases_a.phi1, phases_a.phi2, phases_b.phi1, phases_b.phi2, beta_a, beta_b
     )
-    return _coincidence_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, phi1p, phi2p, beta, betap)
+    return np.add(*_coincidence_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, phi1p, phi2p,
+                                      beta, betap))
 
 
-def _coincidence_forms(a, coeffs, phi1, phi2, phi1p, phi2p, beta, betap) -> np.ndarray:
+def _coincidence_forms(a, coeffs, phi1, phi2, phi1p, phi2p, beta, betap) -> tuple:
     """:func:`coincidence_closed_forms` at float64 settings of one shape, given
-    ``coeffs = (cos a, sin a)``, which the pair engine's source already holds.
+    ``coeffs = (cos a, sin a)``, which the pair engine's source already holds, as
+    the mean part, the mixture's, and the fringe ``g (m (x) m') trig``, whose sum is
+    the table.
 
     Each photon's ``cos, sin(phi1/2)`` are evaluated here: the engine holds them
     stacked over the photons, and splitting them costs what it would save."""
@@ -253,12 +257,9 @@ def _coincidence_forms(a, coeffs, phi1, phi2, phi1p, phi2p, beta, betap) -> np.n
     m = g * np.array([ch, -ch, sh, -sh])
     mp = np.array([chp, -chp, shp, -shp])
     # detector axes lead until the end: every product runs on whole rows
-    table = (
-        (ca * ca * waves)[:, None] * waves_p
-        + (sa * sa * particles)[:, None] * particles_p
-        + m[:, None] * mp * trig
-    )
-    return table.transpose(*range(2, table.ndim), 0, 1)
+    mean = (ca * ca * waves)[:, None] * waves_p + (sa * sa * particles)[:, None] * particles_p
+    axes = (*range(2, mean.ndim), 0, 1)
+    return mean.transpose(axes), (m[:, None] * mp * trig).transpose(axes)
 
 
 def coincidence_probabilities(s: TwoPhotonSettings) -> CoincidenceTable:

@@ -40,7 +40,6 @@ from .qcore import (
     as_values,
     broadcast_values,
     check_distribution,
-    is_isometry,
     mix,
     product_basis,
     stack_last,
@@ -241,7 +240,9 @@ class _Histories(NamedTuple):
     terms (coefficients and patterns), the histories ``S + (n, 4)`` of its n
     photons, photon k's in row k, their :func:`_photon_factors` (of shape ``S``
     when every photon names one setting, else ``S + (n,)``), and the caller's
-    settings by name, which a failed check names."""
+    settings by name, which a failed check names.  The terms themselves are not
+    kept: the noise baseline (:meth:`fringe_scaled`) needs only the histories'
+    real weights, and :meth:`mixture` rebuilds them."""
 
     amplitudes: np.ndarray
     coeffs: tuple
@@ -250,11 +251,6 @@ class _Histories(NamedTuple):
     particles: np.ndarray
     factors: tuple
     settings: dict
-
-    def terms(self):
-        """Each term's product state ``S + (4**n,)``, unscaled, rebuilt from the
-        histories by the kron chain of :func:`_history_batch`."""
-        return (_product((self.waves, self.particles), p) for p in self.patterns)
 
     def state(self) -> PureState:
         """The checked amplitudes as a state over the path basis of the photon count
@@ -265,23 +261,32 @@ class _Histories(NamedTuple):
         return _trusted(PureState, basis=basis, amplitudes=np.ascontiguousarray(self.amplitudes))
 
     def mixture(self) -> DensityMatrix:
-        """``sum_t c_t^2 |term_t><term_t|`` over the basis of :meth:`state`."""
-        basis, pairs = _n_photon_basis(self.waves.shape[-2]), zip(self.coeffs, self.terms())
-        return mix((PureState(basis, t), c * c) for c, t in pairs)
+        """``sum_t c_t^2 |term_t><term_t|`` over the basis of :meth:`state`, each term
+        ``(x)_k history_{t,k}`` rebuilt by :func:`_product`; only this matrix needs them."""
+        basis, histories = _n_photon_basis(self.waves.shape[-2]), (self.waves, self.particles)
+        return mix((PureState(basis, _product(histories, p)), c * c)
+                   for c, p in zip(self.coeffs, self.patterns))
 
-    def born(self, closed: np.ndarray, what: str, scale) -> np.ndarray:
-        """The amplitudes' Born probabilities, checked row by row against ``closed``, of
-        their shape (:func:`_check`, naming ``what``), then :meth:`fringe_scaled`."""
+    def born(self, forms: tuple, what: str, scale) -> np.ndarray:
+        """The amplitudes' Born probabilities, checked row by row against ``mean + fringe``
+        of the closed ``forms``, two arrays of their size, one row per setting
+        (:func:`_check`, naming ``what``), then :meth:`fringe_scaled` with ``mean``."""
+        mean, fringe = forms
         born = np.abs(self.amplitudes) ** 2
-        _check(what, np.abs(closed - born), self.settings)
-        return self.fringe_scaled(born, scale)
+        _check(what, np.abs((mean + fringe).reshape(born.shape) - born), self.settings)
+        return self.fringe_scaled(born, mean, scale)
 
-    def fringe_scaled(self, probs: np.ndarray, scale) -> np.ndarray:
+    def fringe_scaled(self, probs: np.ndarray, mean: np.ndarray, scale) -> np.ndarray:
         """Rows of ``probs``, ``S + (d,)``, whose scale is not 1 become ``baseline +
         scale * (probs - baseline)``; a scale outside [0, 1] raises, naming its first
-        row.  The baseline ``sum_t c_t^2 |term_t|^2`` is the diagonal of :meth:`mixture`
-        without the matrix; its checks imply the matrix's: weights, finite orthonormal
-        terms (eigenvalues ``c_t^2``), rows summing to 1."""
+        row.  The baseline ``sum_t c_t^2 (x)_k |history_{t,k}|^2`` is the diagonal of
+        :meth:`mixture` with neither the matrix nor its ``4**n`` complex terms: as
+        ``|(x)_k h|^2 = (x)_k |h|^2``, each term is a :func:`_product` of its photons'
+        real history weights, from histories already checked entry by entry.  Its
+        second route is the closed form's ``mean``, of the same size: on every row
+        whose scale is not 1 the two must agree (:func:`_check`, naming the row and
+        its settings).  The weights ``c_t^2`` and the baseline's rows must be
+        distributions too."""
         noisy = scale != 1.0
         if not noisy.any():
             return probs
@@ -290,10 +295,10 @@ class _Histories(NamedTuple):
             i = int(np.argmin(inside))
             raise ValueError(f"fringe_scale must lie in [0, 1], got {scale.flat[i]} at row {i}")
         weights = check_distribution([c * c for c in self.coeffs], "mixture weights")
-        terms = list(self.terms())
-        if not is_isometry(stack_last(terms)):
-            raise ValueError("history terms must be finite and orthonormal")
-        baseline = sum(w[..., None] * (t * t.conj()).real for w, t in zip(weights, terms))
+        squared = [(h * h.conj()).real for h in (self.waves, self.particles)]
+        baseline = sum(w[..., None] * _product(squared, p) for w, p in zip(weights, self.patterns))
+        dev = np.abs(mean.reshape(baseline.shape) - baseline)
+        _check("mixture baseline", np.where(noisy[..., None], dev, 0.0), self.settings)
         check_distribution(baseline, "mixture baseline", axis=-1)
         return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
 
@@ -332,8 +337,8 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     ``x_1 (x) ... (x) x_n`` of :func:`_probe`, must match
     ``sum_t c_t prod_k <x_k|history_{t,k}>`` from those histories.
     Coefficients of one shape broadcast to ``S``.  Each term is scaled in
-    place and summed, not kept: the noise baseline rebuilds them
-    (:meth:`_Histories.terms`) and checks them.  Once a term's last product
+    place and summed, not kept: the noise baseline needs only each photon's
+    history weights (:meth:`_Histories.fringe_scaled`).  Once a term's last product
     step has a prefix of ``_LONG_PREFIX`` amplitudes or more (n >= 6), a
     later term's last step is fused with its scale and its sum
     (:func:`_add_term`), so the call holds one ``4**n`` array, the output,
@@ -489,20 +494,24 @@ def detection_closed_forms(
     """
     a, phi1, phi2, beta = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
     h = phi1 / 2
-    return _detection_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, beta, np.cos(h), np.sin(h))
+    return np.add(*_detection_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, beta,
+                                    np.cos(h), np.sin(h)))
 
 
-def _detection_forms(a, coeffs, phi1, phi2, beta, ch, sh) -> np.ndarray:
+def _detection_forms(a, coeffs, phi1, phi2, beta, ch, sh) -> tuple:
     """:func:`detection_closed_forms` at float64 settings of one shape, given
     ``coeffs = (cos a, sin a)`` and ``ch, sh = cos, sin(phi1/2)``: a caller that
-    holds these factors already passes them on."""
+    holds these factors already passes them on.  Returns the mean part
+    ``cos^2(a) |w|^2 + sin^2(a) |p|^2``, the mixture's, and the fringe, whose sum is
+    the table."""
     waves, particles = _history_weights(ch, sh, beta)
     ca, sa = coeffs
     x = np.sin(2 * a) * np.sin(4 * beta) / (2 * _RT2)
     ic = x * (ch * ch)
     is_ = x * sh * np.sin(phi1 / 2 - phi2)
-    forms = ca * ca * waves + sa * sa * particles + np.array([ic, -ic, is_, -is_])
-    return forms.transpose(*range(1, forms.ndim), 0)
+    mean = ca * ca * waves + sa * sa * particles
+    axes = (*range(1, mean.ndim), 0)
+    return mean.transpose(axes), np.array([ic, -ic, is_, -is_]).transpose(axes)
 
 
 class SingleBatch(NamedTuple):
@@ -534,7 +543,8 @@ def single_photon_batch(
     ``fringe_scale`` (``(1 - dephase) * visibility`` of a noise model, 0 for
     the classical mixture) moves every row whose scale is not 1 toward the
     mixture baseline: ``baseline + scale * (ideal - baseline)``; such a scale
-    must lie in [0, 1], or ``ValueError`` names its first row.
+    must lie in [0, 1], or ``ValueError`` names its first row.  The baseline
+    of those rows is checked against the mean part of the closed forms.
     """
     alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
     histories = _single_photon(dict(zip(_SINGLE_NAMES, (alpha, phi1, phi2, beta))))

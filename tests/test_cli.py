@@ -318,9 +318,15 @@ class TestGhz:
         assert capsys.readouterr().err == f"error: --photons must lie in [1, 8], got {photons}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_nonzero_mixer_rejected(self, tmp_path):
+    def test_nonzero_mixer_rejected(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert main(["ghz", "--beta-deg", "22.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --beta-deg must be 0 for the n-photon table, got 22.5\n")
+        assert list(tmp_path.iterdir()) == []
+        # a negative zero is still mixers off
+        assert main(["ghz", "--beta-deg", "-0", "--out", str(out)]) == 0
+        assert out.exists()
 
 
 class TestVerify:

@@ -367,9 +367,10 @@ class TestPairEngine:
         exact = entangle._coincidence_forms
 
         def perturbed(*args):
-            forms = exact(*args).copy()
-            forms[3, 1, 2] += 1e-9
-            return forms
+            mean, fringe = exact(*args)
+            fringe = fringe.copy()
+            fringe[3, 1, 2] += 1e-9
+            return mean, fringe
 
         monkeypatch.setattr(entangle, "_coincidence_forms", perturbed)
         phi1 = np.linspace(0.3, 5.0, 5)
@@ -386,9 +387,10 @@ class TestPairEngine:
         exact = entangle._coincidence_forms
 
         def perturbed(*args):
-            forms = exact(*args).copy()
-            forms[2, 0, 3] += 1e-9  # one row of the batch
-            return forms
+            mean, fringe = exact(*args)
+            mean = mean.copy()
+            mean[2, 0, 3] += 1e-9  # one row of the batch
+            return mean, fringe
 
         monkeypatch.setattr(entangle, "_coincidence_forms", perturbed)
         phi1 = np.linspace(0.3, 5.0, 5)
@@ -966,10 +968,15 @@ def random_histories(kind, rows=40, seed=5):
                                   "variant", values)
 
 
-def baseline(histories):
-    """The noise baseline: every row at fringe scale 0."""
+def baseline(histories, mean):
+    """The noise baseline: every row at fringe scale 0, checked against ``mean``."""
     rows = np.shape(histories.amplitudes)[:-1]
-    return histories.fringe_scaled(np.zeros(histories.amplitudes.shape), np.zeros(rows))
+    return histories.fringe_scaled(np.zeros(histories.amplitudes.shape), mean, np.zeros(rows))
+
+
+def diagonal(histories):
+    """The diagonal of the histories' mixture, the route the baseline skips."""
+    return histories.mixture().probabilities()
 
 
 class TestNoiseBaseline:
@@ -978,24 +985,31 @@ class TestNoiseBaseline:
     @pytest.mark.parametrize("kind", ["single", "pair", "variant"])
     def test_is_the_mixture_diagonal_bit_for_bit(self, kind):
         histories = random_histories(kind)
-        expected = histories.mixture().probabilities()
-        assert baseline(histories).tobytes() == expected.tobytes()
+        expected = diagonal(histories)
+        got = baseline(histories, expected)
+        if kind == "single":
+            assert got.tobytes() == expected.tobytes()
+        else:
+            # a product of real weights rounds apart from |kron product|^2
+            assert np.abs(got - expected).max() <= 4.4e-16
 
     @pytest.mark.parametrize("kind", ["single", "pair"])
     def test_overlapping_terms_raise(self, kind):
-        # the particle histories replaced by the wave ones: both rebuilt terms are
-        # the same unit vector, and weights and row sums still pass
+        # the particle histories replaced by the wave ones: both terms are the same
+        # unit vector, and weights and row sums still pass; the closed mean does not
         histories = random_histories(kind)
         patched = histories._replace(particles=histories.waves)
-        with pytest.raises(ValueError, match="orthonormal"):
-            baseline(patched)
+        with pytest.raises(RuntimeError, match="mixture baseline disagrees with propagation"):
+            baseline(patched, diagonal(histories))
 
     def test_nan_term_raises(self):
         histories = random_histories("pair")
         particles = histories.particles.copy()
         particles[7, 1, 3] = np.nan  # photon B's particle history, row 7
-        with pytest.raises(ValueError, match="finite and orthonormal"):
-            baseline(histories._replace(particles=particles))
+        with pytest.raises(
+            RuntimeError, match=r"mixture baseline disagrees with propagation by nan at row 7 \("
+        ):
+            baseline(histories._replace(particles=particles), diagonal(histories))
 
     @pytest.mark.parametrize("bad", [np.nan, 5.0, -1.0, 1.0 + 1e-9])
     @pytest.mark.parametrize("engine", [toolbox.single_photon_batch, two_photon_batch])
@@ -1012,7 +1026,64 @@ class TestNoiseBaseline:
         histories = random_histories("single")
         cos, sin = histories.coeffs
         with pytest.raises(ValueError, match="weights must sum to 1"):
-            baseline(histories._replace(coeffs=(cos * 1.001, sin)))
+            baseline(histories._replace(coeffs=(cos * 1.001, sin)), diagonal(histories))
+
+    @staticmethod
+    def shifted_means(monkeypatch, module, name, index):
+        """Patch ``module.name``, a closed form returning ``(mean, fringe)``, to move
+        the mean by 1e-9 at ``index`` and the fringe back, so their sum, which the
+        Born table is checked against, keeps its value."""
+        exact = getattr(module, name)
+
+        def shifted(*args):
+            mean, fringe = (f.copy() for f in exact(*args))
+            mean[index] += 1e-9
+            fringe[index] -= 1e-9
+            return mean, fringe
+
+        monkeypatch.setattr(module, name, shifted)
+
+    ENGINES = [
+        (toolbox, "_detection_forms", (2, 1), toolbox.single_photon_batch, (1.9,)),
+        (entangle, "_coincidence_forms", (2, 0, 3), two_photon_batch, (1.9, 0.6, 2.4)),
+    ]
+
+    @pytest.mark.parametrize("module, name, index, engine, rest", ENGINES)
+    def test_closed_mean_checks_the_noisy_rows(self, monkeypatch, module, name, index, engine,
+                                                rest):
+        alpha, phi1 = np.linspace(0.1, 1.4, 5), np.linspace(0.3, 5.0, 5)
+        self.shifted_means(monkeypatch, module, name, index)
+        scale = np.array([1.0, 1.0, 0.5, 1.0, 0.0])
+        with pytest.raises(
+            RuntimeError, match=r"closed-form mixture baseline disagrees with propagation by"
+                                r" 1\.000e-09 at row 2 \(alpha=0\.7499+, phi1=2\.65, phi2=1\.9, "
+        ):
+            engine(alpha, phi1, *rest, fringe_scale=scale)
+
+    @pytest.mark.parametrize("module, name, index, engine, rest", ENGINES)
+    def test_ideal_rows_build_no_baseline(self, monkeypatch, module, name, index, engine, rest):
+        alpha, phi1 = np.linspace(0.1, 1.4, 5), np.linspace(0.3, 5.0, 5)
+        scale = np.array([0.5, 0.0, 1.0, 0.5, 0.25])
+        exact = engine(alpha, phi1, *rest, fringe_scale=scale).probabilities
+        self.shifted_means(monkeypatch, module, name, index)  # row 2, whose scale is 1
+        got = engine(alpha, phi1, *rest, fringe_scale=scale).probabilities
+        assert got.tobytes() == exact.tobytes()
+
+    def test_noisy_pair_rows_multiply_real_weights_once_per_term(self, monkeypatch):
+        dtypes, product = [], toolbox._product
+
+        def counted(histories, pattern):
+            dtypes.append(histories[0].dtype)
+            return product(histories, pattern)
+
+        monkeypatch.setattr(toolbox, "_product", counted)
+        rows = np.linspace(0, 1, 25)
+        two_photon_batch(rows, 2 * rows, 1.0, 0.4, 3 * rows, BETA_SPLIT, 0.2)
+        ideal = dtypes.copy()
+        dtypes.clear()
+        two_photon_batch(rows, 2 * rows, 1.0, 0.4, 3 * rows, BETA_SPLIT, 0.2, rows)
+        assert ideal == [np.complex128] * 2  # the engine's own two terms
+        assert dtypes == ideal + [np.float64] * 2
 
     def test_noisy_engine_calls_build_no_density_matrix(self, monkeypatch):
         calls = {"DensityMatrix": 0, "eigvalsh": 0}

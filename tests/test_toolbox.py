@@ -522,9 +522,10 @@ class TestBatchEngine:
         exact = toolbox._detection_forms
 
         def perturbed(*args):
-            forms = exact(*args).copy()
-            forms[2, 1] += error  # one row of the batch
-            return forms
+            mean, fringe = exact(*args)
+            fringe = fringe.copy()
+            fringe[2, 1] += error  # one row of the batch
+            return mean, fringe
 
         monkeypatch.setattr(toolbox, "_detection_forms", perturbed)
         alpha = np.linspace(0.1, 1.4, 5)

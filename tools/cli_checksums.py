@@ -11,9 +11,10 @@ knobs at once on each one-photon table and the pair witness, the analytic
 ``verify`` at four grid sizes, and hashes every output file and every
 command's stdout; each of these runs must exit 0 and write nothing to
 stderr, so a stray warning fails the check.  It hashes the exit code and
-stderr of a fixed list of invalid invocations (see :data:`ERRORS`; each
-must exit 2 and write no file) and the ``--help`` text of the top level
-and of each subcommand at 80 columns.  It also hashes the bits of library
+stderr of a fixed list of invalid invocations (see :data:`ERRORS`, among them
+each ``ghz`` refusal: a sweep, ``--mixed``, noise, ``--photons 9`` and
+``--beta-deg 22.5``; each must exit 2 and write no file) and the ``--help``
+text of the top level and of each subcommand at 80 columns.  It also hashes the bits of library
 outputs at fixed random settings (see :data:`LIBRARY_POINTS`), one entry per function, so a
 change to a propagation route that no CLI file shows is pinned too: multi-point
 ``equivalence_scan`` grids (see :data:`SCAN_GRIDS`), noisy
@@ -182,6 +183,7 @@ ERRORS = [
     ("error_steps_overflow", ["single-sweep", "--sweep", "alpha", "--start", "0", "--stop", "90",
                               "--steps", "99999999999999999999"]),
     ("error_points_overflow", ["verify", "--points", "99999999999999999999"]),
+    ("error_ghz_beta", ["ghz", "--beta-deg", "22.5"]),
 ]
 
 #: argv prefixes whose ``--help`` text is pinned, at COLUMNS=80
