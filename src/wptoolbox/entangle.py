@@ -22,7 +22,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import ByValue, DensityMatrix, PureState, _trusted, broadcast_values, check_distribution
+from .qcore import (
+    ATOL,
+    EIGEN_ATOL,
+    ByValue,
+    DensityMatrix,
+    PureState,
+    _trusted,
+    broadcast_values,
+    check_distribution,
+)
 from .toolbox import (
     BETA_SPLIT,
     ToolboxPhases,
@@ -31,12 +40,15 @@ from .toolbox import (
     _alpha_source,
     _check,
     _check_alpha,
+    _check_settings,
     _Histories,
     _history_batch,
     _history_weights,
     _in_sector,
+    _n_photon_basis,
     _one_setting,
     _photon_routes,
+    _product,
     _single_settings,
 )
 
@@ -225,11 +237,14 @@ def coincidence_closed_forms(
     in the nonlocal phase ``s = (phi1 + phi1')/2``.  The mean part factorizes
     over the photons; the fringe survives in neither photon's own counts.
     Settings may be arrays of one broadcast shape ``S``; the result then has
-    shape ``S + (4, 4)``.
+    shape ``S + (4, 4)``.  An empty batch or a non-finite setting raises
+    ``ValueError``, naming the first one and its row.
     """
-    a, phi1, phi2, phi1p, phi2p, beta, betap = broadcast_values(
+    values = broadcast_values(
         alpha, phases_a.phi1, phases_a.phi2, phases_b.phi1, phases_b.phi2, beta_a, beta_b
     )
+    _check_settings("coincidence_closed_forms", _PAIR_NAMES, values)
+    a, phi1, phi2, phi1p, phi2p, beta, betap = values
     return np.add(*_coincidence_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, phi1p, phi2p,
                                       beta, betap))
 
@@ -301,8 +316,16 @@ def sector_projection(
 
     The qubit basis per photon is {wave, particle} at that photon's own
     settings.  Raises if the state has weight outside this sector, since a
-    two-qubit description would then be lossy.
+    two-qubit description would then be lossy.  ``state`` must be one state
+    over the pair's path basis (``two_photon_output(s).basis``), and ``s``
+    one setting; anything else raises ``ValueError`` before any evaluation.
     """
+    batch = state.amplitudes.shape[:-1] if isinstance(state, PureState) else state.matrix.shape[:-2]
+    if batch:
+        raise ValueError(f"sector_projection needs one state, got a batch of shape {batch}")
+    if state.basis != _n_photon_basis(2):
+        raise ValueError(f"sector_projection needs a state over the pair's path basis, got"
+                         f" {state.basis!r}")
     settings = _pair_settings(s)
     _one_setting("sector_projection", settings.values())
     return _in_sector(state, _entangled(settings).sector())
@@ -314,13 +337,26 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     Uses the Hermitian formulation sqrt(rho) * flipped * sqrt(rho), whose
     eigenvalues are obtained with full symmetric-solver accuracy; the
     non-Hermitian product rho * flipped loses several digits on rank-one
-    states.
+    states.  ``rho`` must be a density matrix, within the tolerances of
+    :class:`~wptoolbox.qcore.DensityMatrix`: finite, Hermitian within
+    ``ATOL``, of trace 1 within 1e-9, and with no eigenvalue below
+    ``-EIGEN_ATOL``; else ``ValueError`` names the failed condition.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (4, 4):
         raise ValueError("two-qubit density matrix must be 4x4")
+    if not np.isfinite(rho).all():
+        raise ValueError("two-qubit density matrix must be finite")
+    if np.abs(rho - rho.conj().T).max() > ATOL:
+        raise ValueError(f"two-qubit density matrix must be Hermitian within {ATOL:g}")
+    trace = rho.trace().real
+    if abs(trace - 1.0) > 1e-9:
+        raise ValueError(f"two-qubit density matrix must have trace 1, got {float(trace)}")
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     d, v = np.linalg.eigh(rho)
+    if d[0] < -EIGEN_ATOL:
+        raise ValueError(f"two-qubit density matrix has an eigenvalue {d[0]:.3e} below"
+                         f" -{EIGEN_ATOL:g}")
     root = (v * np.sqrt(np.clip(d, 0.0, None))) @ v.conj().T
     eigs = np.linalg.eigvalsh(root @ flipped @ root)
     # the square root would blow machine noise around zero up to ~1e-8
@@ -376,14 +412,14 @@ def ghz_output(
 ) -> PureState:
     """n-photon output ``cos(alpha)|w>^n + sin(alpha)|p>^n`` (n <= 8).
 
-    All photons share one set of phases and one mixer angle.  The shared
-    wave and particle histories are verified against the network transfer
-    matrix, and the assembled state against them on a product probe: no
+    All photons share one set of phases and one mixer angle.  Each photon's
+    row of the engine's photon array holds that setting's wave and particle
+    histories, verified against the network transfer matrix, and the
+    assembled state is verified against them on a product probe: no
     ``4**n`` propagation runs.
     """
     _check_photon_number(n)
     settings = _single_settings(alpha, phases, beta)
-    # every photon names the same setting, evaluated once
     return _alpha_source(settings, (_PHOTON,) * n, "n-photon state").state()
 
 
@@ -417,6 +453,8 @@ def ghz_sector_probabilities(
     detectors of letter x, ``P(s) = sum_{t,t'} c_t c_t' prod_k G_{s_k}[t, t']``,
     contracted from the closed-form and from the propagated histories alike, which
     :func:`~wptoolbox.toolbox._photon_routes` compared; the two tables must agree.
+    The product over the photons is :func:`~wptoolbox.toolbox._product` of the one
+    Gram pair, repeated over n photon rows, letters in place of paths.
     """
     settings = _single_settings(alpha, phases, beta)
     if not settings["beta"].shape and settings["beta"] != 0.0:  # a batch is refused below
@@ -424,14 +462,11 @@ def ghz_sector_probabilities(
     _check_photon_number(n)
     _one_setting("ghz_sector_probabilities", settings.values())
     a = _check_alpha(settings["alpha"])
-    _, *routes = _photon_routes(*map(settings.get, _PHOTON), settings, "photon history")
-    routes = np.array(routes)  # (route, history, path)
-    # path 2 * pair + letter: paths 1, 3 read 'w' and 2, 4 read 'p'
+    routes = np.array(_photon_routes(*map(settings.get, _PHOTON), settings, "photon history"))
+    # (route, history, path); path 2 * pair + letter: paths 1, 3 read 'w' and 2, 4 read 'p'
     pairs = (routes.conj()[:, :, None] * routes[:, None]).reshape(2, 4, 2, 2)
     gram = pairs[..., 0, :] + pairs[..., 1, :]  # (route, (t, t'), letter)
-    table = gram
-    for _ in range(n - 1):  # one more photon, its letter last
-        table = (table[..., None] * gram[:, :, None]).reshape(2, 4, -1)
+    table = _product(gram[:, :, None, None, :].repeat(n, axis=2), (0,) * n)  # n photon rows
     c = np.array([np.cos(a), np.sin(a)])
     sectors = (table * (c[:, None] * c).reshape(4, 1)).sum(axis=1).real
     _check("n-photon sector table", np.abs(sectors[0] - sectors[1]), settings)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import PATHS, POLS, _network_matrix
+from .optics import PATHS, POLS, _first_non_finite, _network_matrix
 from .qcore import (
     DensityMatrix,
     ModeBasis,
@@ -166,14 +166,14 @@ def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
 def _history_state(h: int, values: list, what: str) -> PureState:
     """History ``h`` (0 wave, 1 particle) of one photon at broadcast ``values`` of
     ``phi1, phi2, beta``: its closed form, once checked (:func:`_photon_routes`)."""
-    history = _photon_routes(*values, dict(zip(_PHOTON, values)), what)[1][..., h, :]
+    history = _photon_routes(*values, dict(zip(_PHOTON, values)), what)[0][..., h, :]
     # the closed history the check has compared, so finite
     return _trusted(PureState, basis=_n_photon_basis(1), amplitudes=np.ascontiguousarray(history))
 
 
 def _photon_factors(phi1, beta) -> tuple:
     """``cos, sin`` of ``phi1/2`` and of ``2 beta``, which a photon's wave and particle
-    amplitudes and its detector weights (:func:`_history_weights`) share."""
+    amplitudes share."""
     h, t = phi1 / 2, 2 * beta
     return np.cos(h), np.sin(h), np.cos(t), np.sin(t)
 
@@ -237,34 +237,31 @@ def _n_photon_basis(n: int) -> ModeBasis:
 
 class _Histories(NamedTuple):
     """The checked output ``S + (4**n,)`` of :func:`_history_batch`, its source
-    terms (coefficients and patterns), the histories ``S + (n, 4)`` of its n
-    photons, photon k's in row k, their :func:`_photon_factors` (of shape ``S``
-    when every photon names one setting, else ``S + (n,)``), and the caller's
-    settings by name, which a failed check names.  The terms themselves are not
-    kept: the noise baseline (:meth:`fringe_scaled`) needs only the histories'
-    real weights, and :meth:`mixture` rebuilds them."""
+    terms (coefficients and patterns), the checked histories ``S + (n, 2, 4)`` of
+    its n photons, photon k's (wave, particle) in row k, and the caller's settings
+    by name, which a failed check names.  The terms themselves are not kept: the
+    noise baseline (:meth:`fringe_scaled`) needs only the histories' real weights,
+    and :meth:`mixture` rebuilds them."""
 
     amplitudes: np.ndarray
     coeffs: tuple
     patterns: tuple
-    waves: np.ndarray
-    particles: np.ndarray
-    factors: tuple
+    histories: np.ndarray
     settings: dict
 
     def state(self) -> PureState:
         """The checked amplitudes as a state over the path basis of the photon count
         (:func:`_n_photon_basis`), C-ordered.  The engine's own output, finite once
         its cross-check passed: frozen, copied only when a batch is not C-ordered."""
-        basis = _n_photon_basis(self.waves.shape[-2])
+        basis = _n_photon_basis(self.histories.shape[-3])
         # amplitudes the cross-check (_check) has compared, so finite
         return _trusted(PureState, basis=basis, amplitudes=np.ascontiguousarray(self.amplitudes))
 
     def mixture(self) -> DensityMatrix:
         """``sum_t c_t^2 |term_t><term_t|`` over the basis of :meth:`state`, each term
         ``(x)_k history_{t,k}`` rebuilt by :func:`_product`; only this matrix needs them."""
-        basis, histories = _n_photon_basis(self.waves.shape[-2]), (self.waves, self.particles)
-        return mix((PureState(basis, _product(histories, p)), c * c)
+        basis = _n_photon_basis(self.histories.shape[-3])
+        return mix((PureState(basis, _product(self.histories, p)), c * c)
                    for c, p in zip(self.coeffs, self.patterns))
 
     def born(self, forms: tuple, what: str, scale) -> np.ndarray:
@@ -295,7 +292,7 @@ class _Histories(NamedTuple):
             i = int(np.argmin(inside))
             raise ValueError(f"fringe_scale must lie in [0, 1], got {scale.flat[i]} at row {i}")
         weights = check_distribution([c * c for c in self.coeffs], "mixture weights")
-        squared = [(h * h.conj()).real for h in (self.waves, self.particles)]
+        squared = (self.histories * self.histories.conj()).real
         baseline = sum(w[..., None] * _product(squared, p) for w, p in zip(weights, self.patterns))
         dev = np.abs(mean.reshape(baseline.shape) - baseline)
         _check("mixture baseline", np.where(noisy[..., None], dev, 0.0), self.settings)
@@ -303,19 +300,19 @@ class _Histories(NamedTuple):
         return np.where(noisy[..., None], baseline + scale[..., None] * (probs - baseline), probs)
 
     def sector(self) -> np.ndarray:
-        """The wave/particle sector of an unbatched output, ``(4**n, 2**n)``: its
-        columns are the kron products of the n photons' (wave, particle) states, in
-        pattern order.  Raises unless each photon's two states are orthogonal."""
-        basis = None
-        for w, p in zip(self.waves, self.particles):
+        """The wave/particle sector of an unbatched output, ``(4**n, 2**n)``, C-ordered:
+        column j is the product over the photons of the history pattern j, in binary,
+        photon 0 most significant.  Raises unless each photon's two histories are
+        orthogonal.  One :func:`_product` forms every column, of each photon's (path,
+        history) table as one row of 8; the history axes then move last."""
+        for w, p in self.histories:
             overlap = np.vdot(w, p)
             if abs(overlap) > 1e-12:
                 raise RuntimeError(f"wave/particle basis not orthogonal: {abs(overlap):.3e}")
-            cols = np.array([w, p]).T.copy()  # the photon's (wave, particle) columns
-            # a product's entry is (paths so far, path, histories so far, history)
-            basis = cols if basis is None else (
-                basis[:, None, :, None] * cols[None, :, None, :]).reshape(4 * len(basis), -1)
-        return basis
+        n = len(self.histories)
+        tables = self.histories.swapaxes(-1, -2).reshape(n, 1, 8)
+        axes = (*range(0, 2 * n, 2), *range(1, 2 * n, 2))  # the paths, then the histories
+        return _product(tables, (0,) * n).reshape((4, 2) * n).transpose(axes).reshape(4**n, -1)
 
 
 def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
@@ -324,9 +321,10 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     The caller's ``settings``, by name and broadcast to one batch shape
     ``S``, are the only settings; ``photons[k]`` names photon k's ``phi1``,
     ``phi2`` and ``beta`` among them, and its histories are row k of
-    ``S + (n, 2, 4)``.  When every photon names one setting (one photon, the
-    n-photon source) that setting is evaluated once, for the histories and
-    for the network matrix, and its row taken n times.  The distinct patterns
+    ``S + (n, 2, 4)``, the one form in which the output, its check and
+    :class:`_Histories` hold them: one photon's settings are evaluated as
+    given, and n > 1 photons' stacked along a last axis, even when every
+    photon names the same setting.  The distinct patterns
     hold 0 (V) or 1 (H) per photon; V leaves as the photon's wave history and
     H as its particle history, so the closed form is
     ``sum_t c_t (x)_k history_{t,k}``.  Two comparisons check it, row by row,
@@ -345,14 +343,9 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     plus buffers of a fraction of it.
     """
     n, shape = len(photons), next(iter(settings.values())).shape
-    shared = photons.count(photons[0]) == n
-    values = ((settings[name] for name in photons[0]) if shared
+    values = ((settings[name] for name in photons[0]) if n == 1
               else (stack_last([settings[name] for name in names]) for names in zip(*photons)))
-    factors, closed, _ = _photon_routes(*values, settings, what)
-    closed = closed.reshape(shape + (-1, 2, 4))  # one shared row, or photon k's in row k
-    if shared and n > 1:
-        closed = closed.take(np.zeros(n, np.intp), axis=-3)
-    histories = closed[..., 0, :], closed[..., 1, :]
+    histories = _photon_routes(*values, settings, what)[0].reshape(shape + (n, 2, 4))
     amps = None
     for c, pattern in zip(coeffs, patterns):
         if amps is not None and 4 ** (n - 1) >= _LONG_PREFIX:
@@ -368,15 +361,15 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     dense = amps
     for x in backward:  # vecdot never wakes threaded BLAS
         dense = np.vecdot(x, dense.reshape(shape + (-1, 4)))
-    projections = np.vecdot(probe, closed).reshape(shape + (-1,))
+    projections = np.vecdot(probe, histories).reshape(shape + (-1,))
     factored = np.vecdot(stack_last(coeffs), projections[..., index].prod(-1))
     _check(what, np.abs(dense - factored[..., None]), settings)  # dense is S + (1,)
-    return _Histories(amps, tuple(coeffs), patterns, *histories, factors, settings)
+    return _Histories(amps, tuple(coeffs), patterns, histories, settings)
 
 
 def _photon_routes(phi1, phi2, beta, settings: dict, what: str) -> tuple:
     """Photon settings ``phi1, phi2, beta``, float64 values of one shape ``R``, by both
-    routes, each evaluated once: their :func:`_photon_factors`, the closed-form wave and
+    routes, each evaluated once: ``(closed, propagated)``, the closed-form wave and
     particle histories, ``R + (2, 4)``, and the V and H columns of :func:`network_matrix`
     in that layout, once they agree entry by entry (:func:`_check`, naming ``what``).  An
     empty batch raises first; a failed slot check names the first non-finite entry of
@@ -389,7 +382,7 @@ def _photon_routes(phi1, phi2, beta, settings: dict, what: str) -> tuple:
     mats = _network_matrix(phi1, phi2, beta, settings)
     closed, propagated = closed.reshape(waves.shape[:-1] + (2, 4)), mats.swapaxes(-1, -2)
     _check(what, np.abs(closed - propagated), settings)
-    return factors, closed, propagated
+    return closed, propagated
 
 
 @cache
@@ -415,24 +408,26 @@ def _probe(patterns: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
     return probe, tuple(probe[::-1, 0]), index
 
 
-def _product(histories: tuple, pattern) -> np.ndarray:
-    """``(x)_k histories[pattern[k]][..., k, :]``, shape ``S + (4**n,)``: a fresh
-    array, or for one photon a view of its history.  Each photon's step is one
-    broadcast product, the prefix first."""
-    state = histories[pattern[0]][..., 0, :]
+def _product(histories: np.ndarray, pattern) -> np.ndarray:
+    """``(x)_k histories[..., k, pattern[k], :]`` of the photon array ``S + (n, H, d)``,
+    shape ``S + (d**n,)``, photon 0 most significant: a fresh array, or for one photon
+    a view of its row.  Each photon's step is one broadcast product, the prefix first.
+    Every n-photon product is formed here: the engine's terms, the baseline's weights,
+    the sector basis and the n-photon sector table's Gram products."""
+    state = histories[..., 0, pattern[0], :]
     for k, h in enumerate(pattern[1:], 1):
-        b = histories[h][..., k, :]
+        b = histories[..., k, h, :]
         state = (state[..., :, None] * b[..., None, :]).reshape(b.shape[:-1] + (-1,))
     return state
 
 
-def _add_term(amps: np.ndarray, c, histories: tuple, pattern) -> None:
+def _add_term(amps: np.ndarray, c, histories: np.ndarray, pattern) -> None:
     """``amps += c * _product(histories, pattern)`` without the product: its last
     step is fused with the scale and the sum, one column of ``amps`` at a time.
     Each element sees the unfused multiplies and add in their order, so the bits
     are those of the unfused route."""
     prefix = _product(histories, pattern[:-1])
-    b = histories[pattern[-1]][..., len(pattern) - 1, :]
+    b = histories[..., len(pattern) - 1, pattern[-1], :]
     cols, tmp = amps.reshape(prefix.shape + (4,)), np.empty_like(prefix)
     for j in range(4):
         np.multiply(prefix, b[..., j, None], out=tmp)
@@ -490,20 +485,34 @@ def detection_closed_forms(
 
     where ``|w|^2`` and ``|p|^2`` are the detector weights of the wave and
     particle histories.  Settings may be arrays of one broadcast shape
-    ``S``; the result has shape ``S + (4,)``.
+    ``S``; the result has shape ``S + (4,)``.  An empty batch or a non-finite
+    setting raises ``ValueError`` (:func:`_check_settings`).
     """
-    a, phi1, phi2, beta = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
-    h = phi1 / 2
-    return np.add(*_detection_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, beta,
-                                    np.cos(h), np.sin(h)))
+    values = broadcast_values(alpha, phases.phi1, phases.phi2, beta)
+    _check_settings("detection_closed_forms", _SINGLE_NAMES, values)
+    a, phi1, phi2, beta = values
+    return np.add(*_detection_forms(a, (np.cos(a), np.sin(a)), phi1, phi2, beta))
 
 
-def _detection_forms(a, coeffs, phi1, phi2, beta, ch, sh) -> tuple:
+def _check_settings(what: str, names: tuple, values: list) -> None:
+    """Raise ``ValueError`` unless the broadcast ``values``, named ``names``, hold at
+    least one setting and every one is finite, as the engine entries require; the
+    error names the first non-finite setting and its row."""
+    if not values[0].size:
+        raise ValueError(f"{what} needs at least one setting, got an empty batch")
+    found = _first_non_finite(dict(zip(names, values)))
+    if found:
+        raise ValueError("{} needs finite settings, got {}={!r} at row {}".format(what, *found))
+
+
+def _detection_forms(a, coeffs, phi1, phi2, beta) -> tuple:
     """:func:`detection_closed_forms` at float64 settings of one shape, given
-    ``coeffs = (cos a, sin a)`` and ``ch, sh = cos, sin(phi1/2)``: a caller that
-    holds these factors already passes them on.  Returns the mean part
-    ``cos^2(a) |w|^2 + sin^2(a) |p|^2``, the mixture's, and the fringe, whose sum is
-    the table."""
+    ``coeffs = (cos a, sin a)``, which the engine's source already holds, as the mean
+    part ``cos^2(a) |w|^2 + sin^2(a) |p|^2``, the mixture's, and the fringe, whose sum
+    is the table.  ``cos, sin(phi1/2)`` are evaluated here, as
+    :func:`~wptoolbox.entangle._coincidence_forms` does: the engine keeps its photon
+    array only."""
+    ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
     waves, particles = _history_weights(ch, sh, beta)
     ca, sa = coeffs
     x = np.sin(2 * a) * np.sin(4 * beta) / (2 * _RT2)
@@ -548,9 +557,8 @@ def single_photon_batch(
     """
     alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
     histories = _single_photon(dict(zip(_SINGLE_NAMES, (alpha, phi1, phi2, beta))))
-    # the closed form shares the engine's cos, sin of alpha and of phi1/2
-    ch, sh, _, _ = histories.factors
-    forms = _detection_forms(alpha, histories.coeffs, phi1, phi2, beta, ch, sh)
+    # the closed form shares the engine's cos, sin of alpha
+    forms = _detection_forms(alpha, histories.coeffs, phi1, phi2, beta)
     return SingleBatch(histories.amplitudes, histories.born(forms, "probabilities", scale))
 
 

@@ -460,11 +460,13 @@ class TestConcurrence:
     @pytest.mark.parametrize("mixed, form", [(False, "pure-state formula"),
                                              (True, "mixture's closed form")])
     def test_a_perturbed_sector_raises_against_the_closed_form(self, monkeypatch, mixed, form):
-        # the off-diagonal entries move by 1e-9; the trace stays, so only the
-        # comparison with the closed form can see it
-        exact = entangle._in_sector
-        monkeypatch.setattr(entangle, "_in_sector",
-                            lambda *args: exact(*args) + 1e-9 * (1 - np.eye(4)))
+        # a rotation by 1e-9 between |ww> and |pp> moves the value by about 7e-10; the
+        # sector stays a density matrix, so only the comparison with the closed form
+        # can see it
+        exact, rot = entangle._in_sector, np.eye(4)
+        rot[np.ix_((0, 3), (0, 3))] = [[np.cos(1e-9), -np.sin(1e-9)],
+                                       [np.sin(1e-9), np.cos(1e-9)]]
+        monkeypatch.setattr(entangle, "_in_sector", lambda *args: rot @ exact(*args) @ rot.T)
         with pytest.raises(RuntimeError, match=rf"^spin-flip concurrence \S+ disagrees"
                                                rf" with the {form} "):
             concurrence(settings(alpha=0.6, phi1=0.9, phi2=0.2, phi1p=1.7), mixed=mixed)
@@ -499,7 +501,7 @@ class TestConcurrence:
             beta_a, beta_b = (rng.choice([0.0, BETA_SPLIT, rng.uniform(-1, 1)]) for _ in "ab")
             s = settings(alpha, phi1, phi2, phi1p, phi2p, beta_a, beta_b)
             histories = entangle._entangled(entangle._pair_settings(s))
-            (wa, wb), (pa, pb) = histories.waves, histories.particles
+            (wa, pa), (wb, pb) = histories.histories  # photon k's (wave, particle) in row k
             kron = np.stack([np.kron(wa, wb), np.kron(wa, pb), np.kron(pa, wb),
                              np.kron(pa, pb)], axis=1)
             iso = histories.sector()
@@ -511,7 +513,7 @@ class TestConcurrence:
         for beta in (0.0, BETA_SPLIT, *rng.uniform(-1, 1, 20)):
             phases = ToolboxPhases(*rng.uniform(-7, 7, 2))
             single = toolbox._single_photon(toolbox._single_settings(0.4, phases, beta))
-            w, p = single.waves[0], single.particles[0]
+            w, p = single.histories[0]
             assert single.sector().tobytes() == np.stack([w, p], axis=1).tobytes()
 
     @pytest.mark.parametrize("source", ["single", "pair"])
@@ -521,13 +523,51 @@ class TestConcurrence:
                      else toolbox._single_photon(toolbox._single_settings(0.4, s.phases_a,
                                                                           s.beta_a)))
         with pytest.raises(RuntimeError, match="wave/particle basis not orthogonal"):
-            histories._replace(particles=histories.waves).sector()
+            waves_as_particles(histories).sector()
 
     def test_wootters_bell_state(self):
         bell = np.zeros(4)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         assert wootters_concurrence(np.outer(bell, bell)) == pytest.approx(1.0)
         assert wootters_concurrence(np.eye(4) / 4) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_projection_refuses_a_batch(self, mixed):
+        s = settings(alpha=np.array([0.3, 0.5, 0.7]))
+        state = mixture_two_photon_output(s) if mixed else two_photon_output(s)
+        with pytest.raises(ValueError, match=r"^sector_projection needs one state, got a batch"
+                                             r" of shape \(3,\)$"):
+            sector_projection(state, settings())
+
+    @pytest.mark.parametrize("state", [output_state(0.3), ghz_output(3, 0.3),
+                                       mixed_output(0.3), two_photon_output(settings()).amplitudes])
+    def test_projection_refuses_another_basis(self, state):
+        if isinstance(state, np.ndarray):  # the pair's amplitudes over other labels
+            state = PureState(ModeBasis(tuple("abcdefghijklmnop")), state)
+        with pytest.raises(ValueError, match=r"^sector_projection needs a state over the"
+                                             r" pair's path basis, got ModeBasis\("):
+            sector_projection(state, settings())
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.full((4, 4), np.nan), "must be finite"),
+        (np.diag([0.5, 0.5, 0.0, np.inf]), "must be finite"),
+        (np.diag([2.0, 0.0, 0.0, 0.0]), r"must have trace 1, got 2\.0$"),
+        (np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-6), 1), r"must be Hermitian within 1e-12$"),
+        (np.diag([0.6, 0.5, 0.0, -0.1]), r"has an eigenvalue -1\.000e-01 below -1e-10$"),
+    ])
+    def test_wootters_refuses_a_non_density_matrix(self, rho, message):
+        with pytest.raises(ValueError, match="^two-qubit density matrix " + message):
+            wootters_concurrence(rho)
+
+    def test_wootters_accepts_the_density_matrix_tolerances(self):
+        # each condition just inside the bound DensityMatrix allows
+        bell = np.zeros(4)
+        bell[0] = bell[3] = 1 / np.sqrt(2)
+        rho = np.outer(bell, bell) * (1 + 5e-10)
+        rho[0, 1] += 5e-13
+        DensityMatrix(product_basis(ModeBasis("ab"), ModeBasis("cd")), rho)
+        assert wootters_concurrence(rho) == pytest.approx(1.0)
+        assert wootters_concurrence(np.diag([0.6, 0.4 + 5e-11, 0.0, -5e-11])) == 0.0
 
 
 class TestGhzExtension:
@@ -705,7 +745,7 @@ class TestSourceTermEngine:
     def test_swapped_photon_rows_raise(self, monkeypatch):
         # the first term's two photons in the wrong order: each history is right
         def swapped(exact, histories, pattern):
-            return exact(tuple(h[..., ::-1, :] for h in histories), pattern)
+            return exact(histories[..., ::-1, :, :], pattern)
 
         self.fault_first_product(monkeypatch, swapped)
         with pytest.raises(RuntimeError, match="disagrees with propagation"):
@@ -735,7 +775,7 @@ class TestSourceTermEngine:
         concurrence(settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2), mixed=mixed)
         assert calls == {"_wave_amplitudes": 1, "_particle_amplitudes": 1}
 
-    def test_ghz_evaluates_the_shared_setting_once(self, monkeypatch):
+    def test_ghz_stacks_its_photons_in_one_network_call(self, monkeypatch):
         shapes = []
         exact = toolbox._network_matrix
 
@@ -745,7 +785,7 @@ class TestSourceTermEngine:
 
         monkeypatch.setattr(toolbox, "_network_matrix", recorded)
         ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2), BETA_SPLIT)
-        assert shapes == [((), (), ())]
+        assert shapes == [((8,), (8,), (8,))]  # one row per photon, as the pair stacks two
 
     def test_shared_and_stacked_rows_agree_bit_for_bit(self):
         # ghz_output takes one setting's row twice, the pair stacks two rows
@@ -875,7 +915,7 @@ class TestGhzSectors:
         rng = np.random.default_rng(n)
         h = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
         h /= np.linalg.norm(h, axis=-1, keepdims=True)
-        monkeypatch.setattr(entangle, "_photon_routes", lambda *args: (None, h, h))
+        monkeypatch.setattr(entangle, "_photon_routes", lambda *args: (h, h))
         alpha = 0.3
         got = ghz_sector_probabilities(n, alpha)
         amps = (np.cos(alpha) * reduce(np.kron, [h[0]] * n)
@@ -912,8 +952,8 @@ class TestGhzSectors:
         exact = entangle._photon_routes
 
         def perturbed(*args):
-            factors, closed, propagated = exact(*args)
-            return factors, closed, propagated + 1e-10
+            closed, propagated = exact(*args)
+            return closed, propagated + 1e-10
 
         monkeypatch.setattr(entangle, "_photon_routes", perturbed)
         message = (r"closed-form n-photon sector table disagrees with propagation by"
@@ -968,6 +1008,13 @@ def random_histories(kind, rows=40, seed=5):
                                   "variant", values)
 
 
+def waves_as_particles(histories):
+    """``histories`` with every photon's particle history replaced by its wave history."""
+    rows = histories.histories.copy()
+    rows[..., 1, :] = rows[..., 0, :]
+    return histories._replace(histories=rows)
+
+
 def baseline(histories, mean):
     """The noise baseline: every row at fringe scale 0, checked against ``mean``."""
     rows = np.shape(histories.amplitudes)[:-1]
@@ -998,18 +1045,17 @@ class TestNoiseBaseline:
         # the particle histories replaced by the wave ones: both terms are the same
         # unit vector, and weights and row sums still pass; the closed mean does not
         histories = random_histories(kind)
-        patched = histories._replace(particles=histories.waves)
         with pytest.raises(RuntimeError, match="mixture baseline disagrees with propagation"):
-            baseline(patched, diagonal(histories))
+            baseline(waves_as_particles(histories), diagonal(histories))
 
     def test_nan_term_raises(self):
         histories = random_histories("pair")
-        particles = histories.particles.copy()
-        particles[7, 1, 3] = np.nan  # photon B's particle history, row 7
+        rows = histories.histories.copy()
+        rows[7, 1, 1, 3] = np.nan  # photon B's particle history, row 7
         with pytest.raises(
             RuntimeError, match=r"mixture baseline disagrees with propagation by nan at row 7 \("
         ):
-            baseline(histories._replace(particles=particles), diagonal(histories))
+            baseline(histories._replace(histories=rows), diagonal(histories))
 
     @pytest.mark.parametrize("bad", [np.nan, 5.0, -1.0, 1.0 + 1e-9])
     @pytest.mark.parametrize("engine", [toolbox.single_photon_batch, two_photon_batch])
@@ -1073,7 +1119,7 @@ class TestNoiseBaseline:
         dtypes, product = [], toolbox._product
 
         def counted(histories, pattern):
-            dtypes.append(histories[0].dtype)
+            dtypes.append(histories.dtype)
             return product(histories, pattern)
 
         monkeypatch.setattr(toolbox, "_product", counted)

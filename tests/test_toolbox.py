@@ -146,7 +146,7 @@ class TestHistoryStates:
         phi, beta = np.array([0.0, -0.0, 0.7, 2.9]), np.array([0.0, -0.0, BETA_SPLIT, 0.3])
         zero = np.zeros_like(phi)  # the arm phase the history never reaches
         phi1, phi2 = (phi, zero) if index == 0 else (zero, phi)
-        closed = toolbox._photon_routes(phi1, phi2, beta, {"phi": phi}, "history")[1]
+        closed = toolbox._photon_routes(phi1, phi2, beta, {"phi": phi}, "history")[0]
         monkeypatch.setattr(toolbox, "_history_batch", engine)
         assert state(phi, beta).amplitudes.tobytes() == closed[:, index].tobytes()
         for k in range(len(phi)):
@@ -345,6 +345,43 @@ class TestDetectionProbabilities:
         assert forms.shape == (3, 4, 4)
         one = detection_closed_forms(0.3, ToolboxPhases(2.0, 0.5), 0.2)
         assert forms[1, 2].tobytes() == one.tobytes()
+
+
+#: each public closed form, called at one alpha, one photon's phases (both photons' for the
+#: pair) and one beta
+CLOSED_FORMS = {
+    "detection_closed_forms": detection_closed_forms,
+    "coincidence_closed_forms":
+        lambda a, phases, b: coincidence_closed_forms(a, ToolboxPhases(0.4, 1.1), phases, b, b),
+}
+
+
+class TestClosedFormInputs:
+    """The closed forms refuse what the engine entries refuse, before evaluating."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    @pytest.mark.parametrize("empty", [np.array([]), np.zeros((3, 0))])
+    def test_empty_batch_raises(self, name, empty):
+        with pytest.raises(ValueError, match=f"^{name} needs at least one setting, got an"
+                                             " empty batch$"):
+            CLOSED_FORMS[name](empty, ToolboxPhases(), BETA_SPLIT)
+        with pytest.raises(ValueError, match="needs at least one setting"):
+            single_photon_batch(empty, 0.0, 0.0)  # as the engine entry does
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    @pytest.mark.parametrize("where, bad", [("alpha", np.nan), ("phi2", np.inf),
+                                            ("beta", -np.inf)])
+    def test_non_finite_setting_named_with_its_row(self, name, where, bad):
+        values = {"alpha": np.full(4, 0.3), "phi2": np.full(4, 0.5), "beta": 0.2}
+        values[where] = np.array([0.3, 0.3, bad, bad])
+        phases = ToolboxPhases(np.linspace(0, 3, 4), values["phi2"])
+        # the pair's photon B takes these phases, and both photons this beta
+        named = "phi2_prime" if name.startswith("coin") and where == "phi2" else where
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing is evaluated
+            with pytest.raises(ValueError, match=rf"^{name} needs finite settings, got"
+                                                 rf" {named}={bad!r} at row 2$"):
+                CLOSED_FORMS[name](values["alpha"], phases, values["beta"])
 
 
 class TestCoherence:
