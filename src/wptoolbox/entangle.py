@@ -352,6 +352,14 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     trace = rho.trace().real
     if abs(trace - 1.0) > 1e-9:
         raise ValueError(f"two-qubit density matrix must have trace 1, got {float(trace)}")
+    return _spin_flip_concurrence(rho)
+
+
+def _spin_flip_concurrence(rho: np.ndarray) -> float:
+    """:func:`wootters_concurrence` of a 4x4 complex ``rho`` that is finite, Hermitian to
+    rounding and of trace 1, as the engine's sector matrices are: made from checked
+    histories, with the trace checked by :func:`~wptoolbox.toolbox._in_sector`.  An
+    eigenvalue below ``-EIGEN_ATOL`` still raises ``ValueError``."""
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     d, v = np.linalg.eigh(rho)
     if d[0] < -EIGEN_ATOL:
@@ -370,17 +378,19 @@ def concurrence(s: TwoPhotonSettings, mixed: bool = False) -> float:
 
     The spin-flip value is verified at 1e-10: for the pure output against the
     direct pure-state formula ``2 |c_ww c_pp - c_wp c_pw|``, for the mixture
-    against its closed form 0; a mismatch raises ``RuntimeError``.
+    against its closed form 0; a mismatch raises ``RuntimeError``.  The engine's
+    own sector matrix skips the input checks that :func:`wootters_concurrence`
+    makes of a foreign matrix, all but the eigenvalue refusal.
     """
     settings = _pair_settings(s)
     _one_setting("concurrence", settings.values())
     histories = _entangled(settings)
     basis = histories.sector()
     if mixed:
-        value = wootters_concurrence(_in_sector(histories.mixture(), basis))
+        value = _spin_flip_concurrence(_in_sector(histories.mixture(), basis))
         return _agreeing("spin-flip concurrence", value, 0.0, "mixture's closed form")
     state = histories.state()
-    value = wootters_concurrence(_in_sector(state, basis))
+    value = _spin_flip_concurrence(_in_sector(state, basis))
     coeffs = basis.conj().T @ state.amplitudes
     direct = 2 * abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2])
     return _agreeing("spin-flip concurrence", value, direct, "pure-state formula")

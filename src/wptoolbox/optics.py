@@ -20,7 +20,8 @@ Every circuit runs through the one step runner
 :func:`wptoolbox.qcore.run_steps`.  The network is compiled once by
 :func:`compile_chain`: each element's mode positions are resolved in
 advance and the fixed run PBS, BS1, BS2 is fused into one checked 4x2
-block.  The phases and mixers are built, and checked as one stack, per call.
+block.  The phases and mixers are built, and checked as one stack, per call;
+:func:`network_matrix` builds and checks them entry by entry instead.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .qcore import (
+    ATOL,
     Label,
     ModeBasis,
     PureState,
@@ -47,7 +49,12 @@ POLS: tuple[str, str] = ("V", "H")
 PATHS: tuple[str, str, str, str] = ("1", "2", "3", "4")
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-_IDENTITY2 = np.eye(2)
+#: the entries of the identity, which stands in for an absent mixer
+_IDENTITY_ENTRIES = (np.float64(1.0), np.float64(0.0), np.float64(0.0), np.float64(1.0))
+#: the network's slot Gram entries ``|e1|^2, |e2|^2, (M^H M)_00, _11, _01`` of isometries
+_GRAM_IDENTITY = (1.0, 1.0, 1.0, 1.0, 0.0)
+#: the 0 that np.matvec starts each sum from, as a 0-d array: arrays add it fastest
+_ZERO = np.zeros((), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -85,11 +92,17 @@ def _checked(name: str, matrix: np.ndarray, **settings) -> np.ndarray:
     """``matrix``, frozen, after :func:`~wptoolbox.qcore.is_isometry` passed on it; a
     failure names the first non-finite of the ``settings`` it was built from and its row."""
     if not is_isometry(matrix):
-        found = _first_non_finite(settings)
-        where = "; {}={!r} at row {}".format(*found) if found else ""
-        raise ValueError(f"{name}: matrix is not an isometry{where}")
+        raise _not_an_isometry(name, settings)
     matrix.flags.writeable = False
     return matrix
+
+
+def _not_an_isometry(name: str, settings: dict) -> ValueError:
+    """The error of a failed isometry check of ``name``, naming the first non-finite
+    of the ``settings`` its matrices were built from and its row."""
+    found = _first_non_finite(settings)
+    where = "; {}={!r} at row {}".format(*found) if found else ""
+    return ValueError(f"{name}: matrix is not an isometry{where}")
 
 
 def _first_non_finite(settings: dict) -> tuple[str, float, int] | None:
@@ -133,19 +146,36 @@ def mirror_matrix(theta) -> np.ndarray:
     This is both the detection-stage mixer and the Jones matrix of a
     half-wave plate.  An array of angles gives a stack, shape ``(..., 2, 2)``.
     """
+    return stack_last(_mirror_entries(theta)).reshape(np.shape(theta) + (2, 2))
+
+
+def _mirror_entries(theta) -> tuple:
+    """The entries ``m00, m01, m10, m11`` of :func:`mirror_matrix`, each of the shape
+    of ``theta``."""
     t = 2 * theta
     c, s = np.cos(t), np.sin(t)
-    return stack_last([c, s, s, -c]).reshape(c.shape + (2, 2))
+    return c, s, s, -c
+
+
+def _mixer_entries(beta) -> tuple:
+    """The entries ``m00, m01, m10, m11`` of the mixer of :func:`output_mixer` at
+    float64 values ``beta``, each of their shape: the rotated mirror, or the identity
+    where ``beta == 0`` (``-0.0`` included), the one place that holds that rule."""
+    absent = beta == 0.0
+    if not beta.shape and absent:
+        return _IDENTITY_ENTRIES
+    entries = _mirror_entries(beta)
+    if beta.shape and absent.any():
+        c, s, _, m11 = entries  # fresh arrays, so the identity goes in in place
+        for m, x in ((c, 1.0), (s, 0.0), (m11, 1.0)):
+            m[absent] = x
+    return entries
 
 
 def _mixer_matrix(beta) -> np.ndarray:
     """The mixer of :func:`output_mixer`, or a stack of them for an array of angles,
-    at float64 values ``beta``."""
-    m = mirror_matrix(beta)
-    absent = beta == 0.0
-    if absent.any():
-        m[absent] = _IDENTITY2  # a 0-d mask selects the one matrix
-    return m
+    at float64 values ``beta``, from :func:`_mixer_entries`."""
+    return stack_last(_mixer_entries(beta)).reshape(beta.shape + (2, 2))
 
 
 def _slot_matrices(name: str, phi1, phi2, beta, plate,
@@ -387,24 +417,84 @@ def network_matrix(phi1, phi2, beta) -> np.ndarray:
     """Transfer matrix of :func:`interferometer_circuit` (paths x polarizations).
 
     Settings of broadcast shape ``S`` give a stack of shape ``S + (4, 2)``, without
-    building elements, checked as in the circuit: from the fused PBS·BS1·BS2 block's
-    columns, both arm phases in one product, BS3, then both mixers (one shared
-    matrix) in one ``np.matvec`` over the path pairs.  Bits equal :meth:`Circuit.matrix`'s.
-    A failed slot check names the first non-finite of ``phi1, phi2, beta`` and its row;
-    the photon engine calls :func:`_network_matrix`, which names its caller's settings.
+    building elements or a slot stack: :func:`_network_matrix` runs both input columns
+    entry by entry, on numbers at one setting and on arrays of shape ``S`` for a batch,
+    after the slot check of the circuit's stack, written on the entries.  Bits equal
+    :meth:`Circuit.matrix`'s.  A failed slot check names the first non-finite of
+    ``phi1, phi2, beta`` and its row; the photon engine calls :func:`_network_matrix`,
+    which names its caller's settings.
     """
     return _network_matrix(*broadcast_values(phi1, phi2, beta))
 
 
 def _network_matrix(phi1, phi2, beta, settings: dict | None = None) -> np.ndarray:
-    """:func:`network_matrix` at float64 values of one shape; a failed slot check
-    names the first non-finite of the caller's ``settings`` (:func:`_slot_matrices`)."""
-    stack, _ = _slot_matrices("arm phases and mixer", phi1, phi2, beta, _mixer_matrix, settings)
+    """:func:`network_matrix` at float64 values of one shape ``S``, entry by entry.
+
+    The slots are ``e^{i phi1}``, ``e^{i phi2}`` and the mixer's
+    :func:`_mixer_entries`, checked by :func:`_check_slots`, and both input columns
+    run through them in :func:`_network_images`.  At one setting the slots are Python
+    complex numbers, which do the arithmetic of numpy scalars at a fraction of the
+    cost, and each column runs on its own; a batch gives the slots a last axis, on
+    which the two columns run side by side.  The images go into one ``np.array``.
+    An empty batch raises ``ValueError`` first.
+    """
+    if not beta.size:
+        raise ValueError("arm phases and mixer need at least one setting, got an empty batch")
+    slots = (np.exp(1j * phi1), np.exp(1j * phi2), *_mixer_entries(beta))
+    if not beta.shape:
+        slots = tuple(map(complex, slots))
+    _check_slots(slots, settings or {"phi1": phi1, "phi2": phi2, "beta": beta})
+    columns, stacked, bs3 = _network_entries()
+    if not beta.shape:
+        return np.array([_network_images(x, slots, bs3, 0) for x in columns]).T
+    slots = [v[..., None] for v in slots]
+    images = np.array(_network_images(stacked, slots, bs3, _ZERO))  # (4,) + S + (2,)
+    return images.transpose(*range(1, beta.ndim + 1), 0, -1)
+
+
+def _network_images(x: tuple, slots, bs3: tuple, zero) -> tuple:
+    """Paths 1..4 of the input columns ``x`` after the fused PBS·BS1·BS2 block: through
+    the phases on paths 3 and 4, BS3 on paths (1, 3) and the mixer on (1, 2) and
+    (3, 4).  Each step forms the products and sums of ``np.matvec``, ``(0 + m00 x0) +
+    m01 x1`` for ``m`` on ``(x0, x1)``, ``zero`` being that 0, with every entry of
+    the fixed matrices, zeros included, so signed zeros match too.  Every product
+    has a factor with zero imaginary part, which numbers and arrays round alike."""
+    e1, e2, m00, m01, m10, m11 = slots
+    (b00, b01), (b10, b11) = bs3
+    x1, x2, x3, x4 = x
+    x3, x4 = x3 * e1, x4 * e2
+    x1, x3 = zero + b00 * x1 + b01 * x3, zero + b10 * x1 + b11 * x3
+    return (zero + m00 * x1 + m01 * x2, zero + m10 * x1 + m11 * x2,
+            zero + m00 * x3 + m01 * x4, zero + m10 * x3 + m11 * x4)
+
+
+def _check_slots(slots: tuple, settings: dict) -> None:
+    """Raise unless the network's slots, ``diag(e1, e2)`` and the mixer, given as the
+    entries ``slots = (e1, e2, m00, m01, m10, m11)``, are isometries by the rule of
+    :func:`~wptoolbox.qcore.is_isometry`, ``max|M^H M - I| <= ATOL``, written on the
+    entries: the Gram entries ``|e1|^2, |e2|^2`` and the mixer's two diagonal and one
+    off-diagonal entry, against the identity's ``1, 1, 1, 1, 0``.  NaN fails.  The
+    error is the slot stack's (:func:`_not_an_isometry`), naming the first non-finite
+    of ``settings``."""
+    e1, e2, m00, m01, m10, m11 = slots
+    c00, c01, c10, c11 = m00.conjugate(), m01.conjugate(), m10.conjugate(), m11.conjugate()
+    gram = ((e1.conjugate() * e1).real, (e2.conjugate() * e2).real,
+            (c00 * m00 + c10 * m10).real, (c01 * m01 + c11 * m11).real, c00 * m01 + c10 * m11)
+    if type(e1) is complex:  # one setting
+        ok = all(abs(g - i) <= ATOL for g, i in zip(gram, _GRAM_IDENTITY))
+    else:  # the Gram entries along a last axis
+        ok = np.abs(np.array(gram).T - _GRAM_IDENTITY).max() <= ATOL
+    if not ok:
+        raise _not_an_isometry("arm phases and mixer", settings)
+
+
+@cache
+def _network_entries() -> tuple:
+    """The fixed entries :func:`_network_matrix` runs through: the fused block's V and
+    H columns over paths 1..4 as Python numbers, the same as four read-only arrays of
+    path k's (V, H) entries, and BS3's rows."""
     head, _, _, bs3, _, _ = _fixed_stages().steps
-    shape = stack.shape[:-3]
-    block = np.empty((2,) + shape + (4,), dtype=np.complex128)
-    block[...] = head.matrix.T.reshape((2,) + (1,) * len(shape) + (4,))
-    block[..., 2:] *= np.diagonal(stack[..., 0, :, :], axis1=-2, axis2=-1)
-    block[..., bs3.at] = np.matvec(bs3.matrix, block[..., bs3.at])
-    images = np.matvec(stack[..., None, 1, :, :], block.reshape(block.shape[:-1] + (2, 2)))
-    return images.reshape(block.shape).transpose(*range(1, block.ndim), 0)
+    stacked = tuple(head.matrix.copy())
+    for row in stacked:
+        row.flags.writeable = False
+    return tuple(map(tuple, head.matrix.T.tolist())), stacked, bs3.matrix.tolist()

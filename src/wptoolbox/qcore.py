@@ -399,16 +399,25 @@ def run_steps(amps: np.ndarray, steps: Iterable[Step]) -> np.ndarray:
     those of ``amps``.  This is the one propagation route: circuits, transfer
     matrices and :func:`apply_unitary` all run here.  ``amps`` is updated in
     place unless a step replaces the basis or has a larger batch, to which a
-    copy of ``amps`` is broadcast once; the result is returned.
+    copy of ``amps`` is broadcast once; the result is returned.  A step compares
+    only the number of batch axes before it writes back; a write-back that fails
+    compares the shapes, so a run whose input has the steps' batch pays nothing
+    more for it.
     """
     for matrix, at, replaces in steps:
         out = np.matvec(matrix, amps[..., at])
         if replaces:
             amps = out
-        else:
-            if out.shape[:-1] != amps.shape[:-1]:  # a larger batch than amps
-                amps = np.broadcast_to(amps, out.shape[:-1] + amps.shape[-1:]).copy()
-            amps[..., at] = out
+            continue
+        if out.ndim == amps.ndim:  # numpy would drop extra leading axes of size 1
+            try:
+                amps[..., at] = out
+                continue
+            except ValueError:
+                if out.shape[:-1] == amps.shape[:-1]:  # not a larger batch than amps
+                    raise
+        amps = np.broadcast_to(amps, out.shape[:-1] + amps.shape[-1:]).copy()
+        amps[..., at] = out
     return amps
 
 

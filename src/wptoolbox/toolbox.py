@@ -322,9 +322,12 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     ``S``, are the only settings; ``photons[k]`` names photon k's ``phi1``,
     ``phi2`` and ``beta`` among them, and its histories are row k of
     ``S + (n, 2, 4)``, the one form in which the output, its check and
-    :class:`_Histories` hold them: one photon's settings are evaluated as
-    given, and n > 1 photons' stacked along a last axis, even when every
-    photon names the same setting.  The distinct patterns
+    :class:`_Histories` hold them.  At one setting (``S = ()``) each distinct
+    photon setting, by name, is evaluated once on its own numbers and the
+    histories are stacked after: the pair evaluates two photons,
+    ``ghz_output`` its shared setting once.  A batch evaluates one photon's
+    settings as given, and n > 1 photons' stacked along a last axis, even when
+    every photon names the same setting.  The distinct patterns
     hold 0 (V) or 1 (H) per photon; V leaves as the photon's wave history and
     H as its particle history, so the closed form is
     ``sum_t c_t (x)_k history_{t,k}``.  Two comparisons check it, row by row,
@@ -343,9 +346,14 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     plus buffers of a fraction of it.
     """
     n, shape = len(photons), next(iter(settings.values())).shape
-    values = ((settings[name] for name in photons[0]) if n == 1
-              else (stack_last([settings[name] for name in names]) for names in zip(*photons)))
-    histories = _photon_routes(*values, settings, what)[0].reshape(shape + (n, 2, 4))
+    if shape:
+        values = ((settings[name] for name in photons[0]) if n == 1
+                  else (stack_last([settings[name] for name in names]) for names in zip(*photons)))
+        histories = _photon_routes(*values, settings, what)[0].reshape(shape + (n, 2, 4))
+    else:  # one setting: each distinct photon setting once, on its numpy scalars
+        closed = {names: _photon_routes(*map(settings.get, names), settings, what)[0]
+                  for names in dict.fromkeys(photons)}
+        histories = np.array([closed[names] for names in photons])
     amps = None
     for c, pattern in zip(coeffs, patterns):
         if amps is not None and 4 ** (n - 1) >= _LONG_PREFIX:
@@ -373,7 +381,7 @@ def _photon_routes(phi1, phi2, beta, settings: dict, what: str) -> tuple:
     particle histories, ``R + (2, 4)``, and the V and H columns of :func:`network_matrix`
     in that layout, once they agree entry by entry (:func:`_check`, naming ``what``).  An
     empty batch raises first; a failed slot check names the first non-finite entry of
-    the caller's ``settings`` and its row (:func:`~wptoolbox.optics._slot_matrices`)."""
+    the caller's ``settings`` and its row (:func:`~wptoolbox.optics._check_slots`)."""
     if not phi1.size:
         raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
     factors = _photon_factors(phi1, beta)

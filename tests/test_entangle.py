@@ -471,6 +471,27 @@ class TestConcurrence:
                                                rf" with the {form} "):
             concurrence(settings(alpha=0.6, phi1=0.9, phi2=0.2, phi1p=1.7), mixed=mixed)
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_negative_sector_eigenvalue_raises(self, monkeypatch, mixed):
+        # weight moved from |wp> to |pw>: trace 1 and Hermitian, one eigenvalue -1e-6
+        exact, shift = entangle._in_sector, np.diag([0.0, -1e-6, 1e-6, 0.0])
+        monkeypatch.setattr(entangle, "_in_sector", lambda *args: exact(*args) + shift)
+        with pytest.raises(ValueError, match=r"^two-qubit density matrix has an eigenvalue"
+                                             r" -1\.000e-06 below -1e-10$"):
+            concurrence(settings(alpha=0.6, phi1=0.9, phi2=0.2, phi1p=1.7), mixed=mixed)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_the_engine_sector_skips_the_foreign_matrix_checks(self, monkeypatch, mixed):
+        # concurrence gives the public function's bits without calling it
+        s = settings(alpha=0.6, phi1=0.9, phi2=0.2, phi1p=1.7)
+        state = mixture_two_photon_output(s) if mixed else two_photon_output(s)
+        expected = wootters_concurrence(sector_projection(state, s))
+
+        def refused(rho):
+            raise AssertionError("a foreign matrix's checks ran")
+        monkeypatch.setattr(entangle, "wootters_concurrence", refused)
+        assert concurrence(s, mixed).hex() == expected.hex()
+
     def test_variant_pair_maximal(self):
         s = settings(phi1=0.8, phi2=1.9, phi1p=2.2, phi2p=0.1)
         rho = sector_projection(vh_variant_output(s), s)
@@ -772,8 +793,9 @@ class TestSourceTermEngine:
 
         for name in calls:
             monkeypatch.setattr(toolbox, name, counted(name))
+        # one setting: each of the two distinct photon settings once, on its own numbers
         concurrence(settings(alpha=0.5, phi1=0.8, phi2=1.9, phi1p=2.2), mixed=mixed)
-        assert calls == {"_wave_amplitudes": 1, "_particle_amplitudes": 1}
+        assert calls == {"_wave_amplitudes": 2, "_particle_amplitudes": 2}
 
     def test_ghz_stacks_its_photons_in_one_network_call(self, monkeypatch):
         shapes = []
@@ -785,7 +807,10 @@ class TestSourceTermEngine:
 
         monkeypatch.setattr(toolbox, "_network_matrix", recorded)
         ghz_output(8, 0.6, ToolboxPhases(0.3, 1.2), BETA_SPLIT)
-        assert shapes == [((8,), (8,), (8,))]  # one row per photon, as the pair stacks two
+        assert shapes == [((), (), ())]  # the shared setting once, on its own numbers
+        shapes.clear()
+        ghz_output(8, np.array([0.6, 0.7, 0.8]), ToolboxPhases(0.3, 1.2), BETA_SPLIT)
+        assert shapes == [((3, 8),) * 3]  # one row per photon, as a pair batch stacks two
 
     def test_shared_and_stacked_rows_agree_bit_for_bit(self):
         # ghz_output takes one setting's row twice, the pair stacks two rows
@@ -830,6 +855,78 @@ class TestSourceTermEngine:
         pair = two_photon_output(settings(0.7, phi1, phi2, phi1, phi2, beta, beta))
         assert ghz.basis == pair.basis
         assert ghz.amplitudes.tobytes() == pair.amplitudes.tobytes()
+
+
+class TestOneSettingIsABatchRow:
+    """A one-setting call evaluates each distinct photon setting on its own numbers, a
+    batch stacks them; both give the same bits, signed zeros included."""
+
+    @staticmethod
+    def rows():
+        """64 rows: every beta in {0, -0.0, pi/8, random} with phases from {-0.0, pi,
+        2 pi, random}; photon B's settings are other rows', so the photons differ."""
+        rng = np.random.default_rng(33)
+        special = [-0.0, PI, 2 * PI, rng.uniform(-7, 7)]
+        grid = itertools.product([0.0, -0.0, BETA_SPLIT, rng.uniform(-1, 1)], special, special)
+        beta, phi1, phi2 = np.array(list(grid)).T
+        alpha = rng.uniform(0, PI / 2, beta.size)
+        pair = (alpha, phi1, phi2, np.roll(phi1, 5), np.roll(phi2, 11), beta, np.roll(beta, 17))
+        return alpha, phi1, phi2, beta, pair
+
+    @staticmethod
+    def pair_settings(values, i):
+        a, phi1, phi2, phi1p, phi2p, beta, betap = (v[i] for v in values)
+        return TwoPhotonSettings(a, ToolboxPhases(phi1, phi2), ToolboxPhases(phi1p, phi2p),
+                                 beta, betap)
+
+    @staticmethod
+    def routes_in_a_batch(monkeypatch, module):
+        """Evaluate every one-setting photon as row 0 of a three-row batch."""
+        exact = toolbox._photon_routes
+
+        def in_a_batch(phi1, phi2, beta, settings, what):
+            assert not np.shape(phi1)
+            values = [np.array([v, 0.4, -2.0]) for v in (phi1, phi2, beta)]
+            closed, propagated = exact(*values, dict(zip(("p", "q", "b"), values)), what)
+            return closed[0], propagated[0]
+
+        monkeypatch.setattr(module, "_photon_routes", in_a_batch)
+
+    def test_detection_and_ghz_output(self):
+        alpha, phi1, phi2, beta, _ = self.rows()
+        probs = single_photon_batch(alpha, phi1, phi2, beta).probabilities
+        ghz = ghz_output(3, alpha, ToolboxPhases(phi1, phi2), beta).amplitudes
+        for i in range(alpha.size):
+            phases = ToolboxPhases(phi1[i], phi2[i])
+            single = toolbox.detection_probabilities(alpha[i], phases, beta[i])
+            assert single.as_array().tobytes() == probs[i].tobytes()
+            assert ghz_output(3, alpha[i], phases, beta[i]).amplitudes.tobytes() == ghz[i].tobytes()
+
+    def test_coincidence_table(self):
+        *_, pair = self.rows()
+        tables = two_photon_batch(*pair).probabilities
+        for i in range(tables.shape[0]):
+            table = coincidence_probabilities(self.pair_settings(pair, i))
+            assert table.matrix.tobytes() == tables[i].tobytes()
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_concurrence(self, monkeypatch, mixed):
+        *_, pair = self.rows()
+        values = [concurrence(self.pair_settings(pair, i), mixed) for i in range(0, 64, 3)]
+        self.routes_in_a_batch(monkeypatch, toolbox)
+        rows = [concurrence(self.pair_settings(pair, i), mixed) for i in range(0, 64, 3)]
+        assert [v.hex() for v in values] == [v.hex() for v in rows]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_ghz_sector_probabilities(self, monkeypatch, n):
+        alpha, phi1, phi2, beta, _ = self.rows()
+        at_zero = np.flatnonzero(beta == 0.0)  # the only beta the table takes, -0.0 too
+        calls = [(n, alpha[i], ToolboxPhases(phi1[i], phi2[i]), beta[i]) for i in at_zero]
+        values = [ghz_sector_probabilities(*c) for c in calls]
+        self.routes_in_a_batch(monkeypatch, entangle)
+        rows = [ghz_sector_probabilities(*c) for c in calls]
+        assert [[p.hex() for p in v.values()] for v in values] == [
+            [p.hex() for p in v.values()] for v in rows]
 
 
 class TestGhzAmplitudeBits:

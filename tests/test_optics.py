@@ -373,11 +373,17 @@ class TestCompiledRoute:
             "mixer(1,2)", "mixer(3,4)"]
 
     def test_one_isometry_check_per_chain(self, monkeypatch):
-        calls = []
+        # network_matrix checks its slots entry by entry, once, and no stack
+        calls, slot_checks = [], []
 
         def counted(matrix):
             calls.append(matrix.shape)
             return is_isometry(matrix)
+
+        def counted_slots(slots, settings):
+            slot_checks.append(np.shape(slots[0]))
+            return check_slots(slots, settings)
+        check_slots = optics._check_slots
         runs = {
             "network_matrix": lambda points: network_matrix(0.1, 0.2, BALANCED),
             "interferometer_circuit": lambda points: interferometer_circuit(0.1, 0.2, 0.0),
@@ -385,8 +391,9 @@ class TestCompiledRoute:
                 lambda points: build_hardware_layout(ToolboxPhases(0.1, 0.2), BALANCED),
             "equivalence_scan": lambda points: equivalence_scan(points),
         }
-        expected = {"network_matrix": 1, "interferometer_circuit": 1,
-                    "build_hardware_layout": 1, "equivalence_scan": 2}
+        # (is_isometry calls, entrywise slot checks)
+        expected = {"network_matrix": (0, 1), "interferometer_circuit": (1, 0),
+                    "build_hardware_layout": (1, 0), "equivalence_scan": (2, 0)}
         rng = np.random.default_rng(24)
         for n in (1, 100):
             points = [(a, *phis) for a, phis in zip(rng.uniform(0, 1.5, n),
@@ -395,10 +402,17 @@ class TestCompiledRoute:
                 run(points)  # the fixed stages are built and checked once, before counting
                 monkeypatch.setattr(optics, "is_isometry", counted)
                 monkeypatch.setattr(qcore, "is_isometry", counted)
+                monkeypatch.setattr(optics, "_check_slots", counted_slots)
                 calls.clear()
+                slot_checks.clear()
                 run(points)
                 monkeypatch.undo()
-                assert len(calls) == expected[name], (name, n, calls)
+                assert (len(calls), len(slot_checks)) == expected[name], (name, n, calls)
+        network_matrix(np.zeros(7), 0.2, BALANCED)  # a batch: one check on its arrays
+        monkeypatch.setattr(optics, "_check_slots", counted_slots)
+        slot_checks.clear()
+        network_matrix(np.zeros(7), 0.2, BALANCED)
+        assert slot_checks == [(7,)]
 
     @pytest.mark.parametrize("bad", ["phi1", "phi2", "beta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -429,16 +443,57 @@ class TestCompiledRoute:
                 two_photon_batch(0.3, 0.1, 0.2, batch["phi1"], batch["phi2"], BALANCED,
                                  batch["beta"])
 
+    @pytest.mark.parametrize("bad", ["phi1", "phi2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_entrywise_slot_check_names_a_non_finite_phase(self, bad, value):
+        with np.errstate(invalid="ignore"):
+            for shape, row in (((), 0), ((5,), 3)):
+                values = {"phi1": np.full(shape, 0.1), "phi2": np.full(shape, 0.2)}
+                values[bad][(row,) if shape else ()] = value
+                with pytest.raises(ValueError, match=rf"^arm phases and mixer: matrix is not an"
+                                                     rf" isometry; {bad}={value!r} at row {row}$"):
+                    network_matrix(**values, beta=np.full(shape, BALANCED))
+            # the engine's caller names its own setting: photon B of a one-setting pair
+            with pytest.raises(ValueError, match=rf"; {bad}_prime={value!r} at row 0$"):
+                two_photon_batch(0.3, 0.1, 0.2, *(value if k == bad else 0.4
+                                                  for k in ("phi1", "phi2")))
+
+    @pytest.mark.parametrize("shape", [(), (6,)])
+    def test_entrywise_slot_check_is_the_stack_isometry_rule(self, shape):
+        # the Gram rule on the entries refuses exactly what is_isometry refuses of the
+        # slot stack, on either side of ATOL, in each slot
+        rng = np.random.default_rng(33)
+        phi1, phi2, beta = qcore.broadcast_values(*rng.uniform(-3, 3, (3,) + shape))
+        for slot in range(6):
+            isometries = []
+            for gain in (1 + 0.4e-12, 1 + 3e-12, 1 + 1e-6):
+                slots = [np.exp(1j * phi1), np.exp(1j * phi2), *optics._mixer_entries(beta)]
+                slots[slot] = slots[slot] * gain
+                stack = np.zeros(shape + (2, 2, 2), dtype=complex)
+                stack[..., 0, 0, 0], stack[..., 0, 1, 1] = slots[:2]
+                stack[..., 1, :, :] = np.array(slots[2:]).reshape((2, 2) + shape).transpose(
+                    *range(2, 2 + len(shape)), 0, 1)
+                if not shape:
+                    slots = list(map(complex, slots))
+                isometries.append(is_isometry(stack))
+                if isometries[-1]:
+                    optics._check_slots(tuple(slots), {})
+                else:
+                    with pytest.raises(ValueError, match="^arm phases and mixer: matrix is not"
+                                                         " an isometry$"):
+                        optics._check_slots(tuple(slots), {})
+            assert isometries[0] and not isometries[-1]  # each side of ATOL is reached
+
     def test_finite_settings_add_nothing_to_a_failed_check(self):
         with pytest.raises(ValueError, match="isometry$"):
             optics._slot_matrices("gain", *qcore.broadcast_values(0.1, 0.2, 0.3),
                                   lambda beta: 1.5 * np.eye(2))
 
     def test_finite_settings_keep_the_engine_check_message(self, monkeypatch):
-        def gain(beta):
-            return 1.5 * np.broadcast_to(np.eye(2), np.shape(beta) + (2, 2))
+        def gain(beta):  # the entries of 1.5 I
+            return tuple(np.full(np.shape(beta), x) for x in (1.5, 0.0, 0.0, 1.5))
 
-        monkeypatch.setattr(optics, "_mixer_matrix", gain)
+        monkeypatch.setattr(optics, "_mixer_entries", gain)
         pair = TwoPhotonSettings(0.3, ToolboxPhases(0.1, 0.2), ToolboxPhases(0.3, 0.4))
         for run in (lambda: detection_probabilities(0.3, ToolboxPhases(0.1, 0.2)),
                     lambda: coincidence_probabilities(pair),

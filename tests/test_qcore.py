@@ -314,6 +314,42 @@ class TestApplyUnitary:
             assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestRunSteps:
+    @staticmethod
+    def steps(rng):
+        """A fixed, a (3, 1)-batched and a (4,)-batched in-place step on 4 modes."""
+        def unitary(shape):
+            z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+            return np.linalg.qr(z)[0]
+        return (qcore.Step(unitary(()), slice(0, 2), False),
+                qcore.Step(unitary((3, 1)), slice(1, 3), False),
+                qcore.Step(unitary((4,)), np.array([3, 0]), False))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 1)])
+    def test_a_smaller_batch_grows_at_the_steps_that_need_it(self, shape):
+        rng = np.random.default_rng(33)
+        steps, amps = self.steps(rng), rng.normal(size=shape + (4,)) + 0j
+        out = qcore.run_steps(amps.copy(), steps)
+        assert out.shape == (3, 4, 4)
+        full = qcore.run_steps(np.broadcast_to(amps, (3, 4, 4)).copy(), steps)
+        assert out.tobytes() == full.tobytes()
+
+    def test_a_one_row_batch_adds_its_axis(self):
+        # numpy would write a (1, 2) image into an unbatched (2,) slot: the axis stays
+        rng = np.random.default_rng(33)
+        step = qcore.Step(self.steps(rng)[1].matrix[0], slice(1, 3), False)  # batch (1,)
+        amps = rng.normal(size=4) + 0j
+        out = qcore.run_steps(amps.copy(), (step,))
+        assert out.shape == (1, 4)
+        assert out.tobytes() == qcore.run_steps(amps[None].copy(), (step,)).tobytes()
+
+    def test_a_failed_write_of_the_same_batch_still_raises(self):
+        amps = np.zeros((3, 4, 4), dtype=complex)
+        amps.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            qcore.run_steps(amps, self.steps(np.random.default_rng(33)))
+
+
 class TestMeasurement:
     def test_default_groups(self):
         psi = PureState(ModeBasis(("1", "2")), np.array([0.6, 0.8j]))
