@@ -31,6 +31,7 @@ import numpy as np
 
 from .entangle import (
     _PAIR_NAMES,
+    _SECTOR_KEYS,
     MAX_PHOTONS,
     TwoPhotonSettings,
     coincidence_closed_forms,
@@ -314,16 +315,23 @@ def _entanglement_columns(settings: dict[str, np.ndarray], tables: np.ndarray,
         *witness_rows(counts, shots, "entanglement")]
 
 
+@functools.cache
+def _crossed(n: int) -> tuple[int, ...]:
+    """1 for each history pattern of n photons that mixes 'w' and 'p', else 0, in the
+    order of :func:`ghz_sector_probabilities`' keys; built once per photon number."""
+    return tuple(int(len(set(pattern)) > 1) for pattern in _SECTOR_KEYS[n])
+
+
 def cmd_ghz(args: argparse.Namespace) -> int:
     v = {key: col[0] for key, col in _columns(args).items()}
     sectors = ghz_sector_probabilities(
         args.photons, v["alpha"], ToolboxPhases(v["phi1"], v["phi2"]), beta=v["beta"]
     )
-    crossed = [int(len(set(pattern)) > 1) for pattern in sectors]
+    crossed = _crossed(args.photons)
     path = _emit(args, ["sector", "probability", "crossed"],
                  [list(sectors), list(sectors.values()), crossed])
     # a running sum in table order, which the printed digits have always come from
-    crossed_mass = sum(p for p, c in zip(sectors.values(), crossed) if c)
+    crossed_mass = sum(itertools.compress(sectors.values(), crossed))
     print(f"crossed-sector mass: {float(crossed_mass):.17g}")
     print(f"wrote {path}")
     return EXIT_OK

@@ -38,8 +38,8 @@ from .toolbox import (
     _PHOTON,
     _agreeing,
     _alpha_source,
-    _check,
     _check_alpha,
+    _check_entries,
     _check_settings,
     _Histories,
     _history_batch,
@@ -259,8 +259,8 @@ def _coincidence_forms(a, coeffs, phi1, phi2, phi1p, phi2p, beta, betap) -> tupl
     stacked over the photons, and splitting them costs what it would save."""
     ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
     chp, shp = np.cos(phi1p / 2), np.sin(phi1p / 2)
-    waves, particles = _history_weights(ch, sh, beta)
-    waves_p, particles_p = _history_weights(chp, shp, betap)
+    waves, particles = _history_weights(ch, sh, np.cos(4 * beta))
+    waves_p, particles_p = _history_weights(chp, shp, np.cos(4 * betap))
     ca, sa = coeffs
     g = np.sin(2 * a) * np.sin(4 * beta) * np.sin(4 * betap) / 8
     sigma = (phi1 + phi1p) / 2
@@ -479,5 +479,5 @@ def ghz_sector_probabilities(
     table = _product(gram[:, :, None, None, :].repeat(n, axis=2), (0,) * n)  # n photon rows
     c = np.array([np.cos(a), np.sin(a)])
     sectors = (table * (c[:, None] * c).reshape(4, 1)).sum(axis=1).real
-    _check("n-photon sector table", np.abs(sectors[0] - sectors[1]), settings)
+    _check_entries("n-photon sector table", np.abs(sectors[0] - sectors[1]).tolist(), settings)
     return dict(zip(_SECTOR_KEYS[n], sectors[0].tolist()))

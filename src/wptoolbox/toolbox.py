@@ -15,6 +15,9 @@ A disagreement beyond ``CROSSCHECK_ATOL`` raises, so a regression in either
 route cannot go unnoticed.  :func:`single_photon_batch` does both
 for a whole sweep of settings in one call; the single-setting functions are
 its N=1 case, and refuse a batch before evaluating it (:func:`_one_setting`).
+That case runs on Python numbers, with the bits of a batch row: numpy keeps
+the trigonometric and exponential functions and the Born squares, whose
+numbers would round apart (:func:`_one_photon`).
 It is the one-photon case of :func:`_history_batch`, the engine behind the
 pair and n-photon sources of :mod:`wptoolbox.entangle`.  Every photon
 setting is evaluated and checked in one place, :func:`_photon_routes`.
@@ -26,6 +29,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
+from operator import mul, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +59,8 @@ BETA_DIRECT = 0.0
 CROSSCHECK_ATOL = 1e-12
 
 _RT2 = np.sqrt(2.0)
-_ONE = np.float64(1.0)
+#: the factor of numpy's complex division by ``sqrt 2`` (:func:`_particle_amplitudes`)
+_INV_RT2 = float(1.0 / _RT2)
 _POL_BASIS = ModeBasis(POLS)
 #: one photon's settings, in the argument order of :func:`single_photon_batch`
 _SINGLE_NAMES = ("alpha", "phi1", "phi2", "beta")
@@ -127,7 +133,7 @@ def _check_alpha(alpha):
     """
     a = as_values(alpha)
     inside = (0.0 <= a) & (a <= np.pi / 2)
-    if not inside.all():
+    if not (inside.all() if a.shape else inside):  # a number's all() costs a reduction
         if not np.isfinite(a).all():
             raise ValueError("alpha must be finite")
         level, frame = 1, sys._getframe()
@@ -166,31 +172,38 @@ def particle_state(phi2, beta=BETA_SPLIT) -> PureState:
 def _history_state(h: int, values: list, what: str) -> PureState:
     """History ``h`` (0 wave, 1 particle) of one photon at broadcast ``values`` of
     ``phi1, phi2, beta``: its closed form, once checked (:func:`_photon_routes`)."""
-    history = _photon_routes(*values, dict(zip(_PHOTON, values)), what)[0][..., h, :]
+    history = np.asarray(_photon_routes(*values, dict(zip(_PHOTON, values)), what)[0])[..., h, :]
     # the closed history the check has compared, so finite
     return _trusted(PureState, basis=_n_photon_basis(1), amplitudes=np.ascontiguousarray(history))
 
 
 def _photon_factors(phi1, beta) -> tuple:
     """``cos, sin`` of ``phi1/2`` and of ``2 beta``, which a photon's wave and particle
-    amplitudes share."""
+    amplitudes share: Python numbers at one setting."""
     h, t = phi1 / 2, 2 * beta
-    return np.cos(h), np.sin(h), np.cos(t), np.sin(t)
+    factors = np.cos(h), np.sin(h), np.cos(t), np.sin(t)
+    return factors if factors[0].shape else tuple(map(float, factors))
 
 
-def _wave_amplitudes(phi1, beta, factors) -> np.ndarray:
+def _wave_amplitudes(phi1, beta, factors):
     """The amplitudes of :func:`wave_state`, unchecked, ``S + (4,)``, at float64
     values, from their :func:`_photon_factors`, which hold all that ``beta`` gives;
-    only the engines' shared evaluation (:func:`_photon_routes`) calls it."""
-    cos_h, sin_h, c, s = factors
-    g = np.exp(0.5j * phi1)[..., None]
-    return g * stack_last([c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h])
-
-
-def _particle_amplitudes(phi2, beta, factors) -> np.ndarray:
-    """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``, at float64
-    values, from the :func:`_photon_factors` of ``beta``; only the engines' shared
+    at one setting a list of Python complex numbers.  Only the engines' shared
     evaluation (:func:`_photon_routes`) calls it."""
+    cos_h, sin_h, c, s = factors
+    g = np.exp(0.5j * phi1)
+    parts = [c * cos_h, s * cos_h, -1j * c * sin_h, -1j * s * sin_h]
+    if not g.shape:  # each product has a factor with a zero part: it rounds as an array's
+        g = complex(g)
+        return [g * v for v in parts]
+    return g[..., None] * stack_last(parts)
+
+
+def _particle_amplitudes(phi2, beta, factors):
+    """The amplitudes of :func:`particle_state`, unchecked, ``S + (4,)``, at float64
+    values, from the :func:`_photon_factors` of ``beta``; at one setting a list of
+    Python complex numbers, divided by ``sqrt 2`` as numpy divides.
+    Only the engines' shared evaluation (:func:`_photon_routes`) calls it."""
     c, s = factors[2:]
     e2 = np.exp(1j * phi2)
     # absent mixers pass the open-arm pair (2, 4) straight through; the
@@ -199,7 +212,13 @@ def _particle_amplitudes(phi2, beta, factors) -> np.ndarray:
     if isinstance(lower, np.ndarray):
         lower = np.where(beta == 0.0, 1.0, lower)
     elif beta == 0.0:
-        lower = _ONE
+        lower = 1.0
+    if not e2.shape:
+        e2 = complex(e2)
+        # z / sqrt 2 as numpy divides a complex by a real, Smith's rule with a ratio of
+        # 0 times the reciprocal, signed zeros too; Python's / divides instead
+        return [complex((z.real + z.imag * 0.0) * _INV_RT2, (z.imag - z.real * 0.0) * _INV_RT2)
+                for z in (s, lower, s * e2, lower * e2)]
     return stack_last([s, lower, s * e2, lower * e2]) / _RT2
 
 
@@ -267,10 +286,19 @@ class _Histories(NamedTuple):
     def born(self, forms: tuple, what: str, scale) -> np.ndarray:
         """The amplitudes' Born probabilities, checked row by row against ``mean + fringe``
         of the closed ``forms``, two arrays of their size, one row per setting
-        (:func:`_check`, naming ``what``), then :meth:`fringe_scaled` with ``mean``."""
+        (:func:`_check`, naming ``what``), then :meth:`fringe_scaled` with ``mean``.  One
+        photon's forms at one setting are lists of Python numbers
+        (:func:`_detection_forms`), and so is the result: the squares are numpy's, as
+        ``np.abs`` rounds apart from ``abs``, the comparison and the scaling run on their
+        numbers."""
         mean, fringe = forms
         born = np.abs(self.amplitudes) ** 2
-        _check(what, np.abs((mean + fringe).reshape(born.shape) - born), self.settings)
+        if type(mean) is list:
+            born = born.tolist()
+            _check_entries(what, [abs(m + f - b) for m, f, b in zip(mean, fringe, born)],
+                           self.settings)
+        else:
+            _check(what, np.abs((mean + fringe).reshape(born.shape) - born), self.settings)
         return self.fringe_scaled(born, mean, scale)
 
     def fringe_scaled(self, probs: np.ndarray, mean: np.ndarray, scale) -> np.ndarray:
@@ -283,9 +311,11 @@ class _Histories(NamedTuple):
         second route is the closed form's ``mean``, of the same size: on every row
         whose scale is not 1 the two must agree (:func:`_check`, naming the row and
         its settings).  The weights ``c_t^2`` and the baseline's rows must be
-        distributions too."""
+        distributions too.  One photon's ``probs`` and ``mean`` at one setting are
+        lists of Python numbers (:meth:`born`), and so is the result: the weights
+        ``|h|^2`` are numpy's products, the baseline and the scaling their numbers'."""
         noisy = scale != 1.0
-        if not noisy.any():
+        if not (noisy.any() if scale.shape else noisy):  # a number's any() costs a reduction
             return probs
         inside = (0.0 <= scale) & (scale <= 1.0)  # NaN is outside
         if np.count_nonzero(inside) < inside.size:
@@ -293,6 +323,15 @@ class _Histories(NamedTuple):
             raise ValueError(f"fringe_scale must lie in [0, 1], got {scale.flat[i]} at row {i}")
         weights = check_distribution([c * c for c in self.coeffs], "mixture weights")
         squared = (self.histories * self.histories.conj()).real
+        if type(probs) is list:
+            rows = squared[0].tolist()
+            terms = [(w, rows[h]) for w, (h,) in zip(weights.tolist(), self.patterns)]
+            baseline = [sum(w * row[j] for w, row in terms) for j in range(len(probs))]
+            _check_entries("mixture baseline", [abs(m - b) for m, b in zip(mean, baseline)],
+                           self.settings)
+            check_distribution(baseline, "mixture baseline")
+            scale = float(scale)
+            return [b + scale * (p - b) for p, b in zip(probs, baseline)]
         baseline = sum(w[..., None] * _product(squared, p) for w, p in zip(weights, self.patterns))
         dev = np.abs(mean.reshape(baseline.shape) - baseline)
         _check("mixture baseline", np.where(noisy[..., None], dev, 0.0), self.settings)
@@ -323,9 +362,12 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
     ``phi2`` and ``beta`` among them, and its histories are row k of
     ``S + (n, 2, 4)``, the one form in which the output, its check and
     :class:`_Histories` hold them.  At one setting (``S = ()``) each distinct
-    photon setting, by name, is evaluated once on its own numbers and the
-    histories are stacked after: the pair evaluates two photons,
-    ``ghz_output`` its shared setting once.  A batch evaluates one photon's
+    photon setting, by name, is evaluated once, its histories as Python numbers
+    (:func:`_photon_routes`): the pair evaluates two photons, ``ghz_output`` its
+    shared setting once.  One photon then runs the rest on those numbers too
+    (:func:`_one_photon`); n > 1 photons' histories are stacked into the array and
+    assembled by numpy, as a batch is, since a product of two complex numbers
+    rounds apart in numbers and arrays.  A batch evaluates one photon's
     settings as given, and n > 1 photons' stacked along a last axis, even when
     every photon names the same setting.  The distinct patterns
     hold 0 (V) or 1 (H) per photon; V leaves as the photon's wave history and
@@ -350,9 +392,11 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
         values = ((settings[name] for name in photons[0]) if n == 1
                   else (stack_last([settings[name] for name in names]) for names in zip(*photons)))
         histories = _photon_routes(*values, settings, what)[0].reshape(shape + (n, 2, 4))
-    else:  # one setting: each distinct photon setting once, on its numpy scalars
+    else:  # one setting: each distinct photon setting once, on its numbers
         closed = {names: _photon_routes(*map(settings.get, names), settings, what)[0]
                   for names in dict.fromkeys(photons)}
+        if n == 1:
+            return _one_photon(coeffs, patterns, closed[photons[0]], what, settings)
         histories = np.array([closed[names] for names in photons])
     amps = None
     for c, pattern in zip(coeffs, patterns):
@@ -365,7 +409,7 @@ def _history_batch(coeffs, patterns, photons, what, settings) -> _Histories:
         amps = term if amps is None else np.add(amps, term, out=amps)
     del term  # summed into amps: free it before the projection allocates
 
-    probe, backward, index = _probe(patterns)
+    probe, backward, index, _ = _probe(patterns)
     dense = amps
     for x in backward:  # vecdot never wakes threaded BLAS
         dense = np.vecdot(x, dense.reshape(shape + (-1, 4)))
@@ -379,28 +423,65 @@ def _photon_routes(phi1, phi2, beta, settings: dict, what: str) -> tuple:
     """Photon settings ``phi1, phi2, beta``, float64 values of one shape ``R``, by both
     routes, each evaluated once: ``(closed, propagated)``, the closed-form wave and
     particle histories, ``R + (2, 4)``, and the V and H columns of :func:`network_matrix`
-    in that layout, once they agree entry by entry (:func:`_check`, naming ``what``).  An
+    in that layout, once they agree entry by entry (:func:`_check`, naming ``what``).  At
+    one setting both are nested lists of Python complex numbers, compared number by
+    number (:func:`_check_entries`), on which the one-setting engine runs: the closed
+    histories come as numbers from numpy's trigonometric and exponential values, each
+    product with a factor whose real or imaginary part is zero, so they keep a batch
+    row's bits, and the network's columns are :func:`~wptoolbox.optics._network_matrix`'s
+    numbers (its slot check and images, :func:`~wptoolbox.optics._network_images`).  An
     empty batch raises first; a failed slot check names the first non-finite entry of
     the caller's ``settings`` and its row (:func:`~wptoolbox.optics._check_slots`)."""
     if not phi1.size:
         raise ValueError(f"evaluating the {what} needs at least one setting, got an empty batch")
     factors = _photon_factors(phi1, beta)
     waves = _wave_amplitudes(phi1, beta, factors)
-    closed = np.concatenate((waves, _particle_amplitudes(phi2, beta, factors)), axis=-1)
+    particles = _particle_amplitudes(phi2, beta, factors)
     mats = _network_matrix(phi1, phi2, beta, settings)
-    closed, propagated = closed.reshape(waves.shape[:-1] + (2, 4)), mats.swapaxes(-1, -2)
+    if not phi1.shape:
+        closed, propagated = [waves, particles], mats.T.tolist()
+        _check_entries(what, map(abs, map(sub, chain(*closed), chain(*propagated))), settings)
+        return closed, propagated
+    closed = np.concatenate((waves, particles), axis=-1).reshape(waves.shape[:-1] + (2, 4))
+    propagated = mats.swapaxes(-1, -2)
     _check(what, np.abs(closed - propagated), settings)
     return closed, propagated
 
 
+def _one_photon(coeffs, patterns, rows: list, what: str, settings: dict) -> _Histories:
+    """:func:`_history_batch` of one photon at one setting, on the Python numbers of its
+    checked histories ``rows`` (wave, particle): the output ``sum_t c_t rows[h_t]``
+    (:func:`_sum_terms`) and the probe check, its projection on the probe row ``x``
+    against ``sum_t c_t <x|rows[h_t]>`` (:func:`_check_entries`).  The output and the
+    histories come back as the arrays of :class:`_Histories`."""
+    terms = [(float(c), rows[h]) for c, (h,) in zip(coeffs, patterns)]
+    amps = _sum_terms(terms)
+    x = _probe(patterns)[3][0]
+    factored = sum([c * sum(map(mul, x, row)) for c, row in terms])
+    _check_entries(what, (abs(sum(map(mul, x, amps)) - factored),), settings)
+    return _Histories(np.array(amps), tuple(coeffs), patterns, np.array([rows]), settings)
+
+
+def _sum_terms(terms: list) -> list:
+    """``sum_t c_t row_t`` over one setting's ``terms``, pairs of a real ``c_t`` and a row
+    of Python complex numbers, entry by entry in the order of the batch's scaled and
+    summed terms.  A complex times a real rounds alike in numbers and arrays."""
+    (c, row), *rest = terms
+    amps = [c * v for v in row]
+    for c, row in rest:
+        amps = [a + c * v for a, v in zip(amps, row)]
+    return amps
+
+
 @cache
-def _probe(patterns: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
+def _probe(patterns: tuple) -> tuple[np.ndarray, tuple, np.ndarray, list]:
     """The assembly check of :func:`_history_batch` for the source ``patterns``: the
     probe ``x_1 (x) ... (x) x_n`` as its rows, ``(n, 1, 4)``, which project each
     photon's two histories ``S + (n, 2, 4)`` on its own row, the same rows from ``x_n``
-    back, which contract an output's axes from the last, and the flat index, ``(T, n)``,
+    back, which contract an output's axes from the last, the flat index, ``(T, n)``,
     ``2k + h`` of each term's factor ``<x_k|history_{t,k}>`` among the projections
-    ``S + (n, 2)``.
+    ``S + (n, 2)``, and the conjugated rows as lists of Python numbers, which the
+    one-setting photon contracts (:func:`_one_photon`).
 
     Photon k's row ``x_k`` holds the phases ``exp(2 pi i frac(pi (4k + j + 1)**2))``.
     The squares keep each row from being a multiple of another, as the rows of a
@@ -413,7 +494,7 @@ def _probe(patterns: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
     index = np.array([[2 * k + h for k, h in enumerate(p)] for p in patterns])
     probe = np.exp(2j * np.pi * phases)
     probe.flags.writeable = index.flags.writeable = False  # shared by every call
-    return probe, tuple(probe[::-1, 0]), index
+    return probe, tuple(probe[::-1, 0]), index, probe[:, 0].conj().tolist()
 
 
 def _product(histories: np.ndarray, pattern) -> np.ndarray:
@@ -461,24 +542,25 @@ def _single_settings(alpha, phases: ToolboxPhases, beta) -> dict:
     return dict(zip(_SINGLE_NAMES, values))
 
 
-def _history_weights(ch, sh, beta) -> tuple:
+def _history_weights(ch, sh, c4) -> tuple:
     """One photon's detector weights ``|w|^2, |p|^2``, detector axis first
-    (``(4,) + S``), from ``ch, sh = cos, sin(phi1/2)`` and ``beta`` of one
-    shape ``S``.
+    (``(4,) + S``), from ``ch, sh = cos, sin(phi1/2)`` and ``c4 = cos(4 beta)`` of
+    one shape ``S``; from Python numbers, two tuples of four numbers.
 
-    With ``c^2 = cos^2(2 beta)`` and ``s^2 = 1 - c^2`` they are
+    With ``c^2 = cos^2(2 beta) = (1 + c4)/2`` and ``s^2 = 1 - c^2`` they are
     ``(c^2 ch^2, s^2 ch^2, c^2 sh^2, s^2 sh^2)`` and ``(s^2, c^2, s^2, c^2)/2``;
     at ``pi/8`` both squares are exactly 0.5.  The sign flip of
     :func:`particle_state` at ``beta = 0`` drops out of every probability.
     Squares are products ``x * x``, so a single setting and a batch row
     round alike.
     """
-    c2 = (1 + np.cos(4 * beta)) / 2
+    c2 = (1 + c4) / 2
     s2 = 1 - c2
     ch2, sh2 = ch * ch, sh * sh
-    waves = np.array([c2 * ch2, s2 * ch2, c2 * sh2, s2 * sh2])
-    particles = np.array([s2, c2, s2, c2]) / 2
-    return waves, particles
+    waves, particles = (c2 * ch2, s2 * ch2, c2 * sh2, s2 * sh2), (s2, c2, s2, c2)
+    if type(c2) is float:
+        return waves, tuple(p / 2 for p in particles)
+    return np.array(waves), np.array(particles) / 2
 
 
 def detection_closed_forms(
@@ -519,13 +601,20 @@ def _detection_forms(a, coeffs, phi1, phi2, beta) -> tuple:
     part ``cos^2(a) |w|^2 + sin^2(a) |p|^2``, the mixture's, and the fringe, whose sum
     is the table.  ``cos, sin(phi1/2)`` are evaluated here, as
     :func:`~wptoolbox.entangle._coincidence_forms` does: the engine keeps its photon
-    array only."""
-    ch, sh = np.cos(phi1 / 2), np.sin(phi1 / 2)
-    waves, particles = _history_weights(ch, sh, beta)
-    ca, sa = coeffs
-    x = np.sin(2 * a) * np.sin(4 * beta) / (2 * _RT2)
+    array only.  At one setting both are lists of Python numbers, every value past the
+    trigonometric functions a real product or sum, which numbers and arrays round
+    alike; a batch gives arrays ``S + (4,)``."""
+    h, b4 = phi1 / 2, 4 * beta
+    values = (np.cos(h), np.sin(h), np.cos(b4), np.sin(2 * a) * np.sin(b4) / (2 * _RT2),
+              np.sin(h - phi2), *coeffs)
+    one = not values[0].shape
+    ch, sh, c4, x, sin_d, ca, sa = map(float, values) if one else values
+    waves, particles = _history_weights(ch, sh, c4)
     ic = x * (ch * ch)
-    is_ = x * sh * np.sin(phi1 / 2 - phi2)
+    is_ = x * sh * sin_d
+    if one:
+        cc, ss = ca * ca, sa * sa
+        return [cc * w + ss * p for w, p in zip(waves, particles)], [ic, -ic, is_, -is_]
     mean = ca * ca * waves + sa * sa * particles
     axes = (*range(1, mean.ndim), 0)
     return mean.transpose(axes), np.array([ic, -ic, is_, -is_]).transpose(axes)
@@ -563,11 +652,19 @@ def single_photon_batch(
     must lie in [0, 1], or ``ValueError`` names its first row.  The baseline
     of those rows is checked against the mean part of the closed forms.
     """
-    alpha, phi1, phi2, beta, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
-    histories = _single_photon(dict(zip(_SINGLE_NAMES, (alpha, phi1, phi2, beta))))
+    *values, scale = broadcast_values(alpha, phi1, phi2, beta, fringe_scale)
+    histories, probs = _single_born(values, scale)
+    return SingleBatch(histories.amplitudes, np.asarray(probs))
+
+
+def _single_born(values: list, scale) -> tuple:
+    """The one-photon source at broadcast ``values`` of ``alpha, phi1, phi2, beta`` through
+    the engine, and its Born table at fringe ``scale``, checked against the closed forms
+    (:meth:`_Histories.born`): an array ``S + (4,)``, at one setting a list of numbers."""
+    histories = _single_photon(dict(zip(_SINGLE_NAMES, values)))
     # the closed form shares the engine's cos, sin of alpha
-    forms = _detection_forms(alpha, histories.coeffs, phi1, phi2, beta)
-    return SingleBatch(histories.amplitudes, histories.born(forms, "probabilities", scale))
+    forms = _detection_forms(values[0], histories.coeffs, *values[1:])
+    return histories, histories.born(forms, "probabilities", scale)
 
 
 def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
@@ -590,6 +687,15 @@ def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
     )
 
 
+def _check_entries(what: str, devs, settings: dict) -> None:
+    """:func:`_check` of one setting's deviations ``devs``, Python numbers: all within the
+    tolerance passes with no array, NaN failing; else :func:`_check` raises its error,
+    naming row 0 and the settings."""
+    devs = list(devs)
+    if not all(map(CROSSCHECK_ATOL.__ge__, devs)):
+        _check(what, np.array(devs), settings)
+
+
 # ---------------------------------------------------------------------------
 # single settings
 # ---------------------------------------------------------------------------
@@ -597,7 +703,7 @@ def _check(what: str, dev: np.ndarray, settings: dict[str, np.ndarray]) -> None:
 def _one_setting(what: str, values) -> None:
     """Raise unless ``values``, broadcast to one shape, hold one setting: an entry
     that returns one result refuses a batch before anything is evaluated."""
-    shape = np.shape(next(iter(values)))  # every value's
+    shape = next(iter(values)).shape  # every value's
     if shape:
         raise ValueError(f"{what} needs one setting, got a batch of shape {shape}")
 
@@ -605,9 +711,9 @@ def _one_setting(what: str, values) -> None:
 def _single_row(what: str, alpha, phases: ToolboxPhases, beta, scale) -> SingleProbabilities:
     """One setting of :func:`single_photon_batch` at fringe ``scale``, with the pair
     split; a batch, in the settings or in ``scale``, is refused first."""
-    values = broadcast_values(alpha, phases.phi1, phases.phi2, beta, scale)
+    *values, scale = broadcast_values(alpha, phases.phi1, phases.phi2, beta, scale)
     _one_setting(what, values)
-    p1, p2, p3, p4 = map(float, single_photon_batch(*values).probabilities)
+    p1, p2, p3, p4 = _single_born(values, scale)[1]
     return SingleProbabilities(p1, p2, p3, p4,
                                (p1 + p2) / 2, (p3 + p4) / 2, (p1 - p2) / 2, (p3 - p4) / 2)
 

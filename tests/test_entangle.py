@@ -701,7 +701,7 @@ class TestSourceTermEngine:
         exact = toolbox._wave_amplitudes
 
         def perturbed(phi1, beta, *factors):
-            return exact(phi1, beta, *factors) + 1e-9
+            return np.add(exact(phi1, beta, *factors), 1e-9)  # numbers at one setting
 
         monkeypatch.setattr(toolbox, "_wave_amplitudes", perturbed)
 
@@ -728,13 +728,23 @@ class TestSourceTermEngine:
     @staticmethod
     def fault_first_product(monkeypatch, fault):
         """Patch the engine's first Kronecker product, the first term's, with
-        ``fault(exact, histories, pattern)``; later products stay exact."""
+        ``fault(exact, histories, pattern)``; later products stay exact.  One photon
+        at one setting forms no product: its first term's row goes through
+        ``fault(np.array, row)`` before the rows are summed."""
         exact, calls = toolbox._product, itertools.count()
 
         def faulty(*args):
             return fault(exact, *args) if next(calls) == 0 else exact(*args)
 
         monkeypatch.setattr(toolbox, "_product", faulty)
+        # one photon at one setting sums its rows of numbers instead: fault the first
+        exact_sum = toolbox._sum_terms
+
+        def faulty_sum(terms):
+            (c, row), *rest = terms
+            return exact_sum([(c, fault(np.array, row).tolist()), *rest])
+
+        monkeypatch.setattr(toolbox, "_sum_terms", faulty_sum)
 
     @staticmethod
     def engine_output(n):
@@ -929,6 +939,146 @@ class TestOneSettingIsABatchRow:
             [p.hex() for p in v.values()] for v in rows]
 
 
+    @pytest.mark.parametrize("scale", ["0", "1", "random"])
+    def test_noisy_single_probabilities(self, scale):
+        alpha, phi1, phi2, beta, _ = self.rows()
+        fringe = {"0": np.zeros(alpha.size), "1": np.ones(alpha.size),
+                  "random": np.random.default_rng(34).uniform(0, 1, alpha.size)}[scale]
+        probs = single_photon_batch(alpha, phi1, phi2, beta, fringe).probabilities
+        for i in range(alpha.size):
+            model = NoiseModel(visibility=fringe[i])  # fringe scale (1 - 0) * v, v itself
+            single = noisy_single_probabilities(alpha[i], ToolboxPhases(phi1[i], phi2[i]),
+                                                beta[i], model)
+            assert single.as_array().tobytes() == probs[i].tobytes()
+            assert {type(p) for p in vars(single).values()} == {float}
+
+    def test_single_photon_states(self):
+        alpha, phi1, phi2, beta, _ = self.rows()
+
+        def states(alpha, phi1, phi2, beta):
+            phases = ToolboxPhases(phi1, phi2)
+            return (output_state(alpha, phases, beta).amplitudes,
+                    mixed_output(alpha, phases, beta).matrix,
+                    wave_state(phi1, beta).amplitudes, particle_state(phi2, beta).amplitudes)
+
+        batch = states(alpha, phi1, phi2, beta)
+        for i in range(alpha.size):
+            single = states(alpha[i], phi1[i], phi2[i], beta[i])
+            assert [s.tobytes() for s in single] == [b[i].tobytes() for b in batch]
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_coherence(self, monkeypatch, mixed):
+        alpha, phi1, phi2, beta, _ = self.rows()
+        calls = [(alpha[i], ToolboxPhases(phi1[i], phi2[i]), beta[i], mixed)
+                 for i in range(alpha.size)]
+        values = [toolbox.coherence(*c) for c in calls]
+        self.routes_in_a_batch(monkeypatch, toolbox)
+        rows = [toolbox.coherence(*c) for c in calls]
+        assert [v.hex() for v in values] == [v.hex() for v in rows]
+
+
+class TestOneSettingChecksFire:
+    """Each check of the one-setting number path fires, with the batch's error."""
+
+    PHASES = ToolboxPhases(0.8, 1.9)
+    NAMES = r"at row 0 \(alpha=0\.6, phi1=0\.8, phi2=1\.9, beta=0\.3\)$"
+
+    @pytest.mark.parametrize("entry", range(4))
+    @pytest.mark.parametrize("helper", ["_wave_amplitudes", "_particle_amplitudes"])
+    def test_a_history_entry_off_raises_the_batch_error(self, monkeypatch, helper, entry):
+        exact, shift = getattr(toolbox, helper), np.zeros(4)
+        shift[entry] = 1e-10
+        monkeypatch.setattr(toolbox, helper, lambda *args: np.add(exact(*args), shift))
+        with pytest.raises(RuntimeError) as batch:
+            single_photon_batch([0.6], [0.8], [1.9], [0.3])
+        with pytest.raises(RuntimeError, match=r"^closed-form output disagrees with"
+                                               r" propagation by 1\.0\d\de-10 " + self.NAMES):
+            toolbox.detection_probabilities(0.6, self.PHASES, 0.3)
+        with pytest.raises(RuntimeError) as one:
+            toolbox.detection_probabilities(0.6, self.PHASES, 0.3)
+        assert str(one.value) == str(batch.value)
+
+    @pytest.mark.parametrize("entry", range(4))
+    def test_a_nan_history_entry_raises_at_the_history_check(self, monkeypatch, entry):
+        # wave_state runs no assembly, so only the entrywise history check can see it
+        exact = toolbox._wave_amplitudes
+
+        def poisoned(*args):
+            amps = exact(*args)
+            amps[entry] = complex("nan")
+            return amps
+
+        monkeypatch.setattr(toolbox, "_wave_amplitudes", poisoned)
+        with pytest.raises(RuntimeError, match=r"^closed-form wave state disagrees with"
+                                               r" propagation by nan at row 0 \(phi1=0\.8, "):
+            wave_state(0.8, 0.3)
+
+    @pytest.mark.parametrize("entry", range(4))
+    def test_a_perturbed_output_trips_the_probe_check(self, monkeypatch, entry):
+        exact = toolbox._sum_terms
+
+        def perturbed(terms):
+            amps = exact(terms)
+            amps[entry] += 1e-10
+            return amps
+
+        monkeypatch.setattr(toolbox, "_sum_terms", perturbed)
+        for call in (toolbox.detection_probabilities, output_state, toolbox.coherence):
+            with pytest.raises(RuntimeError, match=r"^closed-form output disagrees with"
+                                                   r" propagation by 1\.0\d\de-10 " + self.NAMES):
+                call(0.6, self.PHASES, 0.3)
+
+    @staticmethod
+    def shifted_forms(monkeypatch, mean_shift, fringe_shift):
+        """Patch the one-setting closed forms, lists of numbers, to move detector 2's
+        mean and fringe by the given shifts."""
+        exact = toolbox._detection_forms
+
+        def shifted(*args):
+            mean, fringe = exact(*args)
+            mean[1] += mean_shift
+            fringe[1] += fringe_shift
+            return mean, fringe
+
+        monkeypatch.setattr(toolbox, "_detection_forms", shifted)
+
+    def test_a_perturbed_closed_table_trips_the_born_check(self, monkeypatch):
+        self.shifted_forms(monkeypatch, 0.0, 1e-9)
+        with pytest.raises(RuntimeError, match=r"^closed-form probabilities disagrees with"
+                                               r" propagation by 1\.000e-09 " + self.NAMES):
+            toolbox.detection_probabilities(0.6, self.PHASES, 0.3)
+
+    def test_a_perturbed_closed_mean_trips_the_baseline_check(self, monkeypatch):
+        # the sum the Born table is checked against holds: only a noisy row sees it
+        self.shifted_forms(monkeypatch, 1e-9, -1e-9)
+        toolbox.detection_probabilities(0.6, self.PHASES, 0.3)
+        with pytest.raises(RuntimeError, match=r"^closed-form mixture baseline disagrees with"
+                                               r" propagation by 1\.000e-09 " + self.NAMES):
+            noisy_single_probabilities(0.6, self.PHASES, 0.3, NoiseModel(visibility=0.5))
+
+    @pytest.mark.parametrize("name", ["phi1", "phi2"])
+    def test_a_nan_phase_raises_the_slot_check(self, name):
+        phases = ToolboxPhases(**{"phi1": 0.8, "phi2": 1.9, name: np.nan})
+        message = rf"^arm phases and mixer: matrix is not an isometry; {name}=nan at row 0$"
+        with np.errstate(invalid="ignore"):
+            for call in (toolbox.detection_probabilities, output_state, toolbox.coherence):
+                with pytest.raises(ValueError, match=message):
+                    call(0.6, phases, 0.3)
+
+    def test_alpha_outside_the_quadrant_warns_at_the_caller(self):
+        model = NoiseModel(visibility=0.5)
+        calls = [lambda: toolbox.detection_probabilities(2.0, self.PHASES, 0.3),
+                 lambda: noisy_single_probabilities(2.0, self.PHASES, 0.3, model),
+                 lambda: output_state(2.0, self.PHASES, 0.3),
+                 lambda: toolbox.coherence(2.0, self.PHASES, 0.3)]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [(w.category, w.filename, w.lineno) for w in caught] == [
+                (UserWarning, __file__, call.__code__.co_firstlineno)]
+
+
 class TestGhzAmplitudeBits:
     """ghz_output's amplitudes are the kron products of one photon's wave and
     particle histories, scaled and summed, bit for bit at every n."""
@@ -941,8 +1091,9 @@ class TestGhzAmplitudeBits:
         alpha, phi1, phi2 = rng.uniform(0, PI / 2), *rng.uniform(0, 2 * PI, 2)
         beta = rng.uniform(0, PI / 4) if beta == "random" else beta
         factors = toolbox._photon_factors(phi1, beta)
-        w = toolbox._wave_amplitudes(phi1, beta, factors)
-        p = toolbox._particle_amplitudes(phi2, beta, factors)
+        # one setting's histories are lists of numbers
+        w = np.asarray(toolbox._wave_amplitudes(phi1, beta, factors))
+        p = np.asarray(toolbox._particle_amplitudes(phi2, beta, factors))
         if n == 1:
             expected = np.cos(alpha) * w + np.sin(alpha) * p
         else:
@@ -967,7 +1118,7 @@ class TestGhzAmplitudeBits:
         exact = toolbox._wave_amplitudes
 
         def poisoned(phi1, beta, *factors):
-            amps = exact(phi1, beta, *factors).copy()
+            amps = np.array(exact(phi1, beta, *factors))  # numbers at one setting
             amps[..., 2] = np.nan
             return amps
 
@@ -1033,7 +1184,7 @@ class TestGhzSectors:
         if route == "closed form":
             exact = toolbox._wave_amplitudes
             monkeypatch.setattr(toolbox, "_wave_amplitudes",
-                                lambda *args: exact(*args) + 1e-10)
+                                lambda *args: np.add(exact(*args), 1e-10))
         else:
             exact = toolbox._network_matrix
             monkeypatch.setattr(toolbox, "_network_matrix", lambda *args: exact(*args) + 1e-10)
@@ -1050,7 +1201,7 @@ class TestGhzSectors:
 
         def perturbed(*args):
             closed, propagated = exact(*args)
-            return closed, propagated + 1e-10
+            return closed, np.add(propagated, 1e-10)  # a list of numbers at one setting
 
         monkeypatch.setattr(entangle, "_photon_routes", perturbed)
         message = (r"closed-form n-photon sector table disagrees with propagation by"

@@ -203,7 +203,7 @@ class TestHistoryStates:
     def test_perturbed_history_raises_naming_the_setting(self, monkeypatch, state, helper,
                                                          names):
         exact = getattr(toolbox, helper)
-        monkeypatch.setattr(toolbox, helper, lambda *args: exact(*args) * (1 + 1e-10))
+        monkeypatch.setattr(toolbox, helper, lambda *args: np.multiply(exact(*args), 1 + 1e-10))
         what = state.__name__.replace("_", " ")
         with pytest.raises(RuntimeError, match=rf"^closed-form {what} disagrees with"
                                                rf" propagation by .* at row 0 \({names}\)$"):

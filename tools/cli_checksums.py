@@ -27,8 +27,10 @@ wave and particle histories (``vh_variant_output``, ``concurrence``,
 ``wave_state``, ``particle_state``, ``output_state`` and
 ``two_photon_output`` and the matrices of ``mixture_two_photon_output``,
 some settings as batches (see :data:`STATE_BATCH_ROWS`), the first three at
-settings whose outputs hold signed zeros (see :data:`SPECIAL_SETTINGS`), and the shot
-sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
+settings whose outputs hold signed zeros (see :data:`SPECIAL_SETTINGS`), one setting at
+a time of ``detection_probabilities``, ``noisy_single_probabilities``,
+``coincidence_probabilities`` and ``ghz_sector_probabilities`` (1 to 4 photons) on that
+grid, and the shot sampler's counts on fixed tables (see :data:`SAMPLER_TABLES`).
 Usage::
 
     python3 tools/cli_checksums.py --src OLD/src --write old.sha256
@@ -211,6 +213,10 @@ STATE_BATCH_ROWS = 5
 SPECIAL_SETTINGS = ((0.0, math.pi / 2), (0.0, -0.0, math.pi, -math.pi, 2 * math.pi),
                     (0.0, -0.0, math.pi / 8, math.pi / 4, math.pi / 2))
 
+#: (visibility, dephase_wp) of the ``noisy_single_special`` entry: a noisy row and the
+#: classical mixture
+SPECIAL_MODELS = ((0.8, 0.3), (1.0, 1.0))
+
 #: grids of the ``equivalence_scan_grid`` entry: 1 to 12 points each, at both
 #: validated betas, then one grid at drawn betas compared with ``strict=False``
 SCAN_GRIDS = 40
@@ -238,7 +244,7 @@ def library_checksums() -> dict[str, str]:
                                     vh_variant_output)
     from wptoolbox.hardware import VALIDATED_BETAS, build_hardware_layout, equivalence_scan
     from wptoolbox.optics import interferometer_circuit, network_matrix
-    from wptoolbox.shots import sample_counts, sample_rows
+    from wptoolbox.shots import NoiseModel, noisy_single_probabilities, sample_counts, sample_rows
     from wptoolbox.toolbox import (ToolboxPhases, coherence, detection_probabilities,
                                    mixed_output, output_state, particle_state,
                                    single_photon_batch, wave_state)
@@ -354,6 +360,24 @@ def library_checksums() -> dict[str, str]:
         for alpha, phi, beta in [*zip(*(np.ravel(x).tolist() for x in grid)), grid]
         for value in (wave_state(phi, beta).amplitudes, particle_state(phi, beta).amplitudes,
                       output_state(alpha, ToolboxPhases(phi, phi), beta).amplitudes)]
+    # one-setting engine entries on the same grid, whose rows hold signed zeros too:
+    # each photon of a pair at its own phases, the sector table at the mixers off
+    bits.update(detection_special=[], noisy_single_special=[], coincidence_special=[],
+                ghz_sector_special=[])
+    for alpha, phi, beta in zip(*(np.ravel(x).tolist() for x in grid)):
+        phases = ToolboxPhases(phi, phi)
+        pair = TwoPhotonSettings(alpha, phases, ToolboxPhases(-phi, phi), beta, beta)
+        bits["detection_special"].append(
+            detection_probabilities(alpha, phases, beta).as_array().tobytes().hex())
+        bits["noisy_single_special"] += [
+            noisy_single_probabilities(alpha, phases, beta, NoiseModel(*knobs)).as_array()
+            .tobytes().hex() for knobs in SPECIAL_MODELS]
+        bits["coincidence_special"].append(
+            coincidence_probabilities(pair).matrix.tobytes().hex())
+        if beta == 0.0:  # the only mixer angle the sector table takes, -0.0 too
+            bits["ghz_sector_special"] += [
+                np.array(list(ghz_sector_probabilities(n, alpha, phases, beta).values()))
+                .tobytes().hex() for n in range(1, 5)]
     # multi-point scans; the entry above scans one point at one beta
     scans = np.random.default_rng(20240609)
     bits["equivalence_scan_grid"] = []
